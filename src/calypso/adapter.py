@@ -15,17 +15,16 @@ starts at the configured ratio and decays linearly to zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from . import seeding
+from . import io, seeding
 from .autodiff import Tape
 from .core import PatchGraph, aggregate
-from .errors import DivergedGradient, NonFiniteInput, NonFiniteLoss, ShapeMismatch
+from .errors import NonFiniteInput, NonFiniteLoss, ShapeMismatch
 
 
 def stack_levels(series: np.ndarray, graph: PatchGraph) -> np.ndarray:
@@ -209,10 +208,7 @@ def train_adapter(
     truth_norm = truth / scale[:, None]
 
     rng = seeding.spawn_rng(hyper.seed, seeding.ADAPTER, 1)
-    names = sorted(work.weights)
-    adam_m = {n: np.zeros_like(work.weights[n]) for n in names}
-    adam_v = {n: np.zeros_like(work.weights[n]) for n in names}
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    opt = ad.Adam(work.weights, hyper.weight_decay, hyper.clip_norm)
     history = []
 
     for epoch in range(hyper.epochs):
@@ -223,7 +219,7 @@ def train_adapter(
         teacher_mask = rng.random(weeks) < ratio
 
         tape = Tape()
-        duals = {n: tape.variable(work.weights[n]) for n in names}
+        duals = opt.variables(tape)
         corrected, _ = _forward(
             duals, work.config, raw_norm, scale, work.t_scale,
             truth_norm=truth_norm, teacher_mask=teacher_mask,
@@ -238,51 +234,24 @@ def train_adapter(
             raise NonFiniteLoss(f"epoch {epoch}: adapter loss is not finite")
         history.append(loss_val)
 
-        adjoints = tape.backward(loss)
-        grads = {n: adjoints[duals[n].index] + hyper.weight_decay * work.weights[n] for n in names}
-        gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-        if np.isfinite(gnorm) and hyper.clip_norm > 0 and gnorm > hyper.clip_norm:
-            grads = {n: g * (hyper.clip_norm / gnorm) for n, g in grads.items()}
-        if any(not np.all(np.isfinite(g)) for g in grads.values()):
-            raise DivergedGradient(f"epoch {epoch}: adapter gradient not finite after clipping")
-        tstep = epoch + 1
-        for n in names:
-            g = grads[n]
-            adam_m[n] = beta1 * adam_m[n] + (1 - beta1) * g
-            adam_v[n] = beta2 * adam_v[n] + (1 - beta2) * g * g
-            work.weights[n] -= (
-                hyper.learning_rate * (adam_m[n] / (1 - beta1**tstep))
-                / (np.sqrt(adam_v[n] / (1 - beta2**tstep)) + eps)
-            )
+        opt.step(tape.backward(loss), duals, hyper.learning_rate, f"adapter epoch {epoch}")
     return work, {"loss": np.array(history)}
 
 
 def save_checkpoint(path, net: AdapterNet, extra: dict | None = None) -> Path:
-    payload = {
-        "kind": "adapter",
-        "config": {
-            "hidden": net.config.hidden,
-            "layers": net.config.layers,
-            "time_harmonics": net.config.time_harmonics,
-        },
-        "seed": net.seed,
-        "weights": {k: np.asarray(v).tolist() for k, v in net.weights.items()},
-        "scale": None if net.scale is None else net.scale.tolist(),
-        "t_scale": net.t_scale,
-        "extra": extra or {},
-    }
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return io.write_checkpoint(
+        path, "adapter", net, extra,
+        scale=None if net.scale is None else net.scale.tolist(),
+        t_scale=net.t_scale,
+    )
 
 
 def load_checkpoint(path) -> tuple[AdapterNet, dict]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("kind") != "adapter":
-        raise ShapeMismatch(f"{path} is not an adapter checkpoint")
-    net = AdapterNet(AdapterConfig(**payload["config"]), seed=payload["seed"])
-    for k, v in payload["weights"].items():
-        net.weights[k] = np.array(v, dtype=float)
-    net.scale = None if payload["scale"] is None else np.array(payload["scale"], dtype=float)
-    net.t_scale = payload["t_scale"]
-    return net, payload.get("extra", {})
+    def build(config: AdapterConfig, seed: int, payload: dict) -> AdapterNet:
+        net = AdapterNet(config, seed=seed)
+        if payload["scale"] is not None:
+            net.scale = io.checkpoint_array(payload["scale"], (len(payload["scale"]),), positive=True)
+        net.t_scale = None if payload["t_scale"] is None else int(payload["t_scale"])
+        return net
+
+    return io.read_checkpoint(path, "adapter", AdapterConfig, ("scale", "t_scale"), build)

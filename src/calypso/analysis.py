@@ -3,16 +3,14 @@
 Every operation re-simulates under a perturbed configuration and
 compares cumulative new infections against the unperturbed baseline;
 nothing here mutates the fitted parameters.  Candidate evaluations
-inside greedy loops are independent simulations and may be threaded
-(``CALYPSO_THREADS``); selection happens after all candidates of a step
-are scored, so results do not depend on evaluation order.
+inside greedy loops are independent simulations; selection happens after
+all candidates of a step are scored, so results do not depend on
+evaluation order.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -35,14 +33,6 @@ from .errors import (
     UnknownRegion,
 )
 from .sim import SimConfig, apply_scenario, seed_outbreak, simulate
-
-
-def thread_limit() -> int:
-    """Worker cap from the CALYPSO_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("CALYPSO_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -177,6 +167,23 @@ def _scaled_params(params: DiseaseParams, scale_vec: np.ndarray) -> DiseaseParam
     return replace(params, patch_beta_scale=scale_vec)
 
 
+def _allocation_candidates(graph: PatchGraph, candidates: Sequence[str] | None) -> list[str]:
+    """Candidate patches in graph order; every non-general patch by default."""
+    if candidates is None:
+        candidates = graph.patches_of_category(NON_GENERAL)
+    for c in candidates:
+        if c not in graph.patch_index:
+            raise UnknownRegion(f"unknown candidate patch {c!r}")
+    if not candidates:
+        raise EmptyCandidates("no candidate patches for allocation")
+    return sorted(candidates, key=lambda p: graph.patch_index[p])
+
+
+def _total_with(model: FittedModel, graph: PatchGraph, scale_vec: np.ndarray) -> float:
+    """Cumulative statewide infections with per-patch beta scaled by ``scale_vec``."""
+    return _cum_state(model.run(graph, params=_scaled_params(model.params, scale_vec)), graph)
+
+
 @dataclass(frozen=True)
 class GreedyResult:
     selected: tuple[str, ...]
@@ -187,8 +194,7 @@ class GreedyResult:
 
 def unit_greedy(model: FittedModel, graph: PatchGraph, budget: int,
                 multiplier: float = 0.9,
-                candidates: Sequence[str] | None = None,
-                threads: int | None = None) -> GreedyResult:
+                candidates: Sequence[str] | None = None) -> GreedyResult:
     """Pick ``budget`` patches one at a time by maximal marginal gain.
 
     The objective is cumulative statewide new infections over the run;
@@ -198,41 +204,21 @@ def unit_greedy(model: FittedModel, graph: PatchGraph, budget: int,
     """
     if budget < 1:
         raise ShapeMismatch("budget must be >= 1")
-    if candidates is None:
-        candidates = graph.patches_of_category(NON_GENERAL)
-    cands = sorted(candidates, key=lambda p: graph.patch_index[p])
-    if not cands:
-        raise EmptyCandidates("no candidate patches for allocation")
+    cands = _allocation_candidates(graph, candidates)
     if budget > len(cands):
         raise ShapeMismatch(f"budget {budget} exceeds {len(cands)} candidates")
-    for c in cands:
-        if c not in graph.patch_index:
-            raise UnknownRegion(f"unknown candidate patch {c!r}")
-
-    workers = thread_limit() if threads is None else max(1, threads)
     baseline_total = _cum_state(model.run(graph), graph)
-
-    def total_with(scale_vec: np.ndarray) -> float:
-        traj = model.run(graph, params=_scaled_params(model.params, scale_vec))
-        return _cum_state(traj, graph)
-
     scale = np.ones(graph.n_patches)
-    current = baseline_total
     selected: list[str] = []
     reductions: list[float] = []
     evaluations = 0
     remaining = list(cands)
     for _ in range(budget):
-        trial_vecs = []
+        totals = []
         for cand in remaining:
             vec = scale.copy()
             vec[graph.patch_index[cand]] *= multiplier
-            trial_vecs.append(vec)
-        if workers > 1 and len(trial_vecs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                totals = list(pool.map(total_with, trial_vecs))
-        else:
-            totals = [total_with(v) for v in trial_vecs]
+            totals.append(_total_with(model, graph, vec))
         evaluations += len(remaining)
         best_pos = 0
         for pos in range(1, len(remaining)):
@@ -240,9 +226,8 @@ def unit_greedy(model: FittedModel, graph: PatchGraph, budget: int,
                 best_pos = pos
         chosen = remaining.pop(best_pos)
         scale[graph.patch_index[chosen]] *= multiplier
-        current = totals[best_pos]
         selected.append(chosen)
-        reductions.append(baseline_total - current)
+        reductions.append(baseline_total - totals[best_pos])
     return GreedyResult(
         selected=tuple(selected),
         reductions=np.array(reductions),
@@ -265,11 +250,7 @@ def brute_force_allocation(model: FittedModel, graph: PatchGraph, budget: int,
     """Exhaustive search over all size-``budget`` candidate subsets."""
     if budget < 1:
         raise ShapeMismatch("budget must be >= 1")
-    if candidates is None:
-        candidates = graph.patches_of_category(NON_GENERAL)
-    cands = sorted(candidates, key=lambda p: graph.patch_index[p])
-    if not cands:
-        raise EmptyCandidates("no candidate patches for allocation")
+    cands = _allocation_candidates(graph, candidates)
     baseline_total = _cum_state(model.run(graph), graph)
     best_set: tuple[str, ...] = ()
     best_total = np.inf
@@ -278,7 +259,7 @@ def brute_force_allocation(model: FittedModel, graph: PatchGraph, budget: int,
         vec = np.ones(graph.n_patches)
         for c in combo:
             vec[graph.patch_index[c]] *= multiplier
-        total = _cum_state(model.run(graph, params=_scaled_params(model.params, vec)), graph)
+        total = _total_with(model, graph, vec)
         evaluations += 1
         if total < best_total:
             best_total = total
@@ -298,9 +279,7 @@ def random_allocation_reduction(model: FittedModel, graph: PatchGraph, budget: i
     """Reductions of ``n_draws`` random size-``budget`` allocations."""
     from . import seeding
 
-    if candidates is None:
-        candidates = graph.patches_of_category(NON_GENERAL)
-    cands = sorted(candidates, key=lambda p: graph.patch_index[p])
+    cands = _allocation_candidates(graph, candidates)
     rng = seeding.spawn_rng(seed, seeding.ANALYSIS, 0)
     baseline_total = _cum_state(model.run(graph), graph)
     out = np.zeros(n_draws)
@@ -309,8 +288,7 @@ def random_allocation_reduction(model: FittedModel, graph: PatchGraph, budget: i
         vec = np.ones(graph.n_patches)
         for k in picks:
             vec[graph.patch_index[cands[k]]] *= multiplier
-        total = _cum_state(model.run(graph, params=_scaled_params(model.params, vec)), graph)
-        out[d] = baseline_total - total
+        out[d] = baseline_total - _total_with(model, graph, vec)
     return out
 
 
@@ -348,8 +326,7 @@ def sensitivity_scan(model: FittedModel, graph: PatchGraph, bump: float = 1.1) -
 
 def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
                      candidates: Sequence[str] | None = None,
-                     target: str | None = None,
-                     threads: int | None = None) -> ImpactReport:
+                     target: str | None = None) -> ImpactReport:
     """Seed ``k`` extra infections per candidate source and rank the impact.
 
     Without a target the metric is the statewide cumulative-infection
@@ -378,12 +355,7 @@ def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
             return _cum_state(traj, graph) - base_state
         return float(_cum_by_patch(traj)[graph.patch_index[target]]) - base_metric
 
-    workers = thread_limit() if threads is None else max(1, threads)
-    if workers > 1 and len(cands) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            deltas = list(pool.map(delta_for, cands))
-    else:
-        deltas = [delta_for(c) for c in cands]
+    deltas = [delta_for(c) for c in cands]
 
     ranking = tuple(sorted(zip(cands, map(float, deltas)), key=lambda kv: (-kv[1], kv[0])))
     pct = {c: (100.0 * d / base_metric if base_metric > 0 else 0.0) for c, d in zip(cands, deltas)}

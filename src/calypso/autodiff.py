@@ -14,13 +14,14 @@ and, on ties, to the first one, which keeps gradients deterministic.
 Module-level helpers (``exp``, ``minimum``, ``matmul``, ...) dispatch on
 argument type: plain ndarrays go through numpy, DualValues through the
 tape.  Tapes are rebuilt every training step and are single-threaded.
+``Adam`` is the optimizer step that every trainer shares.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivisionByZero, NonScalarRoot, TapeMismatch
+from .errors import DivergedGradient, DivisionByZero, NonScalarRoot, TapeMismatch
 
 _BINARY = {"add", "sub", "mul", "div", "min", "matmul"}
 
@@ -56,7 +57,7 @@ class DualValue:
     def __repr__(self):
         return f"DualValue(index={self.index}, value={self.value!r})"
 
-    # numpy-style operators; scalars/ndarrays are lifted to constants
+    # numpy-style operators; scalars/ndarrays are lifted to leaves
     def __add__(self, other):
         return self.tape.record("add", self, other)
 
@@ -102,7 +103,6 @@ class Tape:
         self._parents: list[tuple[int, ...]] = []
         self._payload: list = []
         self.values: list[np.ndarray] = []
-        self.adjoints: list[np.ndarray | None] = []
 
     def __len__(self) -> int:
         return len(self.values)
@@ -115,11 +115,7 @@ class Tape:
         return DualValue(self, len(self.values) - 1, value)
 
     def variable(self, value) -> DualValue:
-        """A leaf node (gradient target)."""
-        return self._append("leaf", (), None, np.asarray(value, dtype=float))
-
-    def constant(self, value) -> DualValue:
-        """A leaf that merely carries data; adjoints are still defined."""
+        """A leaf node; plain operands of a recorded op become leaves too."""
         return self._append("leaf", (), None, np.asarray(value, dtype=float))
 
     def _lift(self, x) -> DualValue:
@@ -127,7 +123,7 @@ class Tape:
             if x.tape is not self:
                 raise TapeMismatch("operands live on different tapes")
             return x
-        return self.constant(x)
+        return self.variable(x)
 
     def record(self, op: str, *args, axis=None) -> DualValue:
         """Record one operation and return its result node."""
@@ -271,17 +267,56 @@ class Tape:
             else:  # pragma: no cover
                 raise ValueError(f"no backward rule for {kind!r}")
 
-        out = [a if a is not None else np.zeros_like(np.asarray(v, dtype=float)) for a, v in zip(adj, values)]
-        self.adjoints = out
-        return out
-
-    def grad(self, dv: DualValue) -> np.ndarray:
-        return self.adjoints[dv.index]
+        return [a if a is not None else np.zeros_like(np.asarray(v, dtype=float)) for a, v in zip(adj, values)]
 
 
 def _acc(adj: list, values: list, idx: int, g: np.ndarray) -> None:
     cur = adj[idx]
     adj[idx] = g if cur is None else cur + g
+
+
+class Adam:
+    """Bias-corrected Adam with coupled weight decay and global-norm clipping.
+
+    ``weights`` (name -> array) is updated in place.  Each training step
+    records the weights as tape leaves with ``variables`` and hands the
+    tape's adjoints to ``step``.
+    """
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, weights: dict[str, np.ndarray], weight_decay: float, clip_norm: float):
+        self.weights = weights
+        self.names = sorted(weights)
+        self.weight_decay = weight_decay
+        self.clip_norm = clip_norm
+        self.m = {n: np.zeros_like(weights[n]) for n in self.names}
+        self.v = {n: np.zeros_like(weights[n]) for n in self.names}
+        self.steps = 0
+
+    def variables(self, tape: Tape) -> dict[str, DualValue]:
+        return {n: tape.variable(self.weights[n]) for n in self.names}
+
+    def step(self, adjoints: list[np.ndarray], duals: dict[str, DualValue], lr: float, where: str) -> None:
+        """Gradient = adjoint + decay * weight; clip, check finite, update.
+        ``where`` (e.g. the epoch) prefixes the ``DivergedGradient`` message."""
+        w = self.weights
+        grads = {n: adjoints[duals[n].index] + self.weight_decay * w[n] for n in self.names}
+        gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+        if np.isfinite(gnorm) and self.clip_norm > 0 and gnorm > self.clip_norm:
+            scale = self.clip_norm / gnorm
+            grads = {n: g * scale for n, g in grads.items()}
+        if any(not np.all(np.isfinite(g)) for g in grads.values()):
+            raise DivergedGradient(f"{where}: gradient not finite after clipping")
+        self.steps += 1
+        b1, b2, t = self.beta1, self.beta2, self.steps
+        for n in self.names:
+            g = grads[n]
+            self.m[n] = b1 * self.m[n] + (1 - b1) * g
+            self.v[n] = b2 * self.v[n] + (1 - b2) * g * g
+            mhat = self.m[n] / (1 - b1**t)
+            vhat = self.v[n] / (1 - b2**t)
+            w[n] -= lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 # -- type-dispatching helpers so model code runs on both number kinds ----

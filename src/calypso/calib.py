@@ -19,14 +19,13 @@ lowest loss and by highest state-level R^2 are both retained.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from . import seeding
+from . import io, seeding
 from .autodiff import Tape
 from .core import (
     DEFAULT_PARAM_BOUNDS,
@@ -40,7 +39,6 @@ from .core import (
 )
 from .errors import (
     DegenerateTruth,
-    DivergedGradient,
     HorizonZero,
     NonFiniteLoss,
     ShapeMismatch,
@@ -208,6 +206,8 @@ def _network_bounded(weights, feats: np.ndarray, tau: np.ndarray, lo: np.ndarray
 
 def infer_params(net: CalibNet, data: DataSet, graph: PatchGraph) -> DiseaseParams:
     """Run the network on region-aggregated features; bounded parameters out."""
+    if data.features.shape[2] != net.n_features:
+        raise ShapeMismatch(f"net takes {net.n_features} feature channels, data has {data.features.shape[2]}")
     stats = None if net.norm_mean is None else (net.norm_mean, net.norm_std)
     feats = region_features(data, graph, stats=stats)
     tau = time_features(data.window, net.config.time_harmonics)
@@ -295,10 +295,7 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
 
     work = net.copy()
     work.norm_mean, work.norm_std = norm_mean, norm_std
-    names = sorted(work.weights)
-    adam_m = {n: np.zeros_like(work.weights[n]) for n in names}
-    adam_v = {n: np.zeros_like(work.weights[n]) for n in names}
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    opt = ad.Adam(work.weights, hyper.weight_decay, hyper.clip_norm)
 
     history_loss, history_r2, history_lr = [], [], []
     best_loss, best_loss_epoch, best_loss_w = np.inf, -1, {n: w.copy() for n, w in work.weights.items()}
@@ -306,7 +303,7 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
 
     for epoch in range(hyper.epochs):
         tape = Tape()
-        duals = {n: tape.variable(work.weights[n]) for n in names}
+        duals = opt.variables(tape)
         bounded = _network_bounded(duals, feats, tau, lo, span, work.config)
 
         for t in range(window):  # bound safety, asserted every epoch
@@ -333,28 +330,12 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
 
         if loss_val < best_loss:
             best_loss, best_loss_epoch = loss_val, epoch
-            best_loss_w = {n: work.weights[n].copy() for n in names}
+            best_loss_w = {n: w.copy() for n, w in work.weights.items()}
         if np.isfinite(r2) and r2 > best_r2:
             best_r2, best_r2_epoch = r2, epoch
-            best_r2_w = {n: work.weights[n].copy() for n in names}
+            best_r2_w = {n: w.copy() for n, w in work.weights.items()}
 
-        adjoints = tape.backward(loss)
-        grads = {n: adjoints[duals[n].index] + hyper.weight_decay * work.weights[n] for n in names}
-        gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-        if np.isfinite(gnorm) and hyper.clip_norm > 0 and gnorm > hyper.clip_norm:
-            scale = hyper.clip_norm / gnorm
-            grads = {n: g * scale for n, g in grads.items()}
-        if any(not np.all(np.isfinite(g)) for g in grads.values()):
-            raise DivergedGradient(f"epoch {epoch}: gradient not finite after clipping")
-
-        tstep = epoch + 1
-        for n in names:
-            g = grads[n]
-            adam_m[n] = beta1 * adam_m[n] + (1 - beta1) * g
-            adam_v[n] = beta2 * adam_v[n] + (1 - beta2) * g * g
-            mhat = adam_m[n] / (1 - beta1**tstep)
-            vhat = adam_v[n] / (1 - beta2**tstep)
-            work.weights[n] -= lr * mhat / (np.sqrt(vhat) + eps)
+        opt.step(tape.backward(loss), duals, lr, f"epoch {epoch}")
 
     result_net = work.copy()
     result_net.weights = best_loss_w
@@ -389,40 +370,24 @@ def forecast(net: CalibNet, data: DataSet, graph: PatchGraph, h: int) -> Traject
 
 
 def save_checkpoint(path, net: CalibNet, extra: dict | None = None) -> Path:
-    payload = {
-        "kind": "calib",
-        "n_features": net.n_features,
-        "config": {
-            "hidden": net.config.hidden,
-            "decoder_width": net.config.decoder_width,
-            "time_harmonics": net.config.time_harmonics,
-        },
-        "bounds": {k: list(v) for k, v in net.bounds.items()},
-        "seed": net.seed,
-        "weights": {k: v.tolist() for k, v in net.weights.items()},
-        "norm_mean": None if net.norm_mean is None else net.norm_mean.tolist(),
-        "norm_std": None if net.norm_std is None else net.norm_std.tolist(),
-        "extra": extra or {},
-    }
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return io.write_checkpoint(
+        path, "calib", net, extra,
+        n_features=net.n_features,
+        bounds={k: list(v) for k, v in net.bounds.items()},
+        norm_mean=None if net.norm_mean is None else net.norm_mean.tolist(),
+        norm_std=None if net.norm_std is None else net.norm_std.tolist(),
+    )
 
 
 def load_checkpoint(path) -> tuple[CalibNet, dict]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("kind") != "calib":
-        raise ShapeMismatch(f"{path} is not a calibration checkpoint")
-    config = CalibConfig(**payload["config"])
-    net = CalibNet(
-        payload["n_features"],
-        bounds={k: tuple(v) for k, v in payload["bounds"].items()},
-        config=config,
-        seed=payload["seed"],
-    )
-    for k, v in payload["weights"].items():
-        net.weights[k] = np.array(v, dtype=float)
-    if payload.get("norm_mean") is not None:
-        net.norm_mean = np.array(payload["norm_mean"], dtype=float)
-        net.norm_std = np.array(payload["norm_std"], dtype=float)
-    return net, payload.get("extra", {})
+    def build(config: CalibConfig, seed: int, payload: dict) -> CalibNet:
+        bounds = {k: tuple(map(float, v)) for k, v in payload["bounds"].items()}
+        net = CalibNet(payload["n_features"], bounds=bounds, config=config, seed=seed)
+        if payload["norm_mean"] is not None or payload["norm_std"] is not None:
+            shape = (1, 1, net.n_features)
+            net.norm_mean = io.checkpoint_array(payload["norm_mean"], shape)
+            net.norm_std = io.checkpoint_array(payload["norm_std"], shape, positive=True)
+        return net
+
+    fields = ("n_features", "bounds", "norm_mean", "norm_std")
+    return io.read_checkpoint(path, "calib", CalibConfig, fields, build)

@@ -7,7 +7,6 @@ metrics.  Every run writes its results plus a ``run_manifest.json``
 file may supply defaults via ``--config``; explicit flags override it.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical abort.
-``CALYPSO_THREADS`` caps internal parallelism (default 1).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from pathlib import Path
 from . import adapter as adapter_mod
 from . import analysis, calib, eakf, io, synth
 from .core import NON_GENERAL, aggregate, metrics as compute_metrics
-from .errors import DataError, NumericalError
+from .errors import DataError, InvalidOption, NumericalError
 from .sim import SimConfig, simulate
 
 
@@ -76,6 +75,12 @@ def _load_model(config: dict, graph, data):
     return net, analysis.FittedModel.from_calibration(net, data, graph)
 
 
+def _epochs(config: dict) -> int:
+    if config["epochs"] < 1:
+        raise InvalidOption(f"--epochs must be >= 1, got {config['epochs']}")
+    return config["epochs"]
+
+
 def _write_json(path: Path, payload) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
@@ -121,6 +126,7 @@ def cmd_simulate(config: dict) -> list:
 
 
 def cmd_calibrate(config: dict) -> list:
+    epochs = _epochs(config)
     graph, data = _load_bundle(config)
     net = calib.CalibNet(
         data.features.shape[2],
@@ -128,7 +134,7 @@ def cmd_calibrate(config: dict) -> list:
         seed=config["seed"],
     )
     hyper = calib.TrainConfig(
-        epochs=config["epochs"], learning_rate=config["lr"],
+        epochs=epochs, learning_rate=config["lr"],
         weight_decay=config["weight_decay"], clip_norm=config["clip"],
         lr_step=config["lr_step"], lr_decay=config["lr_decay"], seed=config["seed"],
         loss_weights=calib.LossWeights(config["w_patch"], config["w_region"], config["w_state"]),
@@ -151,6 +157,7 @@ def cmd_calibrate(config: dict) -> list:
 
 
 def cmd_adapter(config: dict) -> list:
+    epochs = _epochs(config)
     graph, data = _load_bundle(config)
     net, _ = _load_model(config, graph, data)
     traj = simulate(graph, calib.infer_params(net, data, graph), data.initial_infections,
@@ -159,7 +166,7 @@ def cmd_adapter(config: dict) -> list:
     truth = adapter_mod.stack_levels(data.training_observed(), graph)
     ad_net = adapter_mod.AdapterNet(seed=config["seed"])
     hyper = adapter_mod.AdapterTrainConfig(
-        epochs=config["epochs"], learning_rate=config["lr"],
+        epochs=epochs, learning_rate=config["lr"],
         teacher_ratio=config["teacher_ratio"], seed=config["seed"],
     )
     trained, history = adapter_mod.train_adapter(ad_net, raw, truth, hyper)

@@ -14,7 +14,6 @@ makes floating-point reductions reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -290,9 +289,6 @@ class DiseaseParams:
             v = float(values.get(name, 0.0))
             arrays[name] = np.full((r, steps), v)
         return DiseaseParams(region_ids=tuple(region_ids), **arrays)
-
-    def with_patch_beta_scale(self, scale: np.ndarray) -> "DiseaseParams":
-        return dataclasses.replace(self, patch_beta_scale=np.asarray(scale, dtype=float))
 
     def extended(self, extra_steps: int) -> "DiseaseParams":
         """Append ``extra_steps`` columns holding the last week's values."""

@@ -30,7 +30,6 @@ from .core import (
     DEFAULT_PARAM_BOUNDS,
     PARAM_NAMES,
     DataSet,
-    DiseaseParams,
     PatchGraph,
     Trajectory,
 )
@@ -72,28 +71,6 @@ class Ensemble:
     @property
     def n_regions(self) -> int:
         return len(self.region_ids)
-
-    def param_block(self, name: str) -> np.ndarray:
-        """Members x regions slice for one parameter name."""
-        p = PARAM_NAMES.index(name)
-        r = self.n_regions
-        return self.params[:, p * r : (p + 1) * r]
-
-    @property
-    def members(self):
-        """Per-member (compartments, parameter vector) views."""
-        return [
-            ({"S": self.S[n], "I": self.I[n], "R": self.R[n]}, self.params[n])
-            for n in range(self.size)
-        ]
-
-    def member_params(self, n: int) -> DiseaseParams:
-        r = self.n_regions
-        arrays = {
-            name: self.params[n, p * r : (p + 1) * r][:, None]
-            for p, name in enumerate(PARAM_NAMES)
-        }
-        return DiseaseParams(region_ids=self.region_ids, **arrays)
 
     def copy(self) -> "Ensemble":
         return Ensemble(

@@ -94,6 +94,18 @@ class NonFiniteInput(NumericalError):
     """A series handed to the adapter contains NaN/inf."""
 
 
+# -- io -----------------------------------------------------------------
+
+class CheckpointError(DataError):
+    """A checkpoint is not JSON, holds a non-finite number, or misfits its own config."""
+
+
+# -- cli ----------------------------------------------------------------
+
+class InvalidOption(DataError):
+    """A command-line or config option is out of its allowed range."""
+
+
 # -- eakf ---------------------------------------------------------------
 
 class CollapsedEnsemble(NumericalError):

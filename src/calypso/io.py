@@ -13,19 +13,25 @@ a JSON summary of cumulative infections per level, a long-format
 ``ground_truth.csv`` (parameters and compartments), and simple
 (week, value) series CSVs.  Floats are written with ``repr`` so reruns
 with the same seed produce byte-identical files.
+
+Checkpoints of the calibration net and the adapter share one JSON codec
+(``write_checkpoint``/``read_checkpoint``); reading validates the file
+against a net rebuilt from its own config.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .core import DataSet, DiseaseParams, PatchGraph, Trajectory, aggregate, build_travel_matrix
-from .errors import ShapeMismatch
+from .errors import CheckpointError, DataError, ShapeMismatch
 
 
 def _fmt(x) -> str:
@@ -322,3 +328,84 @@ def write_level_series(out_dir, graph: PatchGraph, series: np.ndarray, stem: str
     written.append(p)
     written.append(write_series(out_dir / f"{stem}_state.csv", aggregate(series, "state", graph)[0]))
     return written
+
+
+# -- checkpoints ------------------------------------------------------------
+
+def write_checkpoint(path, kind: str, net, extra: dict | None = None, **fields) -> Path:
+    """JSON of ``net``'s config, seed and weights plus ``extra`` and the
+    net's own ``fields``; a non-finite number raises ``CheckpointError``."""
+    payload = {
+        "kind": kind,
+        "config": dataclasses.asdict(net.config),
+        "seed": net.seed,
+        "weights": {k: np.asarray(v).tolist() for k, v in net.weights.items()},
+        "extra": extra or {},
+        **fields,
+    }
+    try:
+        text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    path = Path(path)
+    path.write_text(text + "\n", encoding="utf-8")
+    return path
+
+
+def read_checkpoint(path, kind: str, config_type, fields: Sequence[str],
+                    build: Callable[[object, int, dict], object]) -> tuple[object, dict]:
+    """Read a ``write_checkpoint`` file back; returns (net, extra).
+
+    ``build(config, seed, payload)`` makes a fresh net from the stored
+    config and the caller's ``fields``.  The stored weights must have
+    exactly that net's names and shapes, and every number must be finite;
+    each fault raises ``CheckpointError`` naming the file and the fault.
+    """
+    path = Path(path)
+
+    def bad(msg: str) -> CheckpointError:
+        return CheckpointError(f"{path}: {msg}")
+
+    def finite(token: str) -> float:
+        if not math.isfinite(x := float(token)):
+            raise bad(f"non-finite number {token}")
+        return x
+
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"), parse_float=finite, parse_constant=finite)
+    except ValueError as exc:
+        raise bad(f"not valid JSON ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("kind") != kind:
+        raise bad(f"not a {kind} checkpoint")
+    _check_keys(bad, "key", payload, {"kind", "config", "seed", "weights", "extra", *fields})
+    _check_keys(bad, "config key", payload["config"], {f.name for f in dataclasses.fields(config_type)})
+    try:
+        net = build(config_type(**payload["config"]), payload["seed"], payload)
+    except (DataError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise bad(f"malformed {kind} fields ({type(exc).__name__}: {exc})") from None
+    _check_keys(bad, "weight", payload["weights"], set(net.weights))
+    for name, init in net.weights.items():
+        try:
+            net.weights[name] = checkpoint_array(payload["weights"][name], init.shape)
+        except (TypeError, ValueError) as exc:
+            raise bad(f"weight {name!r}: {exc}") from None
+    return net, payload["extra"]
+
+
+def _check_keys(bad, what: str, obj, expected: set) -> None:
+    if not isinstance(obj, dict):
+        raise bad(f"{what}s must be an object")
+    if missing := sorted(expected - set(obj)):
+        raise bad(f"missing {what}s {missing}")
+    if unknown := sorted(set(obj) - expected):
+        raise bad(f"unknown {what}s {unknown}")
+
+
+def checkpoint_array(value, shape: tuple, positive: bool = False) -> np.ndarray:
+    """``value`` as a finite (optionally positive) float array of ``shape``."""
+    arr = np.array(value, dtype=float)
+    ok = np.isfinite(arr) & (arr > 0) if positive else np.isfinite(arr)
+    if arr.shape != tuple(shape) or not np.all(ok):
+        what = "finite positive" if positive else "finite"
+        raise ValueError(f"need {what} values of shape {tuple(shape)}, got shape {arr.shape}")
+    return arr

@@ -16,7 +16,6 @@ CALIB = 2
 ADAPTER = 3
 EAKF = 4
 ANALYSIS = 5
-CLI = 6
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:

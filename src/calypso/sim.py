@@ -25,7 +25,7 @@ parallel freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -43,14 +43,10 @@ from .errors import (
 @dataclass(frozen=True)
 class SimConfig:
     steps: int
-    record_new_infections: bool = True
-    broadcast: str = "copy"  # region -> patch expansion rule; direct copy only
 
     def __post_init__(self):
         if self.steps < 1:
             raise ParamCoverage("steps must be >= 1")
-        if self.broadcast != "copy":
-            raise ParamCoverage(f"unsupported broadcast rule {self.broadcast!r}")
 
 
 def sirs_step(theta, theta_t, n_eff, S, I, R, beta, gamma, delta, kappa, epsilon):
@@ -75,7 +71,6 @@ def iterate_sirs(
     step_params: Callable[[int], Mapping[str, object]],
     init: np.ndarray,
     steps: int,
-    theta_weekly: Sequence[np.ndarray] | None = None,
 ):
     """Run the weekly loop, returning per-step lists (S, I, R, dI).
 
@@ -84,29 +79,17 @@ def iterate_sirs(
     produced histories are DualValues too.
     """
     pop = graph.populations
-    if theta_weekly is None:
-        thetas = None
-        theta = graph.theta
-        theta_t = theta.T.copy()
-        n_eff = theta_t @ pop
-        if np.any(n_eff <= 0):
-            raise ZeroEffectivePopulation("a patch has zero mobility-weighted population")
-    else:
-        if len(theta_weekly) < steps:
-            raise ParamCoverage(f"need {steps} weekly travel matrices, got {len(theta_weekly)}")
-        thetas = [np.asarray(m, dtype=float) for m in theta_weekly]
+    theta = graph.theta
+    theta_t = theta.T.copy()
+    n_eff = theta_t @ pop
+    if np.any(n_eff <= 0):
+        raise ZeroEffectivePopulation("a patch has zero mobility-weighted population")
 
     S = pop - init
     I = init
     R = np.zeros_like(pop)
     s_hist, i_hist, r_hist, di_hist = [S], [I], [R], []
     for t in range(steps):
-        if thetas is not None:
-            theta = thetas[t]
-            theta_t = theta.T.copy()
-            n_eff = theta_t @ pop
-            if np.any(n_eff <= 0):
-                raise ZeroEffectivePopulation("a patch has zero mobility-weighted population")
         p = step_params(t)
         S, I, R, dI = sirs_step(
             theta, theta_t, n_eff, S, I, R,
@@ -144,7 +127,6 @@ def simulate(
     params: DiseaseParams,
     init: np.ndarray,
     config: SimConfig,
-    theta_weekly: Sequence[np.ndarray] | None = None,
 ) -> Trajectory:
     """Simulate ``config.steps`` weeks from per-patch initial infections."""
     init = np.asarray(init, dtype=float)
@@ -163,14 +145,12 @@ def simulate(
     def step_params(t: int) -> dict[str, np.ndarray]:
         return {name: arr[:, t] for name, arr in patch_params.items()}
 
-    s_hist, i_hist, r_hist, di_hist = iterate_sirs(
-        graph, step_params, init, config.steps, theta_weekly=theta_weekly
-    )
+    s_hist, i_hist, r_hist, di_hist = iterate_sirs(graph, step_params, init, config.steps)
     return Trajectory(
         S=np.stack(s_hist, axis=1),
         I=np.stack(i_hist, axis=1),
         R=np.stack(r_hist, axis=1),
-        new_infections=np.stack(di_hist, axis=1) if config.record_new_infections else None,
+        new_infections=np.stack(di_hist, axis=1),
     )
 
 

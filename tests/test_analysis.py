@@ -188,11 +188,10 @@ class TestUnitGreedy:
         with pytest.raises(EmptyCandidates):
             unit_greedy(model, bundle.graph, budget=1, candidates=[])
 
-    def test_threaded_evaluation_matches_serial(self, bundle, model):
-        serial = unit_greedy(model, bundle.graph, budget=2, threads=1)
-        threaded = unit_greedy(model, bundle.graph, budget=2, threads=4)
-        assert serial.selected == threaded.selected
-        assert np.allclose(serial.reductions, threaded.reductions)
+    def test_unknown_candidate_rejected(self, bundle, model):
+        for allocate in (unit_greedy, brute_force_allocation):
+            with pytest.raises(UnknownRegion):
+                allocate(model, bundle.graph, budget=1, candidates=["nope"])
 
 
 class TestSensitivity:

@@ -13,7 +13,7 @@ from calypso.calib import (
     train_joint,
 )
 from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES, DataSet, Trajectory
-from calypso.errors import HorizonZero, ShapeMismatch, WindowMismatch
+from calypso.errors import CheckpointError, HorizonZero, ShapeMismatch, WindowMismatch
 
 
 @pytest.fixture(scope="module")
@@ -290,3 +290,8 @@ class TestCheckpoint:
         p2 = infer_params(loaded, bundle.data, bundle.graph)
         assert np.array_equal(p1.beta, p2.beta)
         assert loaded.bounds == result.net.bounds
+
+    def test_non_finite_value_is_not_written(self, bundle, tmp_path):
+        with pytest.raises(CheckpointError):
+            calib.save_checkpoint(tmp_path / "ckpt.json", small_net(bundle), extra={"best_r2": float("nan")})
+        assert not (tmp_path / "ckpt.json").exists()

@@ -1,4 +1,6 @@
+import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -24,6 +26,14 @@ def checkpoint(data_dir, tmp_path_factory):
                  "--epochs", "40", "--seed", "0", "--horizon", "4"])
     assert code == 0
     return out / "checkpoint.json"
+
+
+@pytest.fixture(scope="module")
+def adapter_checkpoint(data_dir, checkpoint, tmp_path_factory):
+    out = tmp_path_factory.mktemp("adapter")
+    assert main(["adapter", "--data", str(data_dir), "--checkpoint", str(checkpoint),
+                 "--epochs", "2", "--out", str(out)]) == 0
+    return out / "adapter.json"
 
 
 def run_twice(argv_template, tmp_path, skip=("run_manifest.json",)):
@@ -190,6 +200,15 @@ class TestMetricsCommand:
                      "--truth", str(tmp_path / "truth.csv"), "--out", str(tmp_path)]) == 3
 
 
+def _json_edit(edit):
+    """A text -> text checkpoint mutation that applies ``edit`` to the parsed JSON."""
+    def mutate(text):
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload)
+    return mutate
+
+
 class TestErrorHandling:
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -216,3 +235,53 @@ class TestErrorHandling:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["epochs"] == 3
         assert manifest["config"]["seed"] == 9
+
+    @pytest.mark.parametrize("target, mutate, error, fragment", [
+        ("calib", lambda text: text[:-40], "CheckpointError", "not valid JSON"),
+        ("calib", _json_edit(lambda p: p.pop("n_features")), "CheckpointError",
+         "missing keys ['n_features']"),
+        ("calib", _json_edit(lambda p: p["config"].update(depth=3)), "CheckpointError",
+         "unknown config keys ['depth']"),
+        ("calib", _json_edit(lambda p: p["weights"]["enc_wz"].pop()), "CheckpointError",
+         "weight 'enc_wz'"),
+        ("adapter", _json_edit(lambda p: p["weights"]["l0_u_z"][0].pop()), "CheckpointError",
+         "weight 'l0_u_z'"),
+        ("calib", _json_edit(lambda p: p["weights"].pop("out_w")), "CheckpointError",
+         "missing weights ['out_w']"),
+        ("adapter", _json_edit(lambda p: p["weights"].pop("out_w")), "CheckpointError",
+         "missing weights ['out_w']"),
+        ("adapter", _json_edit(lambda p: p["weights"]["out_w"].__setitem__(0, float("nan"))),
+         "CheckpointError", "non-finite number NaN"),
+        ("adapter", _json_edit(lambda p: p.pop("t_scale")), "CheckpointError",
+         "missing keys ['t_scale']"),
+        ("data", None, "ShapeMismatch", "feature channels"),
+        ("epochs", None, "InvalidOption", "--epochs"),
+    ], ids=["not-json", "calib-missing-n_features", "unknown-config-key", "calib-truncated-weight",
+            "adapter-truncated-weight", "calib-missing-weight", "adapter-missing-weight",
+            "adapter-nan-weight", "adapter-missing-t_scale", "feature-channel-mismatch",
+            "calibrate-zero-epochs"])
+    def test_malformed_input_exits_three_and_names_fault(
+            self, data_dir, checkpoint, adapter_checkpoint, tmp_path, capsys,
+            target, mutate, error, fragment):
+        data, ckpt, adapter = data_dir, checkpoint, adapter_checkpoint
+        if target in ("calib", "adapter"):
+            src = ckpt if target == "calib" else adapter
+            bad = tmp_path / src.name
+            bad.write_text(mutate(src.read_text()))
+            ckpt, adapter = (bad, adapter) if target == "calib" else (ckpt, bad)
+        elif target == "data":  # one fewer feature channel than the net was fit on
+            data = tmp_path / "data"
+            shutil.copytree(data_dir, data)
+            with open(data_dir / "features.csv", newline="") as fh:
+                rows = [row[:-1] for row in csv.reader(fh)]
+            with open(data / "features.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        if target == "epochs":
+            argv = ["calibrate", "--data", str(data), "--epochs", "0"]
+        else:
+            argv = ["forecast", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--adapter", str(adapter)]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"[{error}]" in err and fragment in err, err

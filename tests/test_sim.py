@@ -140,18 +140,6 @@ class TestSimulate:
         with pytest.raises(SeedExceedsPopulation):
             simulate(g, p, np.array([101.0]), SimConfig(steps=3))
 
-    def test_weekly_theta_accepted(self):
-        theta = build_travel_matrix({("a", "b"): 20.0}, {}, {"a": 100.0, "b": 100.0})
-        g = PatchGraph({"a": 100.0, "b": 100.0}, {"a": "r", "b": "r"},
-                       {"a": "general", "b": "general"}, theta)
-        p = DiseaseParams.constant(g.region_ids, 2, beta=0.5, gamma=0.2, epsilon=1.0)
-        init = np.array([5.0, 0.0])
-        static = simulate(g, p, init, SimConfig(steps=2))
-        weekly = simulate(g, p, init, SimConfig(steps=2), theta_weekly=[g.theta, g.theta])
-        assert np.allclose(static.I, weekly.I)
-        mixed = simulate(g, p, init, SimConfig(steps=2), theta_weekly=[g.theta, np.eye(2)])
-        assert not np.allclose(static.I, mixed.I)
-
     def test_infection_clamp_keeps_susceptibles_nonnegative(self):
         g = single_patch_graph(pop=10.0)
         # force lambda > 1 via a beta of 1 and high prevalence
