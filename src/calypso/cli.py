@@ -22,7 +22,7 @@ from pathlib import Path
 from . import adapter as adapter_mod
 from . import analysis, calib, eakf, io, synth
 from .core import NON_GENERAL, aggregate, metrics as compute_metrics
-from .errors import DataError, InvalidOption, NumericalError
+from .errors import DataError, InvalidOption, NonFiniteOutput, NumericalError
 from .sim import SimConfig, simulate
 
 
@@ -75,14 +75,18 @@ def _load_model(config: dict, graph, data):
     return net, analysis.FittedModel.from_calibration(net, data, graph)
 
 
-def _epochs(config: dict) -> int:
-    if config["epochs"] < 1:
-        raise InvalidOption(f"--epochs must be >= 1, got {config['epochs']}")
-    return config["epochs"]
+def _at_least_one(config: dict, key: str) -> int:
+    if config[key] < 1:
+        raise InvalidOption(f"--{key.replace('_', '-')} must be >= 1, got {config[key]}")
+    return config[key]
 
 
 def _write_json(path: Path, payload) -> Path:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(f"{path}: {exc}") from None
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 
@@ -126,7 +130,8 @@ def cmd_simulate(config: dict) -> list:
 
 
 def cmd_calibrate(config: dict) -> list:
-    epochs = _epochs(config)
+    epochs = _at_least_one(config, "epochs")
+    lr_step = _at_least_one(config, "lr_step")
     graph, data = _load_bundle(config)
     net = calib.CalibNet(
         data.features.shape[2],
@@ -136,7 +141,7 @@ def cmd_calibrate(config: dict) -> list:
     hyper = calib.TrainConfig(
         epochs=epochs, learning_rate=config["lr"],
         weight_decay=config["weight_decay"], clip_norm=config["clip"],
-        lr_step=config["lr_step"], lr_decay=config["lr_decay"], seed=config["seed"],
+        lr_step=lr_step, lr_decay=config["lr_decay"], seed=config["seed"],
         loss_weights=calib.LossWeights(config["w_patch"], config["w_region"], config["w_state"]),
     )
     result = calib.train_joint(net, data, graph, hyper)
@@ -157,7 +162,7 @@ def cmd_calibrate(config: dict) -> list:
 
 
 def cmd_adapter(config: dict) -> list:
-    epochs = _epochs(config)
+    epochs = _at_least_one(config, "epochs")
     graph, data = _load_bundle(config)
     net, _ = _load_model(config, graph, data)
     traj = simulate(graph, calib.infer_params(net, data, graph), data.initial_infections,

@@ -3,16 +3,25 @@
 An ensemble of simulator states augmented with per-region parameter
 vectors is cycled weekly: forecast one step with each member's own
 parameters, then assimilate the per-patch observed infection counts one
-coordinate at a time with the deterministic square-root update
+coordinate at a time (Anderson 2001) with the deterministic square-root
+update
 
     po_var  = 1 / (1/pr_var + 1/obs_var)
     po_mean = po_var * (pr_mean/pr_var + obs/obs_var)
     z_post  = sqrt(po_var / pr_var) * (z - pr_mean) + po_mean
 
-and regress each observation increment onto every augmented coordinate
-through the ensemble covariance.  Parameters are re-clamped to their
-bounds after each update and compartments are repaired so every member
-keeps S + I + R = P and nonnegativity.
+and regress each observation increment ``inc = z_post - z`` onto every
+augmented coordinate through the ensemble covariance.  With
+``zc = z - pr_mean``, which sums to zero, coordinate ``x`` moves by
+``inc * (x . zc) / ((n-1) pr_var)``, so each scalar update left-multiplies
+the members x coordinates state by ``I + inc zc^T / ((n-1) pr_var)``: it
+acts on the member axis only.  The week's serial updates are therefore
+composed in ensemble space (Tippett et al. 2003) into one members x
+members transform, built from the observed columns alone, and the
+inflated prior state is mapped through it in one matrix product at the
+end.  Parameters are re-clamped to their bounds after the update and
+compartments are repaired so every member keeps S + I + R = P and
+nonnegativity.
 
 Coordinates whose prior variance is below 1e-12 are left untouched by
 that observation (the zero-gain limit); if *every* observed coordinate
@@ -21,7 +30,8 @@ has collapsed the filter raises ``CollapsedEnsemble``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +43,7 @@ from .core import (
     PatchGraph,
     Trajectory,
 )
-from .errors import CollapsedEnsemble, ShapeMismatch
+from .errors import CollapsedEnsemble, InvalidOption, ShapeMismatch
 from .sim import sirs_step
 
 _VAR_FLOOR = 1e-12
@@ -63,6 +73,11 @@ class Ensemble:
             raise ShapeMismatch("member compartments disagree on shape")
         if self.params.shape != (self.S.shape[0], 5 * len(self.region_ids)):
             raise ShapeMismatch("params must be members x (5 * regions)")
+        if not (math.isfinite(self.inflation) and self.inflation >= 1.0):
+            raise InvalidOption(f"inflation must be finite and >= 1, got {self.inflation}")
+        # +inf is the no-information limit: the update leaves the prior as it is
+        if self.obs_error_variance is not None and not self.obs_error_variance > 0.0:
+            raise InvalidOption(f"observation error variance must be > 0, got {self.obs_error_variance}")
 
     @property
     def size(self) -> int:
@@ -71,16 +86,6 @@ class Ensemble:
     @property
     def n_regions(self) -> int:
         return len(self.region_ids)
-
-    def copy(self) -> "Ensemble":
-        return Ensemble(
-            region_ids=self.region_ids,
-            S=self.S.copy(), I=self.I.copy(), R=self.R.copy(),
-            params=self.params.copy(),
-            bounds=dict(self.bounds),
-            inflation=self.inflation,
-            obs_error_variance=self.obs_error_variance,
-        )
 
 
 def init_ensemble(
@@ -160,29 +165,24 @@ def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray | 
     vector); omit it to skip the repair (pure update, used by tests).
     """
     obs = np.asarray(observation, dtype=float)
-    if obs.shape != (ens.I.shape[1],):
+    n_patches = ens.I.shape[1]
+    if obs.shape != (n_patches,):
         raise ShapeMismatch("observation must hold one value per patch")
-    out = ens.copy()
 
-    prior_var = out.I.var(axis=0, ddof=1)
+    prior_var = ens.I.var(axis=0, ddof=1)
     if float(prior_var.max(initial=0.0)) < _VAR_FLOOR:
         raise CollapsedEnsemble("ensemble variance vanished in every observed coordinate")
 
     # multiplicative inflation of all augmented coordinates about the mean
-    out.S = _inflate(ens.S, ens.inflation)
-    out.I = _inflate(ens.I, ens.inflation)
-    out.R = _inflate(ens.R, ens.inflation)
-    out.params = _inflate(ens.params, ens.inflation)
-
-    n = out.size
-    state = np.concatenate([out.S, out.I, out.R, out.params], axis=1)
-    n_patches = out.I.shape[1]
-    i_offset = n_patches  # I block starts after S
-
+    prior = _inflate(np.concatenate([ens.S, ens.I, ens.R, ens.params], axis=1), ens.inflation)
+    observed = prior[:, n_patches : 2 * n_patches].T.copy()  # one contiguous row per patch
+    n = ens.size
+    transform = np.eye(n)  # the week's updates so far: posterior = transform @ prior
     for i in range(n_patches):
-        z = state[:, i_offset + i]
+        z = transform @ observed[i]
         pr_mean = z.mean()
-        pr_var = z.var(ddof=1)
+        zc = z - pr_mean
+        pr_var = (zc @ zc) / (n - 1)
         if pr_var < _VAR_FLOOR:
             continue  # zero-gain limit: posterior equals prior
         if ens.obs_error_variance is not None:
@@ -191,17 +191,15 @@ def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray | 
             obs_var = max(1.0, 0.1 * obs[i]) ** 2
         po_var = 1.0 / (1.0 / pr_var + 1.0 / obs_var)
         po_mean = po_var * (pr_mean / pr_var + obs[i] / obs_var)
-        z_post = np.sqrt(po_var / pr_var) * (z - pr_mean) + po_mean
-        inc = z_post - z
-        zc = z - pr_mean
-        centered = state - state.mean(axis=0, keepdims=True)
-        cov = centered.T @ zc / (n - 1)
-        state += np.outer(inc, cov / pr_var)
+        inc = (np.sqrt(po_var / pr_var) - 1.0) * zc + (po_mean - pr_mean)
+        transform += np.outer(inc, (zc @ transform) / ((n - 1) * pr_var))
 
-    out.S = state[:, :n_patches]
-    out.I = state[:, n_patches : 2 * n_patches]
-    out.R = state[:, 2 * n_patches : 3 * n_patches]
-    out.params = state[:, 3 * n_patches :]
+    state = transform @ prior
+    out = replace(
+        ens, S=state[:, :n_patches], I=state[:, n_patches : 2 * n_patches],
+        R=state[:, 2 * n_patches : 3 * n_patches], params=state[:, 3 * n_patches :],
+        bounds=dict(ens.bounds),
+    )
     if populations is not None:
         _repair(out, np.asarray(populations, dtype=float))
     else:

@@ -100,10 +100,18 @@ class CheckpointError(DataError):
     """A checkpoint is not JSON, holds a non-finite number, or misfits its own config."""
 
 
+class InvalidValue(DataError):
+    """An input table holds a non-numeric, non-finite or out-of-range value."""
+
+
 # -- cli ----------------------------------------------------------------
 
 class InvalidOption(DataError):
     """A command-line or config option is out of its allowed range."""
+
+
+class NonFiniteOutput(NumericalError):
+    """A result about to be written as JSON holds NaN or inf."""
 
 
 # -- eakf ---------------------------------------------------------------

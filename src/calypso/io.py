@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import DataSet, DiseaseParams, PatchGraph, Trajectory, aggregate, build_travel_matrix
-from .errors import CheckpointError, DataError, ShapeMismatch
+from .errors import CheckpointError, DataError, InvalidValue, ShapeMismatch
 
 
 def _fmt(x) -> str:
@@ -118,14 +118,23 @@ def load_graph(in_dir) -> tuple[PatchGraph, dict, dict]:
     return PatchGraph(populations, region_of, category_of, theta), commute, facility
 
 
-def _load_weekly_table(path, graph: PatchGraph, value_cols: Sequence[str]) -> np.ndarray:
+def _load_weekly_table(path, graph: PatchGraph, value_cols: Sequence[str],
+                       nonnegative: bool = False) -> np.ndarray:
+    """patches x weeks x columns array of a (patch_id, week_index, ...) CSV.
+
+    Every value must be a finite number (and >= 0 when ``nonnegative``);
+    a fault raises ``InvalidValue`` naming the file, patch, week and column.
+    """
     rows: dict[str, dict[int, list[float]]] = {pid: {} for pid in graph.patch_ids}
     with open(path, encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
             pid = row["patch_id"]
             if pid not in rows:
                 raise ShapeMismatch(f"{path}: unknown patch {pid!r}")
-            rows[pid][int(row["week_index"])] = [float(row[c]) for c in value_cols]
+            try:
+                rows[pid][int(row["week_index"])] = [float(row[c]) for c in value_cols]
+            except ValueError as exc:
+                raise InvalidValue(f"{path}: patch {pid!r}, week {row['week_index']}: {exc}") from None
     weeks = sorted(next(iter(rows.values())))
     if weeks != list(range(len(weeks))):
         raise ShapeMismatch(f"{path}: week indices must be 0-based and contiguous")
@@ -135,6 +144,14 @@ def _load_weekly_table(path, graph: PatchGraph, value_cols: Sequence[str]) -> np
             raise ShapeMismatch(f"{path}: patch {pid!r} is missing weeks")
         for t in weeks:
             out[graph.patch_index[pid], t] = per_week[t]
+    bad = ~np.isfinite(out)
+    if nonnegative:
+        bad |= out < 0
+    if bad.any():
+        p, t, c = np.argwhere(bad)[0]
+        need = "a finite number >= 0" if nonnegative else "a finite number"
+        raise InvalidValue(f"{path}: patch {graph.patch_ids[p]!r}, week {t}: "
+                           f"{value_cols[c]} is {float(out[p, t, c])}, need {need}")
     return out
 
 
@@ -146,7 +163,7 @@ def load_dataset(in_dir, graph: PatchGraph, window: int | None = None, horizon: 
     the full length minus the horizon.
     """
     in_dir = Path(in_dir)
-    observed = _load_weekly_table(in_dir / "cases.csv", graph, ["count"])[:, :, 0]
+    observed = _load_weekly_table(in_dir / "cases.csv", graph, ["count"], nonnegative=True)[:, :, 0]
     with open(in_dir / "features.csv", encoding="utf-8", newline="") as fh:
         names = tuple(c for c in csv.DictReader(fh).fieldnames if c not in ("patch_id", "week_index"))
     features = _load_weekly_table(in_dir / "features.csv", graph, names)

@@ -285,3 +285,47 @@ class TestErrorHandling:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert f"[{error}]" in err and fragment in err, err
+
+    @pytest.mark.parametrize("argv, table, value, code, error, fragment", [
+        (["eakf", "--inflation", "0"], None, None, 3, "InvalidOption", "inflation"),
+        (["eakf", "--inflation", "-1"], None, None, 3, "InvalidOption", "inflation"),
+        (["eakf", "--inflation", "nan"], None, None, 3, "InvalidOption", "inflation"),
+        (["eakf", "--obs-var", "0"], None, None, 3, "InvalidOption", "observation error variance"),
+        (["eakf", "--obs-var", "-4"], None, None, 3, "InvalidOption", "observation error variance"),
+        (["eakf", "--obs-var", "nan"], None, None, 3, "InvalidOption", "observation error variance"),
+        (["calibrate", "--lr-step", "0"], None, None, 3, "InvalidOption", "--lr-step"),
+        (["calibrate", "--lr-step", "-1"], None, None, 3, "InvalidOption", "--lr-step"),
+        (["calibrate"], "cases.csv", "nan", 3, "InvalidValue", "count is nan"),
+        (["eakf"], "cases.csv", "nan", 3, "InvalidValue", "count is nan"),
+        (["eakf"], "cases.csv", "-3", 3, "InvalidValue", "count is -3.0"),
+        (["eakf"], "cases.csv", "many", 3, "InvalidValue", "'many'"),
+        (["eakf"], "features.csv", "inf", 3, "InvalidValue", "norm_incidence is inf"),
+        (["metrics"], None, None, 4, "NonFiniteOutput", "metrics.json"),
+    ], ids=["eakf-inflation-zero", "eakf-inflation-negative", "eakf-inflation-nan",
+            "eakf-obs-var-zero", "eakf-obs-var-negative", "eakf-obs-var-nan",
+            "calibrate-lr-step-zero", "calibrate-lr-step-negative", "calibrate-nan-count",
+            "eakf-nan-count", "eakf-negative-count", "eakf-non-numeric-count",
+            "eakf-infinite-feature", "metrics-nan-result"])
+    def test_bad_option_or_value_is_refused(self, data_dir, tmp_path, capsys,
+                                            argv, table, value, code, error, fragment):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        if table is not None:  # the last column of the fourth data row: first patch, week 3
+            with open(data / table, newline="") as fh:
+                rows = list(csv.reader(fh))
+            rows[4][-1] = value
+            with open(data / table, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        if argv[0] == "metrics":  # a gap in the prediction makes every metric NaN
+            io.write_series(data / "pred.csv", np.array([1.0, np.nan, 3.0]))
+            io.write_series(data / "truth.csv", np.array([1.0, 2.0, 4.0]))
+            argv = argv + ["--pred", str(data / "pred.csv"), "--truth", str(data / "truth.csv")]
+        else:
+            argv = argv + ["--data", str(data)] + {"calibrate": ["--epochs", "1"],
+                                                   "eakf": ["--size", "4"]}[argv[0]]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert f"[{error}]" in err and fragment in err, err
+        if table is not None:
+            assert f"{table}: patch {rows[4][0]!r}, week 3: " in err, err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,100 @@ def scalar_ensemble(values, obs_var=None, inflation=1.0):
         inflation=inflation,
         obs_error_variance=obs_var,
     )
+
+
+def state_space_step(ens, observation, populations=None):
+    """Reference serial EAKF: one full-state covariance update per observed patch."""
+    obs = np.asarray(observation, dtype=float)
+    prior_var = ens.I.var(axis=0, ddof=1)
+    if float(prior_var.max(initial=0.0)) < eakf._VAR_FLOOR:
+        raise CollapsedEnsemble("ensemble variance vanished in every observed coordinate")
+    state = np.concatenate([eakf._inflate(a, ens.inflation) for a in (ens.S, ens.I, ens.R, ens.params)],
+                           axis=1)
+    n, n_patches = ens.size, ens.I.shape[1]
+    for i in range(n_patches):
+        z = state[:, n_patches + i]
+        pr_mean = z.mean()
+        pr_var = z.var(ddof=1)
+        if pr_var < eakf._VAR_FLOOR:
+            continue
+        if ens.obs_error_variance is not None:
+            obs_var = float(ens.obs_error_variance)
+        else:
+            obs_var = max(1.0, 0.1 * obs[i]) ** 2
+        po_var = 1.0 / (1.0 / pr_var + 1.0 / obs_var)
+        po_mean = po_var * (pr_mean / pr_var + obs[i] / obs_var)
+        inc = np.sqrt(po_var / pr_var) * (z - pr_mean) + po_mean - z
+        centered = state - state.mean(axis=0, keepdims=True)
+        cov = centered.T @ (z - pr_mean) / (n - 1)
+        state += np.outer(inc, cov / pr_var)
+    out = dataclasses.replace(
+        ens, S=state[:, :n_patches], I=state[:, n_patches : 2 * n_patches],
+        R=state[:, 2 * n_patches : 3 * n_patches], params=state[:, 3 * n_patches :],
+        bounds=dict(ens.bounds),
+    )
+    if populations is not None:
+        eakf._repair(out, np.asarray(populations, dtype=float))
+    else:
+        eakf._clamp_params(out.params, out.bounds, out.n_regions)
+    return out
+
+
+def assert_same_ensemble(a, b, rtol=1e-9):
+    for name in ("S", "I", "R", "params"):
+        x, y = getattr(a, name), getattr(b, name)
+        scale = np.abs(y).max(initial=1.0)
+        assert np.abs(x - y).max(initial=0.0) <= rtol * scale, name
+
+
+@pytest.fixture(scope="module")
+def desk_bundle():
+    return synth.generate(synth.SynthSpec(n_patches=24, n_regions=4, weeks=120, horizon=4, seed=1))
+
+
+def propagated_ensemble(bundle, size, weeks=6, obs_error_variance=None):
+    """A mid-run ensemble: ``weeks`` cycles of the filter from its initial draw."""
+    data = dataclasses.replace(bundle.data, window=weeks)
+    result = run_eakf(bundle.graph, data, size=size, seed=7, obs_error_variance=obs_error_variance)
+    return result.ensemble
+
+
+class TestEnsembleSpaceStep:
+    """``eakf_step`` composes the serial updates in ensemble space; the
+    state-space loop above is its reference."""
+
+    @pytest.mark.parametrize("size, obs_var", [(100, None), (100, 25.0), (2, None)],
+                             ids=["per-obs-variance", "fixed-variance", "two-members"])
+    def test_matches_state_space_loop(self, desk_bundle, size, obs_var):
+        ens = propagated_ensemble(desk_bundle, size, obs_error_variance=obs_var)
+        obs = desk_bundle.data.observed[:, 6]
+        pops = desk_bundle.graph.populations
+        assert_same_ensemble(eakf_step(ens, obs, populations=pops),
+                             state_space_step(ens, obs, populations=pops))
+        assert_same_ensemble(eakf_step(ens, obs), state_space_step(ens, obs))
+
+    def test_matches_with_floored_coordinates(self, desk_bundle):
+        ens = propagated_ensemble(desk_bundle, 100)
+        ens.I[:, ::3] = ens.I[0, ::3]  # every third patch collapsed: the zero-gain skip runs
+        ens.S = desk_bundle.graph.populations[None, :] - ens.I - ens.R
+        assert np.all(ens.I[:, ::3].var(axis=0, ddof=1) < eakf._VAR_FLOOR)
+        obs = desk_bundle.data.observed[:, 6]
+        post = eakf_step(ens, obs, populations=desk_bundle.graph.populations)
+        assert_same_ensemble(post, state_space_step(ens, obs, populations=desk_bundle.graph.populations))
+
+    def test_full_run_matches_state_space_loop(self, desk_bundle, monkeypatch):
+        graph, data = desk_bundle.graph, desk_bundle.data
+        assert data.window == 120
+        new = run_eakf(graph, data, size=100, seed=0)
+        monkeypatch.setattr(eakf, "eakf_step", state_space_step)
+        ref = run_eakf(graph, data, size=100, seed=0)
+        for name in ("S", "I", "R", "new_infections"):
+            x, y = getattr(new.trajectory, name), getattr(ref.trajectory, name)
+            np.testing.assert_allclose(x, y, rtol=1e-9, atol=1e-9 * np.abs(y).max(), err_msg=name)
+        for name in ref.param_mean:
+            np.testing.assert_allclose(new.param_mean[name], ref.param_mean[name], rtol=1e-9, err_msg=name)
+            np.testing.assert_allclose(new.param_sd[name], ref.param_sd[name], rtol=1e-9, err_msg=name)
+        assert_same_ensemble(new.ensemble, ref.ensemble)
 
 
 class TestEakfStep:
