@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical abort.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import subprocess
 import sys
 import time
@@ -22,7 +22,8 @@ from pathlib import Path
 from . import adapter as adapter_mod
 from . import analysis, calib, eakf, io, synth
 from .core import NON_GENERAL, aggregate, metrics as compute_metrics
-from .errors import DataError, InvalidOption, NonFiniteOutput, NumericalError
+from .errors import DataError, InvalidOption, NumericalError
+from .io import write_json as _write_json, write_rows as _write_rows
 from .sim import SimConfig, simulate
 
 
@@ -38,17 +39,16 @@ def _git_describe() -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, written: list, started: float) -> None:
-    manifest = {
+    _write_json(out_dir / "run_manifest.json", {
         "command": command,
-        "config": {k: v for k, v in sorted(config.items())},
+        # an infinite option (e.g. --obs-var inf) is valid; JSON has no number for it
+        "config": {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                   for k, v in config.items()},
         "seed": config.get("seed"),
         "git_describe": _git_describe(),
         "wall_time_s": round(time.time() - started, 3),
         "written": [str(Path(p)) for p in written],
-    }
-    (out_dir / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n", encoding="utf-8"
-    )
+    })
 
 
 def _out_dir(config: dict) -> Path:
@@ -58,20 +58,12 @@ def _out_dir(config: dict) -> Path:
 
 
 def _load_bundle(config: dict):
-    data_dir = Path(config["data"])
-    for name in ("patches.csv", "travel.csv", "cases.csv", "features.csv"):
-        if not (data_dir / name).exists():
-            raise DataError(f"missing input file {data_dir / name}")
-    graph, _, _ = io.load_graph(data_dir)
-    data = io.load_dataset(data_dir, graph, window=config.get("window"), horizon=config.get("horizon", 4))
-    return graph, data
+    graph, _, _ = io.load_graph(config["data"])
+    return graph, io.load_dataset(config["data"], graph, window=config.get("window"), horizon=config["horizon"])
 
 
 def _load_model(config: dict, graph, data):
-    path = Path(config["checkpoint"])
-    if not path.exists():
-        raise DataError(f"missing checkpoint {path}")
-    net, _ = calib.load_checkpoint(path)
+    net, _ = calib.load_checkpoint(config["checkpoint"])
     return net, analysis.FittedModel.from_calibration(net, data, graph)
 
 
@@ -79,28 +71,6 @@ def _at_least_one(config: dict, key: str) -> int:
     if config[key] < 1:
         raise InvalidOption(f"--{key.replace('_', '-')} must be >= 1, got {config[key]}")
     return config[key]
-
-
-def _write_json(path: Path, payload) -> Path:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NonFiniteOutput(f"{path}: {exc}") from None
-    path.write_text(text + "\n", encoding="utf-8")
-    return path
-
-
-def _write_rows(path: Path, header: list[str], rows) -> Path:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
-    return path
-
-
-def _fmt(x) -> str:
-    return io._fmt(x)
 
 
 # -- subcommand bodies ----------------------------------------------------
@@ -116,11 +86,8 @@ def cmd_synth(config: dict) -> list:
 
 def cmd_simulate(config: dict) -> list:
     graph, data = _load_bundle(config)
-    params_path = Path(config.get("params") or Path(config["data"]) / "ground_truth.csv")
-    if not params_path.exists():
-        raise DataError(f"missing parameter file {params_path}")
-    params = io.load_ground_truth_params(params_path, graph)
-    steps = config.get("steps") or params.n_steps
+    params = io.load_ground_truth_params(config.get("params") or Path(config["data"]) / "ground_truth.csv", graph)
+    steps = params.n_steps if config.get("steps") is None else _at_least_one(config, "steps")
     traj = simulate(graph, params, data.initial_infections, SimConfig(steps=steps))
     out = _out_dir(config)
     return [
@@ -153,7 +120,7 @@ def cmd_calibrate(config: dict) -> list:
         }),
         calib.save_checkpoint(out / "checkpoint_best_r2.json", result.best_r2_net),
         _write_rows(out / "loss_history.csv", ["epoch", "loss", "state_r2", "lr"],
-                    ((e, _fmt(l), _fmt(r), _fmt(lr)) for e, (l, r, lr) in enumerate(
+                    ((e, *row) for e, row in enumerate(
                         zip(result.history["loss"], result.history["state_r2"], result.history["lr"])))),
     ]
     params = calib.infer_params(result.net, data, graph)
@@ -178,8 +145,7 @@ def cmd_adapter(config: dict) -> list:
     out = _out_dir(config)
     return [
         adapter_mod.save_checkpoint(out / "adapter.json", trained),
-        _write_rows(out / "adapter_history.csv", ["epoch", "loss"],
-                    ((e, _fmt(l)) for e, l in enumerate(history["loss"]))),
+        _write_rows(out / "adapter_history.csv", ["epoch", "loss"], enumerate(history["loss"])),
     ]
 
 
@@ -232,8 +198,8 @@ def cmd_policy_region(config: dict) -> list:
     out = _out_dir(config)
     return [
         _write_rows(out / "policy_region.csv", ["region", "delta", "reduction"],
-                    ((rid, _fmt(report.region_delta[graph.region_index[rid]]),
-                      _fmt(-report.region_delta[graph.region_index[rid]])) for rid in graph.region_ids)),
+                    ((rid, report.region_delta[graph.region_index[rid]],
+                      -report.region_delta[graph.region_index[rid]]) for rid in graph.region_ids)),
         _write_json(out / "policy_region.json", {
             "kind": report.kind, "baseline_total": report.baseline_total,
             "target": config["region"], "factor": config["factor"],
@@ -249,27 +215,20 @@ def cmd_policy_greedy(config: dict) -> list:
     _, model = _load_model(config, graph, data)
     candidates = config["candidates"].split(",") if config.get("candidates") else None
     out = _out_dir(config)
+    allocate = analysis.brute_force_allocation if config.get("brute_force") else analysis.unit_greedy
+    res = allocate(model, graph, config["budget"], multiplier=config["multiplier"], candidates=candidates)
     if config.get("brute_force"):
-        res = analysis.brute_force_allocation(model, graph, config["budget"],
-                                              multiplier=config["multiplier"], candidates=candidates)
-        payload = {
-            "mode": "brute-force", "selected": list(res.selected),
-            "reduction": res.reduction, "evaluations": res.evaluations,
-            "baseline_total": res.baseline_total,
-        }
-        curve_rows = [(1, "+".join(res.selected), _fmt(res.reduction))]
+        mode, reduction = "brute-force", res.reduction
+        curve_rows = [(1, "+".join(res.selected), res.reduction)]
     else:
-        res = analysis.unit_greedy(model, graph, config["budget"],
-                                   multiplier=config["multiplier"], candidates=candidates)
-        payload = {
-            "mode": "greedy", "selected": list(res.selected),
-            "reduction": float(res.reductions[-1]), "evaluations": res.evaluations,
-            "baseline_total": res.baseline_total,
-        }
-        curve_rows = [(b + 1, res.selected[b], _fmt(res.reductions[b])) for b in range(len(res.selected))]
+        mode, reduction = "greedy", float(res.reductions[-1])
+        curve_rows = [(b + 1, res.selected[b], res.reductions[b]) for b in range(len(res.selected))]
     return [
         _write_rows(out / "policy_greedy_curve.csv", ["budget", "patch", "cumulative_reduction"], curve_rows),
-        _write_json(out / "policy_greedy.json", payload),
+        _write_json(out / "policy_greedy.json", {
+            "mode": mode, "selected": list(res.selected), "reduction": reduction,
+            "evaluations": res.evaluations, "baseline_total": res.baseline_total,
+        }),
     ]
 
 
@@ -278,10 +237,8 @@ def cmd_sensitivity(config: dict) -> list:
     _, model = _load_model(config, graph, data)
     report = analysis.sensitivity_scan(model, graph, bump=config["bump"])
     out = _out_dir(config)
-    rows = []
-    for j, recv in enumerate(graph.region_ids):
-        for i, src in enumerate(graph.region_ids):
-            rows.append((recv, src, _fmt(report.impact_ratio[j, i])))
+    rows = [(recv, src, report.impact_ratio[j, i])
+            for j, recv in enumerate(graph.region_ids) for i, src in enumerate(graph.region_ids)]
     return [
         _write_rows(out / "sensitivity_matrix.csv", ["receiver", "source", "impact_ratio"], rows),
         _write_json(out / "sensitivity.json", {
@@ -300,7 +257,7 @@ def cmd_outbreak(config: dict) -> list:
     pct = report.details["percent_of_baseline"]
     return [
         _write_rows(out / "outbreak_ranking.csv", ["patch", "delta", "percent_of_baseline"],
-                    ((pid, _fmt(d), _fmt(pct[pid])) for pid, d in report.ranking)),
+                    ((pid, d, pct[pid]) for pid, d in report.ranking)),
         _write_json(out / "outbreak.json", {
             "k": config["k"], "target": config.get("target"),
             "baseline_total": report.baseline_total,
@@ -311,23 +268,23 @@ def cmd_outbreak(config: dict) -> list:
 
 
 def cmd_correct_data(config: dict) -> list:
+    epochs = _at_least_one(config, "epochs")
     graph, data = _load_bundle(config)
     if config.get("noisy_patches"):
         noisy = config["noisy_patches"].split(",")
     else:
         noisy = graph.patches_of_category(NON_GENERAL)[: config["noisy_count"]]
     net = calib.CalibNet(data.features.shape[2], seed=config["seed"])
-    hyper = calib.TrainConfig(epochs=config["epochs"], seed=config["seed"])
+    hyper = calib.TrainConfig(epochs=epochs, seed=config["seed"])
     trained = calib.train_joint(net, data, graph, hyper).net
     result = analysis.greedy_data_correction(
         trained, data, graph, noisy, config["noise_sd"], config["k"],
         seed=config["seed"], eval_draws=config["eval_draws"],
-        retrain=config.get("retrain", False),
-        retrain_hyper=calib.TrainConfig(epochs=config["epochs"], seed=config["seed"]),
+        retrain=config.get("retrain", False), retrain_hyper=hyper,
     )
     out = _out_dir(config)
-    rows = [(0, "", _fmt(result.r2_curve[0]))]
-    rows += [(i + 1, result.order[i], _fmt(result.r2_curve[i + 1])) for i in range(len(result.order))]
+    rows = [(0, "", result.r2_curve[0])]
+    rows += [(i + 1, result.order[i], result.r2_curve[i + 1]) for i in range(len(result.order))]
     return [
         _write_rows(out / "correction_curve.csv", ["step", "patch", "state_r2"], rows),
         _write_json(out / "correction.json", {
@@ -341,21 +298,16 @@ def cmd_correct_data(config: dict) -> list:
 
 
 def cmd_metrics(config: dict) -> list:
-    pred_path, truth_path = Path(config["pred"]), Path(config["truth"])
-    for p in (pred_path, truth_path):
-        if not p.exists():
-            raise DataError(f"missing series file {p}")
-    pred = io.read_series(pred_path)
-    truth = io.read_series(truth_path)
-    result = compute_metrics(pred, truth)
-    out = _out_dir(config)
-    path = _write_json(out / "metrics.json", result)
+    result = compute_metrics(io.read_series(config["pred"]), io.read_series(config["truth"]))
+    path = _write_json(_out_dir(config) / "metrics.json", result)
     print(json.dumps(result, sort_keys=True))
     return [path]
 
 
 # -- argument plumbing ----------------------------------------------------
 
+# Every option with a default, per subcommand; ``_build_parser`` makes one
+# flag per key, typed by its default.
 _DEFAULTS: dict[str, dict] = {
     "synth": {"seed": 1, "patches": 24, "regions": 4, "weeks": 120, "horizon": 4},
     "simulate": {"seed": 0, "horizon": 4},
@@ -373,20 +325,7 @@ _DEFAULTS: dict[str, dict] = {
     "metrics": {"seed": 0},
 }
 
-_HANDLERS = {
-    "synth": cmd_synth,
-    "simulate": cmd_simulate,
-    "calibrate": cmd_calibrate,
-    "adapter": cmd_adapter,
-    "forecast": cmd_forecast,
-    "eakf": cmd_eakf,
-    "policy-region": cmd_policy_region,
-    "policy-greedy": cmd_policy_greedy,
-    "sensitivity": cmd_sensitivity,
-    "outbreak": cmd_outbreak,
-    "correct-data": cmd_correct_data,
-    "metrics": cmd_metrics,
-}
+_HANDLERS = {name: globals()["cmd_" + name.replace("-", "_")] for name in _DEFAULTS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -394,76 +333,41 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, *, needs_data=False, needs_checkpoint=False, needs_out=True, help=""):
+    def add(name: str, *, needs_data=False, needs_checkpoint=False, help=""):
+        """A subparser with one flag per ``_DEFAULTS[name]`` key, typed by its default."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON file with default option values")
-        p.add_argument("--seed", type=int)
+        for key, default in _DEFAULTS[name].items():
+            p.add_argument("--" + key.replace("_", "-"), type=type(default), help=f"default {default}")
         if needs_data:
             p.add_argument("--data", required=True, help="input CSV directory")
             p.add_argument("--window", type=int, help="training window (weeks)")
-            p.add_argument("--horizon", type=int, help="held-out horizon (weeks)")
         if needs_checkpoint:
             p.add_argument("--checkpoint", required=True, help="calibration checkpoint JSON")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         return p
 
-    p = add("synth", help="generate a synthetic input bundle")
-    p.add_argument("--patches", type=int)
-    p.add_argument("--regions", type=int)
-    p.add_argument("--weeks", type=int)
-    p.add_argument("--horizon", type=int)
-
+    add("synth", help="generate a synthetic input bundle")
     p = add("simulate", needs_data=True, help="run the simulator from a parameter file")
     p.add_argument("--params", help="parameter CSV (defaults to DATA/ground_truth.csv)")
     p.add_argument("--steps", type=int)
-
-    p = add("calibrate", needs_data=True, help="train the calibration network")
-    for flag, typ in (("--epochs", int), ("--lr", float), ("--weight-decay", float),
-                      ("--clip", float), ("--lr-step", int), ("--lr-decay", float),
-                      ("--w-patch", float), ("--w-region", float), ("--w-state", float),
-                      ("--hidden", int), ("--decoder-width", int)):
-        p.add_argument(flag, type=typ)
-
-    p = add("adapter", needs_data=True, needs_checkpoint=True, help="train the residual corrector")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--teacher-ratio", type=float)
-    p.add_argument("--lr", type=float)
-
+    add("calibrate", needs_data=True, help="train the calibration network")
+    add("adapter", needs_data=True, needs_checkpoint=True, help="train the residual corrector")
     p = add("forecast", needs_data=True, needs_checkpoint=True, help="forecast beyond the window")
     p.add_argument("--adapter", help="adapter checkpoint JSON")
-
     p = add("eakf", needs_data=True, help="run the ensemble Kalman baseline")
-    p.add_argument("--size", type=int)
-    p.add_argument("--inflation", type=float)
     p.add_argument("--obs-var", type=float)
-
     p = add("policy-region", needs_data=True, needs_checkpoint=True, help="regional transmission reduction")
     p.add_argument("--region", required=True)
-    p.add_argument("--factor", type=float)
-
     p = add("policy-greedy", needs_data=True, needs_checkpoint=True, help="budgeted greedy allocation")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--multiplier", type=float)
     p.add_argument("--candidates", help="comma-separated candidate patches")
     p.add_argument("--brute-force", action="store_true", default=None)
-
-    p = add("sensitivity", needs_data=True, needs_checkpoint=True, help="per-capita sensitivity scan")
-    p.add_argument("--bump", type=float)
-
+    add("sensitivity", needs_data=True, needs_checkpoint=True, help="per-capita sensitivity scan")
     p = add("outbreak", needs_data=True, needs_checkpoint=True, help="outbreak-impact ranking")
-    p.add_argument("--k", type=float)
     p.add_argument("--target", help="rank external sources for this patch")
-
     p = add("correct-data", needs_data=True, help="greedy correction of noisy inputs")
     p.add_argument("--noisy-patches", help="comma-separated patches to corrupt")
-    p.add_argument("--noisy-count", type=int)
-    p.add_argument("--noise-sd", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--eval-draws", type=int)
     p.add_argument("--retrain", action="store_true", default=None)
-
     p = add("metrics", help="R^2/MSE/MAE/RMSE of one series against another")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
@@ -474,10 +378,12 @@ def _effective_config(args: argparse.Namespace) -> dict:
     command = args.command
     config = dict(_DEFAULTS.get(command, {}))
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise DataError(f"missing config file {path}")
-        config.update(json.loads(path.read_text(encoding="utf-8")))
+        loaded = io.read_json(args.config, InvalidOption)
+        if not isinstance(loaded, dict):
+            raise InvalidOption(f"{args.config}: need a JSON object of option values")
+        if unknown := sorted(set(loaded) - (set(vars(args)) - {"command", "config"})):
+            raise InvalidOption(f"{args.config}: unknown key(s) {unknown} for {command}")
+        config.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
@@ -494,12 +400,9 @@ def main(argv: list[str] | None = None) -> int:
         written = _HANDLERS[args.command](config)
         if config.get("out"):
             _write_manifest(Path(config["out"]), args.command, config, written, started)
-    except DataError as exc:
+    except (DataError, NumericalError) as exc:
         print(f"calypso: error [{type(exc).__name__}] {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"calypso: error [{type(exc).__name__}] {exc}", file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, DataError) else 4
     return 0
 
 

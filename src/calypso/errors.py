@@ -104,14 +104,14 @@ class InvalidValue(DataError):
     """An input table holds a non-numeric, non-finite or out-of-range value."""
 
 
+class NonFiniteOutput(NumericalError):
+    """A result about to be written as CSV or JSON holds NaN or inf."""
+
+
 # -- cli ----------------------------------------------------------------
 
 class InvalidOption(DataError):
     """A command-line or config option is out of its allowed range."""
-
-
-class NonFiniteOutput(NumericalError):
-    """A result about to be written as JSON holds NaN or inf."""
 
 
 # -- eakf ---------------------------------------------------------------

@@ -1,22 +1,26 @@
-"""CSV and JSON readers/writers for every on-disk interface.
+"""The one owner of the on-disk formats: every CSV and JSON file goes through here.
 
-Input bundle (one directory, UTF-8, header rows, 0-based contiguous
-week indices):
+Inputs (UTF-8, one header row): ``patches.csv`` (patch_id, region,
+category, population), ``travel.csv`` (src, dst, commute_flow,
+facility_flow), ``cases.csv`` (patch_id, week_index, count),
+``features.csv`` (patch_id, week_index, one column per channel), the
+``param`` rows of a long ``kind, id, week_index, field, value`` parameter
+file, and (week, value) series.  Every table is read by ``Table`` in one
+pass under one contract: the required columns are present; numbers are
+finite, and >= 0 for counts, populations and flows; ids, categories and
+travel ends are known, and ids, travel pairs and (id, week) keys unique;
+weeks run from 0, every patch has every week and each of ``PARAM_NAMES``
+every region x week.  A bad number raises ``InvalidValue``, a bad key,
+column or coverage ``ShapeMismatch``, each naming the file and row (CLI
+exit 3); an unreadable file is a ``DataError`` naming it.
 
-- ``patches.csv``   patch_id, region, category, population
-- ``travel.csv``    src, dst, commute_flow, facility_flow
-- ``cases.csv``     patch_id, week_index, count
-- ``features.csv``  patch_id, week_index, one column per feature channel
-
-Outputs: trajectory CSV (patch_id, week_index, S, I, R, new_infections),
-a JSON summary of cumulative infections per level, a long-format
-``ground_truth.csv`` (parameters and compartments), and simple
-(week, value) series CSVs.  Floats are written with ``repr`` so reruns
-with the same seed produce byte-identical files.
-
-Checkpoints of the calibration net and the adapter share one JSON codec
-(``write_checkpoint``/``read_checkpoint``); reading validates the file
-against a net rebuilt from its own config.
+``write_rows`` writes every CSV and ``write_json`` every JSON result;
+floats are written with ``repr`` (integral ones as ints), so reruns with
+one seed give byte-identical files, and a NaN or inf raises
+``NonFiniteOutput`` naming the file (CLI exit 4).  The checkpoint codec
+(``write_checkpoint``/``read_checkpoint``) checks a file against a net
+rebuilt from its own config; ``read_json`` is the strict parse it shares
+with ``--config`` files.
 """
 
 from __future__ import annotations
@@ -25,22 +29,88 @@ import csv
 import dataclasses
 import json
 import math
+from itertools import chain, islice, repeat, zip_longest
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import DataSet, DiseaseParams, PatchGraph, Trajectory, aggregate, build_travel_matrix
-from .errors import CheckpointError, DataError, InvalidValue, ShapeMismatch
+from .core import (GENERAL, NON_GENERAL, PARAM_NAMES, DataSet, DiseaseParams, PatchGraph, Trajectory, aggregate,
+                   build_travel_matrix)
+from .errors import CheckpointError, DataError, InvalidValue, NonFiniteOutput, ShapeMismatch
+
+# Rows read or written per numpy call: enough to amortise the call, few
+# enough that a block's Python objects stay well under a megabyte.
+_BLOCK_ROWS = 512
+
+# -- writers ----------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    f = float(x)
-    return repr(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f)
+def _cells(column: tuple, line: int) -> Sequence:
+    """One column of a block of rows as written: floats as ``repr``
+    (integral ones as ints) after one numpy finiteness check, other cells as
+    they are.  ``line`` is the file line of the block's first row.
+    """
+    at = [i for i, cell in enumerate(column) if isinstance(cell, float)]
+    if not at:
+        return column
+    values = np.array([column[i] for i in at])
+    if not (finite := np.isfinite(values)).all():
+        i = int(np.argmin(finite))
+        raise NonFiniteOutput(f"line {line + at[i]}: non-finite number {values[i]}")
+    cells = list(column)
+    for i, value, whole in zip(at, values.tolist(), ((values % 1 == 0) & (abs(values) < 1e15)).tolist()):
+        cells[i] = repr(int(value)) if whole else repr(value)
+    return cells
 
 
-def _open_w(path):
-    return open(path, "w", encoding="utf-8", newline="")
+def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """CSV of ``header`` and ``rows``: floats as ``repr`` (integral ones as
+    ints), any other cell as ``str`` gives it.
+
+    Rows are formatted a block at a time, column by column.  A NaN or inf
+    raises ``NonFiniteOutput`` naming the file and line, and the partly
+    written file is removed.
+    """
+    path = Path(path)
+    rows, line = iter(rows), 2
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        try:
+            while block := list(islice(rows, _BLOCK_ROWS)):
+                w.writerows(zip(*(_cells(column, line) for column in zip(*block))))
+                line += len(block)
+        except NonFiniteOutput as exc:
+            fault = NonFiniteOutput(f"{path}: {exc}")
+        else:
+            return path
+    path.unlink()
+    raise fault
+
+
+def write_json(path, payload) -> Path:
+    """Result JSON (indent 2, sorted keys); NaN or inf raises ``NonFiniteOutput``."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(f"{path}: {exc}") from None
+    path = Path(path)
+    path.write_text(text + "\n", encoding="utf-8")
+    return path
+
+
+def _long_rows(ids: Sequence[str], matrix: np.ndarray):
+    """(id, week_index, value) rows of an ids x weeks matrix, id-major."""
+    return ((i, t, v) for i, row in zip(ids, np.asarray(matrix)) for t, v in enumerate(row.tolist()))
+
+
+_PARAM_HEADER = ["kind", "id", "week_index", "field", "value"]
+
+
+def _param_rows(params: DiseaseParams):
+    return (("param", rid, t, name, v) for name, arr in params.as_dict().items()
+            for rid, t, v in _long_rows(params.region_ids, arr))
 
 
 def write_inputs(
@@ -53,106 +123,264 @@ def write_inputs(
     """Write the four input CSVs; returns the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    p = out_dir / "patches.csv"
-    with _open_w(p) as fh:
-        w = csv.writer(fh)
-        w.writerow(["patch_id", "region", "category", "population"])
-        for pid in graph.patch_ids:
-            w.writerow([pid, graph.region_of[pid], graph.category_of[pid],
-                        _fmt(graph.populations[graph.patch_index[pid]])])
-    written.append(p)
-
-    p = out_dir / "travel.csv"
+    ids = graph.patch_ids
     pairs = sorted(set(commute_flows) | set(facility_flows))
-    with _open_w(p) as fh:
-        w = csv.writer(fh)
-        w.writerow(["src", "dst", "commute_flow", "facility_flow"])
-        for src, dst in pairs:
-            w.writerow([src, dst, _fmt(commute_flows.get((src, dst), 0.0)),
-                        _fmt(facility_flows.get((src, dst), 0.0))])
-    written.append(p)
+    return [
+        write_rows(out_dir / "patches.csv", ["patch_id", "region", "category", "population"],
+                   ((pid, graph.region_of[pid], graph.category_of[pid], pop)
+                    for pid, pop in zip(ids, graph.populations.tolist()))),
+        write_rows(out_dir / "travel.csv", ["src", "dst", "commute_flow", "facility_flow"],
+                   ((src, dst, commute_flows.get((src, dst), 0.0), facility_flows.get((src, dst), 0.0))
+                    for src, dst in pairs)),
+        write_rows(out_dir / "cases.csv", ["patch_id", "week_index", "count"],
+                   _long_rows(ids, data.observed)),
+        write_rows(out_dir / "features.csv", ["patch_id", "week_index", *data.feature_names],
+                   ((pid, t, *row) for pid, block in zip(ids, data.features)
+                    for t, row in enumerate(block.tolist()))),
+    ]
 
-    p = out_dir / "cases.csv"
-    with _open_w(p) as fh:
-        w = csv.writer(fh)
-        w.writerow(["patch_id", "week_index", "count"])
-        for pid in graph.patch_ids:
-            row = data.observed[graph.patch_index[pid]]
-            for t in range(row.shape[0]):
-                w.writerow([pid, t, _fmt(row[t])])
-    written.append(p)
 
-    p = out_dir / "features.csv"
-    with _open_w(p) as fh:
-        w = csv.writer(fh)
-        w.writerow(["patch_id", "week_index", *data.feature_names])
-        for pid in graph.patch_ids:
-            block = data.features[graph.patch_index[pid]]
-            for t in range(block.shape[0]):
-                w.writerow([pid, t, *(_fmt(v) for v in block[t])])
-    written.append(p)
-    return written
+def write_trajectory(path, graph: PatchGraph, traj: Trajectory) -> Path:
+    """Trajectory CSV: patch_id, week_index, S, I, R, new_infections."""
+    new = (repeat([""] * (traj.n_steps + 1)) if traj.new_infections is None
+           else ([""] + row.tolist() for row in traj.new_infections))
+    patches = zip(graph.patch_ids, traj.S, traj.I, traj.R, new)
+    return write_rows(path, ["patch_id", "week_index", "S", "I", "R", "new_infections"],
+                      ((pid, t, *cells) for pid, S, I, R, N in patches
+                       for t, cells in enumerate(zip(S.tolist(), I.tolist(), R.tolist(), N))))
+
+
+def write_trajectory_summary(path, graph: PatchGraph, traj: Trajectory) -> Path:
+    """JSON summary: cumulative new infections per patch, region, state."""
+    if traj.new_infections is None:
+        raise ShapeMismatch("trajectory was simulated without new-infection recording")
+    per_patch = traj.new_infections.sum(axis=1)
+    per_region = aggregate(traj.new_infections, "region", graph).sum(axis=1)
+    state = float(aggregate(traj.new_infections, "state", graph).sum())
+    return write_json(path, {
+        "cumulative_new_infections": {
+            "patch": {pid: float(per_patch[graph.patch_index[pid]]) for pid in graph.patch_ids},
+            "region": {rid: float(per_region[graph.region_index[rid]]) for rid in graph.region_ids},
+            "state": state,
+        },
+        "steps": traj.n_steps,
+    })
+
+
+def write_ground_truth(path, graph: PatchGraph, params: DiseaseParams, traj: Trajectory) -> Path:
+    """Long-format CSV of the generating parameters and trajectory."""
+    new = repeat([]) if traj.new_infections is None else (row.tolist() for row in traj.new_infections)
+    patches = zip(graph.patch_ids, traj.S, traj.I, traj.R, new)
+    state_rows = (("state", pid, t, field, v) for pid, S, I, R, N in patches
+                  for t, week in enumerate(zip_longest(S.tolist(), I.tolist(), R.tolist(), N))
+                  for field, v in zip(("S", "I", "R", "new_infections"), week)
+                  if v is not None)  # no new_infections after the last week
+    return write_rows(path, _PARAM_HEADER, chain(_param_rows(params), state_rows))
+
+
+def write_params(path, params: DiseaseParams) -> Path:
+    """Parameter-only long-format CSV (loadable by load_ground_truth_params)."""
+    return write_rows(path, _PARAM_HEADER, _param_rows(params))
+
+
+def write_eakf_summary(path, result, graph: PatchGraph) -> Path:
+    """Weekly ensemble summary: state-level mean I plus parameter posteriors."""
+    state_i = aggregate(result.trajectory.I[:, 1:], "state", graph)[0]
+    names = sorted(result.param_mean)
+    header = ["week_index", "state_infected_mean"]
+    columns = [state_i]
+    for name in names:
+        for r, rid in enumerate(graph.region_ids):
+            header += [f"{name}_{rid}_mean", f"{name}_{rid}_sd"]
+            columns += [result.param_mean[name][r], result.param_sd[name][r]]
+    return write_rows(path, header, ((t, *row.tolist()) for t, row in enumerate(np.stack(columns, axis=1))))
+
+
+def write_series(path, values: np.ndarray, header: str = "value") -> Path:
+    """(week, value) CSV for a single time series."""
+    return write_rows(path, ["week_index", header], enumerate(np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def write_level_series(out_dir, graph: PatchGraph, series: np.ndarray, stem: str) -> list[Path]:
+    """Write patch/region/state series CSVs for a patches x weeks matrix."""
+    out_dir = Path(out_dir)
+    return [
+        write_rows(out_dir / f"{stem}_patch.csv", ["patch_id", "week_index", "value"],
+                   _long_rows(graph.patch_ids, series)),
+        write_rows(out_dir / f"{stem}_region.csv", ["region", "week_index", "value"],
+                   _long_rows(graph.region_ids, aggregate(series, "region", graph))),
+        write_series(out_dir / f"{stem}_state.csv", aggregate(series, "state", graph)[0]),
+    ]
+
+
+# -- readers ----------------------------------------------------------------
+
+
+class Table:
+    """One CSV file read in one ``csv.reader`` pass, a block of rows at a time.
+
+    ``text`` columns are kept as strings (one object per distinct value),
+    ``numbers`` columns (when None, every other one) as floats converted in
+    one numpy call per block, so the file's text is never held whole.
+    ``label`` is a ``str.format`` template that names a row in fault
+    messages from its cells (by position and by column name) and ``line``.
+    ``where=(column, value)`` keeps the rows whose ``column`` holds ``value``.
+    """
+
+    def __init__(self, path, text: Sequence[str], numbers: Sequence[str] | None, label: str,
+                 where: tuple[str, str] | None = None):
+        self.path, self.label = Path(path), label
+        try:
+            with open(self.path, encoding="utf-8", newline="") as fh:
+                rows = csv.reader(fh)
+                self.header = next(rows, [])
+                self._read(rows, text, numbers, where)
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"cannot read input file {self.path} ({type(exc).__name__})") from None
+
+    def _read(self, rows, text, numbers, where) -> None:
+        header, width = self.header, len(self.header)
+        numbers = [c for c in header if c not in text] if numbers is None else list(numbers)
+        if missing := [c for c in (*text, *numbers) if c not in header]:
+            raise ShapeMismatch(f"{self.path}: missing column(s) {missing}")
+        at = [header.index(c) for c in (*text, *numbers)]
+        k = header.index(where[0]) if where else None
+        cells, values, lines, memo, line = [[] for _ in text], [], [], {}, 2
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            if set(map(len, block)) - {width, 0}:
+                n = next(n for n, r in enumerate(block) if len(r) not in (width, 0))
+                raise ShapeMismatch(f"{self.path}: line {line + n} has {len(block[n])} fields, the header has {width}")
+            kept = [n for n, r in enumerate(block) if r and (k is None or r[k] == where[1])]
+            lines.append(np.array(kept, dtype=np.int64) + line)
+            line += len(block)
+            columns = [[block[n][i] for n in kept] for i in at]
+            for out, column in zip(cells, columns):
+                out.extend([memo.setdefault(cell, cell) for cell in column])
+            try:
+                values.append(np.array(columns[len(text):], dtype=float).reshape(len(numbers), len(kept)))
+            except ValueError:
+                for name, column in zip(numbers, columns[len(text):]):
+                    for n, cell in enumerate(column):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise self._fault(InvalidValue, dict(zip(header, block[kept[n]])), lines[-1][n],
+                                              f"{name} is {cell!r}, need a number") from None
+                raise
+        self.lines = np.concatenate(lines) if lines else np.zeros(0, dtype=np.int64)
+        self.n = len(self.lines)
+        values = np.concatenate(values, axis=1) if values else np.empty((len(numbers), 0))
+        self.columns: dict[str, Sequence] = {**dict(zip(text, cells)), **dict(zip(numbers, values))}
+
+    def _fault(self, error: type[DataError], cells: dict, line: int, message: str) -> DataError:
+        where = self.label.format(*cells.values(), **dict(cells, line=line))
+        return error(f"{self.path}: {where}: {message}")
+
+    def fault(self, error: type[DataError], n: int, message: str) -> DataError:
+        """``error`` naming the file and kept row ``n``."""
+        show = {c: v if isinstance(v := self.columns[c][n], str) else _show(v) for c in self.header if c in self.columns}
+        return self._fault(error, show, self.lines[n], message)
+
+    def unique(self, *names: str) -> list:
+        """The ``names`` column (tuples for several) after checking no two rows share a value."""
+        keys = list(self.columns[names[0]] if len(names) == 1 else zip(*(self.columns[c] for c in names)))
+        if len(set(keys)) != len(keys):
+            first: dict = {}
+            for n, key in enumerate(keys):
+                if key in first:
+                    raise self.fault(ShapeMismatch, n, f"duplicate of line {self.lines[first[key]]}")
+                first[key] = n
+        return keys
+
+    def numbers(self, names: Sequence[str], nonnegative: bool = False) -> np.ndarray:
+        """len(names) x rows array; a NaN, inf or (if ``nonnegative``) negative raises ``InvalidValue``."""
+        values = np.array([self.columns[c] for c in names]).reshape(len(names), self.n)
+        bad = ~np.isfinite(values)
+        if nonnegative:
+            bad |= values < 0
+        if bad.any():
+            n, j = np.argwhere(bad.T)[0]
+            need = "a finite number >= 0" if nonnegative else "a finite number"
+            raise self.fault(InvalidValue, n, f"{names[j]} is {float(values[j, n])}, need {need}")
+        return values
+
+    def positions(self, name: str, index: Mapping[str, int], what: str) -> np.ndarray:
+        """Each row's ``name`` mapped through ``index``; an unknown one raises ``ShapeMismatch``."""
+        column = self.columns[name]
+        try:
+            return np.array([index[v] for v in column], dtype=np.int64)
+        except KeyError:
+            n = next(n for n, v in enumerate(column) if v not in index)
+            raise self.fault(ShapeMismatch, n, f"unknown {what} {column[n]!r}") from None
+
+
+def _show(value: float) -> str:
+    """A number as it was most likely written: integral ones without ``.0``."""
+    return repr(int(value)) if float(value).is_integer() else repr(float(value))
+
+
+def _dense(table: Table, pos: np.ndarray, keys: Sequence[str], values: np.ndarray,
+           week: str = "week_index") -> np.ndarray:
+    """len(keys) x weeks x len(values) array of a table keyed by (``pos``, ``week``):
+    every (key, week) from week 0 on must occur exactly once, else ``ShapeMismatch``."""
+    if table.n == 0:
+        raise ShapeMismatch(f"{table.path}: no data rows")
+    weeks = table.numbers([week])[0]
+    if (bad := (weeks < 0) | (weeks % 1 != 0)).any():
+        n = int(np.argmax(bad))
+        raise table.fault(ShapeMismatch, n, f"{week} is {_show(weeks[n])}, need an integer >= 0")
+    weeks = weeks.astype(np.int64)
+    n_weeks = int(weeks.max()) + 1
+    order = np.lexsort((weeks, pos))
+    p, w = pos[order], weeks[order]
+    same = (p[1:] == p[:-1]) & (w[1:] == w[:-1])
+    if same.any():
+        i = int(np.argmax(same))
+        first, second = sorted(order[i:i + 2])
+        raise table.fault(ShapeMismatch, second, f"duplicate of line {table.lines[first]}")
+    if table.n != len(keys) * n_weeks:  # sorted unique pairs: the first that breaks the full grid is missing
+        k, t = np.divmod(np.arange(table.n), n_weeks)
+        gap = np.flatnonzero((p != k) | (w != t))
+        k, t = divmod(int(gap[0]) if gap.size else table.n, n_weeks)
+        raise ShapeMismatch(f"{table.path}: {keys[k]} has no {week} {t} row")
+    out = np.empty((len(keys), n_weeks, values.shape[0]))
+    out[pos, weeks] = values.T
+    return out
+
+
+def _weekly_table(path, graph: PatchGraph, value_cols: Sequence[str] = (),
+                  nonnegative: bool = False) -> tuple[np.ndarray, tuple[str, ...]]:
+    """(patches x weeks x columns array, value columns: all but the key if none given) of a weekly CSV."""
+    table = Table(path, ["patch_id"], ["week_index", *value_cols] if value_cols else None,
+                  "patch {patch_id!r}, week {week_index}")
+    value_cols = value_cols or tuple(c for c in table.header if c not in ("patch_id", "week_index"))
+    pos = table.positions("patch_id", graph.patch_index, "patch")
+    values = table.numbers(value_cols, nonnegative)
+    return _dense(table, pos, [f"patch {p!r}" for p in graph.patch_ids], values), tuple(value_cols)
 
 
 def load_graph(in_dir) -> tuple[PatchGraph, dict, dict]:
     """Read patches.csv + travel.csv; returns (graph, commute, facility)."""
     in_dir = Path(in_dir)
-    populations, region_of, category_of = {}, {}, {}
-    with open(in_dir / "patches.csv", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            pid = row["patch_id"]
-            populations[pid] = float(row["population"])
-            region_of[pid] = row["region"]
-            category_of[pid] = row["category"]
-    commute, facility = {}, {}
-    travel = in_dir / "travel.csv"
-    if travel.exists():
-        with open(travel, encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                key = (row["src"], row["dst"])
-                commute[key] = float(row["commute_flow"])
-                facility[key] = float(row["facility_flow"])
+    patches = Table(in_dir / "patches.csv", ["patch_id", "region", "category"], ["population"],
+                    "patch {patch_id!r}")
+    ids = patches.unique("patch_id")
+    patches.positions("category", {GENERAL: 0, NON_GENERAL: 1}, "category")
+    [population] = patches.numbers(["population"], nonnegative=True).tolist()
+    if 0 in population:  # the travel matrix divides by it
+        raise patches.fault(InvalidValue, population.index(0), "population is 0, need a number > 0")
+    travel = Table(in_dir / "travel.csv", ["src", "dst"], ["commute_flow", "facility_flow"],
+                   "flow {src!r}->{dst!r}")
+    pairs = travel.unique("src", "dst")
+    for end in ("src", "dst"):
+        travel.positions(end, dict.fromkeys(ids, 0), "patch")
+    flows = travel.numbers(["commute_flow", "facility_flow"], nonnegative=True).tolist()
+    commute, facility = (dict(zip(pairs, f)) for f in flows)
+    populations = dict(zip(ids, population))
     theta = build_travel_matrix(commute, facility, populations)
-    return PatchGraph(populations, region_of, category_of, theta), commute, facility
-
-
-def _load_weekly_table(path, graph: PatchGraph, value_cols: Sequence[str],
-                       nonnegative: bool = False) -> np.ndarray:
-    """patches x weeks x columns array of a (patch_id, week_index, ...) CSV.
-
-    Every value must be a finite number (and >= 0 when ``nonnegative``);
-    a fault raises ``InvalidValue`` naming the file, patch, week and column.
-    """
-    rows: dict[str, dict[int, list[float]]] = {pid: {} for pid in graph.patch_ids}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            pid = row["patch_id"]
-            if pid not in rows:
-                raise ShapeMismatch(f"{path}: unknown patch {pid!r}")
-            try:
-                rows[pid][int(row["week_index"])] = [float(row[c]) for c in value_cols]
-            except ValueError as exc:
-                raise InvalidValue(f"{path}: patch {pid!r}, week {row['week_index']}: {exc}") from None
-    weeks = sorted(next(iter(rows.values())))
-    if weeks != list(range(len(weeks))):
-        raise ShapeMismatch(f"{path}: week indices must be 0-based and contiguous")
-    out = np.zeros((graph.n_patches, len(weeks), len(value_cols)))
-    for pid, per_week in rows.items():
-        if sorted(per_week) != weeks:
-            raise ShapeMismatch(f"{path}: patch {pid!r} is missing weeks")
-        for t in weeks:
-            out[graph.patch_index[pid], t] = per_week[t]
-    bad = ~np.isfinite(out)
-    if nonnegative:
-        bad |= out < 0
-    if bad.any():
-        p, t, c = np.argwhere(bad)[0]
-        need = "a finite number >= 0" if nonnegative else "a finite number"
-        raise InvalidValue(f"{path}: patch {graph.patch_ids[p]!r}, week {t}: "
-                           f"{value_cols[c]} is {float(out[p, t, c])}, need {need}")
-    return out
+    graph = PatchGraph(populations, dict(zip(ids, patches.columns["region"])),
+                       dict(zip(ids, patches.columns["category"])), theta)
+    return graph, commute, facility
 
 
 def load_dataset(in_dir, graph: PatchGraph, window: int | None = None, horizon: int = 4) -> DataSet:
@@ -163,10 +391,8 @@ def load_dataset(in_dir, graph: PatchGraph, window: int | None = None, horizon: 
     the full length minus the horizon.
     """
     in_dir = Path(in_dir)
-    observed = _load_weekly_table(in_dir / "cases.csv", graph, ["count"], nonnegative=True)[:, :, 0]
-    with open(in_dir / "features.csv", encoding="utf-8", newline="") as fh:
-        names = tuple(c for c in csv.DictReader(fh).fieldnames if c not in ("patch_id", "week_index"))
-    features = _load_weekly_table(in_dir / "features.csv", graph, names)
+    observed = _weekly_table(in_dir / "cases.csv", graph, ["count"], nonnegative=True)[0][:, :, 0]
+    features, names = _weekly_table(in_dir / "features.csv", graph)
     if features.shape[1] != observed.shape[1]:
         raise ShapeMismatch("cases.csv and features.csv disagree on week count")
     total = observed.shape[1]
@@ -183,168 +409,46 @@ def load_dataset(in_dir, graph: PatchGraph, window: int | None = None, horizon: 
     )
 
 
-def write_trajectory(path, graph: PatchGraph, traj: Trajectory) -> Path:
-    """Trajectory CSV: patch_id, week_index, S, I, R, new_infections."""
-    path = Path(path)
-    steps = traj.n_steps
-    with _open_w(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["patch_id", "week_index", "S", "I", "R", "new_infections"])
-        for pid in graph.patch_ids:
-            i = graph.patch_index[pid]
-            for t in range(steps + 1):
-                new = "" if (traj.new_infections is None or t == 0) else _fmt(traj.new_infections[i, t - 1])
-                w.writerow([pid, t, _fmt(traj.S[i, t]), _fmt(traj.I[i, t]), _fmt(traj.R[i, t]), new])
-    return path
-
-
-def write_trajectory_summary(path, graph: PatchGraph, traj: Trajectory) -> Path:
-    """JSON summary: cumulative new infections per patch, region, state."""
-    if traj.new_infections is None:
-        raise ShapeMismatch("trajectory was simulated without new-infection recording")
-    per_patch = traj.new_infections.sum(axis=1)
-    per_region = aggregate(traj.new_infections, "region", graph).sum(axis=1)
-    state = float(aggregate(traj.new_infections, "state", graph).sum())
-    payload = {
-        "cumulative_new_infections": {
-            "patch": {pid: float(per_patch[graph.patch_index[pid]]) for pid in graph.patch_ids},
-            "region": {rid: float(per_region[graph.region_index[rid]]) for rid in graph.region_ids},
-            "state": state,
-        },
-        "steps": traj.n_steps,
-    }
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
-def write_ground_truth(path, graph: PatchGraph, params: DiseaseParams, traj: Trajectory) -> Path:
-    """Long-format CSV of the generating parameters and trajectory."""
-    path = Path(path)
-    with _open_w(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "id", "week_index", "field", "value"])
-        for name, arr in params.as_dict().items():
-            for r, rid in enumerate(params.region_ids):
-                for t in range(arr.shape[1]):
-                    w.writerow(["param", rid, t, name, _fmt(arr[r, t])])
-        for pid in graph.patch_ids:
-            i = graph.patch_index[pid]
-            for t in range(traj.n_steps + 1):
-                w.writerow(["state", pid, t, "S", _fmt(traj.S[i, t])])
-                w.writerow(["state", pid, t, "I", _fmt(traj.I[i, t])])
-                w.writerow(["state", pid, t, "R", _fmt(traj.R[i, t])])
-                if traj.new_infections is not None and t < traj.n_steps:
-                    w.writerow(["state", pid, t, "new_infections", _fmt(traj.new_infections[i, t])])
-    return path
-
-
-def write_params(path, params: DiseaseParams) -> Path:
-    """Parameter-only long-format CSV (loadable by load_ground_truth_params)."""
-    path = Path(path)
-    with _open_w(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "id", "week_index", "field", "value"])
-        for name, arr in params.as_dict().items():
-            for r, rid in enumerate(params.region_ids):
-                for t in range(arr.shape[1]):
-                    w.writerow(["param", rid, t, name, _fmt(arr[r, t])])
-    return path
-
-
-def write_eakf_summary(path, result, graph: PatchGraph) -> Path:
-    """Weekly ensemble summary: state-level mean I plus parameter posteriors."""
-    path = Path(path)
-    state_i = aggregate(result.trajectory.I[:, 1:], "state", graph)[0]
-    names = sorted(result.param_mean)
-    header = ["week_index", "state_infected_mean"]
-    for name in names:
-        for rid in graph.region_ids:
-            header += [f"{name}_{rid}_mean", f"{name}_{rid}_sd"]
-    with _open_w(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for t in range(state_i.shape[0]):
-            row = [t, _fmt(state_i[t])]
-            for name in names:
-                for rid in graph.region_ids:
-                    r = graph.region_index[rid]
-                    row += [_fmt(result.param_mean[name][r, t]), _fmt(result.param_sd[name][r, t])]
-            w.writerow(row)
-    return path
-
-
 def load_ground_truth_params(path, graph: PatchGraph) -> DiseaseParams:
-    """Rebuild DiseaseParams from a ground-truth (or params-only) CSV."""
-    per: dict[str, dict[str, dict[int, float]]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row.get("kind", "param") != "param":
-                continue
-            per.setdefault(row["field"], {}).setdefault(row["id"], {})[int(row["week_index"])] = float(row["value"])
-    if not per:
-        raise ShapeMismatch(f"{path}: no parameter rows found")
-    steps = 1 + max(t for by_region in per.values() for weeks in by_region.values() for t in weeks)
-    arrays = {}
-    for name, by_region in per.items():
-        arr = np.zeros((graph.n_regions, steps))
-        for rid, weeks in by_region.items():
-            if rid not in graph.region_index:
-                raise ShapeMismatch(f"{path}: unknown region {rid!r}")
-            for t, v in weeks.items():
-                arr[graph.region_index[rid], t] = v
-        arrays[name] = arr
-    return DiseaseParams(region_ids=graph.region_ids, **arrays)
-
-
-def write_series(path, values: np.ndarray, header: str = "value") -> Path:
-    """(week, value) CSV for a single time series."""
-    path = Path(path)
-    values = np.asarray(values, dtype=float).ravel()
-    with _open_w(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["week_index", header])
-        for t, v in enumerate(values):
-            w.writerow([t, _fmt(v)])
-    return path
+    """Rebuild DiseaseParams from the ``param`` rows of a ground-truth (or params-only) CSV."""
+    table = Table(path, ["kind", "id", "field"], ["week_index", "value"],
+                  "{field} of region {id!r}, week {week_index}", where=("kind", "param"))
+    field = table.positions("field", {name: f for f, name in enumerate(PARAM_NAMES)}, "field")
+    region = table.positions("id", graph.region_index, "region")
+    keys = [f"{name} of region {rid!r}" for name in PARAM_NAMES for rid in graph.region_ids]
+    values = _dense(table, field * graph.n_regions + region, keys, table.numbers(["value"]))
+    arrays = values[:, :, 0].reshape(len(PARAM_NAMES), graph.n_regions, -1)
+    try:
+        return DiseaseParams(region_ids=graph.region_ids, **dict(zip(PARAM_NAMES, arrays)))
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def read_series(path) -> np.ndarray:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) < 2:
-            raise ShapeMismatch(f"{path}: expected (week, value) columns")
-        rows = [(int(r[0]), float(r[1])) for r in reader]
-    rows.sort()
-    return np.array([v for _, v in rows])
+    """The value column of a (week, value) CSV, in week order."""
+    table = Table(path, [], None, "week {0}")
+    if len(table.header) < 2:
+        raise ShapeMismatch(f"{path}: expected (week, value) columns")
+    week, value = table.header[:2]
+    series = _dense(table, np.zeros(table.n, dtype=np.int64), ["the series"], table.numbers([value]), week)
+    return series[0, :, 0]
 
 
-def write_level_series(out_dir, graph: PatchGraph, series: np.ndarray, stem: str) -> list[Path]:
-    """Write patch/region/state series CSVs for a patches x weeks matrix."""
-    out_dir = Path(out_dir)
-    written = []
-    p = out_dir / f"{stem}_patch.csv"
-    with _open_w(p) as fh:
-        w = csv.writer(fh)
-        w.writerow(["patch_id", "week_index", "value"])
-        for pid in graph.patch_ids:
-            row = series[graph.patch_index[pid]]
-            for t in range(row.shape[0]):
-                w.writerow([pid, t, _fmt(row[t])])
-    written.append(p)
-    region = aggregate(series, "region", graph)
-    p = out_dir / f"{stem}_region.csv"
-    with _open_w(p) as fh:
-        w = csv.writer(fh)
-        w.writerow(["region", "week_index", "value"])
-        for rid in graph.region_ids:
-            row = region[graph.region_index[rid]]
-            for t in range(row.shape[0]):
-                w.writerow([rid, t, _fmt(row[t])])
-    written.append(p)
-    written.append(write_series(out_dir / f"{stem}_state.csv", aggregate(series, "state", graph)[0]))
-    return written
+def read_json(path, error: type[DataError]):
+    """Strict JSON: an unreadable file, invalid JSON or a NaN/inf number raises ``error`` naming the file."""
+    path = Path(path)
+
+    def finite(token: str) -> float:
+        if not math.isfinite(x := float(token)):
+            raise error(f"{path}: non-finite number {token}")
+        return x
+
+    try:
+        return json.loads(path.read_text(encoding="utf-8"), parse_float=finite, parse_constant=finite)
+    except OSError as exc:
+        raise error(f"cannot read {path} ({type(exc).__name__})") from None
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from None
 
 
 # -- checkpoints ------------------------------------------------------------
@@ -383,15 +487,7 @@ def read_checkpoint(path, kind: str, config_type, fields: Sequence[str],
     def bad(msg: str) -> CheckpointError:
         return CheckpointError(f"{path}: {msg}")
 
-    def finite(token: str) -> float:
-        if not math.isfinite(x := float(token)):
-            raise bad(f"non-finite number {token}")
-        return x
-
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"), parse_float=finite, parse_constant=finite)
-    except ValueError as exc:
-        raise bad(f"not valid JSON ({exc})") from None
+    payload = read_json(path, CheckpointError)
     if not isinstance(payload, dict) or payload.get("kind") != kind:
         raise bad(f"not a {kind} checkpoint")
     _check_keys(bad, "key", payload, {"kind", "config", "seed", "weights", "extra", *fields})

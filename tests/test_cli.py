@@ -300,12 +300,12 @@ class TestErrorHandling:
         (["eakf"], "cases.csv", "-3", 3, "InvalidValue", "count is -3.0"),
         (["eakf"], "cases.csv", "many", 3, "InvalidValue", "'many'"),
         (["eakf"], "features.csv", "inf", 3, "InvalidValue", "norm_incidence is inf"),
-        (["metrics"], None, None, 4, "NonFiniteOutput", "metrics.json"),
+        (["metrics"], None, None, 3, "InvalidValue", "pred.csv: week 1: "),
     ], ids=["eakf-inflation-zero", "eakf-inflation-negative", "eakf-inflation-nan",
             "eakf-obs-var-zero", "eakf-obs-var-negative", "eakf-obs-var-nan",
             "calibrate-lr-step-zero", "calibrate-lr-step-negative", "calibrate-nan-count",
             "eakf-nan-count", "eakf-negative-count", "eakf-non-numeric-count",
-            "eakf-infinite-feature", "metrics-nan-result"])
+            "eakf-infinite-feature", "metrics-nan-pred"])
     def test_bad_option_or_value_is_refused(self, data_dir, tmp_path, capsys,
                                             argv, table, value, code, error, fragment):
         data = tmp_path / "data"
@@ -316,8 +316,8 @@ class TestErrorHandling:
             rows[4][-1] = value
             with open(data / table, "w", newline="") as fh:
                 csv.writer(fh).writerows(rows)
-        if argv[0] == "metrics":  # a gap in the prediction makes every metric NaN
-            io.write_series(data / "pred.csv", np.array([1.0, np.nan, 3.0]))
+        if argv[0] == "metrics":  # a gap in the prediction
+            (data / "pred.csv").write_text("week_index,value\n0,1\n1,nan\n2,3\n")
             io.write_series(data / "truth.csv", np.array([1.0, 2.0, 4.0]))
             argv = argv + ["--pred", str(data / "pred.csv"), "--truth", str(data / "truth.csv")]
         else:
@@ -329,3 +329,72 @@ class TestErrorHandling:
         assert f"[{error}]" in err and fragment in err, err
         if table is not None:
             assert f"{table}: patch {rows[4][0]!r}, week 3: " in err, err
+
+    @pytest.mark.parametrize("argv, table, edit, error, fragment", [
+        (["eakf"], "patches.csv", lambda rows: rows[1].__setitem__(3, "lots"),
+         "InvalidValue", "patches.csv: patch 'R0-G00': population is 'lots'"),
+        (["eakf"], "patches.csv", lambda rows: rows[1].__setitem__(3, "0"),
+         "InvalidValue", "patches.csv: patch 'R0-G00': population is 0"),
+        (["eakf"], "patches.csv", lambda rows: rows.append(rows[1][:3] + ["12345"]),
+         "ShapeMismatch", "patches.csv: patch 'R0-G00': duplicate of line 2"),
+        (["eakf"], "patches.csv", lambda rows: rows[1].__setitem__(2, "hospital"),
+         "ShapeMismatch", "patches.csv: patch 'R0-G00': unknown category 'hospital'"),
+        (["eakf"], "patches.csv", lambda rows: [row.pop(3) for row in rows],
+         "ShapeMismatch", "patches.csv: missing column(s) ['population']"),
+        (["eakf"], "cases.csv", lambda rows: rows.append(rows[4][:2] + ["7"]),
+         "ShapeMismatch", "cases.csv: patch 'R0-G00', week 3: duplicate of line 5"),
+        (["eakf"], "travel.csv", lambda rows: rows.append(list(rows[1])),
+         "ShapeMismatch", "duplicate of line 2"),
+        (["eakf"], "travel.csv", lambda rows: rows[1].__setitem__(2, "x"),
+         "InvalidValue", "commute_flow is 'x'"),
+        (["simulate"], "ground_truth.csv", lambda rows: rows[4].__setitem__(4, "nan"),
+         "InvalidValue", "ground_truth.csv: beta of region 'R0', week 3: value is nan"),
+        (["simulate"], "ground_truth.csv", lambda rows: rows[4].__setitem__(4, "xyz"),
+         "InvalidValue", "ground_truth.csv: beta of region 'R0', week 3: value is 'xyz'"),
+        (["simulate"], "ground_truth.csv", lambda rows: rows.pop(4),
+         "ShapeMismatch", "ground_truth.csv: beta of region 'R0' has no week_index 3 row"),
+        (["simulate"], "ground_truth.csv", lambda rows: rows.__setitem__(
+            slice(None), [row for row in rows if row[3] != "gamma"]),
+         "ShapeMismatch", "ground_truth.csv: gamma of region 'R0' has no week_index 0 row"),
+        (["simulate"], "ground_truth.csv", lambda rows: rows[4].__setitem__(3, "betta"),
+         "ShapeMismatch", "ground_truth.csv: betta of region 'R0', week 3: unknown field 'betta'"),
+        (["metrics"], "pred.csv", "week_index,value\n0,1\n1,nan\n2,3\n",
+         "InvalidValue", "pred.csv: week 1: value is nan"),
+        (["metrics"], "pred.csv", "week_index,value\n0,1\n1.5,2\n2,3\n",
+         "ShapeMismatch", "pred.csv: week 1.5: week_index is 1.5, need an integer"),
+        (["calibrate"], "cfg.json", '{"epochs": 1,', "InvalidOption", "cfg.json: not valid JSON"),
+        (["calibrate"], "cfg.json", "[1, 2]", "InvalidOption", "cfg.json: need a JSON object"),
+        (["calibrate"], "cfg.json", '{"epoch": 5}', "InvalidOption", "cfg.json: unknown key(s) ['epoch']"),
+        (["calibrate"], "cfg.json", '{"lr": NaN}', "InvalidOption", "cfg.json: non-finite number NaN"),
+        (["simulate", "--steps", "0"], None, None, "InvalidOption", "--steps"),
+        (["correct-data", "--epochs", "0"], None, None, "InvalidOption", "--epochs"),
+    ], ids=["population-not-a-number", "population-zero", "patch-duplicated", "category-unknown",
+            "population-column-missing", "cases-duplicated-week", "travel-duplicated-pair",
+            "travel-flow-not-a-number", "param-nan", "param-not-a-number", "param-row-missing",
+            "param-gamma-missing", "param-unknown-field", "metrics-nan-pred",
+            "metrics-non-integer-week", "config-not-json", "config-not-an-object",
+            "config-unknown-key", "config-nan", "simulate-zero-steps", "correct-data-zero-epochs"])
+    def test_input_fault_exits_three_and_names_file(self, data_dir, tmp_path, capsys,
+                                                    argv, table, edit, error, fragment):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        if isinstance(edit, str):  # a file written as text
+            (data / table).write_text(edit)
+        elif table is not None:  # a bundle CSV edited row by row
+            with open(data / table, newline="") as fh:
+                rows = list(csv.reader(fh))
+            edit(rows)
+            with open(data / table, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        if argv[0] == "metrics":
+            io.write_series(data / "truth.csv", np.array([1.0, 2.0, 4.0]))
+            argv = argv + ["--pred", str(data / "pred.csv"), "--truth", str(data / "truth.csv")]
+        else:
+            argv = argv + ["--data", str(data)] + {
+                "eakf": ["--size", "4"], "simulate": [], "correct-data": ["--k", "1"],
+                "calibrate": ["--epochs", "1", "--config", str(data / "cfg.json")]}[argv[0]]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"[{error}]" in err and fragment in err, err
+        assert table is None or f"{table}: " in err, err

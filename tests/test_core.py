@@ -12,7 +12,7 @@ from calypso.core import (
     build_travel_matrix,
     metrics,
 )
-from calypso.errors import DegenerateTruth, OffDiagonalOverflow, ShapeMismatch, UnknownLevel
+from calypso.errors import DegenerateTruth, NonFiniteOutput, OffDiagonalOverflow, ShapeMismatch, UnknownLevel
 
 
 def two_patch_graph():
@@ -267,3 +267,24 @@ class TestCsvRoundTrip:
         p2 = io.load_ground_truth_params(path, g)
         for name in ("beta", "gamma", "delta", "kappa", "epsilon"):
             assert np.allclose(getattr(p2, name), getattr(p, name))
+
+
+class TestResultWriters:
+    def test_csv_cells_keep_their_format(self, tmp_path):
+        path = io.write_rows(tmp_path / "rows.csv", ["id", "n", "x"],
+                             [("a", 3, 2.0), ("b", 4, 0.1), ("", -0.0, 1e15)])
+        assert path.read_text() == "id,n,x\na,3,2\nb,4,0.1\n,0,1000000000000000.0\n"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_csv_writer_refuses_non_finite(self, tmp_path, bad):
+        path = tmp_path / "rows.csv"
+        with pytest.raises(NonFiniteOutput, match=f"rows.csv: line 3: non-finite number {bad}"):
+            io.write_rows(path, ["week", "value"], [(0, 1.5), (1, bad)])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_json_writer_refuses_non_finite(self, tmp_path, bad):
+        path = tmp_path / "result.json"
+        with pytest.raises(NonFiniteOutput, match="result.json: Out of range float"):
+            io.write_json(path, {"r2": bad})
+        assert not path.exists()
