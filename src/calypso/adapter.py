@@ -22,7 +22,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import io, seeding
-from .autodiff import Tape
 from .core import PatchGraph, aggregate
 from .errors import NonFiniteInput, NonFiniteLoss, ShapeMismatch
 
@@ -218,23 +217,23 @@ def train_adapter(
             ratio = hyper.teacher_ratio
         teacher_mask = rng.random(weeks) < ratio
 
-        tape = Tape()
-        duals = opt.variables(tape)
-        corrected, _ = _forward(
-            duals, work.config, raw_norm, scale, work.t_scale,
-            truth_norm=truth_norm, teacher_mask=teacher_mask,
-        )
-        sse = 0.0
-        for t in range(weeks):
-            d = corrected[t] / scale - truth_norm[:, t]
-            sse = sse + ad.vsum(d * d)
-        loss = sse / (n_units * weeks)
-        loss_val = float(loss.value)
-        if not np.isfinite(loss_val):
-            raise NonFiniteLoss(f"epoch {epoch}: adapter loss is not finite")
-        history.append(loss_val)
+        def epoch_loss(duals):
+            corrected, _ = _forward(
+                duals, work.config, raw_norm, scale, work.t_scale,
+                truth_norm=truth_norm, teacher_mask=teacher_mask,
+            )
+            sse = 0.0
+            for t in range(weeks):
+                d = corrected[t] / scale - truth_norm[:, t]
+                sse = sse + ad.vsum(d * d)
+            loss = sse / (n_units * weeks)
+            loss_val = float(loss.value)
+            if not np.isfinite(loss_val):
+                raise NonFiniteLoss(f"epoch {epoch}: adapter loss is not finite")
+            history.append(loss_val)
+            return loss
 
-        opt.step(tape.backward(loss), duals, hyper.learning_rate, f"adapter epoch {epoch}")
+        opt.step(epoch_loss, hyper.learning_rate, f"adapter epoch {epoch}")
     return work, {"loss": np.array(history)}
 
 

@@ -11,13 +11,21 @@ tanh, relu, matmul, sum, col (column extraction, used to peel parameter
 columns off a matrix).  ``min`` sends gradient to the smaller argument
 and, on ties, to the first one, which keeps gradients deterministic.
 
+A plain operand of a recorded op becomes a constant leaf; leaves made
+with ``Tape.variable`` are the variables.  ``backward`` forms no adjoint
+toward a constant, drops each intermediate adjoint once its parents have
+their share, and returns adjoints for the variables only.
+
 Module-level helpers (``exp``, ``minimum``, ``matmul``, ...) dispatch on
 argument type: plain ndarrays go through numpy, DualValues through the
-tape.  Tapes are rebuilt every training step and are single-threaded.
-``Adam`` is the optimizer step that every trainer shares.
+tape.  Tapes are single-threaded.  ``Adam.step`` is the training step
+every trainer shares: it records the trainer's loss on a fresh tape,
+backpropagates and updates, and lets the tape go before the next step.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -96,12 +104,19 @@ class DualValue:
 
 
 class Tape:
-    """Append-only record of operations with a reverse adjoint sweep."""
+    """Append-only record of operations with a reverse adjoint sweep.
+
+    A leaf is a variable (made by ``variable``) or a constant (a plain
+    operand that ``record`` lifted onto the tape).  Every other node has a
+    DualValue operand and so depends on some variable; ``backward`` thus
+    sends adjoints to every parent but a constant.
+    """
 
     def __init__(self):
         self._kinds: list[str] = []
         self._parents: list[tuple[int, ...]] = []
         self._payload: list = []
+        self._variables: list[int] = []
         self.values: list[np.ndarray] = []
 
     def __len__(self) -> int:
@@ -115,15 +130,16 @@ class Tape:
         return DualValue(self, len(self.values) - 1, value)
 
     def variable(self, value) -> DualValue:
-        """A leaf node; plain operands of a recorded op become leaves too."""
-        return self._append("leaf", (), None, np.asarray(value, dtype=float))
+        """A leaf whose adjoint ``backward`` returns."""
+        self._variables.append(len(self.values))
+        return self._append("var", (), None, np.asarray(value, dtype=float))
 
     def _lift(self, x) -> DualValue:
         if isinstance(x, DualValue):
             if x.tape is not self:
                 raise TapeMismatch("operands live on different tapes")
             return x
-        return self.variable(x)
+        return self._append("const", (), None, np.asarray(x, dtype=float))
 
     def record(self, op: str, *args, axis=None) -> DualValue:
         """Record one operation and return its result node."""
@@ -171,106 +187,122 @@ class Tape:
             return self._append("colvec", (a.index,), None, av[:, None])
         raise ValueError(f"unknown op {op!r}")
 
-    def backward(self, root: DualValue) -> list[np.ndarray]:
-        """Reverse sweep from a scalar root; returns adjoints per node.
+    def backward(self, root: DualValue) -> dict[int, np.ndarray]:
+        """Reverse sweep from a scalar root; returns {variable index: adjoint}.
 
-        Adjoints are reset on every call; nodes the root does not depend
-        on get zero adjoints of their forward shape.
+        Only the variables' adjoints are kept and returned; a variable the
+        root does not depend on gets zeros of its shape.  No adjoint is
+        formed toward a constant leaf, and each intermediate adjoint is
+        dropped once its parents have their share.  Every call starts
+        from fresh adjoints, so the sweep can be repeated.
         """
         if root.tape is not self:
             raise TapeMismatch("root lives on a different tape")
         if np.asarray(root.value).size != 1:
             raise NonScalarRoot("backward root must be scalar")
 
-        n = len(self.values)
-        adj: list[np.ndarray | None] = [None] * n
-        adj[root.index] = np.ones_like(np.asarray(self.values[root.index], dtype=float))
-
         values = self.values
         kinds = self._kinds
         parents = self._parents
         payload = self._payload
+        adj: list[np.ndarray | None] = [None] * len(values)
+        adj[root.index] = np.ones_like(np.asarray(values[root.index], dtype=float))
+        wants = [kind != "const" for kind in kinds]
+        owned: set[int] = set()  # col parents whose adjoint no other node shares
         for k in range(root.index, -1, -1):
-            g = adj[k]
-            if g is None:
-                continue
             kind = kinds[k]
-            if kind == "leaf":
+            g = adj[k]
+            if g is None or kind == "var":
                 continue
+            adj[k] = None
             ps = parents[k]
             if kind == "add":
                 a, b = ps
-                _acc(adj, values, a, _unbroadcast(g, values[a].shape))
-                _acc(adj, values, b, _unbroadcast(g, values[b].shape))
+                if wants[a]:
+                    _acc(adj, a, _unbroadcast(g, values[a].shape))
+                if wants[b]:
+                    _acc(adj, b, _unbroadcast(g, values[b].shape))
             elif kind == "sub":
                 a, b = ps
-                _acc(adj, values, a, _unbroadcast(g, values[a].shape))
-                _acc(adj, values, b, _unbroadcast(-g, values[b].shape))
+                if wants[a]:
+                    _acc(adj, a, _unbroadcast(g, values[a].shape))
+                if wants[b]:
+                    _acc(adj, b, _unbroadcast(-g, values[b].shape))
             elif kind == "mul":
                 a, b = ps
-                _acc(adj, values, a, _unbroadcast(g * values[b], values[a].shape))
-                _acc(adj, values, b, _unbroadcast(g * values[a], values[b].shape))
+                if wants[a]:
+                    _acc(adj, a, _unbroadcast(g * values[b], values[a].shape))
+                if wants[b]:
+                    _acc(adj, b, _unbroadcast(g * values[a], values[b].shape))
             elif kind == "div":
                 a, b = ps
-                _acc(adj, values, a, _unbroadcast(g / values[b], values[a].shape))
-                _acc(adj, values, b, _unbroadcast(-g * values[a] / values[b] ** 2, values[b].shape))
+                if wants[a]:
+                    _acc(adj, a, _unbroadcast(g / values[b], values[a].shape))
+                if wants[b]:
+                    _acc(adj, b, _unbroadcast(-g * values[a] / values[b] ** 2, values[b].shape))
             elif kind == "min":
                 a, b = ps
                 mask = payload[k]
-                _acc(adj, values, a, _unbroadcast(g * mask, values[a].shape))
-                _acc(adj, values, b, _unbroadcast(g * (1.0 - mask), values[b].shape))
+                if wants[a]:
+                    _acc(adj, a, _unbroadcast(g * mask, values[a].shape))
+                if wants[b]:
+                    _acc(adj, b, _unbroadcast(g * (1.0 - mask), values[b].shape))
             elif kind == "neg":
-                _acc(adj, values, ps[0], -g)
+                _acc(adj, ps[0], -g)
             elif kind == "exp":
-                _acc(adj, values, ps[0], g * values[k])
+                _acc(adj, ps[0], g * values[k])
             elif kind == "log":
-                _acc(adj, values, ps[0], g / values[ps[0]])
+                _acc(adj, ps[0], g / values[ps[0]])
             elif kind == "sigmoid":
                 s = values[k]
-                _acc(adj, values, ps[0], g * s * (1.0 - s))
+                _acc(adj, ps[0], g * s * (1.0 - s))
             elif kind == "tanh":
                 t = values[k]
-                _acc(adj, values, ps[0], g * (1.0 - t * t))
+                _acc(adj, ps[0], g * (1.0 - t * t))
             elif kind == "relu":
-                _acc(adj, values, ps[0], g * (values[ps[0]] > 0))
+                _acc(adj, ps[0], g * (values[ps[0]] > 0))
             elif kind == "sum":
                 a = ps[0]
                 axis = payload[k]
                 target = values[a]
                 if axis is None:
-                    _acc(adj, values, a, np.broadcast_to(g, target.shape).copy())
+                    _acc(adj, a, np.broadcast_to(g, target.shape).copy())
                 else:
-                    _acc(adj, values, a, np.broadcast_to(np.expand_dims(g, axis), target.shape).copy())
+                    _acc(adj, a, np.broadcast_to(np.expand_dims(g, axis), target.shape).copy())
             elif kind == "col":
+                # scatter into the parent's own buffer; the first write copies
+                # an adjoint that may be aliased to another node's
                 a = ps[0]
-                j = payload[k]
-                full = np.zeros_like(values[a])
-                full[:, j] = g
-                _acc(adj, values, a, full)
+                if a not in owned:
+                    owned.add(a)
+                    adj[a] = np.zeros_like(values[a]) if adj[a] is None else adj[a].copy()
+                adj[a][:, payload[k]] += g
             elif kind == "colvec":
-                _acc(adj, values, ps[0], g[:, 0])
+                _acc(adj, ps[0], g[:, 0])
             elif kind == "matmul":
                 a, b = ps
                 av, bv = values[a], values[b]
-                if av.ndim == 2 and bv.ndim == 2:
-                    _acc(adj, values, a, g @ bv.T)
-                    _acc(adj, values, b, av.T @ g)
-                elif av.ndim == 2 and bv.ndim == 1:
-                    _acc(adj, values, a, np.outer(g, bv))
-                    _acc(adj, values, b, av.T @ g)
-                elif av.ndim == 1 and bv.ndim == 2:
-                    _acc(adj, values, a, g @ bv.T)
-                    _acc(adj, values, b, np.outer(av, g))
-                else:  # 1-D dot product
-                    _acc(adj, values, a, g * bv)
-                    _acc(adj, values, b, g * av)
+                if wants[a]:
+                    if bv.ndim == 2:
+                        _acc(adj, a, g @ bv.T)
+                    elif av.ndim == 2:
+                        _acc(adj, a, np.outer(g, bv))
+                    else:  # 1-D dot product
+                        _acc(adj, a, g * bv)
+                if wants[b]:
+                    if av.ndim == 2:
+                        _acc(adj, b, av.T @ g)
+                    elif bv.ndim == 2:
+                        _acc(adj, b, np.outer(av, g))
+                    else:
+                        _acc(adj, b, g * av)
             else:  # pragma: no cover
                 raise ValueError(f"no backward rule for {kind!r}")
 
-        return [a if a is not None else np.zeros_like(np.asarray(v, dtype=float)) for a, v in zip(adj, values)]
+        return {i: np.zeros_like(values[i]) if adj[i] is None else adj[i] for i in self._variables}
 
 
-def _acc(adj: list, values: list, idx: int, g: np.ndarray) -> None:
+def _acc(adj: list, idx: int, g: np.ndarray) -> None:
     cur = adj[idx]
     adj[idx] = g if cur is None else cur + g
 
@@ -278,9 +310,7 @@ def _acc(adj: list, values: list, idx: int, g: np.ndarray) -> None:
 class Adam:
     """Bias-corrected Adam with coupled weight decay and global-norm clipping.
 
-    ``weights`` (name -> array) is updated in place.  Each training step
-    records the weights as tape leaves with ``variables`` and hands the
-    tape's adjoints to ``step``.
+    ``weights`` (name -> array) is updated in place, one ``step`` at a time.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -294,13 +324,21 @@ class Adam:
         self.v = {n: np.zeros_like(weights[n]) for n in self.names}
         self.steps = 0
 
-    def variables(self, tape: Tape) -> dict[str, DualValue]:
-        return {n: tape.variable(self.weights[n]) for n in self.names}
+    def step(self, loss_fn: Callable[[dict[str, DualValue]], DualValue], lr: float, where: str) -> None:
+        """One training step on a fresh tape.
 
-    def step(self, adjoints: list[np.ndarray], duals: dict[str, DualValue], lr: float, where: str) -> None:
-        """Gradient = adjoint + decay * weight; clip, check finite, update.
-        ``where`` (e.g. the epoch) prefixes the ``DivergedGradient`` message."""
+        ``loss_fn`` gets the weights as tape variables (name -> DualValue)
+        and returns the scalar loss node; it sees the weights before they
+        move, so it may also check and log its forward pass.  Gradient =
+        adjoint + decay * weight; clip, check finite, update.  The tape and
+        every node on it are unreachable once this returns, so the next
+        step records with no earlier tape alive.  ``where`` (e.g. the
+        epoch) prefixes the ``DivergedGradient`` message.
+        """
         w = self.weights
+        tape = Tape()
+        duals = {n: tape.variable(w[n]) for n in self.names}
+        adjoints = tape.backward(loss_fn(duals))
         grads = {n: adjoints[duals[n].index] + self.weight_decay * w[n] for n in self.names}
         gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
         if np.isfinite(gnorm) and self.clip_norm > 0 and gnorm > self.clip_norm:

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import io, seeding
-from .autodiff import Tape
 from .core import (
     DEFAULT_PARAM_BOUNDS,
     PARAM_NAMES,
@@ -302,40 +301,43 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
     best_r2, best_r2_epoch, best_r2_w = -np.inf, -1, {n: w.copy() for n, w in work.weights.items()}
 
     for epoch in range(hyper.epochs):
-        tape = Tape()
-        duals = opt.variables(tape)
-        bounded = _network_bounded(duals, feats, tau, lo, span, work.config)
-
-        for t in range(window):  # bound safety, asserted every epoch
-            v = bounded[t].value
-            if np.any(v < lo_flat - 1e-9) or np.any(v > hi_flat + 1e-9):
-                raise NonFiniteLoss(f"epoch {epoch}: parameter left its bound interval")
-
-        def step_params(t: int):
-            patch_mat = ad.matmul(bmat, bounded[t])
-            return {name: ad.col(patch_mat, j) for j, name in enumerate(PARAM_NAMES)}
-
-        _, i_hist, _, _ = iterate_sirs(graph, step_params, init, window)
-        i_steps = i_hist[1:]
-        loss = _mr_loss(i_steps, observed, graph, hyper.loss_weights)
-        loss_val = float(loss.value)
-        if not np.isfinite(loss_val):
-            raise NonFiniteLoss(f"epoch {epoch}: loss is not finite")
-
-        r2 = _state_r2([iv.value for iv in i_steps], observed, graph)
         lr = hyper.learning_rate * hyper.lr_decay ** (epoch // hyper.lr_step)
-        history_loss.append(loss_val)
-        history_r2.append(r2)
-        history_lr.append(lr)
 
-        if loss_val < best_loss:
-            best_loss, best_loss_epoch = loss_val, epoch
-            best_loss_w = {n: w.copy() for n, w in work.weights.items()}
-        if np.isfinite(r2) and r2 > best_r2:
-            best_r2, best_r2_epoch = r2, epoch
-            best_r2_w = {n: w.copy() for n, w in work.weights.items()}
+        def epoch_loss(duals):
+            """Record this epoch's forward pass and log it, before the update."""
+            nonlocal best_loss, best_loss_epoch, best_loss_w, best_r2, best_r2_epoch, best_r2_w
+            bounded = _network_bounded(duals, feats, tau, lo, span, work.config)
 
-        opt.step(tape.backward(loss), duals, lr, f"epoch {epoch}")
+            for t in range(window):  # bound safety, asserted every epoch
+                v = bounded[t].value
+                if np.any(v < lo_flat - 1e-9) or np.any(v > hi_flat + 1e-9):
+                    raise NonFiniteLoss(f"epoch {epoch}: parameter left its bound interval")
+
+            def step_params(t: int):
+                patch_mat = ad.matmul(bmat, bounded[t])
+                return {name: ad.col(patch_mat, j) for j, name in enumerate(PARAM_NAMES)}
+
+            _, i_hist, _, _ = iterate_sirs(graph, step_params, init, window)
+            i_steps = i_hist[1:]
+            loss = _mr_loss(i_steps, observed, graph, hyper.loss_weights)
+            loss_val = float(loss.value)
+            if not np.isfinite(loss_val):
+                raise NonFiniteLoss(f"epoch {epoch}: loss is not finite")
+
+            r2 = _state_r2([iv.value for iv in i_steps], observed, graph)
+            history_loss.append(loss_val)
+            history_r2.append(r2)
+            history_lr.append(lr)
+
+            if loss_val < best_loss:
+                best_loss, best_loss_epoch = loss_val, epoch
+                best_loss_w = {n: w.copy() for n, w in work.weights.items()}
+            if np.isfinite(r2) and r2 > best_r2:
+                best_r2, best_r2_epoch = r2, epoch
+                best_r2_w = {n: w.copy() for n, w in work.weights.items()}
+            return loss
+
+        opt.step(epoch_loss, lr, f"epoch {epoch}")
 
     result_net = work.copy()
     result_net.weights = best_loss_w

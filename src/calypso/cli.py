@@ -328,61 +328,90 @@ _DEFAULTS: dict[str, dict] = {
 _HANDLERS = {name: globals()["cmd_" + name.replace("-", "_")] for name in _DEFAULTS}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, type]]]:
+    """The parser, and per subcommand the value type of each option (a flag's is bool)."""
     parser = argparse.ArgumentParser(prog="calypso", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    types: dict[str, dict[str, type]] = {}
 
     def add(name: str, *, needs_data=False, needs_checkpoint=False, help=""):
-        """A subparser with one flag per ``_DEFAULTS[name]`` key, typed by its default."""
+        """A subparser with one flag per ``_DEFAULTS[name]`` key, typed by its default.
+
+        Returns ``option(flag, kind=str, **kwargs)``, which adds one more
+        option and records its type; ``kind=bool`` makes a flag.
+        """
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON file with default option values")
+        kinds = types[name] = {}
+
+        def option(flag: str, kind: type = str, **kwargs) -> None:
+            if kind is bool:
+                action = p.add_argument(flag, action="store_true", default=None, **kwargs)
+            else:
+                action = p.add_argument(flag, type=kind, **kwargs)
+            kinds[action.dest] = kind
+
         for key, default in _DEFAULTS[name].items():
-            p.add_argument("--" + key.replace("_", "-"), type=type(default), help=f"default {default}")
+            option("--" + key.replace("_", "-"), type(default), help=f"default {default}")
         if needs_data:
-            p.add_argument("--data", required=True, help="input CSV directory")
-            p.add_argument("--window", type=int, help="training window (weeks)")
+            option("--data", required=True, help="input CSV directory")
+            option("--window", int, help="training window (weeks)")
         if needs_checkpoint:
-            p.add_argument("--checkpoint", required=True, help="calibration checkpoint JSON")
-        p.add_argument("--out", required=True, help="output directory")
-        return p
+            option("--checkpoint", required=True, help="calibration checkpoint JSON")
+        option("--out", required=True, help="output directory")
+        return option
 
     add("synth", help="generate a synthetic input bundle")
-    p = add("simulate", needs_data=True, help="run the simulator from a parameter file")
-    p.add_argument("--params", help="parameter CSV (defaults to DATA/ground_truth.csv)")
-    p.add_argument("--steps", type=int)
+    option = add("simulate", needs_data=True, help="run the simulator from a parameter file")
+    option("--params", help="parameter CSV (defaults to DATA/ground_truth.csv)")
+    option("--steps", int)
     add("calibrate", needs_data=True, help="train the calibration network")
     add("adapter", needs_data=True, needs_checkpoint=True, help="train the residual corrector")
-    p = add("forecast", needs_data=True, needs_checkpoint=True, help="forecast beyond the window")
-    p.add_argument("--adapter", help="adapter checkpoint JSON")
-    p = add("eakf", needs_data=True, help="run the ensemble Kalman baseline")
-    p.add_argument("--obs-var", type=float)
-    p = add("policy-region", needs_data=True, needs_checkpoint=True, help="regional transmission reduction")
-    p.add_argument("--region", required=True)
-    p = add("policy-greedy", needs_data=True, needs_checkpoint=True, help="budgeted greedy allocation")
-    p.add_argument("--candidates", help="comma-separated candidate patches")
-    p.add_argument("--brute-force", action="store_true", default=None)
+    option = add("forecast", needs_data=True, needs_checkpoint=True, help="forecast beyond the window")
+    option("--adapter", help="adapter checkpoint JSON")
+    option = add("eakf", needs_data=True, help="run the ensemble Kalman baseline")
+    option("--obs-var", float)
+    option = add("policy-region", needs_data=True, needs_checkpoint=True,
+                 help="regional transmission reduction")
+    option("--region", required=True)
+    option = add("policy-greedy", needs_data=True, needs_checkpoint=True, help="budgeted greedy allocation")
+    option("--candidates", help="comma-separated candidate patches")
+    option("--brute-force", bool)
     add("sensitivity", needs_data=True, needs_checkpoint=True, help="per-capita sensitivity scan")
-    p = add("outbreak", needs_data=True, needs_checkpoint=True, help="outbreak-impact ranking")
-    p.add_argument("--target", help="rank external sources for this patch")
-    p = add("correct-data", needs_data=True, help="greedy correction of noisy inputs")
-    p.add_argument("--noisy-patches", help="comma-separated patches to corrupt")
-    p.add_argument("--retrain", action="store_true", default=None)
-    p = add("metrics", help="R^2/MSE/MAE/RMSE of one series against another")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--truth", required=True)
-    return parser
+    option = add("outbreak", needs_data=True, needs_checkpoint=True, help="outbreak-impact ranking")
+    option("--target", help="rank external sources for this patch")
+    option = add("correct-data", needs_data=True, help="greedy correction of noisy inputs")
+    option("--noisy-patches", help="comma-separated patches to corrupt")
+    option("--retrain", bool)
+    option = add("metrics", help="R^2/MSE/MAE/RMSE of one series against another")
+    option("--pred", required=True)
+    option("--truth", required=True)
+    return parser, types
 
 
-def _effective_config(args: argparse.Namespace) -> dict:
+def _fits(value, kind: type) -> bool:
+    """Whether a JSON value has an option's type; an int may stand for a float."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, kind) or (kind is float and isinstance(value, int))
+
+
+def _effective_config(args: argparse.Namespace, types: dict[str, type]) -> dict:
+    """Defaults, then ``--config`` values, then explicit flags; ``types`` holds
+    the command's option types, which every ``--config`` value must have."""
     command = args.command
     config = dict(_DEFAULTS.get(command, {}))
     if getattr(args, "config", None):
         loaded = io.read_json(args.config, InvalidOption)
         if not isinstance(loaded, dict):
             raise InvalidOption(f"{args.config}: need a JSON object of option values")
-        if unknown := sorted(set(loaded) - (set(vars(args)) - {"command", "config"})):
+        if unknown := sorted(set(loaded) - set(types)):
             raise InvalidOption(f"{args.config}: unknown key(s) {unknown} for {command}")
+        for key, value in loaded.items():
+            if not _fits(value, types[key]):
+                raise InvalidOption(
+                    f"{args.config}: {key} is {value!r}, need a value of type {types[key].__name__}")
         config.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
@@ -392,11 +421,11 @@ def _effective_config(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, types = _build_parser()
     args = parser.parse_args(argv)
     started = time.time()
     try:
-        config = _effective_config(args)
+        config = _effective_config(args, types[args.command])
         written = _HANDLERS[args.command](config)
         if config.get("out"):
             _write_manifest(Path(config["out"]), args.command, config, written, started)

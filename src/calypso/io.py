@@ -377,7 +377,10 @@ def load_graph(in_dir) -> tuple[PatchGraph, dict, dict]:
     flows = travel.numbers(["commute_flow", "facility_flow"], nonnegative=True).tolist()
     commute, facility = (dict(zip(pairs, f)) for f in flows)
     populations = dict(zip(ids, population))
-    theta = build_travel_matrix(commute, facility, populations)
+    try:
+        theta = build_travel_matrix(commute, facility, populations)
+    except DataError as exc:
+        raise type(exc)(f"{travel.path}: {exc}") from None
     graph = PatchGraph(populations, dict(zip(ids, patches.columns["region"])),
                        dict(zip(ids, patches.columns["category"])), theta)
     return graph, commute, facility

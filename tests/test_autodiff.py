@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,30 @@ class TestBackward:
         adj = tape.backward(a * 2.0)
         assert adj[b.index] == pytest.approx(0.0)
 
+    def test_only_variables_carry_adjoints(self):
+        tape = Tape()
+        a = tape.variable(np.array([1.0, 2.0]))
+        b = tape.variable(np.array(5.0))
+        h = ad.tanh(a * np.array([3.0, 4.0]) + 1.0)
+        adj = tape.backward(ad.vsum(h * h))
+        assert set(adj) == {a.index, b.index}
+        assert np.array_equal(adj[b.index], np.zeros(()))
+
+    def test_no_adjoint_toward_a_constant_operand(self):
+        big = np.ones((1000, 1000))  # 8 MB: an adjoint of its shape would show in the peak
+        tape = Tape()
+        v = tape.variable(np.arange(1000.0))
+        out = ad.vsum(ad.matmul(big, v))
+        tracemalloc.start()
+        try:
+            adj = tape.backward(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes / 10
+        assert set(adj) == {v.index}
+        assert np.array_equal(adj[v.index], big.T @ np.ones(1000))
+
 
 class TestGradientsAgainstFiniteDifferences:
     def test_elementwise_ops(self):
@@ -193,6 +220,29 @@ class TestGradientsAgainstFiniteDifferences:
         fd_a = numeric_grad(lambda x: float(np.sum(x[:, 1] * v)) + 2 * float(np.sum(v)), a.copy())
         assert np.allclose(adj[av.index], fd_a, atol=1e-6)
         assert np.allclose(adj[vv.index], a[:, 1] + 2.0, atol=1e-6)
+
+    def test_col_scatter_leaves_a_shared_adjoint_intact(self):
+        # m is read by two col nodes on column 1 and, after them, by m + w;
+        # the add hands m and w one adjoint array, which the col scatter
+        # into m's adjoint must not write through
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(4, 3))
+        w = rng.normal(size=(4, 3))
+        u = rng.normal(size=4)
+
+        def f(xa, wa):
+            m = ad.tanh(xa)
+            c1, c2 = ad.col(m, 1), ad.col(m, 1)
+            s = m + wa
+            return ad.vsum(c1 * c2 * u) + ad.vsum(c1) + ad.vsum(s * s)
+
+        tape = Tape()
+        xv, wv = tape.variable(x.copy()), tape.variable(w.copy())
+        adj = tape.backward(f(xv, wv))
+        fd_x = numeric_grad(lambda a: float(f(a, w)), x.copy())
+        fd_w = numeric_grad(lambda a: float(f(x, a)), w.copy())
+        assert np.allclose(adj[xv.index], fd_x, atol=1e-6)
+        assert np.allclose(adj[wv.index], fd_w, atol=1e-6)
 
 
 class TestProperties:
@@ -288,3 +338,28 @@ class TestSimulatorGradient:
             fd[idx] = (fp - fm) / 2e-5
         denom = np.maximum(np.abs(fd), 1e-6 * np.abs(fd).max())
         assert np.all(np.abs(grad - fd) / denom < 1e-4)
+
+
+class TestTrainingStep:
+    def test_one_tape_alive_per_step(self, monkeypatch):
+        # each step's tape, and every node on it, is unreachable before the
+        # next step starts recording
+        from calypso import adapter, calib, synth
+
+        alive_at_start: list[int] = []
+        tapes: list[weakref.ref] = []
+
+        class WatchedTape(Tape):
+            def __init__(self):
+                alive_at_start.append(sum(ref() is not None for ref in tapes))
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(ad, "Tape", WatchedTape)
+        b = synth.generate(synth.SynthSpec(n_patches=4, n_regions=2, weeks=10, horizon=2, seed=3))
+        net = calib.CalibNet(b.data.features.shape[2], config=calib.CalibConfig(hidden=4, decoder_width=4))
+        calib.train_joint(net, b.data, b.graph, calib.TrainConfig(epochs=3))
+        series = adapter.stack_levels(b.data.training_observed(), b.graph)
+        adapter.train_adapter(adapter.AdapterNet(adapter.AdapterConfig(hidden=3)), series + 1.0, series,
+                              adapter.AdapterTrainConfig(epochs=3))
+        assert alive_at_start == [0] * 6

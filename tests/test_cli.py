@@ -228,13 +228,14 @@ class TestErrorHandling:
 
     def test_config_file_supplies_defaults(self, data_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 3, "seed": 9}))
+        cfg.write_text(json.dumps({"epochs": 3, "seed": 9, "lr_decay": 1}))  # an int may stand for a float
         out = tmp_path / "o"
         assert main(["calibrate", "--data", str(data_dir), "--config", str(cfg),
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["epochs"] == 3
         assert manifest["config"]["seed"] == 9
+        assert manifest["config"]["lr_decay"] == 1
 
     @pytest.mark.parametrize("target, mutate, error, fragment", [
         ("calib", lambda text: text[:-40], "CheckpointError", "not valid JSON"),
@@ -347,6 +348,8 @@ class TestErrorHandling:
          "ShapeMismatch", "duplicate of line 2"),
         (["eakf"], "travel.csv", lambda rows: rows[1].__setitem__(2, "x"),
          "InvalidValue", "commute_flow is 'x'"),
+        (["eakf"], "travel.csv", lambda rows: rows[1].__setitem__(2, "1e9"),
+         "OffDiagonalOverflow", "travel.csv: outgoing flows from patch 'R0-G00' exceed its population"),
         (["simulate"], "ground_truth.csv", lambda rows: rows[4].__setitem__(4, "nan"),
          "InvalidValue", "ground_truth.csv: beta of region 'R0', week 3: value is nan"),
         (["simulate"], "ground_truth.csv", lambda rows: rows[4].__setitem__(4, "xyz"),
@@ -366,14 +369,19 @@ class TestErrorHandling:
         (["calibrate"], "cfg.json", "[1, 2]", "InvalidOption", "cfg.json: need a JSON object"),
         (["calibrate"], "cfg.json", '{"epoch": 5}', "InvalidOption", "cfg.json: unknown key(s) ['epoch']"),
         (["calibrate"], "cfg.json", '{"lr": NaN}', "InvalidOption", "cfg.json: non-finite number NaN"),
+        (["calibrate"], "cfg.json", '{"epochs": "5"}', "InvalidOption",
+         "cfg.json: epochs is '5', need a value of type int"),
+        (["eakf"], "cfg.json", '{"seed": "x"}', "InvalidOption",
+         "cfg.json: seed is 'x', need a value of type int"),
         (["simulate", "--steps", "0"], None, None, "InvalidOption", "--steps"),
         (["correct-data", "--epochs", "0"], None, None, "InvalidOption", "--epochs"),
     ], ids=["population-not-a-number", "population-zero", "patch-duplicated", "category-unknown",
             "population-column-missing", "cases-duplicated-week", "travel-duplicated-pair",
-            "travel-flow-not-a-number", "param-nan", "param-not-a-number", "param-row-missing",
-            "param-gamma-missing", "param-unknown-field", "metrics-nan-pred",
+            "travel-flow-not-a-number", "travel-flow-over-population", "param-nan", "param-not-a-number",
+            "param-row-missing", "param-gamma-missing", "param-unknown-field", "metrics-nan-pred",
             "metrics-non-integer-week", "config-not-json", "config-not-an-object",
-            "config-unknown-key", "config-nan", "simulate-zero-steps", "correct-data-zero-epochs"])
+            "config-unknown-key", "config-nan", "config-epochs-a-string", "config-seed-a-string",
+            "simulate-zero-steps", "correct-data-zero-epochs"])
     def test_input_fault_exits_three_and_names_file(self, data_dir, tmp_path, capsys,
                                                     argv, table, edit, error, fragment):
         data = tmp_path / "data"
@@ -392,7 +400,9 @@ class TestErrorHandling:
         else:
             argv = argv + ["--data", str(data)] + {
                 "eakf": ["--size", "4"], "simulate": [], "correct-data": ["--k", "1"],
-                "calibrate": ["--epochs", "1", "--config", str(data / "cfg.json")]}[argv[0]]
+                "calibrate": ["--epochs", "1"]}[argv[0]]
+        if table == "cfg.json":
+            argv = argv + ["--config", str(data / table)]
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
