@@ -11,6 +11,7 @@ evaluation order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -32,7 +33,12 @@ from .errors import (
     ShapeMismatch,
     UnknownRegion,
 )
-from .sim import SimConfig, apply_scenario, seed_outbreak, simulate
+from .sim import SimConfig, apply_scenario, check_seed_count, seed_outbreak, simulate
+
+
+def _check_multiplier(value: float, what: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ShapeMismatch(f"{what} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,7 @@ class Scenario:
 
     def __post_init__(self):
         for key, mult in self.beta_multipliers.items():
-            if mult <= 0:
-                raise ShapeMismatch(f"beta multiplier for {key!r} must be positive")
+            _check_multiplier(mult, f"beta multiplier for {key!r}")
         for key, k in self.seeds.items():
             if k < 0:
                 raise NegativeSeed(f"seed count for {key!r} must be nonnegative")
@@ -202,6 +207,7 @@ def unit_greedy(model: FittedModel, graph: PatchGraph, budget: int,
     total evaluation count is sum_b (|candidates| - b + 1).  Ties break
     toward the lowest patch index.
     """
+    _check_multiplier(multiplier, "multiplier")
     if budget < 1:
         raise ShapeMismatch("budget must be >= 1")
     cands = _allocation_candidates(graph, candidates)
@@ -248,6 +254,7 @@ def brute_force_allocation(model: FittedModel, graph: PatchGraph, budget: int,
                            multiplier: float = 0.9,
                            candidates: Sequence[str] | None = None) -> BruteForceResult:
     """Exhaustive search over all size-``budget`` candidate subsets."""
+    _check_multiplier(multiplier, "multiplier")
     if budget < 1:
         raise ShapeMismatch("budget must be >= 1")
     cands = _allocation_candidates(graph, candidates)
@@ -279,6 +286,7 @@ def random_allocation_reduction(model: FittedModel, graph: PatchGraph, budget: i
     """Reductions of ``n_draws`` random size-``budget`` allocations."""
     from . import seeding
 
+    _check_multiplier(multiplier, "multiplier")
     cands = _allocation_candidates(graph, candidates)
     rng = seeding.spawn_rng(seed, seeding.ANALYSIS, 0)
     baseline_total = _cum_state(model.run(graph), graph)
@@ -333,8 +341,7 @@ def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
     rise; with ``target`` set it is the rise inside that patch, and the
     candidate set excludes the target itself.
     """
-    if k < 0:
-        raise NegativeSeed("seed count must be nonnegative")
+    check_seed_count(k)
     if candidates is None:
         candidates = list(graph.patch_ids)
     if target is not None:

@@ -58,6 +58,16 @@ class PatchGraph:
     region_of : mapping patch id -> region id
     category_of : mapping patch id -> "general" | "non-general"
     theta : (P, P) row-stochastic matrix in the lexicographic id order
+
+    Besides the inputs, construction fixes read-only arrays that every
+    simulation run needs and that do not depend on its state:
+
+    - ``patch_region``: (P,) int index of each patch's region, so
+      ``region_values[patch_region]`` broadcasts regions to patches (the
+      same as ``broadcast_matrix @ region_values``, exactly);
+    - ``theta_t``: contiguous transpose of ``theta``;
+    - ``n_eff``: mobility-weighted populations ``theta_t @ populations``.
+      A zero entry is refused when a simulation starts, not here.
     """
 
     def __init__(
@@ -105,6 +115,10 @@ class PatchGraph:
         self.region_matrix = _readonly(member)
         # patches x regions broadcast matrix (transpose of membership).
         self.broadcast_matrix = _readonly(member.T.copy())
+        self.patch_region = np.array([self.region_index[self.region_of[p]] for p in self.patch_ids])
+        self.patch_region.setflags(write=False)
+        self.theta_t = _readonly(self.theta.T.copy())
+        self.n_eff = _readonly(self.theta_t @ self.populations)
 
     @property
     def n_patches(self) -> int:
@@ -271,7 +285,10 @@ class DiseaseParams:
         if np.any(self.beta < 0):
             raise ShapeMismatch("beta must be nonnegative")
         if self.patch_beta_scale is not None:
-            object.__setattr__(self, "patch_beta_scale", _readonly(self.patch_beta_scale))
+            scale = _readonly(self.patch_beta_scale)
+            if not np.all(np.isfinite(scale)) or np.any(scale < 0):
+                raise ShapeMismatch("patch_beta_scale must be finite and nonnegative")
+            object.__setattr__(self, "patch_beta_scale", scale)
 
     @property
     def n_steps(self) -> int:

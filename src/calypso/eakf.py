@@ -44,7 +44,7 @@ from .core import (
     Trajectory,
 )
 from .errors import CollapsedEnsemble, InvalidOption, ShapeMismatch
-from .sim import sirs_step
+from .sim import sirs_step, week_coefficients
 
 _VAR_FLOOR = 1e-12
 
@@ -103,6 +103,8 @@ def init_ensemble(
     spread on the seed infections, so the very first assimilation already
     has state variance to work with.
     """
+    if size < 2:
+        raise InvalidOption(f"ensemble size must be >= 2, got {size}")
     bounds = dict(bounds or DEFAULT_PARAM_BOUNDS)
     rng = seeding.spawn_rng(seed, seeding.EAKF, 0)
     n_regions = graph.n_regions
@@ -207,6 +209,19 @@ def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray | 
     return out
 
 
+def _member_coefficients(ens: Ensemble, graph: PatchGraph) -> tuple:
+    """``week_coefficients`` of every member at once: six members x patches arrays.
+
+    Each member's region parameters are gathered onto patches through
+    ``graph.patch_region`` (the same values as ``broadcast_matrix @``).
+    """
+    r = ens.n_regions
+    return week_coefficients({
+        name: ens.params[:, p * r : (p + 1) * r][:, graph.patch_region]
+        for p, name in enumerate(PARAM_NAMES)
+    })
+
+
 def _inflate(arr: np.ndarray, factor: float) -> np.ndarray:
     mean = arr.mean(axis=0, keepdims=True)
     return mean + factor * (arr - mean)
@@ -224,23 +239,13 @@ class EakfResult:
 
     def forecast(self, h: int) -> np.ndarray:
         """Ensemble-mean infections over ``h`` further weeks (patches x h)."""
-        theta = self.graph.theta
-        theta_t = theta.T.copy()
-        n_eff = theta_t @ self.graph.populations
-        bmat = self.graph.broadcast_matrix
+        graph = self.graph
         ens = self.ensemble
-        out = np.zeros((self.graph.n_patches, h))
-        r = ens.n_regions
-        for m in range(ens.size):
-            s, i, rr = ens.S[m].copy(), ens.I[m].copy(), ens.R[m].copy()
-            pp = {
-                name: bmat @ ens.params[m, p * r : (p + 1) * r]
-                for p, name in enumerate(PARAM_NAMES)
-            }
+        out = np.zeros((graph.n_patches, h))
+        for m, member in enumerate(zip(*_member_coefficients(ens, graph))):
+            s, i, rr = ens.S[m], ens.I[m], ens.R[m]
             for t in range(h):
-                s, i, rr, _ = sirs_step(theta, theta_t, n_eff, s, i, rr,
-                                        pp["beta"], pp["gamma"], pp["delta"],
-                                        pp["kappa"], pp["epsilon"])
+                s, i, rr, _ = sirs_step(graph.theta, graph.theta_t, graph.n_eff, s, i, rr, *member)
                 out[:, t] += i
         return out / ens.size
 
@@ -272,10 +277,7 @@ def run_eakf(
     ])
     observed = data.training_observed()
     window = data.window
-    theta = graph.theta
-    theta_t = theta.T.copy()
-    n_eff = theta_t @ graph.populations
-    bmat = graph.broadcast_matrix
+    theta, theta_t, n_eff = graph.theta, graph.theta_t, graph.n_eff
     r = ens.n_regions
 
     s_mean = [ens.S.mean(axis=0)]
@@ -290,14 +292,8 @@ def run_eakf(
             ens.params = ens.params + walk_rng.standard_normal(ens.params.shape) * (param_walk * widths)
             _clamp_params(ens.params, ens.bounds, r)
         di_acc = np.zeros(graph.n_patches)
-        for m in range(ens.size):
-            pp = {
-                name: bmat @ ens.params[m, p * r : (p + 1) * r]
-                for p, name in enumerate(PARAM_NAMES)
-            }
-            s, i, rr, di = sirs_step(theta, theta_t, n_eff, ens.S[m], ens.I[m], ens.R[m],
-                                     pp["beta"], pp["gamma"], pp["delta"],
-                                     pp["kappa"], pp["epsilon"])
+        for m, member in enumerate(zip(*_member_coefficients(ens, graph))):
+            s, i, rr, di = sirs_step(theta, theta_t, n_eff, ens.S[m], ens.I[m], ens.R[m], *member)
             ens.S[m], ens.I[m], ens.R[m] = s, i, rr
             di_acc += di
         di_mean.append(di_acc / ens.size)

@@ -16,14 +16,28 @@ One week advances in four moves, all vectorised over patches:
 
 The update conserves S + I + R = P exactly in the algebra.  New
 infections are computed from the current S before any update is applied.
-All arithmetic goes through :mod:`calypso.autodiff` helpers, so the same
-loop runs on plain ndarrays (fast path) and on tape-recorded values
-(training path).  ``simulate`` is pure; independent runs can execute in
-parallel freely.
+
+One function, ``sirs_step``, advances one week, and two loops call it.
+Its arithmetic goes through :mod:`calypso.autodiff` helpers, so it runs
+on plain ndarrays and on tape-recorded values alike.  The per-week
+coefficients that do not depend on the state (beta, the contact factor
+of move 2, gamma, 1 - gamma, delta, 1 - delta) come from
+``week_coefficients``; ``theta_t`` and ``n_eff`` are fixed on the
+``PatchGraph``.
+
+- ``iterate_sirs`` is the tape path: calibration and the adapter pass a
+  ``step_params(t)`` that records each week's parameters on the tape,
+  and it applies ``week_coefficients`` to them every week.
+- ``simulate`` is the plain-array path: it gathers the region parameters
+  onto patches once, computes every week's coefficients in one call on
+  weeks x patches arrays, and writes the trajectory into preallocated
+  buffers.  A plain-array forward over a training window (the planned
+  ``sirs_window``) should reuse this loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -32,6 +46,7 @@ import numpy as np
 from . import autodiff as ad
 from .core import DiseaseParams, PatchGraph, Trajectory
 from .errors import (
+    InvalidValue,
     NegativeSeed,
     ParamCoverage,
     SeedExceedsPopulation,
@@ -49,21 +64,39 @@ class SimConfig:
             raise ParamCoverage("steps must be >= 1")
 
 
-def sirs_step(theta, theta_t, n_eff, S, I, R, beta, gamma, delta, kappa, epsilon):
+def sirs_step(theta, theta_t, n_eff, S, I, R, beta, factor, gamma, keep_i, delta, keep_r):
     """Advance one week; returns (S', I', R', new_infections).
 
-    Accepts ndarrays or DualValues for the compartments and parameters;
-    ``theta``/``theta_t``/``n_eff`` are plain arrays.
+    ``beta`` .. ``keep_r`` are the six values ``week_coefficients``
+    returns (``keep_i = 1 - gamma``, ``keep_r = 1 - delta``).  They and
+    the compartments may be ndarrays or DualValues; ``theta``,
+    ``theta_t`` and ``n_eff`` are plain arrays.
     """
     i_eff = ad.matmul(theta_t, I)
     ratio = i_eff / n_eff
-    factor = (1.0 - kappa) * (1.0 - epsilon) + epsilon
     lam = ad.matmul(theta, beta * ratio * factor)
     new_inf = ad.minimum(S, lam * S)
     s_next = S - new_inf + delta * R
-    i_next = new_inf + (1.0 - gamma) * I
-    r_next = gamma * I + (1.0 - delta) * R
+    i_next = new_inf + keep_i * I
+    r_next = gamma * I + keep_r * R
     return s_next, i_next, r_next, new_inf
+
+
+def week_coefficients(p: Mapping[str, object]) -> tuple:
+    """(beta, factor, gamma, 1 - gamma, delta, 1 - delta) from per-patch parameters.
+
+    ``factor`` is the contact factor ``(1 - kappa)(1 - epsilon) + epsilon``.
+    The arithmetic is elementwise, so ``p`` may hold one week's patch
+    vectors, weeks x patches or members x patches arrays, or DualValues.
+    """
+    gamma, delta, epsilon = p["gamma"], p["delta"], p["epsilon"]
+    factor = (1.0 - p["kappa"]) * (1.0 - epsilon) + epsilon
+    return p["beta"], factor, gamma, 1.0 - gamma, delta, 1.0 - delta
+
+
+def _check_n_eff(graph: PatchGraph) -> None:
+    if np.any(graph.n_eff <= 0):
+        raise ZeroEffectivePopulation("a patch has zero mobility-weighted population")
 
 
 def iterate_sirs(
@@ -78,23 +111,15 @@ def iterate_sirs(
     delta, kappa and epsilon; they may be DualValues, in which case the
     produced histories are DualValues too.
     """
+    _check_n_eff(graph)
     pop = graph.populations
-    theta = graph.theta
-    theta_t = theta.T.copy()
-    n_eff = theta_t @ pop
-    if np.any(n_eff <= 0):
-        raise ZeroEffectivePopulation("a patch has zero mobility-weighted population")
-
     S = pop - init
     I = init
     R = np.zeros_like(pop)
     s_hist, i_hist, r_hist, di_hist = [S], [I], [R], []
     for t in range(steps):
-        p = step_params(t)
-        S, I, R, dI = sirs_step(
-            theta, theta_t, n_eff, S, I, R,
-            p["beta"], p["gamma"], p["delta"], p["kappa"], p["epsilon"],
-        )
+        S, I, R, dI = sirs_step(graph.theta, graph.theta_t, graph.n_eff, S, I, R,
+                                *week_coefficients(step_params(t)))
         s_hist.append(S)
         i_hist.append(I)
         r_hist.append(R)
@@ -103,16 +128,18 @@ def iterate_sirs(
 
 
 def broadcast_params(graph: PatchGraph, params: DiseaseParams) -> dict[str, np.ndarray]:
-    """Expand region x time parameter matrices to patch x time by copy."""
+    """Expand region x time parameter matrices to patch x time by copy.
+
+    Each patch takes its region's row (``graph.patch_region``), which is
+    exactly ``graph.broadcast_matrix @ arr``.
+    """
     if tuple(params.region_ids) != graph.region_ids:
         missing = set(graph.region_ids) - set(params.region_ids)
         raise ParamCoverage(f"parameters missing regions {sorted(missing)}" if missing
                             else "parameter region ordering does not match the graph")
-    b = graph.broadcast_matrix
-    out = {name: b @ arr for name, arr in params.as_dict().items()}
+    out = {name: arr[graph.patch_region] for name, arr in params.as_dict().items()}
     scale = params.patch_beta_scale
     if scale is not None:
-        scale = np.asarray(scale, dtype=float)
         if scale.ndim == 1:
             out["beta"] = out["beta"] * scale[:, None]
         else:
@@ -132,25 +159,38 @@ def simulate(
     init = np.asarray(init, dtype=float)
     if init.shape != graph.populations.shape:
         raise ParamCoverage("init must hold one value per patch")
+    if not np.all(np.isfinite(init)):
+        raise InvalidValue("initial infections contain a non-finite entry")
     if np.any(init < 0):
         raise NegativeSeed("initial infections contain a negative entry")
     if np.any(init > graph.populations):
         raise SeedExceedsPopulation("initial infections exceed a patch population")
-    if params.n_steps < config.steps:
+    steps = config.steps
+    if params.n_steps < steps:
         raise ParamCoverage(
-            f"parameters cover {params.n_steps} steps, run needs {config.steps}"
+            f"parameters cover {params.n_steps} steps, run needs {steps}"
         )
-    patch_params = broadcast_params(graph, params)
+    _check_n_eff(graph)
+    # weeks x patches, one contiguous row per week
+    week_major = {name: np.ascontiguousarray(arr[:, :steps].T)
+                  for name, arr in broadcast_params(graph, params).items()}
+    coeffs = week_coefficients(week_major)
 
-    def step_params(t: int) -> dict[str, np.ndarray]:
-        return {name: arr[:, t] for name, arr in patch_params.items()}
-
-    s_hist, i_hist, r_hist, di_hist = iterate_sirs(graph, step_params, init, config.steps)
+    n = graph.n_patches
+    S, I, R = np.empty((steps + 1, n)), np.empty((steps + 1, n)), np.empty((steps + 1, n))
+    new_inf = np.empty((steps, n))
+    S[0] = graph.populations - init
+    I[0] = init
+    R[0] = 0.0
+    theta, theta_t, n_eff = graph.theta, graph.theta_t, graph.n_eff
+    for t, week in enumerate(zip(*coeffs)):
+        S[t + 1], I[t + 1], R[t + 1], new_inf[t] = sirs_step(
+            theta, theta_t, n_eff, S[t], I[t], R[t], *week)
     return Trajectory(
-        S=np.stack(s_hist, axis=1),
-        I=np.stack(i_hist, axis=1),
-        R=np.stack(r_hist, axis=1),
-        new_infections=np.stack(di_hist, axis=1),
+        S=np.ascontiguousarray(S.T),
+        I=np.ascontiguousarray(I.T),
+        R=np.ascontiguousarray(R.T),
+        new_infections=np.ascontiguousarray(new_inf.T),
     )
 
 
@@ -193,12 +233,19 @@ def apply_scenario(params: DiseaseParams, scenario, graph: PatchGraph | None = N
     )
 
 
+def check_seed_count(k: float) -> None:
+    """Refuse a seed count that is not finite and nonnegative."""
+    if not math.isfinite(k):
+        raise InvalidValue(f"seed count must be finite, got {k}")
+    if k < 0:
+        raise NegativeSeed("seed count must be nonnegative")
+
+
 def seed_outbreak(init: np.ndarray, patch: str, k: float, graph: PatchGraph) -> np.ndarray:
     """Add ``k`` infections to one patch, respecting its population cap."""
     if patch not in graph.patch_index:
         raise UnknownTarget(f"unknown patch {patch!r}")
-    if k < 0:
-        raise NegativeSeed("seed count must be nonnegative")
+    check_seed_count(k)
     idx = graph.patch_index[patch]
     out = np.array(init, dtype=float)
     if out[idx] + k > graph.populations[idx]:

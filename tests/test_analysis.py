@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from calypso import calib, synth
+from calypso import analysis, calib, synth
 from calypso.analysis import (
     FittedModel,
     Scenario,
@@ -19,6 +19,7 @@ from calypso.analysis import (
 from calypso.core import DiseaseParams, PatchGraph, build_travel_matrix
 from calypso.errors import (
     EmptyCandidates,
+    InvalidValue,
     KExceedsNoisySet,
     SeedExceedsPopulation,
     ShapeMismatch,
@@ -188,6 +189,18 @@ class TestUnitGreedy:
         with pytest.raises(EmptyCandidates):
             unit_greedy(model, bundle.graph, budget=1, candidates=[])
 
+    @pytest.mark.parametrize("allocate", [unit_greedy, brute_force_allocation,
+                                          random_allocation_reduction])
+    @pytest.mark.parametrize("multiplier", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_multiplier_refused_before_simulating(self, bundle, model, monkeypatch,
+                                                       allocate, multiplier):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before refusing the multiplier")
+
+        monkeypatch.setattr(analysis, "simulate", no_simulation)
+        with pytest.raises(ShapeMismatch, match="multiplier must be finite and > 0"):
+            allocate(model, bundle.graph, 2, multiplier=multiplier)
+
     def test_unknown_candidate_rejected(self, bundle, model):
         for allocate in (unit_greedy, brute_force_allocation):
             with pytest.raises(UnknownRegion):
@@ -269,6 +282,15 @@ class TestOutbreakRanking:
         too_many = float(bundle.graph.populations.min()) + 1.0
         with pytest.raises(SeedExceedsPopulation):
             outbreak_ranking(model, bundle.graph, k=too_many, candidates=[smallest])
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf])
+    def test_non_finite_seed_refused_before_simulating(self, bundle, model, monkeypatch, k):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before refusing the seed count")
+
+        monkeypatch.setattr(analysis, "simulate", no_simulation)
+        with pytest.raises(InvalidValue, match="seed count must be finite"):
+            outbreak_ranking(model, bundle.graph, k)
 
     def test_region_attribution_present(self, bundle, model):
         report = outbreak_ranking(model, bundle.graph, k=20.0)

@@ -302,12 +302,23 @@ class TestErrorHandling:
         (["eakf"], "cases.csv", "many", 3, "InvalidValue", "'many'"),
         (["eakf"], "features.csv", "inf", 3, "InvalidValue", "norm_incidence is inf"),
         (["metrics"], None, None, 3, "InvalidValue", "pred.csv: week 1: "),
+        (["eakf", "--size", "-5"], None, None, 3, "InvalidOption", "ensemble size must be >= 2"),
+        (["eakf", "--size", "1"], None, None, 3, "InvalidOption", "ensemble size must be >= 2"),
+        (["policy-greedy", "--multiplier", "-1"], None, None, 3, "ShapeMismatch", "multiplier must be"),
+        (["policy-greedy", "--multiplier", "0"], None, None, 3, "ShapeMismatch", "multiplier must be"),
+        (["policy-greedy", "--multiplier", "nan"], None, None, 3, "ShapeMismatch", "multiplier must be"),
+        (["policy-greedy", "--multiplier", "inf", "--brute-force"], None, None, 3, "ShapeMismatch",
+         "multiplier must be"),
+        (["outbreak", "--k", "nan"], None, None, 3, "InvalidValue", "seed count must be finite"),
+        (["outbreak", "--k", "inf"], None, None, 3, "InvalidValue", "seed count must be finite"),
     ], ids=["eakf-inflation-zero", "eakf-inflation-negative", "eakf-inflation-nan",
             "eakf-obs-var-zero", "eakf-obs-var-negative", "eakf-obs-var-nan",
             "calibrate-lr-step-zero", "calibrate-lr-step-negative", "calibrate-nan-count",
             "eakf-nan-count", "eakf-negative-count", "eakf-non-numeric-count",
-            "eakf-infinite-feature", "metrics-nan-pred"])
-    def test_bad_option_or_value_is_refused(self, data_dir, tmp_path, capsys,
+            "eakf-infinite-feature", "metrics-nan-pred", "eakf-size-negative", "eakf-size-one",
+            "greedy-multiplier-negative", "greedy-multiplier-zero", "greedy-multiplier-nan",
+            "brute-force-multiplier-inf", "outbreak-k-nan", "outbreak-k-inf"])
+    def test_bad_option_or_value_is_refused(self, data_dir, checkpoint, tmp_path, capsys,
                                             argv, table, value, code, error, fragment):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
@@ -321,9 +332,13 @@ class TestErrorHandling:
             (data / "pred.csv").write_text("week_index,value\n0,1\n1,nan\n2,3\n")
             io.write_series(data / "truth.csv", np.array([1.0, 2.0, 4.0]))
             argv = argv + ["--pred", str(data / "pred.csv"), "--truth", str(data / "truth.csv")]
-        else:
-            argv = argv + ["--data", str(data)] + {"calibrate": ["--epochs", "1"],
-                                                   "eakf": ["--size", "4"]}[argv[0]]
+        else:  # the row's own options come last, so they override these
+            argv = [argv[0], "--data", str(data)] + {
+                "calibrate": ["--epochs", "1"],
+                "eakf": ["--size", "4"],
+                "policy-greedy": ["--checkpoint", str(checkpoint), "--budget", "2"],
+                "outbreak": ["--checkpoint", str(checkpoint)],
+            }[argv[0]] + argv[1:]
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from calypso import eakf, synth
-from calypso.core import DEFAULT_PARAM_BOUNDS
+from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES
 from calypso.eakf import Ensemble, eakf_step, init_ensemble, run_eakf
-from calypso.errors import CollapsedEnsemble, ShapeMismatch
+from calypso.errors import CollapsedEnsemble, InvalidOption, ShapeMismatch
 
 
 def scalar_ensemble(values, obs_var=None, inflation=1.0):
@@ -60,6 +60,22 @@ def state_space_step(ens, observation, populations=None):
     else:
         eakf._clamp_params(out.params, out.bounds, out.n_regions)
     return out
+
+
+def dict_coefficients(ens, graph):
+    """Reference member parameters: one ``broadcast_matrix @`` dict per member.
+
+    Returns the six coefficients of ``sirs_step`` as per-member lists, each
+    formed from that member's dict the way the step once formed them itself.
+    """
+    bmat, r = graph.broadcast_matrix, ens.n_regions
+    members = []
+    for m in range(ens.size):
+        pp = {name: bmat @ ens.params[m, p * r : (p + 1) * r] for p, name in enumerate(PARAM_NAMES)}
+        factor = (1.0 - pp["kappa"]) * (1.0 - pp["epsilon"]) + pp["epsilon"]
+        members.append((pp["beta"], factor, pp["gamma"], 1.0 - pp["gamma"],
+                        pp["delta"], 1.0 - pp["delta"]))
+    return tuple(list(c) for c in zip(*members))
 
 
 def assert_same_ensemble(a, b, rtol=1e-9):
@@ -176,6 +192,11 @@ class TestEakfStep:
         with pytest.raises(ShapeMismatch):
             scalar_ensemble(np.array([1.0]))
 
+    @pytest.mark.parametrize("size", [1, 0, -5])
+    def test_init_refuses_size_below_two(self, desk_bundle, size):
+        with pytest.raises(InvalidOption, match="ensemble size"):
+            init_ensemble(desk_bundle.graph, desk_bundle.data.initial_infections, size=size)
+
     def test_parameters_clamped_to_bounds(self):
         rng = np.random.default_rng(4)
         values = 10.0 + 3.0 * rng.normal(size=50)
@@ -194,6 +215,22 @@ def run_bundle():
 
 
 class TestRunEakf:
+    def test_propagation_matches_per_member_dicts(self, desk_bundle, monkeypatch):
+        """One members x patches gather per week gives the per-member ``bmat @`` values, bit for bit."""
+        graph, data = desk_bundle.graph, dataclasses.replace(desk_bundle.data, window=30)
+        new = run_eakf(graph, data, size=20, seed=3)
+        new_fc = new.forecast(4)
+        monkeypatch.setattr(eakf, "_member_coefficients", dict_coefficients)
+        ref = run_eakf(graph, data, size=20, seed=3)
+        assert np.array_equal(new_fc, ref.forecast(4))
+        for name in ("S", "I", "R", "new_infections"):
+            assert np.array_equal(getattr(new.trajectory, name), getattr(ref.trajectory, name)), name
+        for name in PARAM_NAMES:
+            assert np.array_equal(new.param_mean[name], ref.param_mean[name]), name
+            assert np.array_equal(new.param_sd[name], ref.param_sd[name]), name
+        for name in ("S", "I", "R", "params"):
+            assert np.array_equal(getattr(new.ensemble, name), getattr(ref.ensemble, name)), name
+
     def test_seeded_determinism(self, run_bundle):
         bundle = run_bundle
         r1 = run_eakf(bundle.graph, bundle.data, size=20, seed=5)

@@ -1,15 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from calypso import autodiff as ad
 from calypso.analysis import Scenario
-from calypso.core import DiseaseParams, PatchGraph, build_travel_matrix
+from calypso.core import PARAM_NAMES, DiseaseParams, PatchGraph, build_travel_matrix
 from calypso.errors import (
+    InvalidValue,
     NegativeSeed,
     ParamCoverage,
     SeedExceedsPopulation,
+    ShapeMismatch,
     UnknownTarget,
 )
-from calypso.sim import SimConfig, apply_scenario, seed_outbreak, simulate
+from calypso.sim import (
+    SimConfig,
+    apply_scenario,
+    broadcast_params,
+    iterate_sirs,
+    seed_outbreak,
+    simulate,
+)
 
 
 def single_patch_graph(pop=100.0):
@@ -140,12 +152,104 @@ class TestSimulate:
         with pytest.raises(SeedExceedsPopulation):
             simulate(g, p, np.array([101.0]), SimConfig(steps=3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_seed_error(self, value):
+        g = single_patch_graph()
+        p = DiseaseParams.constant(g.region_ids, 3, beta=0.1, gamma=0.3)
+        with pytest.raises(InvalidValue, match="non-finite"):
+            simulate(g, p, np.array([value]), SimConfig(steps=3))
+
+    @pytest.mark.parametrize("scale", [np.array([1.0, -0.5]), np.array([np.nan, 1.0]),
+                                       np.full((2, 3), np.inf)], ids=["negative", "nan", "inf"])
+    def test_bad_patch_beta_scale_refused(self, scale):
+        arrays = DiseaseParams.constant(("r",), 3, beta=0.1, gamma=0.3).as_dict()
+        with pytest.raises(ShapeMismatch, match="patch_beta_scale"):
+            DiseaseParams(region_ids=("r",), patch_beta_scale=scale, **arrays)
+
     def test_infection_clamp_keeps_susceptibles_nonnegative(self):
         g = single_patch_graph(pop=10.0)
         # force lambda > 1 via a beta of 1 and high prevalence
         p = DiseaseParams.constant(g.region_ids, 4, beta=1.0, gamma=0.05, epsilon=1.0)
         traj = simulate(g, p, np.array([9.5]), SimConfig(steps=4))
         assert np.all(traj.S >= -1e-12)
+
+
+def scaled(params, graph, rng, ndim):
+    """``params`` with a random patch_beta_scale of ``ndim`` dimensions."""
+    shape = (graph.n_patches,) if ndim == 1 else (graph.n_patches, params.n_steps)
+    return dataclasses.replace(params, patch_beta_scale=rng.uniform(0.5, 1.5, size=shape))
+
+
+class TestPlainLoopMatchesTape:
+    """``simulate`` runs its own loop on plain arrays; the taped ``iterate_sirs``
+    forward, fed the ``broadcast_matrix @`` parameters, is its reference, bit for bit."""
+
+    @pytest.mark.parametrize("scale_ndim", [0, 1, 2], ids=["no-scale", "patch-scale", "patch-week-scale"])
+    def test_trajectory_equals_taped_forward(self, scale_ndim):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            graph, params, init, steps = random_instance(rng)
+            if scale_ndim:
+                params = scaled(params, graph, rng, scale_ndim)
+            traj = simulate(graph, params, init, SimConfig(steps=steps))
+
+            tape = ad.Tape()
+            region = {name: tape.variable(getattr(params, name)) for name in PARAM_NAMES}
+            scale = params.patch_beta_scale
+            if scale is not None and scale.ndim == 1:
+                scale = np.repeat(scale[:, None], steps, axis=1)
+
+            def step_params(t):
+                p = {name: ad.matmul(graph.broadcast_matrix, ad.col(dv, t)) for name, dv in region.items()}
+                if scale is not None:
+                    p["beta"] = p["beta"] * scale[:, t]
+                return p
+
+            hists = iterate_sirs(graph, step_params, init, steps)
+            for name, hist in zip(("S", "I", "R", "new_infections"), hists):
+                taped = np.stack([ad.value_of(v) for v in hist], axis=1)
+                assert np.array_equal(getattr(traj, name), taped), name
+                assert getattr(traj, name).flags.c_contiguous
+
+    def test_runs_shorter_than_the_parameters(self):
+        rng = np.random.default_rng(12)
+        graph, params, init, steps = random_instance(rng)
+        full = simulate(graph, params, init, SimConfig(steps=steps))
+        part = simulate(graph, params, init, SimConfig(steps=steps - 2))
+        assert np.array_equal(part.I, full.I[:, : steps - 1])
+        assert np.array_equal(part.new_infections, full.new_infections[:, : steps - 2])
+
+
+class TestBroadcastParams:
+    @pytest.mark.parametrize("scale_ndim", [0, 1, 2], ids=["no-scale", "patch-scale", "patch-week-scale"])
+    def test_gather_equals_broadcast_matrix_product(self, scale_ndim):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            graph, params, _, _ = random_instance(rng)
+            if scale_ndim:
+                params = scaled(params, graph, rng, scale_ndim)
+            out = broadcast_params(graph, params)
+            bmat = graph.broadcast_matrix
+            for name in PARAM_NAMES:
+                expected = bmat @ getattr(params, name)
+                if name == "beta" and scale_ndim:
+                    scale = params.patch_beta_scale
+                    expected = expected * (scale[:, None] if scale_ndim == 1 else scale)
+                assert np.array_equal(out[name], expected), name
+
+    def test_patch_region_indexes_the_broadcast_matrix(self):
+        graph, _, _, _ = random_instance(np.random.default_rng(14))
+        assert np.array_equal(graph.broadcast_matrix.argmax(axis=1), graph.patch_region)
+        assert np.array_equal(graph.broadcast_matrix.sum(axis=1), np.ones(graph.n_patches))
+        assert np.array_equal(graph.n_eff, graph.theta.T.copy() @ graph.populations)
+        for name in ("patch_region", "theta_t", "n_eff"):
+            assert not getattr(graph, name).flags.writeable, name
+
+    def test_mismatched_patch_week_scale(self):
+        graph, params, _, _ = random_instance(np.random.default_rng(15))
+        params = dataclasses.replace(params, patch_beta_scale=np.ones((graph.n_patches, params.n_steps + 1)))
+        with pytest.raises(ParamCoverage):
+            broadcast_params(graph, params)
 
 
 class TestApplyScenario:
@@ -222,3 +326,8 @@ class TestSeedOutbreak:
         g = single_patch_graph()
         with pytest.raises(UnknownTarget):
             seed_outbreak(np.array([1.0]), "zz", 1.0, g)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_non_finite_count(self, k):
+        with pytest.raises(InvalidValue, match="finite"):
+            seed_outbreak(np.array([1.0]), "a", k, single_patch_graph())
