@@ -2,10 +2,12 @@
 
 Every operation re-simulates under a perturbed configuration and
 compares cumulative new infections against the unperturbed baseline;
-nothing here mutates the fitted parameters.  Candidate evaluations
-inside greedy loops are independent simulations; selection happens after
-all candidates of a step are scored, so results do not depend on
-evaluation order.
+nothing here mutates the fitted parameters.  A transmission
+counterfactual is one per-patch beta multiplier handed to ``simulate``
+(``FittedModel.run(graph, beta_scale)``); an outbreak adds seeds to the
+initial infections.  Candidate evaluations inside greedy loops are
+independent simulations; selection happens after all candidates of a
+step are scored, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,47 +30,17 @@ from .core import (
 )
 from .errors import (
     EmptyCandidates,
+    InvalidOption,
     KExceedsNoisySet,
-    NegativeSeed,
     ShapeMismatch,
     UnknownRegion,
 )
-from .sim import SimConfig, apply_scenario, check_seed_count, seed_outbreak, simulate
+from .sim import SimConfig, check_seed_count, seed_outbreak, simulate
 
 
 def _check_multiplier(value: float, what: str) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ShapeMismatch(f"{what} must be finite and > 0, got {value}")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """An intervention/outbreak specification.
-
-    ``beta_multipliers`` may be keyed by region or patch ids;
-    ``step_range`` limits the scaling to [start, stop) weeks (None means
-    the whole run).  ``seeds`` adds infections per patch.  ``allocation``
-    is a binary patch vector with at most ``budget`` ones.
-    """
-
-    beta_multipliers: Mapping[str, float] = field(default_factory=dict)
-    step_range: tuple[int, int] | None = None
-    seeds: Mapping[str, float] = field(default_factory=dict)
-    allocation: np.ndarray | None = None
-    budget: int | None = None
-
-    def __post_init__(self):
-        for key, mult in self.beta_multipliers.items():
-            _check_multiplier(mult, f"beta multiplier for {key!r}")
-        for key, k in self.seeds.items():
-            if k < 0:
-                raise NegativeSeed(f"seed count for {key!r} must be nonnegative")
-        if self.allocation is not None:
-            alloc = np.asarray(self.allocation)
-            if not np.all((alloc == 0) | (alloc == 1)):
-                raise ShapeMismatch("allocation must be binary")
-            if self.budget is not None and alloc.sum() > self.budget:
-                raise ShapeMismatch("allocation exceeds the budget")
 
 
 @dataclass(frozen=True)
@@ -87,14 +59,12 @@ class FittedModel:
             steps=data.window,
         )
 
-    def run(self, graph: PatchGraph, params: DiseaseParams | None = None,
+    def run(self, graph: PatchGraph, beta_scale: np.ndarray | None = None,
             init: np.ndarray | None = None):
-        return simulate(
-            graph,
-            self.params if params is None else params,
-            self.init if init is None else init,
-            SimConfig(steps=self.steps),
-        )
+        """Simulate the fitted model; ``beta_scale`` (one multiplier per patch)
+        scales transmission and ``init`` replaces the initial infections."""
+        return simulate(graph, self.params, self.init if init is None else init,
+                        SimConfig(steps=self.steps), beta_scale=beta_scale)
 
 
 @dataclass(frozen=True)
@@ -138,9 +108,9 @@ def regional_beta_reduction(model: FittedModel, graph: PatchGraph, region: str,
     """
     if region not in graph.region_ids:
         raise UnknownRegion(f"unknown region {region!r}")
+    _check_multiplier(factor, "factor")
     base = model.run(graph)
-    alt_params = apply_scenario(model.params, Scenario(beta_multipliers={region: factor}), graph)
-    alt = model.run(graph, params=alt_params)
+    alt = model.run(graph, np.where(graph.patch_region == graph.region_index[region], factor, 1.0))
     region_delta = _cum_by_region(alt, graph) - _cum_by_region(base, graph)
     patch_delta = _cum_by_patch(alt) - _cum_by_patch(base)
     baseline_total = _cum_state(base, graph)
@@ -164,16 +134,16 @@ def regional_beta_reduction(model: FittedModel, graph: PatchGraph, region: str,
     )
 
 
-def _scaled_params(params: DiseaseParams, scale_vec: np.ndarray) -> DiseaseParams:
-    existing = params.patch_beta_scale
-    if existing is not None:
-        vec = np.asarray(existing, dtype=float)
-        scale_vec = vec * scale_vec[:, None] if vec.ndim == 2 else vec * scale_vec
-    return replace(params, patch_beta_scale=scale_vec)
+def _allocation_candidates(graph: PatchGraph, candidates: Sequence[str] | None,
+                           budget: int, multiplier: float) -> list[str]:
+    """Candidate patches in graph order; every non-general patch by default.
 
-
-def _allocation_candidates(graph: PatchGraph, candidates: Sequence[str] | None) -> list[str]:
-    """Candidate patches in graph order; every non-general patch by default."""
+    Refuses, before any simulation, a multiplier that is not finite and
+    > 0 and a budget outside 1 .. the number of candidates.
+    """
+    _check_multiplier(multiplier, "multiplier")
+    if budget < 1:
+        raise ShapeMismatch("budget must be >= 1")
     if candidates is None:
         candidates = graph.patches_of_category(NON_GENERAL)
     for c in candidates:
@@ -181,12 +151,9 @@ def _allocation_candidates(graph: PatchGraph, candidates: Sequence[str] | None) 
             raise UnknownRegion(f"unknown candidate patch {c!r}")
     if not candidates:
         raise EmptyCandidates("no candidate patches for allocation")
+    if budget > len(candidates):
+        raise ShapeMismatch(f"budget {budget} exceeds {len(candidates)} candidates")
     return sorted(candidates, key=lambda p: graph.patch_index[p])
-
-
-def _total_with(model: FittedModel, graph: PatchGraph, scale_vec: np.ndarray) -> float:
-    """Cumulative statewide infections with per-patch beta scaled by ``scale_vec``."""
-    return _cum_state(model.run(graph, params=_scaled_params(model.params, scale_vec)), graph)
 
 
 @dataclass(frozen=True)
@@ -207,12 +174,7 @@ def unit_greedy(model: FittedModel, graph: PatchGraph, budget: int,
     total evaluation count is sum_b (|candidates| - b + 1).  Ties break
     toward the lowest patch index.
     """
-    _check_multiplier(multiplier, "multiplier")
-    if budget < 1:
-        raise ShapeMismatch("budget must be >= 1")
-    cands = _allocation_candidates(graph, candidates)
-    if budget > len(cands):
-        raise ShapeMismatch(f"budget {budget} exceeds {len(cands)} candidates")
+    cands = _allocation_candidates(graph, candidates, budget, multiplier)
     baseline_total = _cum_state(model.run(graph), graph)
     scale = np.ones(graph.n_patches)
     selected: list[str] = []
@@ -224,7 +186,7 @@ def unit_greedy(model: FittedModel, graph: PatchGraph, budget: int,
         for cand in remaining:
             vec = scale.copy()
             vec[graph.patch_index[cand]] *= multiplier
-            totals.append(_total_with(model, graph, vec))
+            totals.append(_cum_state(model.run(graph, vec), graph))
         evaluations += len(remaining)
         best_pos = 0
         for pos in range(1, len(remaining)):
@@ -254,10 +216,7 @@ def brute_force_allocation(model: FittedModel, graph: PatchGraph, budget: int,
                            multiplier: float = 0.9,
                            candidates: Sequence[str] | None = None) -> BruteForceResult:
     """Exhaustive search over all size-``budget`` candidate subsets."""
-    _check_multiplier(multiplier, "multiplier")
-    if budget < 1:
-        raise ShapeMismatch("budget must be >= 1")
-    cands = _allocation_candidates(graph, candidates)
+    cands = _allocation_candidates(graph, candidates, budget, multiplier)
     baseline_total = _cum_state(model.run(graph), graph)
     best_set: tuple[str, ...] = ()
     best_total = np.inf
@@ -266,7 +225,7 @@ def brute_force_allocation(model: FittedModel, graph: PatchGraph, budget: int,
         vec = np.ones(graph.n_patches)
         for c in combo:
             vec[graph.patch_index[c]] *= multiplier
-        total = _total_with(model, graph, vec)
+        total = _cum_state(model.run(graph, vec), graph)
         evaluations += 1
         if total < best_total:
             best_total = total
@@ -286,8 +245,7 @@ def random_allocation_reduction(model: FittedModel, graph: PatchGraph, budget: i
     """Reductions of ``n_draws`` random size-``budget`` allocations."""
     from . import seeding
 
-    _check_multiplier(multiplier, "multiplier")
-    cands = _allocation_candidates(graph, candidates)
+    cands = _allocation_candidates(graph, candidates, budget, multiplier)
     rng = seeding.spawn_rng(seed, seeding.ANALYSIS, 0)
     baseline_total = _cum_state(model.run(graph), graph)
     out = np.zeros(n_draws)
@@ -296,7 +254,7 @@ def random_allocation_reduction(model: FittedModel, graph: PatchGraph, budget: i
         vec = np.ones(graph.n_patches)
         for k in picks:
             vec[graph.patch_index[cands[k]]] *= multiplier
-        out[d] = baseline_total - _total_with(model, graph, vec)
+        out[d] = baseline_total - _cum_state(model.run(graph, vec), graph)
     return out
 
 
@@ -307,16 +265,15 @@ def sensitivity_scan(model: FittedModel, graph: PatchGraph, bump: float = 1.1) -
     per region-j resident when region i's beta is scaled by ``bump``.
     Receivers are ranked by their total ratio over external sources.
     """
-    if bump <= 1.0:
-        raise ShapeMismatch("bump must be > 1")
+    if not (math.isfinite(bump) and bump > 1.0):
+        raise ShapeMismatch(f"bump must be finite and > 1, got {bump}")
     base = _cum_by_region(model.run(graph), graph)
     n_regions = graph.n_regions
     region_pop = graph.region_populations()
     ratios = np.zeros((n_regions, n_regions))
-    for i, src in enumerate(graph.region_ids):
-        alt_params = apply_scenario(model.params, Scenario(beta_multipliers={src: bump}), graph)
-        delta = _cum_by_region(model.run(graph, params=alt_params), graph) - base
-        ratios[:, i] = delta / region_pop
+    for i in range(n_regions):
+        alt = model.run(graph, np.where(graph.patch_region == i, bump, 1.0))
+        ratios[:, i] = (_cum_by_region(alt, graph) - base) / region_pop
     received = ratios.sum(axis=1) - np.diag(ratios)
     ranking = tuple(sorted(
         ((rid, float(received[graph.region_index[rid]])) for rid in graph.region_ids),
@@ -383,6 +340,12 @@ def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
     )
 
 
+def check_noise_sd(noise_sd: float) -> None:
+    """Refuse a feature-noise scale that is not finite and nonnegative."""
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise InvalidOption(f"noise_sd must be finite and >= 0, got {noise_sd}")
+
+
 def corrupt_features(data: DataSet, graph: PatchGraph, patches: Sequence[str],
                      noise_sd: float, seed: int = 0) -> DataSet:
     """Additive Gaussian noise on named patches' feature channels.
@@ -393,6 +356,7 @@ def corrupt_features(data: DataSet, graph: PatchGraph, patches: Sequence[str],
     """
     from . import seeding
 
+    check_noise_sd(noise_sd)
     rng = seeding.spawn_rng(seed, seeding.ANALYSIS, 1)
     features = np.array(data.features)
     sd_ch = features[:, : data.window, :].std(axis=(0, 1))

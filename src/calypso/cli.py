@@ -67,9 +67,9 @@ def _load_model(config: dict, graph, data):
     return net, analysis.FittedModel.from_calibration(net, data, graph)
 
 
-def _at_least_one(config: dict, key: str) -> int:
-    if config[key] < 1:
-        raise InvalidOption(f"--{key.replace('_', '-')} must be >= 1, got {config[key]}")
+def _at_least(config: dict, key: str, low: int = 1) -> int:
+    if config[key] < low:
+        raise InvalidOption(f"--{key.replace('_', '-')} must be >= {low}, got {config[key]}")
     return config[key]
 
 
@@ -87,7 +87,7 @@ def cmd_synth(config: dict) -> list:
 def cmd_simulate(config: dict) -> list:
     graph, data = _load_bundle(config)
     params = io.load_ground_truth_params(config.get("params") or Path(config["data"]) / "ground_truth.csv", graph)
-    steps = params.n_steps if config.get("steps") is None else _at_least_one(config, "steps")
+    steps = params.n_steps if config.get("steps") is None else _at_least(config, "steps")
     traj = simulate(graph, params, data.initial_infections, SimConfig(steps=steps))
     out = _out_dir(config)
     return [
@@ -97,8 +97,8 @@ def cmd_simulate(config: dict) -> list:
 
 
 def cmd_calibrate(config: dict) -> list:
-    epochs = _at_least_one(config, "epochs")
-    lr_step = _at_least_one(config, "lr_step")
+    epochs = _at_least(config, "epochs")
+    lr_step = _at_least(config, "lr_step")
     graph, data = _load_bundle(config)
     net = calib.CalibNet(
         data.features.shape[2],
@@ -129,7 +129,7 @@ def cmd_calibrate(config: dict) -> list:
 
 
 def cmd_adapter(config: dict) -> list:
-    epochs = _at_least_one(config, "epochs")
+    epochs = _at_least(config, "epochs")
     graph, data = _load_bundle(config)
     net, _ = _load_model(config, graph, data)
     traj = simulate(graph, calib.infer_params(net, data, graph), data.initial_infections,
@@ -268,17 +268,19 @@ def cmd_outbreak(config: dict) -> list:
 
 
 def cmd_correct_data(config: dict) -> list:
-    epochs = _at_least_one(config, "epochs")
+    epochs = _at_least(config, "epochs")
+    k = _at_least(config, "k", 0)
+    analysis.check_noise_sd(config["noise_sd"])
     graph, data = _load_bundle(config)
     if config.get("noisy_patches"):
         noisy = config["noisy_patches"].split(",")
     else:
-        noisy = graph.patches_of_category(NON_GENERAL)[: config["noisy_count"]]
+        noisy = graph.patches_of_category(NON_GENERAL)[: _at_least(config, "noisy_count")]
     net = calib.CalibNet(data.features.shape[2], seed=config["seed"])
     hyper = calib.TrainConfig(epochs=epochs, seed=config["seed"])
     trained = calib.train_joint(net, data, graph, hyper).net
     result = analysis.greedy_data_correction(
-        trained, data, graph, noisy, config["noise_sd"], config["k"],
+        trained, data, graph, noisy, config["noise_sd"], k,
         seed=config["seed"], eval_draws=config["eval_draws"],
         retrain=config.get("retrain", False), retrain_hyper=hyper,
     )

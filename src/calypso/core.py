@@ -253,10 +253,9 @@ def metrics(pred, truth) -> dict[str, float]:
 class DiseaseParams:
     """Region- and week-specific SIRS parameters.
 
-    All arrays are regions x weeks in the graph's region ordering.
-    ``patch_beta_scale`` is an optional patch-level multiplier applied to
-    beta after the region -> patch broadcast; scenarios targeting single
-    patches use it (plain region-level runs leave it None).
+    All arrays are regions x weeks in the graph's region ordering.  A
+    counterfactual that scales transmission on some patches does not
+    change these; it hands ``simulate`` a per-patch ``beta_scale``.
     """
 
     region_ids: tuple[str, ...]
@@ -265,7 +264,6 @@ class DiseaseParams:
     delta: np.ndarray
     kappa: np.ndarray
     epsilon: np.ndarray
-    patch_beta_scale: np.ndarray | None = None
 
     def __post_init__(self):
         shape = np.asarray(self.beta).shape
@@ -284,11 +282,6 @@ class DiseaseParams:
                 raise ShapeMismatch(f"{name} must lie in [0, 1]")
         if np.any(self.beta < 0):
             raise ShapeMismatch("beta must be nonnegative")
-        if self.patch_beta_scale is not None:
-            scale = _readonly(self.patch_beta_scale)
-            if not np.all(np.isfinite(scale)) or np.any(scale < 0):
-                raise ShapeMismatch("patch_beta_scale must be finite and nonnegative")
-            object.__setattr__(self, "patch_beta_scale", scale)
 
     @property
     def n_steps(self) -> int:
@@ -315,10 +308,7 @@ class DiseaseParams:
         for name in PARAM_NAMES:
             arr = getattr(self, name)
             arrays[name] = np.concatenate([arr, np.repeat(arr[:, -1:], extra_steps, axis=1)], axis=1)
-        scale = self.patch_beta_scale
-        if scale is not None and scale.ndim == 2:
-            scale = np.concatenate([scale, np.repeat(scale[:, -1:], extra_steps, axis=1)], axis=1)
-        return DiseaseParams(region_ids=self.region_ids, patch_beta_scale=scale, **arrays)
+        return DiseaseParams(region_ids=self.region_ids, **arrays)
 
 
 @dataclass(frozen=True)
@@ -335,13 +325,11 @@ class Trajectory:
     S: np.ndarray
     I: np.ndarray
     R: np.ndarray
-    new_infections: np.ndarray | None
+    new_infections: np.ndarray
 
     def __post_init__(self):
-        for name in ("S", "I", "R"):
+        for name in ("S", "I", "R", "new_infections"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-        if self.new_infections is not None:
-            object.__setattr__(self, "new_infections", _readonly(self.new_infections))
         if not (self.S.shape == self.I.shape == self.R.shape):
             raise ShapeMismatch("S, I, R must share one shape")
 

@@ -29,7 +29,7 @@ import csv
 import dataclasses
 import json
 import math
-from itertools import chain, islice, repeat, zip_longest
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -142,18 +142,15 @@ def write_inputs(
 
 def write_trajectory(path, graph: PatchGraph, traj: Trajectory) -> Path:
     """Trajectory CSV: patch_id, week_index, S, I, R, new_infections."""
-    new = (repeat([""] * (traj.n_steps + 1)) if traj.new_infections is None
-           else ([""] + row.tolist() for row in traj.new_infections))
-    patches = zip(graph.patch_ids, traj.S, traj.I, traj.R, new)
+    patches = zip(graph.patch_ids, traj.S, traj.I, traj.R, traj.new_infections)
     return write_rows(path, ["patch_id", "week_index", "S", "I", "R", "new_infections"],
                       ((pid, t, *cells) for pid, S, I, R, N in patches
-                       for t, cells in enumerate(zip(S.tolist(), I.tolist(), R.tolist(), N))))
+                       for t, cells in enumerate(zip(S.tolist(), I.tolist(), R.tolist(),
+                                                     ["", *N.tolist()]))))
 
 
 def write_trajectory_summary(path, graph: PatchGraph, traj: Trajectory) -> Path:
     """JSON summary: cumulative new infections per patch, region, state."""
-    if traj.new_infections is None:
-        raise ShapeMismatch("trajectory was simulated without new-infection recording")
     per_patch = traj.new_infections.sum(axis=1)
     per_region = aggregate(traj.new_infections, "region", graph).sum(axis=1)
     state = float(aggregate(traj.new_infections, "state", graph).sum())
@@ -169,10 +166,9 @@ def write_trajectory_summary(path, graph: PatchGraph, traj: Trajectory) -> Path:
 
 def write_ground_truth(path, graph: PatchGraph, params: DiseaseParams, traj: Trajectory) -> Path:
     """Long-format CSV of the generating parameters and trajectory."""
-    new = repeat([]) if traj.new_infections is None else (row.tolist() for row in traj.new_infections)
-    patches = zip(graph.patch_ids, traj.S, traj.I, traj.R, new)
+    patches = zip(graph.patch_ids, traj.S, traj.I, traj.R, traj.new_infections)
     state_rows = (("state", pid, t, field, v) for pid, S, I, R, N in patches
-                  for t, week in enumerate(zip_longest(S.tolist(), I.tolist(), R.tolist(), N))
+                  for t, week in enumerate(zip_longest(S.tolist(), I.tolist(), R.tolist(), N.tolist()))
                   for field, v in zip(("S", "I", "R", "new_infections"), week)
                   if v is not None)  # no new_infections after the last week
     return write_rows(path, _PARAM_HEADER, chain(_param_rows(params), state_rows))

@@ -33,6 +33,12 @@ of move 2, gamma, 1 - gamma, delta, 1 - delta) come from
   weeks x patches arrays, and writes the trajectory into preallocated
   buffers.  A plain-array forward over a training window (the planned
   ``sirs_window``) should reuse this loop.
+
+A counterfactual that perturbs transmission is one length-P multiplier,
+``simulate(..., beta_scale=)``, applied to every week's patch beta after
+the gather.  A region's intervention is ``np.where(graph.patch_region ==
+r, factor, 1.0)``: its products equal those of scaling the region's beta
+row, bit for bit.
 """
 
 from __future__ import annotations
@@ -137,16 +143,7 @@ def broadcast_params(graph: PatchGraph, params: DiseaseParams) -> dict[str, np.n
         missing = set(graph.region_ids) - set(params.region_ids)
         raise ParamCoverage(f"parameters missing regions {sorted(missing)}" if missing
                             else "parameter region ordering does not match the graph")
-    out = {name: arr[graph.patch_region] for name, arr in params.as_dict().items()}
-    scale = params.patch_beta_scale
-    if scale is not None:
-        if scale.ndim == 1:
-            out["beta"] = out["beta"] * scale[:, None]
-        else:
-            if scale.shape != out["beta"].shape:
-                raise ParamCoverage("patch_beta_scale shape must be patches or patches x steps")
-            out["beta"] = out["beta"] * scale
-    return out
+    return {name: arr[graph.patch_region] for name, arr in params.as_dict().items()}
 
 
 def simulate(
@@ -154,8 +151,13 @@ def simulate(
     params: DiseaseParams,
     init: np.ndarray,
     config: SimConfig,
+    beta_scale: np.ndarray | None = None,
 ) -> Trajectory:
-    """Simulate ``config.steps`` weeks from per-patch initial infections."""
+    """Simulate ``config.steps`` weeks from per-patch initial infections.
+
+    ``beta_scale``, one finite nonnegative multiplier per patch, scales
+    each patch's beta in every week.
+    """
     init = np.asarray(init, dtype=float)
     if init.shape != graph.populations.shape:
         raise ParamCoverage("init must hold one value per patch")
@@ -165,6 +167,13 @@ def simulate(
         raise NegativeSeed("initial infections contain a negative entry")
     if np.any(init > graph.populations):
         raise SeedExceedsPopulation("initial infections exceed a patch population")
+    if beta_scale is not None:
+        beta_scale = np.asarray(beta_scale, dtype=float)
+        if beta_scale.shape != graph.populations.shape:
+            raise ParamCoverage(f"beta_scale must hold one value per patch ({graph.n_patches}), "
+                                f"got shape {beta_scale.shape}")
+        if not np.all(np.isfinite(beta_scale)) or np.any(beta_scale < 0):
+            raise InvalidValue("beta_scale must be finite and nonnegative")
     steps = config.steps
     if params.n_steps < steps:
         raise ParamCoverage(
@@ -174,6 +183,8 @@ def simulate(
     # weeks x patches, one contiguous row per week
     week_major = {name: np.ascontiguousarray(arr[:, :steps].T)
                   for name, arr in broadcast_params(graph, params).items()}
+    if beta_scale is not None:
+        week_major["beta"] = week_major["beta"] * beta_scale
     coeffs = week_coefficients(week_major)
 
     n = graph.n_patches
@@ -191,45 +202,6 @@ def simulate(
         I=np.ascontiguousarray(I.T),
         R=np.ascontiguousarray(R.T),
         new_infections=np.ascontiguousarray(new_inf.T),
-    )
-
-
-def apply_scenario(params: DiseaseParams, scenario, graph: PatchGraph | None = None) -> DiseaseParams:
-    """Scale beta per the scenario's multipliers over its step range.
-
-    Region-keyed multipliers scale the region rows directly; patch-keyed
-    multipliers (which need ``graph`` to resolve indices) are folded into
-    the returned copy's ``patch_beta_scale``.
-    """
-    t_all = params.n_steps
-    if scenario.step_range is None:
-        t0, t1 = 0, t_all
-    else:
-        t0, t1 = scenario.step_range
-        t0, t1 = max(0, int(t0)), min(t_all, int(t1))
-    beta = params.beta.copy()
-    scale = None if params.patch_beta_scale is None else np.array(params.patch_beta_scale, dtype=float)
-    for key, mult in scenario.beta_multipliers.items():
-        if mult <= 0:
-            raise UnknownTarget(f"multiplier for {key!r} must be positive")
-        if key in params.region_ids:
-            beta[params.region_ids.index(key), t0:t1] *= mult
-        elif graph is not None and key in graph.patch_index:
-            if scale is None:
-                scale = np.ones((graph.n_patches, t_all))
-            elif scale.ndim == 1:
-                scale = np.repeat(scale[:, None], t_all, axis=1)
-            scale[graph.patch_index[key], t0:t1] *= mult
-        else:
-            raise UnknownTarget(f"scenario targets unknown region/patch {key!r}")
-    return DiseaseParams(
-        region_ids=params.region_ids,
-        beta=beta,
-        gamma=params.gamma,
-        delta=params.delta,
-        kappa=params.kappa,
-        epsilon=params.epsilon,
-        patch_beta_scale=scale,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from calypso import analysis, calib, synth
 from calypso.analysis import (
     FittedModel,
-    Scenario,
     brute_force_allocation,
     corrupt_features,
     greedy_data_correction,
@@ -16,9 +16,10 @@ from calypso.analysis import (
     sensitivity_scan,
     unit_greedy,
 )
-from calypso.core import DiseaseParams, PatchGraph, build_travel_matrix
+from calypso.core import DiseaseParams, PatchGraph, aggregate, build_travel_matrix
 from calypso.errors import (
     EmptyCandidates,
+    InvalidOption,
     InvalidValue,
     KExceedsNoisySet,
     SeedExceedsPopulation,
@@ -41,6 +42,31 @@ def model(bundle):
     )
     return FittedModel(params=params, init=bundle.data.initial_infections,
                        steps=bundle.data.window)
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Make any simulation fail, so a test sees that a refusal came first."""
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before refusing the input")
+
+    monkeypatch.setattr(analysis, "simulate", simulate)
+
+
+def with_region_row_scaled(model, region, factor):
+    """``model`` with one region's beta row scaled by ``factor``.
+
+    The direct way to run a regional intervention, and the oracle for the
+    per-patch ``beta_scale`` the analyses build: both must give the same
+    numbers, bit for bit.
+    """
+    beta = model.params.beta.copy()
+    beta[model.params.region_ids.index(region)] *= factor
+    return dataclasses.replace(model, params=dataclasses.replace(model.params, beta=beta))
+
+
+def cum_by_region(traj, graph):
+    return aggregate(traj.new_infections, "region", graph).sum(axis=1)
 
 
 def params_checksum(params):
@@ -122,15 +148,24 @@ class TestRegionalBetaReduction:
         bn = graph.patch_index["B-N"]
         assert report.patch_delta[bn] > 0
 
-    def test_multiplier_composition(self, bundle, model):
-        from calypso.sim import apply_scenario
+    @pytest.mark.parametrize("factor", [0.9, 0.37, 1.6])
+    def test_region_vector_matches_scaled_region_row(self, bundle, model, factor):
+        graph = bundle.graph
+        base = model.run(graph)
+        for r, region in enumerate(graph.region_ids):
+            oracle = with_region_row_scaled(model, region, factor).run(graph)
+            vector = model.run(graph, np.where(graph.patch_region == r, factor, 1.0))
+            for name in ("S", "I", "R", "new_infections"):
+                assert np.array_equal(getattr(vector, name), getattr(oracle, name)), name
+            report = regional_beta_reduction(model, graph, region, factor)
+            assert np.array_equal(report.region_delta, cum_by_region(oracle, graph) - cum_by_region(base, graph))
+            assert np.array_equal(report.patch_delta,
+                                  oracle.new_infections.sum(axis=1) - base.new_infections.sum(axis=1))
 
-        region = bundle.graph.region_ids[1]
-        once = apply_scenario(model.params, Scenario(beta_multipliers={region: 0.72}), bundle.graph)
-        twice = apply_scenario(
-            apply_scenario(model.params, Scenario(beta_multipliers={region: 0.9}), bundle.graph),
-            Scenario(beta_multipliers={region: 0.8}), bundle.graph)
-        assert np.allclose(once.beta, twice.beta, rtol=1e-12)
+    @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_factor_refused_before_simulating(self, bundle, model, no_simulation, factor):
+        with pytest.raises(ShapeMismatch, match="factor must be finite and > 0"):
+            regional_beta_reduction(model, bundle.graph, bundle.graph.region_ids[0], factor)
 
     def test_unknown_region(self, bundle, model):
         with pytest.raises(UnknownRegion):
@@ -192,14 +227,20 @@ class TestUnitGreedy:
     @pytest.mark.parametrize("allocate", [unit_greedy, brute_force_allocation,
                                           random_allocation_reduction])
     @pytest.mark.parametrize("multiplier", [-1.0, 0.0, np.nan, np.inf])
-    def test_bad_multiplier_refused_before_simulating(self, bundle, model, monkeypatch,
+    def test_bad_multiplier_refused_before_simulating(self, bundle, model, no_simulation,
                                                        allocate, multiplier):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated before refusing the multiplier")
-
-        monkeypatch.setattr(analysis, "simulate", no_simulation)
         with pytest.raises(ShapeMismatch, match="multiplier must be finite and > 0"):
             allocate(model, bundle.graph, 2, multiplier=multiplier)
+
+    @pytest.mark.parametrize("allocate", [unit_greedy, brute_force_allocation,
+                                          random_allocation_reduction])
+    @pytest.mark.parametrize("budget, message", [(0, "budget must be >= 1"),
+                                                 (100, "budget 100 exceeds 3 candidates")])
+    def test_bad_budget_refused_before_simulating(self, bundle, model, no_simulation,
+                                                   allocate, budget, message):
+        candidates = bundle.graph.patch_ids[:3]
+        with pytest.raises(ShapeMismatch, match=message):
+            allocate(model, bundle.graph, budget, candidates=candidates)
 
     def test_unknown_candidate_rejected(self, bundle, model):
         for allocate in (unit_greedy, brute_force_allocation):
@@ -239,6 +280,19 @@ class TestSensitivity:
     def test_bump_must_exceed_one(self, bundle, model):
         with pytest.raises(ShapeMismatch):
             sensitivity_scan(model, bundle.graph, bump=0.9)
+
+    @pytest.mark.parametrize("bump", [1.0, np.nan, np.inf])
+    def test_bad_bump_refused_before_simulating(self, bundle, model, no_simulation, bump):
+        with pytest.raises(ShapeMismatch, match="bump must be finite and > 1"):
+            sensitivity_scan(model, bundle.graph, bump=bump)
+
+    def test_region_vector_matches_scaled_region_row(self, bundle, model):
+        graph = bundle.graph
+        report = sensitivity_scan(model, graph, bump=1.3)
+        base = cum_by_region(model.run(graph), graph)
+        for i, src in enumerate(graph.region_ids):
+            alt = cum_by_region(with_region_row_scaled(model, src, 1.3).run(graph), graph)
+            assert np.array_equal(report.impact_ratio[:, i], (alt - base) / graph.region_populations())
 
     def test_ranking_sorted_descending(self, bundle, model):
         report = sensitivity_scan(model, bundle.graph, bump=1.1)
@@ -343,6 +397,11 @@ class TestGreedyDataCorrection:
         with pytest.raises(KExceedsNoisySet):
             greedy_data_correction(trained, bundle.data, bundle.graph, noisy,
                                    noise_sd=0.2, k=len(noisy) + 1)
+
+    @pytest.mark.parametrize("noise_sd", [-1.0, np.nan, np.inf])
+    def test_bad_noise_sd_refused(self, bundle, noise_sd):
+        with pytest.raises(InvalidOption, match="noise_sd must be finite and >= 0"):
+            corrupt_features(bundle.data, bundle.graph, bundle.graph.patch_ids[:2], noise_sd)
 
     def test_corruption_is_seeded_and_targeted(self, correction_setup):
         bundle, _, noisy = correction_setup

@@ -124,7 +124,7 @@ class TestMultiResolutionLoss:
         W = d.window
         i_mat = rng.uniform(0, 50, size=(g.n_patches, W + 1))
         traj = Trajectory(S=np.zeros_like(i_mat), I=i_mat, R=np.zeros_like(i_mat),
-                          new_infections=None)
+                          new_infections=np.zeros((g.n_patches, W)))
         base = multi_resolution_loss(traj, d, LossWeights(), g)
 
         import calypso.core as core
@@ -147,7 +147,7 @@ class TestMultiResolutionLoss:
     def test_window_mismatch(self, bundle):
         g, d = bundle.graph, bundle.data
         short = Trajectory(S=np.zeros((g.n_patches, 3)), I=np.zeros((g.n_patches, 3)),
-                           R=np.zeros((g.n_patches, 3)), new_infections=None)
+                           R=np.zeros((g.n_patches, 3)), new_infections=np.zeros((g.n_patches, 2)))
         with pytest.raises(WindowMismatch):
             multi_resolution_loss(short, d, LossWeights(), g)
 

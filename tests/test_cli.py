@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from calypso import io, synth
+from calypso import analysis, calib, io, synth
 from calypso.cli import main
 from calypso.core import DiseaseParams
 
@@ -311,15 +311,40 @@ class TestErrorHandling:
          "multiplier must be"),
         (["outbreak", "--k", "nan"], None, None, 3, "InvalidValue", "seed count must be finite"),
         (["outbreak", "--k", "inf"], None, None, 3, "InvalidValue", "seed count must be finite"),
+        (["policy-region", "--factor", "nan"], None, None, 3, "ShapeMismatch", "factor must be finite and > 0"),
+        (["policy-region", "--factor", "0"], None, None, 3, "ShapeMismatch", "factor must be finite and > 0"),
+        (["policy-region", "--factor", "-1"], None, None, 3, "ShapeMismatch", "factor must be finite and > 0"),
+        (["sensitivity", "--bump", "nan"], None, None, 3, "ShapeMismatch", "bump must be finite and > 1"),
+        (["sensitivity", "--bump", "inf"], None, None, 3, "ShapeMismatch", "bump must be finite and > 1"),
+        (["sensitivity", "--bump", "1.0"], None, None, 3, "ShapeMismatch", "bump must be finite and > 1"),
+        (["policy-greedy", "--budget", "100", "--brute-force"], None, None, 3, "ShapeMismatch",
+         "budget 100 exceeds 4 candidates"),
+        (["policy-greedy", "--budget", "100"], None, None, 3, "ShapeMismatch", "budget 100 exceeds 4 candidates"),
+        (["correct-data", "--noisy-count", "-1"], None, None, 3, "InvalidOption", "--noisy-count must be >= 1"),
+        (["correct-data", "--noisy-count", "0"], None, None, 3, "InvalidOption", "--noisy-count must be >= 1"),
+        (["correct-data", "--k", "-2"], None, None, 3, "InvalidOption", "--k must be >= 0"),
+        (["correct-data", "--noise-sd", "nan"], None, None, 3, "InvalidOption", "noise_sd must be finite and >= 0"),
+        (["correct-data", "--noise-sd", "-1"], None, None, 3, "InvalidOption", "noise_sd must be finite and >= 0"),
+        (["correct-data", "--noise-sd", "inf"], None, None, 3, "InvalidOption", "noise_sd must be finite and >= 0"),
     ], ids=["eakf-inflation-zero", "eakf-inflation-negative", "eakf-inflation-nan",
             "eakf-obs-var-zero", "eakf-obs-var-negative", "eakf-obs-var-nan",
             "calibrate-lr-step-zero", "calibrate-lr-step-negative", "calibrate-nan-count",
             "eakf-nan-count", "eakf-negative-count", "eakf-non-numeric-count",
             "eakf-infinite-feature", "metrics-nan-pred", "eakf-size-negative", "eakf-size-one",
             "greedy-multiplier-negative", "greedy-multiplier-zero", "greedy-multiplier-nan",
-            "brute-force-multiplier-inf", "outbreak-k-nan", "outbreak-k-inf"])
-    def test_bad_option_or_value_is_refused(self, data_dir, checkpoint, tmp_path, capsys,
+            "brute-force-multiplier-inf", "outbreak-k-nan", "outbreak-k-inf",
+            "region-factor-nan", "region-factor-zero", "region-factor-negative",
+            "sensitivity-bump-nan", "sensitivity-bump-inf", "sensitivity-bump-one",
+            "brute-force-budget-above-candidates", "greedy-budget-above-candidates",
+            "correct-data-noisy-count-negative", "correct-data-noisy-count-zero", "correct-data-k-negative",
+            "correct-data-noise-sd-nan", "correct-data-noise-sd-negative", "correct-data-noise-sd-inf"])
+    def test_bad_option_or_value_is_refused(self, data_dir, checkpoint, tmp_path, capsys, monkeypatch,
                                             argv, table, value, code, error, fragment):
+        def too_late(*args, **kwargs):
+            raise AssertionError("trained or simulated before refusing the input")
+
+        monkeypatch.setattr(calib, "train_joint", too_late)
+        monkeypatch.setattr(analysis, "simulate", too_late)
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         if table is not None:  # the last column of the fourth data row: first patch, week 3
@@ -338,6 +363,9 @@ class TestErrorHandling:
                 "eakf": ["--size", "4"],
                 "policy-greedy": ["--checkpoint", str(checkpoint), "--budget", "2"],
                 "outbreak": ["--checkpoint", str(checkpoint)],
+                "policy-region": ["--checkpoint", str(checkpoint), "--region", "R0"],
+                "sensitivity": ["--checkpoint", str(checkpoint)],
+                "correct-data": ["--epochs", "1"],
             }[argv[0]] + argv[1:]
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "o")]) == code

@@ -1,22 +1,17 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from calypso import autodiff as ad
-from calypso.analysis import Scenario
 from calypso.core import PARAM_NAMES, DiseaseParams, PatchGraph, build_travel_matrix
 from calypso.errors import (
     InvalidValue,
     NegativeSeed,
     ParamCoverage,
     SeedExceedsPopulation,
-    ShapeMismatch,
     UnknownTarget,
 )
 from calypso.sim import (
     SimConfig,
-    apply_scenario,
     broadcast_params,
     iterate_sirs,
     seed_outbreak,
@@ -159,12 +154,16 @@ class TestSimulate:
         with pytest.raises(InvalidValue, match="non-finite"):
             simulate(g, p, np.array([value]), SimConfig(steps=3))
 
-    @pytest.mark.parametrize("scale", [np.array([1.0, -0.5]), np.array([np.nan, 1.0]),
-                                       np.full((2, 3), np.inf)], ids=["negative", "nan", "inf"])
-    def test_bad_patch_beta_scale_refused(self, scale):
-        arrays = DiseaseParams.constant(("r",), 3, beta=0.1, gamma=0.3).as_dict()
-        with pytest.raises(ShapeMismatch, match="patch_beta_scale"):
-            DiseaseParams(region_ids=("r",), patch_beta_scale=scale, **arrays)
+    @pytest.mark.parametrize("scale, error", [
+        (np.array([-0.5]), InvalidValue), (np.array([np.nan]), InvalidValue),
+        (np.array([np.inf]), InvalidValue), (np.ones(2), ParamCoverage),
+        (np.ones((1, 3)), ParamCoverage),
+    ], ids=["negative", "nan", "inf", "wrong-length", "patches-x-weeks"])
+    def test_bad_patch_beta_scale_refused(self, scale, error):
+        g = single_patch_graph()
+        p = DiseaseParams.constant(g.region_ids, 3, beta=0.1, gamma=0.3)
+        with pytest.raises(error, match="beta_scale"):
+            simulate(g, p, np.array([1.0]), SimConfig(steps=3), beta_scale=scale)
 
     def test_infection_clamp_keeps_susceptibles_nonnegative(self):
         g = single_patch_graph(pop=10.0)
@@ -174,35 +173,25 @@ class TestSimulate:
         assert np.all(traj.S >= -1e-12)
 
 
-def scaled(params, graph, rng, ndim):
-    """``params`` with a random patch_beta_scale of ``ndim`` dimensions."""
-    shape = (graph.n_patches,) if ndim == 1 else (graph.n_patches, params.n_steps)
-    return dataclasses.replace(params, patch_beta_scale=rng.uniform(0.5, 1.5, size=shape))
-
-
 class TestPlainLoopMatchesTape:
     """``simulate`` runs its own loop on plain arrays; the taped ``iterate_sirs``
     forward, fed the ``broadcast_matrix @`` parameters, is its reference, bit for bit."""
 
-    @pytest.mark.parametrize("scale_ndim", [0, 1, 2], ids=["no-scale", "patch-scale", "patch-week-scale"])
-    def test_trajectory_equals_taped_forward(self, scale_ndim):
+    @pytest.mark.parametrize("with_scale", [False, True], ids=["no-scale", "patch-scale"])
+    def test_trajectory_equals_taped_forward(self, with_scale):
         rng = np.random.default_rng(11)
         for _ in range(10):
             graph, params, init, steps = random_instance(rng)
-            if scale_ndim:
-                params = scaled(params, graph, rng, scale_ndim)
-            traj = simulate(graph, params, init, SimConfig(steps=steps))
+            scale = rng.uniform(0.5, 1.5, size=graph.n_patches) if with_scale else None
+            traj = simulate(graph, params, init, SimConfig(steps=steps), beta_scale=scale)
 
             tape = ad.Tape()
             region = {name: tape.variable(getattr(params, name)) for name in PARAM_NAMES}
-            scale = params.patch_beta_scale
-            if scale is not None and scale.ndim == 1:
-                scale = np.repeat(scale[:, None], steps, axis=1)
 
             def step_params(t):
                 p = {name: ad.matmul(graph.broadcast_matrix, ad.col(dv, t)) for name, dv in region.items()}
                 if scale is not None:
-                    p["beta"] = p["beta"] * scale[:, t]
+                    p["beta"] = p["beta"] * scale
                 return p
 
             hists = iterate_sirs(graph, step_params, init, steps)
@@ -221,21 +210,13 @@ class TestPlainLoopMatchesTape:
 
 
 class TestBroadcastParams:
-    @pytest.mark.parametrize("scale_ndim", [0, 1, 2], ids=["no-scale", "patch-scale", "patch-week-scale"])
-    def test_gather_equals_broadcast_matrix_product(self, scale_ndim):
+    def test_gather_equals_broadcast_matrix_product(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             graph, params, _, _ = random_instance(rng)
-            if scale_ndim:
-                params = scaled(params, graph, rng, scale_ndim)
             out = broadcast_params(graph, params)
-            bmat = graph.broadcast_matrix
             for name in PARAM_NAMES:
-                expected = bmat @ getattr(params, name)
-                if name == "beta" and scale_ndim:
-                    scale = params.patch_beta_scale
-                    expected = expected * (scale[:, None] if scale_ndim == 1 else scale)
-                assert np.array_equal(out[name], expected), name
+                assert np.array_equal(out[name], graph.broadcast_matrix @ getattr(params, name)), name
 
     def test_patch_region_indexes_the_broadcast_matrix(self):
         graph, _, _, _ = random_instance(np.random.default_rng(14))
@@ -244,61 +225,6 @@ class TestBroadcastParams:
         assert np.array_equal(graph.n_eff, graph.theta.T.copy() @ graph.populations)
         for name in ("patch_region", "theta_t", "n_eff"):
             assert not getattr(graph, name).flags.writeable, name
-
-    def test_mismatched_patch_week_scale(self):
-        graph, params, _, _ = random_instance(np.random.default_rng(15))
-        params = dataclasses.replace(params, patch_beta_scale=np.ones((graph.n_patches, params.n_steps + 1)))
-        with pytest.raises(ParamCoverage):
-            broadcast_params(graph, params)
-
-
-class TestApplyScenario:
-    def graph_and_params(self):
-        rng = np.random.default_rng(4)
-        graph, params, init, steps = random_instance(rng, n_min=4, n_max=5)
-        return graph, params
-
-    def test_identity_multiplier(self):
-        graph, params = self.graph_and_params()
-        out = apply_scenario(params, Scenario(beta_multipliers={"r0": 1.0}), graph)
-        assert np.allclose(out.beta, params.beta)
-
-    def test_region_scaling_exact(self):
-        graph, params = self.graph_and_params()
-        out = apply_scenario(params, Scenario(beta_multipliers={"r1": 0.9}), graph)
-        r1 = params.region_ids.index("r1")
-        r0 = params.region_ids.index("r0")
-        assert np.allclose(out.beta[r1], 0.9 * params.beta[r1], rtol=1e-15)
-        assert np.array_equal(out.beta[r0], params.beta[r0])
-
-    def test_step_range_restricts_scaling(self):
-        graph, params = self.graph_and_params()
-        out = apply_scenario(params, Scenario(beta_multipliers={"r0": 0.5}, step_range=(2, 4)), graph)
-        r0 = params.region_ids.index("r0")
-        assert np.allclose(out.beta[r0, 2:4], 0.5 * params.beta[r0, 2:4])
-        assert np.array_equal(out.beta[r0, :2], params.beta[r0, :2])
-        assert np.array_equal(out.beta[r0, 4:], params.beta[r0, 4:])
-
-    def test_disjoint_scenarios_commute(self):
-        graph, params = self.graph_and_params()
-        s1 = Scenario(beta_multipliers={"r0": 0.8})
-        s2 = Scenario(beta_multipliers={"r1": 1.2})
-        ab = apply_scenario(apply_scenario(params, s1, graph), s2, graph)
-        ba = apply_scenario(apply_scenario(params, s2, graph), s1, graph)
-        assert np.allclose(ab.beta, ba.beta, rtol=1e-15)
-
-    def test_patch_multiplier_lands_in_scale(self):
-        graph, params = self.graph_and_params()
-        pid = graph.patch_ids[0]
-        out = apply_scenario(params, Scenario(beta_multipliers={pid: 0.7}), graph)
-        assert out.patch_beta_scale is not None
-        assert out.patch_beta_scale[graph.patch_index[pid], 0] == pytest.approx(0.7)
-        assert np.allclose(out.beta, params.beta)
-
-    def test_unknown_target(self):
-        graph, params = self.graph_and_params()
-        with pytest.raises(UnknownTarget):
-            apply_scenario(params, Scenario(beta_multipliers={"nowhere": 0.9}), graph)
 
 
 class TestSeedOutbreak:
