@@ -3,11 +3,16 @@
 Every operation re-simulates under a perturbed configuration and
 compares cumulative new infections against the unperturbed baseline;
 nothing here mutates the fitted parameters.  A transmission
-counterfactual is one per-patch beta multiplier handed to ``simulate``
-(``FittedModel.run(graph, beta_scale)``); an outbreak adds seeds to the
-initial infections.  Candidate evaluations inside greedy loops are
-independent simulations; selection happens after all candidates of a
-step are scored, so results do not depend on evaluation order.
+counterfactual is one per-patch beta multiplier; an outbreak adds seeds
+to the initial infections.
+
+The regional reduction, the sensitivity scan, outbreak ranking and
+random allocation know all their scenarios up front, so each scores them
+in one batched run, ``FittedModel.totals``, with the baseline as column 0
+of the same batch.  Greedy and brute-force allocation call
+``FittedModel.run`` once per evaluated scenario; selection happens after
+all candidates of a step are scored, so results do not depend on
+evaluation order.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .errors import (
     ShapeMismatch,
     UnknownRegion,
 )
-from .sim import SimConfig, check_seed_count, seed_outbreak, simulate
+from .sim import SimConfig, check_seed_count, scenario_totals, seed_outbreak, simulate
 
 
 def _check_multiplier(value: float, what: str) -> None:
@@ -66,6 +71,14 @@ class FittedModel:
         return simulate(graph, self.params, self.init if init is None else init,
                         SimConfig(steps=self.steps), beta_scale=beta_scale)
 
+    def totals(self, graph: PatchGraph, beta_scale: np.ndarray | None = None,
+               init: np.ndarray | None = None) -> np.ndarray:
+        """Cumulative new infections per patch, one column per scenario, from
+        one batched call; ``beta_scale`` and ``init`` are patches x scenarios
+        (``init`` defaults to the fitted initial infections in every column)."""
+        return scenario_totals(graph, self.params, self.init if init is None else init,
+                               SimConfig(steps=self.steps), beta_scale=beta_scale)
+
 
 @dataclass(frozen=True)
 class ImpactReport:
@@ -86,14 +99,6 @@ class ImpactReport:
             raise ShapeMismatch("ranking must be sorted descending")
 
 
-def _cum_by_patch(traj) -> np.ndarray:
-    return traj.new_infections.sum(axis=1)
-
-
-def _cum_by_region(traj, graph: PatchGraph) -> np.ndarray:
-    return aggregate(traj.new_infections, "region", graph).sum(axis=1)
-
-
 def _cum_state(traj, graph: PatchGraph) -> float:
     return float(aggregate(traj.new_infections, "state", graph).sum())
 
@@ -109,11 +114,13 @@ def regional_beta_reduction(model: FittedModel, graph: PatchGraph, region: str,
     if region not in graph.region_ids:
         raise UnknownRegion(f"unknown region {region!r}")
     _check_multiplier(factor, "factor")
-    base = model.run(graph)
-    alt = model.run(graph, np.where(graph.patch_region == graph.region_index[region], factor, 1.0))
-    region_delta = _cum_by_region(alt, graph) - _cum_by_region(base, graph)
-    patch_delta = _cum_by_patch(alt) - _cum_by_patch(base)
-    baseline_total = _cum_state(base, graph)
+    scale = np.ones((graph.n_patches, 2))
+    scale[graph.patch_region == graph.region_index[region], 1] = factor
+    patch_totals = model.totals(graph, scale)
+    region_totals = aggregate(patch_totals, "region", graph)
+    region_delta = region_totals[:, 1] - region_totals[:, 0]
+    patch_delta = patch_totals[:, 1] - patch_totals[:, 0]
+    baseline_total = float(region_totals[:, 0].sum())
     ranking = tuple(sorted(
         ((rid, -float(region_delta[graph.region_index[rid]])) for rid in graph.region_ids),
         key=lambda kv: (-kv[1], kv[0]),
@@ -247,15 +254,13 @@ def random_allocation_reduction(model: FittedModel, graph: PatchGraph, budget: i
 
     cands = _allocation_candidates(graph, candidates, budget, multiplier)
     rng = seeding.spawn_rng(seed, seeding.ANALYSIS, 0)
-    baseline_total = _cum_state(model.run(graph), graph)
-    out = np.zeros(n_draws)
+    scale = np.ones((graph.n_patches, 1 + n_draws))
     for d in range(n_draws):
         picks = rng.choice(len(cands), size=budget, replace=False)
-        vec = np.ones(graph.n_patches)
         for k in picks:
-            vec[graph.patch_index[cands[k]]] *= multiplier
-        out[d] = baseline_total - _cum_state(model.run(graph, vec), graph)
-    return out
+            scale[graph.patch_index[cands[k]], 1 + d] *= multiplier
+    state_totals = aggregate(model.totals(graph, scale), "state", graph)[0]
+    return state_totals[0] - state_totals[1:]
 
 
 def sensitivity_scan(model: FittedModel, graph: PatchGraph, bump: float = 1.1) -> ImpactReport:
@@ -267,13 +272,11 @@ def sensitivity_scan(model: FittedModel, graph: PatchGraph, bump: float = 1.1) -
     """
     if not (math.isfinite(bump) and bump > 1.0):
         raise ShapeMismatch(f"bump must be finite and > 1, got {bump}")
-    base = _cum_by_region(model.run(graph), graph)
-    n_regions = graph.n_regions
-    region_pop = graph.region_populations()
-    ratios = np.zeros((n_regions, n_regions))
-    for i in range(n_regions):
-        alt = model.run(graph, np.where(graph.patch_region == i, bump, 1.0))
-        ratios[:, i] = (_cum_by_region(alt, graph) - base) / region_pop
+    scale = np.ones((graph.n_patches, 1 + graph.n_regions))
+    scale[:, 1:] = np.where(graph.patch_region[:, None] == np.arange(graph.n_regions), bump, 1.0)
+    region_totals = aggregate(model.totals(graph, scale), "region", graph)
+    base = region_totals[:, 0]
+    ratios = (region_totals[:, 1:] - base[:, None]) / graph.region_populations()[:, None]
     received = ratios.sum(axis=1) - np.diag(ratios)
     ranking = tuple(sorted(
         ((rid, float(received[graph.region_index[rid]])) for rid in graph.region_ids),
@@ -296,30 +299,32 @@ def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
 
     Without a target the metric is the statewide cumulative-infection
     rise; with ``target`` set it is the rise inside that patch, and the
-    candidate set excludes the target itself.
+    candidate set excludes the target itself.  Each distinct candidate is
+    scored once, all of them in one batched run with the baseline.
     """
     check_seed_count(k)
     if candidates is None:
         candidates = list(graph.patch_ids)
+    for c in candidates:
+        if c not in graph.patch_index:
+            raise UnknownRegion(f"unknown candidate patch {c!r}")
     if target is not None:
         if target not in graph.patch_index:
             raise UnknownRegion(f"unknown target patch {target!r}")
         candidates = [c for c in candidates if c != target]
-    cands = sorted(candidates, key=lambda p: graph.patch_index[p])
-    base_traj = model.run(graph)
-    base_state = _cum_state(base_traj, graph)
-    base_metric = (
-        base_state if target is None else float(_cum_by_patch(base_traj)[graph.patch_index[target]])
-    )
-
-    def delta_for(cand: str) -> float:
-        init = seed_outbreak(model.init, cand, k, graph)
-        traj = model.run(graph, init=init)
-        if target is None:
-            return _cum_state(traj, graph) - base_state
-        return float(_cum_by_patch(traj)[graph.patch_index[target]]) - base_metric
-
-    deltas = [delta_for(c) for c in cands]
+    cands = sorted(set(candidates), key=lambda p: graph.patch_index[p])
+    if not cands:
+        raise EmptyCandidates("no candidate outbreak sources")
+    init = np.empty((graph.n_patches, 1 + len(cands)))
+    init[:, 0] = model.init
+    for j, c in enumerate(cands, start=1):
+        init[:, j] = seed_outbreak(model.init, c, k, graph)
+    patch_totals = model.totals(graph, init=init)
+    state_totals = aggregate(patch_totals, "state", graph)[0]
+    base_state = float(state_totals[0])
+    metric = state_totals if target is None else patch_totals[graph.patch_index[target]]
+    base_metric = float(metric[0])
+    deltas = (metric[1:] - metric[0]).tolist()
 
     ranking = tuple(sorted(zip(cands, map(float, deltas)), key=lambda kv: (-kv[1], kv[0])))
     pct = {c: (100.0 * d / base_metric if base_metric > 0 else 0.0) for c, d in zip(cands, deltas)}
@@ -338,6 +343,21 @@ def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
             "region_attribution_percent": attribution,
         },
     )
+
+
+def check_noisy_patches(graph: PatchGraph, noisy_patches: Sequence[str], k: int) -> list[str]:
+    """The distinct noisy patches in graph order.
+
+    Refuses an unknown patch and a ``k`` above the number of noisy
+    patches, so a caller can check before it trains anything.
+    """
+    for pid in noisy_patches:
+        if pid not in graph.patch_index:
+            raise UnknownRegion(f"unknown noisy patch {pid!r}")
+    noisy = sorted(set(noisy_patches), key=lambda p: graph.patch_index[p])
+    if k > len(noisy):
+        raise KExceedsNoisySet(f"k={k} exceeds {len(noisy)} noisy patches")
+    return noisy
 
 
 def check_noise_sd(noise_sd: float) -> None:
@@ -422,9 +442,7 @@ def greedy_data_correction(net: CalibNet, clean: DataSet, graph: PatchGraph,
     ``retrain=True`` refits the network from scratch per candidate
     dataset instead of re-evaluating the fixed net (slow).
     """
-    noisy = sorted(set(noisy_patches), key=lambda p: graph.patch_index[p])
-    if k > len(noisy):
-        raise KExceedsNoisySet(f"k={k} exceeds {len(noisy)} noisy patches")
+    noisy = check_noisy_patches(graph, noisy_patches, k)
     if eval_seed is None:
         eval_seed = seed + 1
     noisy_sets = [corrupt_features(clean, graph, noisy, noise_sd, seed=eval_seed + d)
@@ -473,7 +491,7 @@ def random_order_correction_curves(net: CalibNet, clean: DataSet, graph: PatchGr
     """Correction curves for random patch orders (rows: one per order)."""
     from . import seeding
 
-    noisy = sorted(set(noisy_patches), key=lambda p: graph.patch_index[p])
+    noisy = check_noisy_patches(graph, noisy_patches, 0)
     if eval_seed is None:
         eval_seed = seed + 1
     noisy_sets = [corrupt_features(clean, graph, noisy, noise_sd, seed=eval_seed + d)

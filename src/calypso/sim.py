@@ -17,28 +17,37 @@ One week advances in four moves, all vectorised over patches:
 The update conserves S + I + R = P exactly in the algebra.  New
 infections are computed from the current S before any update is applied.
 
-One function, ``sirs_step``, advances one week, and two loops call it.
-Its arithmetic goes through :mod:`calypso.autodiff` helpers, so it runs
-on plain ndarrays and on tape-recorded values alike.  The per-week
-coefficients that do not depend on the state (beta, the contact factor
-of move 2, gamma, 1 - gamma, delta, 1 - delta) come from
-``week_coefficients``; ``theta_t`` and ``n_eff`` are fixed on the
-``PatchGraph``.
+One function, ``sirs_step``, advances one week.  Its arithmetic goes
+through :mod:`calypso.autodiff` helpers, so it runs on plain ndarrays and
+on tape-recorded values alike.  The per-week coefficients that do not
+depend on the state (beta, the contact factor of move 2, gamma,
+1 - gamma, delta, 1 - delta) come from ``week_coefficients``; ``theta_t``
+and ``n_eff`` are fixed on the ``PatchGraph``.  Two loops call it:
 
 - ``iterate_sirs`` is the tape path: calibration and the adapter pass a
   ``step_params(t)`` that records each week's parameters on the tape,
   and it applies ``week_coefficients`` to them every week.
-- ``simulate`` is the plain-array path: it gathers the region parameters
-  onto patches once, computes every week's coefficients in one call on
-  weeks x patches arrays, and writes the trajectory into preallocated
-  buffers.  A plain-array forward over a training window (the planned
-  ``sirs_window``) should reuse this loop.
+- ``_weeks`` is the plain-array path.  It gathers the region parameters
+  onto patches once and computes every week's coefficients in one call
+  on weeks x patches arrays.  Its state is one value per patch, or
+  patches x scenarios with a scenario axis: then every coefficient and
+  ``n_eff`` enter as (P, 1) columns and each week's matrix products
+  advance all scenarios at once.  ``simulate`` runs it on vectors and
+  writes the trajectory into preallocated buffers; ``scenario_totals``
+  runs it on blocks of columns and keeps only the cumulative new
+  infections, so its working arrays stay near a fixed size however many
+  scenarios there are.  Both take their inputs through one set of
+  checks, ``_check_inputs``, before week 0.
 
-A counterfactual that perturbs transmission is one length-P multiplier,
-``simulate(..., beta_scale=)``, applied to every week's patch beta after
-the gather.  A region's intervention is ``np.where(graph.patch_region ==
-r, factor, 1.0)``: its products equal those of scaling the region's beta
-row, bit for bit.
+A counterfactual that perturbs transmission is a per-patch multiplier,
+``beta_scale``, applied to every week's patch beta after the gather: a
+vector for ``simulate``, one column per scenario for
+``scenario_totals``.  A region's intervention is
+``np.where(graph.patch_region == r, factor, 1.0)``: its products equal
+those of scaling the region's beta row, bit for bit.  An outbreak is a
+column of initial infections.  A batched column matches ``simulate`` of
+the same inputs to rounding (a matrix product in place of a
+matrix-vector one), not bit for bit.
 """
 
 from __future__ import annotations
@@ -146,6 +155,77 @@ def broadcast_params(graph: PatchGraph, params: DiseaseParams) -> dict[str, np.n
     return {name: arr[graph.patch_region] for name, arr in params.as_dict().items()}
 
 
+def _check_inputs(graph: PatchGraph, params: DiseaseParams, init, config: SimConfig,
+                  beta_scale, batched: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """``init`` and ``beta_scale`` as float arrays, refused before week 0 if bad.
+
+    A vector holds one value per patch.  With ``batched`` either may
+    instead be patches x scenarios (``beta_scale`` must be, when given);
+    the first bad column is named.
+    """
+    arrays = {"init": np.asarray(init, dtype=float)}
+    if beta_scale is not None:
+        arrays["beta_scale"] = np.asarray(beta_scale, dtype=float)
+    for name, arr in arrays.items():
+        ranks = (1,) if not batched else (1, 2) if name == "init" else (2,)
+        if arr.ndim not in ranks or arr.shape[0] != graph.n_patches:
+            per_column = " per scenario column" if 2 in ranks else ""
+            raise ParamCoverage(f"{name} must hold one value per patch ({graph.n_patches})"
+                                f"{per_column}, got shape {arr.shape}")
+    init = arrays["init"]
+    beta_scale = arrays.get("beta_scale")
+    if init.ndim == 2 and beta_scale is not None and init.shape[1] != beta_scale.shape[1]:
+        raise ParamCoverage(f"init has {init.shape[1]} scenario columns, "
+                            f"beta_scale has {beta_scale.shape[1]}")
+
+    def where(bad: np.ndarray) -> str:
+        return "" if bad.ndim == 1 else f" in column {int(np.flatnonzero(bad.any(axis=0))[0])}"
+
+    cap = graph.populations if init.ndim == 1 else graph.populations[:, None]
+    for bad, error, what in (
+        (~np.isfinite(init), InvalidValue, "contain a non-finite entry"),
+        (init < 0, NegativeSeed, "contain a negative entry"),
+        (init > cap, SeedExceedsPopulation, "exceed a patch population"),
+    ):
+        if np.any(bad):
+            raise error(f"initial infections {what}{where(bad)}")
+    if beta_scale is not None:
+        bad = ~np.isfinite(beta_scale) | (beta_scale < 0)
+        if np.any(bad):
+            raise InvalidValue(f"beta_scale must be finite and nonnegative{where(bad)}")
+    if params.n_steps < config.steps:
+        raise ParamCoverage(
+            f"parameters cover {params.n_steps} steps, run needs {config.steps}"
+        )
+    _check_n_eff(graph)
+    return init, beta_scale
+
+
+def _weeks(graph: PatchGraph, params: DiseaseParams, init: np.ndarray, steps: int,
+           beta_scale: np.ndarray | None):
+    """Yield (S, I, R, new_infections) after each week, from checked inputs.
+
+    With a vector ``init`` the state is one value per patch.  With a
+    patches x scenarios ``init`` (and ``beta_scale``, when given) each
+    column is one scenario, and every per-patch coefficient and ``n_eff``
+    enters as a (P, 1) column: a (P,) vector would broadcast along the
+    scenario axis instead, silently when there are as many scenarios as
+    patches.
+    """
+    column = (lambda a: a[..., None]) if init.ndim == 2 else (lambda a: a)
+    # weeks x patches, one contiguous row per week
+    week_major = {name: column(np.ascontiguousarray(arr[:, :steps].T))
+                  for name, arr in broadcast_params(graph, params).items()}
+    beta, *rest = week_coefficients(week_major)
+    theta, theta_t, n_eff = graph.theta, graph.theta_t, column(graph.n_eff)
+    S, I = column(graph.populations) - init, init
+    R = np.zeros_like(S)
+    for t in range(steps):
+        week_beta = beta[t] if beta_scale is None else beta[t] * beta_scale
+        S, I, R, dI = sirs_step(theta, theta_t, n_eff, S, I, R, week_beta, *(c[t] for c in rest))
+        yield S, I, R, dI
+
+
 def simulate(
     graph: PatchGraph,
     params: DiseaseParams,
@@ -158,51 +238,60 @@ def simulate(
     ``beta_scale``, one finite nonnegative multiplier per patch, scales
     each patch's beta in every week.
     """
-    init = np.asarray(init, dtype=float)
-    if init.shape != graph.populations.shape:
-        raise ParamCoverage("init must hold one value per patch")
-    if not np.all(np.isfinite(init)):
-        raise InvalidValue("initial infections contain a non-finite entry")
-    if np.any(init < 0):
-        raise NegativeSeed("initial infections contain a negative entry")
-    if np.any(init > graph.populations):
-        raise SeedExceedsPopulation("initial infections exceed a patch population")
-    if beta_scale is not None:
-        beta_scale = np.asarray(beta_scale, dtype=float)
-        if beta_scale.shape != graph.populations.shape:
-            raise ParamCoverage(f"beta_scale must hold one value per patch ({graph.n_patches}), "
-                                f"got shape {beta_scale.shape}")
-        if not np.all(np.isfinite(beta_scale)) or np.any(beta_scale < 0):
-            raise InvalidValue("beta_scale must be finite and nonnegative")
-    steps = config.steps
-    if params.n_steps < steps:
-        raise ParamCoverage(
-            f"parameters cover {params.n_steps} steps, run needs {steps}"
-        )
-    _check_n_eff(graph)
-    # weeks x patches, one contiguous row per week
-    week_major = {name: np.ascontiguousarray(arr[:, :steps].T)
-                  for name, arr in broadcast_params(graph, params).items()}
-    if beta_scale is not None:
-        week_major["beta"] = week_major["beta"] * beta_scale
-    coeffs = week_coefficients(week_major)
-
-    n = graph.n_patches
+    init, beta_scale = _check_inputs(graph, params, init, config, beta_scale, batched=False)
+    steps, n = config.steps, graph.n_patches
     S, I, R = np.empty((steps + 1, n)), np.empty((steps + 1, n)), np.empty((steps + 1, n))
     new_inf = np.empty((steps, n))
     S[0] = graph.populations - init
     I[0] = init
     R[0] = 0.0
-    theta, theta_t, n_eff = graph.theta, graph.theta_t, graph.n_eff
-    for t, week in enumerate(zip(*coeffs)):
-        S[t + 1], I[t + 1], R[t + 1], new_inf[t] = sirs_step(
-            theta, theta_t, n_eff, S[t], I[t], R[t], *week)
+    for t, week in enumerate(_weeks(graph, params, init, steps, beta_scale)):
+        S[t + 1], I[t + 1], R[t + 1], new_inf[t] = week
     return Trajectory(
         S=np.ascontiguousarray(S.T),
         I=np.ascontiguousarray(I.T),
         R=np.ascontiguousarray(R.T),
         new_infections=np.ascontiguousarray(new_inf.T),
     )
+
+
+# Scenario columns advanced together, as a number of P x B elements: each
+# working array of the weekly step stays near 128 KiB however many scenarios
+# a call scores (241 for one outbreak per patch at 240 patches).
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def scenario_totals(
+    graph: PatchGraph,
+    params: DiseaseParams,
+    init: np.ndarray,
+    config: SimConfig,
+    beta_scale: np.ndarray | None = None,
+) -> np.ndarray:
+    """Cumulative new infections per patch over ``config.steps`` weeks, one
+    column per scenario, from batched runs.
+
+    ``init`` is one value per patch, shared by every scenario, or
+    patches x scenarios; ``beta_scale`` is patches x scenarios.  Column
+    ``b`` equals ``simulate(...).new_infections.sum(axis=1)`` for that
+    column's inputs up to rounding: the batch multiplies matrices where
+    ``simulate`` multiplies a matrix by a vector, and sums the weeks in
+    order.  Scenarios advance in blocks of columns; no trajectory is kept.
+    """
+    init, beta_scale = _check_inputs(graph, params, init, config, beta_scale, batched=True)
+    if init.ndim == 1:
+        init = init[:, None]
+    width = init.shape[1] if beta_scale is None else beta_scale.shape[1]
+    block = max(1, _BLOCK_ELEMENTS // graph.n_patches)
+    out = np.empty((graph.n_patches, width))
+    for lo in range(0, width, block):
+        cols = slice(lo, lo + block)
+        total = 0.0
+        for *_, new_inf in _weeks(graph, params, init if init.shape[1] == 1 else init[:, cols],
+                                  config.steps, None if beta_scale is None else beta_scale[:, cols]):
+            total += new_inf
+        out[:, cols] = total
+    return out
 
 
 def check_seed_count(k: float) -> None:

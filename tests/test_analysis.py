@@ -51,14 +51,16 @@ def no_simulation(monkeypatch):
         raise AssertionError("simulated before refusing the input")
 
     monkeypatch.setattr(analysis, "simulate", simulate)
+    monkeypatch.setattr(analysis, "scenario_totals", simulate)
 
 
 def with_region_row_scaled(model, region, factor):
     """``model`` with one region's beta row scaled by ``factor``.
 
     The direct way to run a regional intervention, and the oracle for the
-    per-patch ``beta_scale`` the analyses build: both must give the same
-    numbers, bit for bit.
+    per-patch ``beta_scale`` the analyses build: one ``simulate`` of each
+    gives the same numbers, bit for bit.  A report scored in a batched run
+    matches the oracle to rounding (1e-9 relative).
     """
     beta = model.params.beta.copy()
     beta[model.params.region_ids.index(region)] *= factor
@@ -158,9 +160,11 @@ class TestRegionalBetaReduction:
             for name in ("S", "I", "R", "new_infections"):
                 assert np.array_equal(getattr(vector, name), getattr(oracle, name)), name
             report = regional_beta_reduction(model, graph, region, factor)
-            assert np.array_equal(report.region_delta, cum_by_region(oracle, graph) - cum_by_region(base, graph))
-            assert np.array_equal(report.patch_delta,
-                                  oracle.new_infections.sum(axis=1) - base.new_infections.sum(axis=1))
+            np.testing.assert_allclose(
+                report.region_delta, cum_by_region(oracle, graph) - cum_by_region(base, graph), rtol=1e-9)
+            np.testing.assert_allclose(
+                report.patch_delta, oracle.new_infections.sum(axis=1) - base.new_infections.sum(axis=1),
+                rtol=1e-9)
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan, np.inf])
     def test_bad_factor_refused_before_simulating(self, bundle, model, no_simulation, factor):
@@ -204,6 +208,20 @@ class TestUnitGreedy:
         random_reductions = random_allocation_reduction(model, bundle.graph, budget=3,
                                                         n_draws=10, seed=0)
         assert greedy.reductions[-1] > random_reductions.mean()
+
+    def test_random_reductions_match_one_simulation_per_draw(self, bundle, model):
+        from calypso import seeding
+
+        graph = bundle.graph
+        cands = graph.patches_of_category("non-general")
+        reductions = random_allocation_reduction(model, graph, budget=2, n_draws=6, seed=4)
+        rng = seeding.spawn_rng(4, seeding.ANALYSIS, 0)
+        base = model.run(graph).new_infections.sum()
+        for red in reductions:
+            scale = np.ones(graph.n_patches)
+            for k in rng.choice(len(cands), size=2, replace=False):
+                scale[graph.patch_index[cands[k]]] *= 0.9
+            assert red == pytest.approx(base - model.run(graph, scale).new_infections.sum(), rel=1e-9)
 
     def test_reduction_monotone_in_budget(self, bundle, model):
         result = unit_greedy(model, bundle.graph, budget=4)
@@ -292,7 +310,8 @@ class TestSensitivity:
         base = cum_by_region(model.run(graph), graph)
         for i, src in enumerate(graph.region_ids):
             alt = cum_by_region(with_region_row_scaled(model, src, 1.3).run(graph), graph)
-            assert np.array_equal(report.impact_ratio[:, i], (alt - base) / graph.region_populations())
+            np.testing.assert_allclose(report.impact_ratio[:, i], (alt - base) / graph.region_populations(),
+                                       rtol=1e-9)
 
     def test_ranking_sorted_descending(self, bundle, model):
         report = sensitivity_scan(model, bundle.graph, bump=1.1)
@@ -338,13 +357,48 @@ class TestOutbreakRanking:
             outbreak_ranking(model, bundle.graph, k=too_many, candidates=[smallest])
 
     @pytest.mark.parametrize("k", [np.nan, np.inf])
-    def test_non_finite_seed_refused_before_simulating(self, bundle, model, monkeypatch, k):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated before refusing the seed count")
-
-        monkeypatch.setattr(analysis, "simulate", no_simulation)
+    def test_non_finite_seed_refused_before_simulating(self, bundle, model, no_simulation, k):
         with pytest.raises(InvalidValue, match="seed count must be finite"):
             outbreak_ranking(model, bundle.graph, k)
+
+    @pytest.mark.parametrize("candidates, error, message", [
+        (["nope"], UnknownRegion, "unknown candidate patch 'nope'"),
+        ([], EmptyCandidates, "no candidate outbreak sources"),
+    ], ids=["unknown", "empty"])
+    def test_bad_candidates_refused_before_simulating(self, bundle, model, no_simulation,
+                                                      candidates, error, message):
+        with pytest.raises(error, match=message):
+            outbreak_ranking(model, bundle.graph, 10.0, candidates=candidates)
+
+    def test_duplicate_candidate_scored_once(self, bundle, model, monkeypatch):
+        ids = list(bundle.graph.patch_ids[:4])
+        once = outbreak_ranking(model, bundle.graph, k=10.0, candidates=ids)
+        widths = []
+        totals = FittedModel.totals
+
+        def counting(self, graph, beta_scale=None, init=None):
+            widths.append(init.shape[1])
+            return totals(self, graph, beta_scale, init)
+
+        monkeypatch.setattr(FittedModel, "totals", counting)
+        twice = outbreak_ranking(model, bundle.graph, k=10.0, candidates=ids + ids[1:3])
+        assert twice.ranking == once.ranking
+        assert widths == [1 + len(ids)]
+
+    def test_deltas_match_one_simulation_per_source(self, bundle, model):
+        graph = bundle.graph
+        base = model.run(graph).new_infections.sum()
+        for target in (None, graph.patch_ids[3]):
+            report = outbreak_ranking(model, graph, k=25.0, target=target)
+            for pid, delta in report.ranking:
+                traj = model.run(graph, init=analysis.seed_outbreak(model.init, pid, 25.0, graph))
+                if target is None:
+                    oracle = traj.new_infections.sum() - base
+                else:
+                    i = graph.patch_index[target]
+                    oracle = (traj.new_infections[i].sum()
+                              - model.run(graph).new_infections[i].sum())
+                assert delta == pytest.approx(oracle, rel=1e-9), pid
 
     def test_region_attribution_present(self, bundle, model):
         report = outbreak_ranking(model, bundle.graph, k=20.0)
@@ -397,6 +451,12 @@ class TestGreedyDataCorrection:
         with pytest.raises(KExceedsNoisySet):
             greedy_data_correction(trained, bundle.data, bundle.graph, noisy,
                                    noise_sd=0.2, k=len(noisy) + 1)
+
+    def test_unknown_noisy_patch_rejected(self, correction_setup):
+        bundle, trained, noisy = correction_setup
+        with pytest.raises(UnknownRegion, match="unknown noisy patch 'nope'"):
+            greedy_data_correction(trained, bundle.data, bundle.graph, noisy + ["nope"],
+                                   noise_sd=0.2, k=1)
 
     @pytest.mark.parametrize("noise_sd", [-1.0, np.nan, np.inf])
     def test_bad_noise_sd_refused(self, bundle, noise_sd):

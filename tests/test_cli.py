@@ -326,6 +326,9 @@ class TestErrorHandling:
         (["correct-data", "--noise-sd", "nan"], None, None, 3, "InvalidOption", "noise_sd must be finite and >= 0"),
         (["correct-data", "--noise-sd", "-1"], None, None, 3, "InvalidOption", "noise_sd must be finite and >= 0"),
         (["correct-data", "--noise-sd", "inf"], None, None, 3, "InvalidOption", "noise_sd must be finite and >= 0"),
+        (["correct-data", "--noisy-patches", "nope"], None, None, 3, "UnknownRegion", "unknown noisy patch 'nope'"),
+        (["correct-data", "--noisy-count", "2", "--k", "5"], None, None, 3, "KExceedsNoisySet",
+         "k=5 exceeds 2 noisy patches"),
     ], ids=["eakf-inflation-zero", "eakf-inflation-negative", "eakf-inflation-nan",
             "eakf-obs-var-zero", "eakf-obs-var-negative", "eakf-obs-var-nan",
             "calibrate-lr-step-zero", "calibrate-lr-step-negative", "calibrate-nan-count",
@@ -337,7 +340,8 @@ class TestErrorHandling:
             "sensitivity-bump-nan", "sensitivity-bump-inf", "sensitivity-bump-one",
             "brute-force-budget-above-candidates", "greedy-budget-above-candidates",
             "correct-data-noisy-count-negative", "correct-data-noisy-count-zero", "correct-data-k-negative",
-            "correct-data-noise-sd-nan", "correct-data-noise-sd-negative", "correct-data-noise-sd-inf"])
+            "correct-data-noise-sd-nan", "correct-data-noise-sd-negative", "correct-data-noise-sd-inf",
+            "correct-data-unknown-noisy-patch", "correct-data-k-above-noisy-set"])
     def test_bad_option_or_value_is_refused(self, data_dir, checkpoint, tmp_path, capsys, monkeypatch,
                                             argv, table, value, code, error, fragment):
         def too_late(*args, **kwargs):
@@ -345,6 +349,7 @@ class TestErrorHandling:
 
         monkeypatch.setattr(calib, "train_joint", too_late)
         monkeypatch.setattr(analysis, "simulate", too_late)
+        monkeypatch.setattr(analysis, "scenario_totals", too_late)
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         if table is not None:  # the last column of the fourth data row: first patch, week 3

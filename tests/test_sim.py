@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from calypso import autodiff as ad
+from calypso import sim
 from calypso.core import PARAM_NAMES, DiseaseParams, PatchGraph, build_travel_matrix
 from calypso.errors import (
     InvalidValue,
@@ -14,6 +15,7 @@ from calypso.sim import (
     SimConfig,
     broadcast_params,
     iterate_sirs,
+    scenario_totals,
     seed_outbreak,
     simulate,
 )
@@ -200,6 +202,26 @@ class TestPlainLoopMatchesTape:
                 assert np.array_equal(getattr(traj, name), taped), name
                 assert getattr(traj, name).flags.c_contiguous
 
+    @pytest.mark.parametrize("with_scale", [False, True], ids=["no-scale", "patch-scale"])
+    def test_one_column_batch_matches_taped_forward(self, with_scale):
+        """The batched path of the shared loop, one scenario wide, against the
+        same reference; a matrix product rounds like a matrix-vector one to 1e-12."""
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            graph, params, init, steps = random_instance(rng)
+            scale = rng.uniform(0.5, 1.5, size=(graph.n_patches, 1)) if with_scale else None
+            totals = scenario_totals(graph, params, init, SimConfig(steps=steps), beta_scale=scale)
+
+            def step_params(t):
+                p = {name: ad.matmul(graph.broadcast_matrix, getattr(params, name)[:, t])
+                     for name in PARAM_NAMES}
+                if scale is not None:
+                    p["beta"] = p["beta"] * scale[:, 0]
+                return p
+
+            *_, di_hist = iterate_sirs(graph, step_params, init, steps)
+            np.testing.assert_allclose(totals[:, 0], np.sum(di_hist, axis=0), rtol=1e-12)
+
     def test_runs_shorter_than_the_parameters(self):
         rng = np.random.default_rng(12)
         graph, params, init, steps = random_instance(rng)
@@ -207,6 +229,113 @@ class TestPlainLoopMatchesTape:
         part = simulate(graph, params, init, SimConfig(steps=steps - 2))
         assert np.array_equal(part.I, full.I[:, : steps - 1])
         assert np.array_equal(part.new_infections, full.new_infections[:, : steps - 2])
+
+
+def column_by_column(graph, params, init, steps, scale):
+    """Per-patch cumulative new infections, one ``simulate`` per column."""
+    width = max(a.shape[1] for a in (init, scale) if a is not None and a.ndim == 2)
+    cols = []
+    for b in range(width):
+        col_init = init[:, b] if init.ndim == 2 else init
+        col_scale = None if scale is None else scale[:, b]
+        traj = simulate(graph, params, col_init, SimConfig(steps=steps), beta_scale=col_scale)
+        cols.append(traj.new_infections.sum(axis=1))
+    return np.column_stack(cols)
+
+
+class TestScenarioTotals:
+    @pytest.mark.parametrize("case", ["init-columns", "scale-columns", "both", "as-many-as-patches"])
+    def test_equals_one_simulate_per_column(self, case):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            graph, params, init, steps = random_instance(rng, n_min=3)
+            n = graph.n_patches
+            width = n if case == "as-many-as-patches" else 3
+            init_cols = init[:, None] * rng.uniform(0.5, 2.0, size=(n, width))
+            init_cols = np.minimum(init_cols, graph.populations[:, None])
+            scale = rng.uniform(0.3, 1.7, size=(n, width))
+            init_arg, scale_arg = {
+                "init-columns": (init_cols, None),
+                "scale-columns": (init, scale),
+                "both": (init_cols, scale),
+                "as-many-as-patches": (init_cols, scale),
+            }[case]
+            totals = scenario_totals(graph, params, init_arg, SimConfig(steps=steps), beta_scale=scale_arg)
+            assert totals.shape == (n, width)
+            np.testing.assert_allclose(totals, column_by_column(graph, params, init_arg, steps, scale_arg),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("arg", ["init", "beta_scale"])
+    def test_blocks_of_columns_equal_one_simulate_per_column(self, monkeypatch, arg):
+        rng = np.random.default_rng(25)
+        graph, params, init, steps = random_instance(rng, n_min=3)
+        n = graph.n_patches
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 2 * n)  # 5 columns: blocks of 2, 2 and 1
+        init_arg, scale_arg = init, None
+        if arg == "init":
+            init_arg = np.minimum(init[:, None] * rng.uniform(0.5, 2.0, size=(n, 5)), graph.populations[:, None])
+        else:
+            scale_arg = rng.uniform(0.3, 1.7, size=(n, 5))
+        totals = scenario_totals(graph, params, init_arg, SimConfig(steps=steps), beta_scale=scale_arg)
+        np.testing.assert_allclose(totals, column_by_column(graph, params, init_arg, steps, scale_arg),
+                                   rtol=1e-12)
+
+    def test_one_init_vector_is_one_column(self):
+        graph, params, init, steps = random_instance(np.random.default_rng(22))
+        totals = scenario_totals(graph, params, init, SimConfig(steps=steps))
+        assert totals.shape == (graph.n_patches, 1)
+        np.testing.assert_allclose(totals[:, 0], simulate(graph, params, init, SimConfig(steps=steps))
+                                   .new_infections.sum(axis=1), rtol=1e-12)
+
+    def test_conservation_column_by_column(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            graph, params, init, steps = random_instance(rng)
+            n = graph.n_patches
+            init_cols = np.minimum(init[:, None] * rng.uniform(0.5, 2.0, size=(n, n)),
+                                   graph.populations[:, None])
+            scale = rng.uniform(0.0, 2.0, size=(n, n))
+            for S, I, R, dI in sim._weeks(graph, params, init_cols, steps, scale):
+                assert S.shape == I.shape == R.shape == dI.shape == (n, n)
+                np.testing.assert_allclose(S + I + R, np.broadcast_to(graph.populations[:, None], (n, n)),
+                                           rtol=1e-9)
+                assert np.all(S >= -1e-9) and np.all(dI >= 0)
+
+    @pytest.mark.parametrize("arg, fault, error, message", [
+        ("init", "nan", InvalidValue, "non-finite entry in column 2"),
+        ("init", "negative", NegativeSeed, "negative entry in column 2"),
+        ("init", "above-population", SeedExceedsPopulation, "exceed a patch population in column 2"),
+        ("init", "wrong-shape", ParamCoverage, "init must hold one value per patch"),
+        ("beta_scale", "nan", InvalidValue, "beta_scale must be finite and nonnegative in column 2"),
+        ("beta_scale", "negative", InvalidValue, "beta_scale must be finite and nonnegative in column 2"),
+        ("beta_scale", "wrong-shape", ParamCoverage, "beta_scale must hold one value per patch"),
+        ("beta_scale", "vector", ParamCoverage, "beta_scale must hold one value per patch"),
+        ("beta_scale", "other-width", ParamCoverage, "init has 4 scenario columns, beta_scale has 3"),
+    ])
+    def test_bad_column_refused_before_week_zero(self, monkeypatch, arg, fault, error, message):
+        graph, params, init, steps = random_instance(np.random.default_rng(24), n_min=3)
+        n = graph.n_patches
+        args = {"init": np.tile(init[:, None], (1, 4)), "beta_scale": np.ones((n, 4))}
+        bad = args[arg]
+        if fault == "nan":
+            bad[1, 2] = np.nan
+        elif fault == "negative":
+            bad[1, 2] = -1.0
+        elif fault == "above-population":
+            bad[1, 2] = graph.populations[1] + 1.0
+        elif fault == "wrong-shape":
+            args[arg] = bad[:-1]
+        elif fault == "vector":
+            args[arg] = bad[:, 0]
+        elif fault == "other-width":
+            args[arg] = bad[:, :3]
+
+        def no_week(*a, **k):
+            raise AssertionError("stepped a week before refusing the input")
+
+        monkeypatch.setattr(sim, "sirs_step", no_week)
+        with pytest.raises(error, match=message):
+            scenario_totals(graph, params, args["init"], SimConfig(steps=steps), beta_scale=args["beta_scale"])
 
 
 class TestBroadcastParams:
