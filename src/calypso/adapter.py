@@ -5,7 +5,9 @@ rows, then the state row).  A multi-layer gated recurrent stack reads,
 per week, the raw forecast value, the previous output (own prediction,
 or the ground truth under teacher forcing), and normalized timestep
 features; an output head emits one residual per unit per week.  The
-corrected series is ``max(0, raw + residual)``.
+corrected series is ``max(0, raw + residual)``.  Every layer steps with
+``autodiff.gru_cell`` and the timestep features come from
+``calib.time_features``, both shared with the calibration net.
 
 Training freezes the simulator and calibration net entirely: the
 adapter only ever sees series, never model internals.  Teacher-forced
@@ -15,6 +17,7 @@ starts at the configured ratio and decays linearly to zero.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,8 +25,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import io, seeding
-from .core import PatchGraph, aggregate
-from .errors import NonFiniteInput, NonFiniteLoss, ShapeMismatch
+from .calib import time_features
+from .core import PatchGraph, aggregate, check_option
+from .errors import NonFiniteInput, ShapeMismatch
 
 
 def stack_levels(series: np.ndarray, graph: PatchGraph) -> np.ndarray:
@@ -40,6 +44,11 @@ class AdapterConfig:
     layers: int = 2
     time_harmonics: int = 3
 
+    def __post_init__(self):
+        check_option("hidden", self.hidden, 1)
+        check_option("layers", self.layers, 1)
+        check_option("time_harmonics", self.time_harmonics, 0)
+
 
 @dataclass(frozen=True)
 class AdapterTrainConfig:
@@ -50,6 +59,13 @@ class AdapterTrainConfig:
     teacher_ratio: float = 0.5
     ratio_decay: bool = True   # decay the ratio linearly to 0 over training
     seed: int = 0
+
+    def __post_init__(self):
+        check_option("epochs", self.epochs, 0)
+        check_option("learning_rate", self.learning_rate, 0, strict=True)
+        check_option("weight_decay", self.weight_decay, 0)
+        check_option("clip_norm", self.clip_norm, 0)   # 0 turns clipping off
+        check_option("teacher_ratio", self.teacher_ratio, 0, high=1)
 
 
 class AdapterNet:
@@ -86,41 +102,12 @@ class AdapterNet:
         self.t_scale: int | None = None        # week-index normalizer, set at fit
 
     def copy(self) -> "AdapterNet":
-        out = AdapterNet.__new__(AdapterNet)
-        out.config = self.config
-        out.seed = self.seed
-        out.weights = {k: v.copy() for k, v in self.weights.items()}
-        out.scale = None if self.scale is None else self.scale.copy()
-        out.t_scale = self.t_scale
-        return out
+        return copy.deepcopy(self)
 
     def zero_head_(self) -> "AdapterNet":
         self.weights["out_w"][...] = 0.0
         self.weights["out_b"][...] = 0.0
         return self
-
-
-def _time_row(t: int, t_scale: int, harmonics: int) -> np.ndarray:
-    x = t / max(t_scale, 1)
-    cols = [x]
-    for k in range(1, harmonics + 1):
-        cols.append(np.sin(2 * np.pi * k * x))
-        cols.append(np.cos(2 * np.pi * k * x))
-    return np.array(cols)[None, :]  # (1, K)
-
-
-def _gru_cell(weights, prefix: str, x_parts, h):
-    """One GRU update; ``x_parts`` is a list of (value, weight-name-suffix)."""
-    def preact(g: str):
-        acc = weights[f"{prefix}_b_{g}"]
-        for value, suffix in x_parts:
-            acc = ad.matmul(value, weights[f"{prefix}_{suffix}_{g}"]) + acc
-        return acc
-
-    z = ad.sigmoid(preact("z") + ad.matmul(h, weights[f"{prefix}_u_z"]))
-    r = ad.sigmoid(preact("r") + ad.matmul(h, weights[f"{prefix}_u_r"]))
-    cand = ad.tanh(preact("h") + ad.matmul(r * h, weights[f"{prefix}_u_h"]))
-    return (1.0 - z) * h + z * cand
 
 
 def _forward(net_weights, config: AdapterConfig, raw_norm, scale, t_scale: int,
@@ -133,22 +120,23 @@ def _forward(net_weights, config: AdapterConfig, raw_norm, scale, t_scale: int,
     output (teacher forcing).
     """
     n_units, weeks = raw_norm.shape
+
+    def gates(name: str) -> tuple:
+        return tuple(net_weights[f"{name}_{g}"] for g in "zrh")
+
+    raw_w, prev_w, time_w = gates("l0_raw"), gates("l0_prev"), gates("l0_time")
+    deep_w = [gates(f"l{layer}_w") for layer in range(1, config.layers)]
+    recurrent = [(gates(f"l{layer}_u"), gates(f"l{layer}_b")) for layer in range(config.layers)]
+    tau = time_features(weeks, config.time_harmonics, t_scale)
     h_states = [np.zeros((n_units, config.hidden)) for _ in range(config.layers)]
     prev = raw_norm[:, 0]
     corrected, residuals = [], []
     for t in range(weeks):
-        tau = _time_row(t, t_scale, config.time_harmonics)
         raw_col = raw_norm[:, t]
-        x_parts = [
-            (ad.colvec(raw_col), "raw"),
-            (ad.colvec(prev), "prev"),
-            (tau, "time"),
-        ]
-        h_states[0] = _gru_cell(net_weights, "l0", x_parts, h_states[0])
-        for layer in range(1, config.layers):
-            h_states[layer] = _gru_cell(
-                net_weights, f"l{layer}", [(h_states[layer - 1], "w")], h_states[layer]
-            )
+        inputs = [(ad.colvec(raw_col), raw_w), (ad.colvec(prev), prev_w), (tau[t : t + 1], time_w)]
+        h_states[0] = ad.gru_cell(inputs, h_states[0], *recurrent[0])
+        for layer, w in enumerate(deep_w, start=1):
+            h_states[layer] = ad.gru_cell([(h_states[layer - 1], w)], h_states[layer], *recurrent[layer])
         res_norm = ad.matmul(h_states[-1], net_weights["out_w"]) + net_weights["out_b"]
         res = res_norm * scale
         corr = ad.relu(raw_col * scale + res)
@@ -227,10 +215,7 @@ def train_adapter(
                 d = corrected[t] / scale - truth_norm[:, t]
                 sse = sse + ad.vsum(d * d)
             loss = sse / (n_units * weeks)
-            loss_val = float(loss.value)
-            if not np.isfinite(loss_val):
-                raise NonFiniteLoss(f"epoch {epoch}: adapter loss is not finite")
-            history.append(loss_val)
+            history.append(float(loss.value))
             return loss
 
         opt.step(epoch_loss, hyper.learning_rate, f"adapter epoch {epoch}")

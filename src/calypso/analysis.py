@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import seeding
 from .calib import CalibNet, TrainConfig, forecast, infer_params, train_joint
 from .core import (
     NON_GENERAL,
@@ -31,11 +32,11 @@ from .core import (
     DiseaseParams,
     PatchGraph,
     aggregate,
+    check_option,
     metrics,
 )
 from .errors import (
     EmptyCandidates,
-    InvalidOption,
     KExceedsNoisySet,
     ShapeMismatch,
     UnknownRegion,
@@ -195,10 +196,7 @@ def unit_greedy(model: FittedModel, graph: PatchGraph, budget: int,
             vec[graph.patch_index[cand]] *= multiplier
             totals.append(_cum_state(model.run(graph, vec), graph))
         evaluations += len(remaining)
-        best_pos = 0
-        for pos in range(1, len(remaining)):
-            if totals[pos] < totals[best_pos]:  # strict: earlier (lower index) wins ties
-                best_pos = pos
+        best_pos = min(range(len(remaining)), key=totals.__getitem__)  # earliest wins ties
         chosen = remaining.pop(best_pos)
         scale[graph.patch_index[chosen]] *= multiplier
         selected.append(chosen)
@@ -250,8 +248,6 @@ def random_allocation_reduction(model: FittedModel, graph: PatchGraph, budget: i
                                 candidates: Sequence[str] | None = None,
                                 n_draws: int = 20, seed: int = 0) -> np.ndarray:
     """Reductions of ``n_draws`` random size-``budget`` allocations."""
-    from . import seeding
-
     cands = _allocation_candidates(graph, candidates, budget, multiplier)
     rng = seeding.spawn_rng(seed, seeding.ANALYSIS, 0)
     scale = np.ones((graph.n_patches, 1 + n_draws))
@@ -360,12 +356,6 @@ def check_noisy_patches(graph: PatchGraph, noisy_patches: Sequence[str], k: int)
     return noisy
 
 
-def check_noise_sd(noise_sd: float) -> None:
-    """Refuse a feature-noise scale that is not finite and nonnegative."""
-    if not (math.isfinite(noise_sd) and noise_sd >= 0):
-        raise InvalidOption(f"noise_sd must be finite and >= 0, got {noise_sd}")
-
-
 def corrupt_features(data: DataSet, graph: PatchGraph, patches: Sequence[str],
                      noise_sd: float, seed: int = 0) -> DataSet:
     """Additive Gaussian noise on named patches' feature channels.
@@ -374,9 +364,7 @@ def corrupt_features(data: DataSet, graph: PatchGraph, patches: Sequence[str],
     ``noise_sd`` times that channel's standard deviation over the
     training window; draws are independent per patch, week and channel.
     """
-    from . import seeding
-
-    check_noise_sd(noise_sd)
+    check_option("noise_sd", noise_sd, 0)
     rng = seeding.spawn_rng(seed, seeding.ANALYSIS, 1)
     features = np.array(data.features)
     sd_ch = features[:, : data.window, :].std(axis=(0, 1))
@@ -425,6 +413,31 @@ def _corrected_dataset(noisy_data: DataSet, clean: DataSet, graph: PatchGraph,
     return replace(noisy_data, features=features)
 
 
+def _mean_r2_scorer(net_for, clean: DataSet, graph: PatchGraph, noisy: Sequence[str],
+                    noise_sd: float, seed: int, eval_seed: int | None, eval_draws: int):
+    """``score(corrected)``: the state R^2 averaged over ``eval_draws``
+    noisy feature sets, each with the ``corrected`` patches restored.
+
+    Draw d corrupts the ``noisy`` patches with seed ``eval_seed + d``
+    (default ``seed + 1 + d``); ``net_for(dataset)`` is the net scored on
+    that dataset.  Refuses ``eval_draws`` below 1.
+    """
+    check_option("eval_draws", eval_draws, 1)
+    if eval_seed is None:
+        eval_seed = seed + 1
+    noisy_sets = [corrupt_features(clean, graph, noisy, noise_sd, seed=eval_seed + d)
+                  for d in range(eval_draws)]
+
+    def score(corrected: Sequence[str]) -> float:
+        vals = []
+        for ns in noisy_sets:
+            ds = _corrected_dataset(ns, clean, graph, corrected)
+            vals.append(_correction_metric(net_for(ds), ds, clean, graph))
+        return float(np.mean(vals))
+
+    return score
+
+
 def greedy_data_correction(net: CalibNet, clean: DataSet, graph: PatchGraph,
                            noisy_patches: Sequence[str], noise_sd: float, k: int,
                            seed: int = 0, eval_seed: int | None = None,
@@ -443,10 +456,6 @@ def greedy_data_correction(net: CalibNet, clean: DataSet, graph: PatchGraph,
     dataset instead of re-evaluating the fixed net (slow).
     """
     noisy = check_noisy_patches(graph, noisy_patches, k)
-    if eval_seed is None:
-        eval_seed = seed + 1
-    noisy_sets = [corrupt_features(clean, graph, noisy, noise_sd, seed=eval_seed + d)
-                  for d in range(max(1, eval_draws))]
 
     def eval_net_for(dataset: DataSet) -> CalibNet:
         if not retrain:
@@ -457,22 +466,13 @@ def greedy_data_correction(net: CalibNet, clean: DataSet, graph: PatchGraph,
             dataset, graph, hyper,
         ).net
 
-    def evaluate(corrected: Sequence[str]) -> float:
-        vals = []
-        for ns in noisy_sets:
-            ds = _corrected_dataset(ns, clean, graph, corrected)
-            vals.append(_correction_metric(eval_net_for(ds), ds, clean, graph))
-        return float(np.mean(vals))
-
+    evaluate = _mean_r2_scorer(eval_net_for, clean, graph, noisy, noise_sd, seed, eval_seed, eval_draws)
     corrected: list[str] = []
     curve = [evaluate([])]
     remaining = list(noisy)
     for _ in range(k):
         scores = [evaluate(corrected + [cand]) for cand in remaining]
-        best_pos = 0
-        for pos in range(1, len(remaining)):
-            if scores[pos] > scores[best_pos]:
-                best_pos = pos
+        best_pos = max(range(len(remaining)), key=scores.__getitem__)  # earliest wins ties
         corrected.append(remaining.pop(best_pos))
         curve.append(scores[best_pos])
     return CorrectionResult(
@@ -489,21 +489,12 @@ def random_order_correction_curves(net: CalibNet, clean: DataSet, graph: PatchGr
                                    eval_seed: int | None = None,
                                    eval_draws: int = 1) -> np.ndarray:
     """Correction curves for random patch orders (rows: one per order)."""
-    from . import seeding
-
     noisy = check_noisy_patches(graph, noisy_patches, 0)
-    if eval_seed is None:
-        eval_seed = seed + 1
-    noisy_sets = [corrupt_features(clean, graph, noisy, noise_sd, seed=eval_seed + d)
-                  for d in range(max(1, eval_draws))]
+    evaluate = _mean_r2_scorer(lambda ds: net, clean, graph, noisy, noise_sd, seed, eval_seed, eval_draws)
     rng = seeding.spawn_rng(seed, seeding.ANALYSIS, 2)
     curves = np.zeros((n_orders, len(noisy) + 1))
     for d in range(n_orders):
         order = [noisy[j] for j in rng.permutation(len(noisy))]
         for kk in range(len(noisy) + 1):
-            vals = [
-                _correction_metric(net, _corrected_dataset(ns, clean, graph, order[:kk]), clean, graph)
-                for ns in noisy_sets
-            ]
-            curves[d, kk] = float(np.mean(vals))
+            curves[d, kk] = evaluate(order[:kk])
     return curves

@@ -6,21 +6,23 @@ always precede children, so a single reverse sweep propagates adjoints.
 with numpy-style operators, which lets the simulator run unchanged on
 plain arrays or on tape-recorded values.
 
-Supported record kinds: add, sub, mul, div, neg, min, exp, log, sigmoid,
-tanh, relu, matmul, sum, col (column extraction, used to peel parameter
-columns off a matrix).  ``min`` sends gradient to the smaller argument
-and, on ties, to the first one, which keeps gradients deterministic.
+Supported record kinds: add, sub, mul, div, neg, min, sigmoid, tanh,
+relu, matmul, sum, col (column extraction, used to peel parameter
+columns off a matrix) and colvec.  ``min`` sends gradient to the smaller
+argument and, on ties, to the first one, which keeps gradients
+deterministic.
 
 A plain operand of a recorded op becomes a constant leaf; leaves made
 with ``Tape.variable`` are the variables.  ``backward`` forms no adjoint
 toward a constant, drops each intermediate adjoint once its parents have
 their share, and returns adjoints for the variables only.
 
-Module-level helpers (``exp``, ``minimum``, ``matmul``, ...) dispatch on
-argument type: plain ndarrays go through numpy, DualValues through the
-tape.  Tapes are single-threaded.  ``Adam.step`` is the training step
-every trainer shares: it records the trainer's loss on a fresh tape,
-backpropagates and updates, and lets the tape go before the next step.
+Module-level helpers (``sigmoid``, ``minimum``, ``matmul``, ...) dispatch
+on argument type: plain ndarrays go through numpy, DualValues through the
+tape.  Tapes are single-threaded.  Both networks share ``gru_cell``, the
+one GRU step, and ``Adam.step``, the one training step: it records the
+loss on a fresh tape, refuses a non-finite loss, backpropagates and
+updates, and lets the tape go before the next step.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergedGradient, DivisionByZero, NonScalarRoot, TapeMismatch
+from .errors import DivergedGradient, DivisionByZero, NonFiniteLoss, NonScalarRoot, TapeMismatch
 
 _BINARY = {"add", "sub", "mul", "div", "min", "matmul"}
 
@@ -167,10 +169,6 @@ class Tape:
         av = a.value
         if op == "neg":
             return self._append("neg", (a.index,), None, -av)
-        if op == "exp":
-            return self._append("exp", (a.index,), None, np.exp(av))
-        if op == "log":
-            return self._append("log", (a.index,), None, np.log(av))
         if op == "sigmoid":
             out = 1.0 / (1.0 + np.exp(-av))
             return self._append("sigmoid", (a.index,), None, out)
@@ -249,10 +247,6 @@ class Tape:
                     _acc(adj, b, _unbroadcast(g * (1.0 - mask), values[b].shape))
             elif kind == "neg":
                 _acc(adj, ps[0], -g)
-            elif kind == "exp":
-                _acc(adj, ps[0], g * values[k])
-            elif kind == "log":
-                _acc(adj, ps[0], g / values[ps[0]])
             elif kind == "sigmoid":
                 s = values[k]
                 _acc(adj, ps[0], g * s * (1.0 - s))
@@ -329,16 +323,20 @@ class Adam:
 
         ``loss_fn`` gets the weights as tape variables (name -> DualValue)
         and returns the scalar loss node; it sees the weights before they
-        move, so it may also check and log its forward pass.  Gradient =
-        adjoint + decay * weight; clip, check finite, update.  The tape and
-        every node on it are unreachable once this returns, so the next
-        step records with no earlier tape alive.  ``where`` (e.g. the
-        epoch) prefixes the ``DivergedGradient`` message.
+        move, so it may also check and log its forward pass.  A non-finite
+        loss raises ``NonFiniteLoss``.  Gradient = adjoint + decay * weight;
+        clip, check finite, update.  The tape and every node on it are
+        unreachable once this returns, so the next step records with no
+        earlier tape alive.  ``where`` (e.g. the epoch) prefixes the
+        ``NonFiniteLoss`` and ``DivergedGradient`` messages.
         """
         w = self.weights
         tape = Tape()
         duals = {n: tape.variable(w[n]) for n in self.names}
-        adjoints = tape.backward(loss_fn(duals))
+        loss = loss_fn(duals)
+        if not np.isfinite(loss.value):
+            raise NonFiniteLoss(f"{where}: loss is not finite")
+        adjoints = tape.backward(loss)
         grads = {n: adjoints[duals[n].index] + self.weight_decay * w[n] for n in self.names}
         gnorm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
         if np.isfinite(gnorm) and self.clip_norm > 0 and gnorm > self.clip_norm:
@@ -357,18 +355,28 @@ class Adam:
             w[n] -= lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
+def gru_cell(inputs, h, u, b):
+    """One GRU step (Cho et al. 2014) on plain arrays or tape values.
+
+    ``inputs`` is a list of (x, (w_z, w_r, w_h)); ``u`` and ``b`` are the
+    (z, r, h) recurrent weights and biases.  Each gate sums the input
+    projections in list order, then the recurrent term, then the bias;
+    the candidate's recurrent term reads ``r * h``.
+    """
+    def project(g: int):
+        first, *rest = [matmul(x, w[g]) for x, w in inputs]
+        return sum(rest, first)
+
+    z = sigmoid(project(0) + matmul(h, u[0]) + b[0])
+    r = sigmoid(project(1) + matmul(h, u[1]) + b[1])
+    cand = tanh(project(2) + matmul(r * h, u[2]) + b[2])
+    return (1.0 - z) * h + z * cand
+
+
 # -- type-dispatching helpers so model code runs on both number kinds ----
 
 def _is_dual(x) -> bool:
     return isinstance(x, DualValue)
-
-
-def exp(x):
-    return x.tape.record("exp", x) if _is_dual(x) else np.exp(x)
-
-
-def log(x):
-    return x.tape.record("log", x) if _is_dual(x) else np.log(x)
 
 
 def sigmoid(x):

@@ -4,11 +4,12 @@ The network maps region-aggregated weekly features to bounded region- and
 week-specific parameters:
 
 - encoder: a gated recurrent unit over the feature sequence (one latent
-  per region),
+  per region), stepped by ``autodiff.gru_cell``, the cell the residual
+  adapter also uses,
 - decoder: a feed-forward layer conditioned on normalized time-index
-  features (linear term plus sine/cosine harmonics), emitting one logit
-  per parameter, squashed into its bound interval via
-  ``lo + (hi - lo) * sigmoid(logit)``.
+  features (``time_features``, which the adapter shares: a linear term
+  plus sine/cosine harmonics), emitting one logit per parameter,
+  squashed into its bound interval via ``lo + (hi - lo) * sigmoid(logit)``.
 
 Training is full-batch gradient descent on the multi-resolution MSE
 (patch + region + state), differentiated straight through the simulator
@@ -19,6 +20,7 @@ lowest loss and by highest state-level R^2 are both retained.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from .core import (
     PatchGraph,
     Trajectory,
     aggregate,
+    check_option,
     metrics,
 )
 from .errors import (
@@ -51,6 +54,11 @@ class CalibConfig:
     hidden: int = 20          # encoder GRU width
     decoder_width: int = 20
     time_harmonics: int = 4   # sine/cosine pairs in the time features
+
+    def __post_init__(self):
+        check_option("hidden", self.hidden, 1)
+        check_option("decoder_width", self.decoder_width, 1)
+        check_option("time_harmonics", self.time_harmonics, 0)
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,14 @@ class TrainConfig:
     lr_decay: float = 0.9
     seed: int = 0
     loss_weights: LossWeights = field(default_factory=LossWeights)
+
+    def __post_init__(self):
+        check_option("epochs", self.epochs, 0)
+        check_option("learning_rate", self.learning_rate, 0, strict=True)
+        check_option("weight_decay", self.weight_decay, 0)
+        check_option("clip_norm", self.clip_norm, 0)   # 0 turns clipping off
+        check_option("lr_step", self.lr_step, 1)
+        check_option("lr_decay", self.lr_decay, 0, strict=True)
 
 
 class CalibNet:
@@ -120,15 +136,7 @@ class CalibNet:
         self.norm_std: np.ndarray | None = None
 
     def copy(self) -> "CalibNet":
-        out = CalibNet.__new__(CalibNet)
-        out.n_features = self.n_features
-        out.config = self.config
-        out.bounds = dict(self.bounds)
-        out.seed = self.seed
-        out.weights = {k: v.copy() for k, v in self.weights.items()}
-        out.norm_mean = None if self.norm_mean is None else self.norm_mean.copy()
-        out.norm_std = None if self.norm_std is None else self.norm_std.copy()
-        return out
+        return copy.deepcopy(self)
 
     def zero_(self) -> "CalibNet":
         """Zero every weight in place (useful in tests)."""
@@ -142,9 +150,10 @@ class CalibNet:
         return lo, hi - lo
 
 
-def time_features(window: int, harmonics: int) -> np.ndarray:
-    """(window, 1 + 2*harmonics) matrix of normalized-time features."""
-    t = np.arange(window) / max(window - 1, 1)
+def time_features(window: int, harmonics: int, t_scale: int | None = None) -> np.ndarray:
+    """(window, 1 + 2*harmonics) features of x = t / t_scale: x, then sin and
+    cos of 2 pi k x for k = 1 .. harmonics.  ``t_scale`` defaults to window - 1."""
+    t = np.arange(window) / max(window - 1 if t_scale is None else t_scale, 1)
     cols = [t]
     for k in range(1, harmonics + 1):
         cols.append(np.sin(2 * np.pi * k * t))
@@ -188,13 +197,10 @@ def _network_bounded(weights, feats: np.ndarray, tau: np.ndarray, lo: np.ndarray
     (training); the same code serves both.
     """
     n_regions, window, _ = feats.shape
+    w, u, b = (tuple(weights[f"enc_{m}{g}"] for g in "zrh") for m in "wub")
     h = np.zeros((n_regions, config.hidden))
     for t in range(window):
-        x = feats[:, t, :]
-        z = ad.sigmoid(ad.matmul(x, weights["enc_wz"]) + ad.matmul(h, weights["enc_uz"]) + weights["enc_bz"])
-        r = ad.sigmoid(ad.matmul(x, weights["enc_wr"]) + ad.matmul(h, weights["enc_ur"]) + weights["enc_br"])
-        cand = ad.tanh(ad.matmul(x, weights["enc_wh"]) + ad.matmul(r * h, weights["enc_uh"]) + weights["enc_bh"])
-        h = (1.0 - z) * h + z * cand
+        h = ad.gru_cell([(feats[:, t, :], w)], h, u, b)
     out = []
     for t in range(window):
         hid = ad.relu(ad.matmul(h, weights["dec_wh"]) + ad.matmul(tau[t : t + 1, :], weights["dec_wt"]) + weights["dec_b"])
@@ -321,9 +327,6 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
             i_steps = i_hist[1:]
             loss = _mr_loss(i_steps, observed, graph, hyper.loss_weights)
             loss_val = float(loss.value)
-            if not np.isfinite(loss_val):
-                raise NonFiniteLoss(f"epoch {epoch}: loss is not finite")
-
             r2 = _state_r2([iv.value for iv in i_steps], observed, graph)
             history_loss.append(loss_val)
             history_r2.append(r2)

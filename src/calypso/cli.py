@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import adapter as adapter_mod
 from . import analysis, calib, eakf, io, synth
-from .core import NON_GENERAL, aggregate, metrics as compute_metrics
+from .core import NON_GENERAL, aggregate, check_option, metrics as compute_metrics
 from .errors import DataError, InvalidOption, NumericalError
 from .io import write_json as _write_json, write_rows as _write_rows
 from .sim import SimConfig, simulate
@@ -99,18 +99,15 @@ def cmd_simulate(config: dict) -> list:
 def cmd_calibrate(config: dict) -> list:
     epochs = _at_least(config, "epochs")
     lr_step = _at_least(config, "lr_step")
-    graph, data = _load_bundle(config)
-    net = calib.CalibNet(
-        data.features.shape[2],
-        config=calib.CalibConfig(hidden=config["hidden"], decoder_width=config["decoder_width"]),
-        seed=config["seed"],
-    )
+    net_config = calib.CalibConfig(hidden=config["hidden"], decoder_width=config["decoder_width"])
     hyper = calib.TrainConfig(
         epochs=epochs, learning_rate=config["lr"],
         weight_decay=config["weight_decay"], clip_norm=config["clip"],
         lr_step=lr_step, lr_decay=config["lr_decay"], seed=config["seed"],
         loss_weights=calib.LossWeights(config["w_patch"], config["w_region"], config["w_state"]),
     )
+    graph, data = _load_bundle(config)
+    net = calib.CalibNet(data.features.shape[2], config=net_config, seed=config["seed"])
     result = calib.train_joint(net, data, graph, hyper)
     out = _out_dir(config)
     written = [
@@ -129,7 +126,10 @@ def cmd_calibrate(config: dict) -> list:
 
 
 def cmd_adapter(config: dict) -> list:
-    epochs = _at_least(config, "epochs")
+    hyper = adapter_mod.AdapterTrainConfig(
+        epochs=_at_least(config, "epochs"), learning_rate=config["lr"],
+        teacher_ratio=config["teacher_ratio"], seed=config["seed"],
+    )
     graph, data = _load_bundle(config)
     net, _ = _load_model(config, graph, data)
     traj = simulate(graph, calib.infer_params(net, data, graph), data.initial_infections,
@@ -137,10 +137,6 @@ def cmd_adapter(config: dict) -> list:
     raw = adapter_mod.stack_levels(traj.weekly_series, graph)
     truth = adapter_mod.stack_levels(data.training_observed(), graph)
     ad_net = adapter_mod.AdapterNet(seed=config["seed"])
-    hyper = adapter_mod.AdapterTrainConfig(
-        epochs=epochs, learning_rate=config["lr"],
-        teacher_ratio=config["teacher_ratio"], seed=config["seed"],
-    )
     trained, history = adapter_mod.train_adapter(ad_net, raw, truth, hyper)
     out = _out_dir(config)
     return [
@@ -270,7 +266,8 @@ def cmd_outbreak(config: dict) -> list:
 def cmd_correct_data(config: dict) -> list:
     epochs = _at_least(config, "epochs")
     k = _at_least(config, "k", 0)
-    analysis.check_noise_sd(config["noise_sd"])
+    eval_draws = _at_least(config, "eval_draws")
+    check_option("noise_sd", config["noise_sd"], 0)
     graph, data = _load_bundle(config)
     if config.get("noisy_patches"):
         noisy = config["noisy_patches"].split(",")
@@ -282,7 +279,7 @@ def cmd_correct_data(config: dict) -> list:
     trained = calib.train_joint(net, data, graph, hyper).net
     result = analysis.greedy_data_correction(
         trained, data, graph, noisy, config["noise_sd"], k,
-        seed=config["seed"], eval_draws=config["eval_draws"],
+        seed=config["seed"], eval_draws=eval_draws,
         retrain=config.get("retrain", False), retrain_hyper=hyper,
     )
     out = _out_dir(config)

@@ -14,6 +14,7 @@ makes floating-point reductions reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DegenerateTruth,
+    InvalidOption,
     OffDiagonalOverflow,
     ShapeMismatch,
     UnknownLevel,
@@ -247,6 +249,15 @@ def metrics(pred, truth) -> dict[str, float]:
         raise DegenerateTruth("truth series is constant; R^2 undefined")
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot
     return {"r2": r2, "mse": mse, "mae": mae, "rmse": float(np.sqrt(mse))}
+
+
+def check_option(name: str, value, low: float, strict: bool = False, high: float | None = None) -> None:
+    """Refuse an option value that is not finite, not >= ``low`` (> ``low``
+    when ``strict``) or above ``high``, with ``InvalidOption`` naming it."""
+    if not (math.isfinite(value) and (value > low if strict else value >= low)
+            and (high is None or value <= high)):
+        need = f"{'>' if strict else '>='} {low}" + ("" if high is None else f" and <= {high}")
+        raise InvalidOption(f"{name} must be finite and {need}, got {value}")
 
 
 @dataclass(frozen=True)

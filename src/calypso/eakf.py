@@ -30,7 +30,6 @@ has collapsed the filter raises ``CollapsedEnsemble``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +41,7 @@ from .core import (
     DataSet,
     PatchGraph,
     Trajectory,
+    check_option,
 )
 from .errors import CollapsedEnsemble, InvalidOption, ShapeMismatch
 from .sim import sirs_step, week_coefficients
@@ -73,8 +73,7 @@ class Ensemble:
             raise ShapeMismatch("member compartments disagree on shape")
         if self.params.shape != (self.S.shape[0], 5 * len(self.region_ids)):
             raise ShapeMismatch("params must be members x (5 * regions)")
-        if not (math.isfinite(self.inflation) and self.inflation >= 1.0):
-            raise InvalidOption(f"inflation must be finite and >= 1, got {self.inflation}")
+        check_option("inflation", self.inflation, 1)
         # +inf is the no-information limit: the update leaves the prior as it is
         if self.obs_error_variance is not None and not self.obs_error_variance > 0.0:
             raise InvalidOption(f"observation error variance must be > 0, got {self.obs_error_variance}")

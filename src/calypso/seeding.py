@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import check_option
+
 # Fixed per-module counters; never reorder or reuse values.
 SYNTH = 1
 CALIB = 2
@@ -19,5 +21,6 @@ ANALYSIS = 5
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
-    """Return a Generator derived from ``seed`` and a counter key path."""
+    """Return a Generator derived from ``seed`` (>= 0) and a counter key path."""
+    check_option("seed", seed, 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key)))

@@ -4,14 +4,62 @@ import numpy as np
 import pytest
 
 from calypso import adapter, calib, synth
+from calypso import autodiff as ad
 from calypso.adapter import (
+    AdapterConfig,
     AdapterNet,
     AdapterTrainConfig,
     refine,
     stack_levels,
     train_adapter,
 )
-from calypso.errors import NonFiniteInput, ShapeMismatch
+from calypso.errors import InvalidOption, NonFiniteInput, ShapeMismatch
+
+
+def _time_row(t: int, t_scale: int, harmonics: int) -> np.ndarray:
+    """Reference timestep features: one (1, K) row built from Python scalars."""
+    x = t / max(t_scale, 1)
+    cols = [x]
+    for k in range(1, harmonics + 1):
+        cols.append(np.sin(2 * np.pi * k * x))
+        cols.append(np.cos(2 * np.pi * k * x))
+    return np.array(cols)[None, :]  # (1, K)
+
+
+def _gru_cell(weights, prefix: str, x_parts, h):
+    """Reference GRU update: weight names per gate, bias first in each sum;
+    ``x_parts`` is a list of (value, weight-name-suffix)."""
+    def preact(g: str):
+        acc = weights[f"{prefix}_b_{g}"]
+        for value, suffix in x_parts:
+            acc = ad.matmul(value, weights[f"{prefix}_{suffix}_{g}"]) + acc
+        return acc
+
+    z = ad.sigmoid(preact("z") + ad.matmul(h, weights[f"{prefix}_u_z"]))
+    r = ad.sigmoid(preact("r") + ad.matmul(h, weights[f"{prefix}_u_r"]))
+    cand = ad.tanh(preact("h") + ad.matmul(r * h, weights[f"{prefix}_u_h"]))
+    return (1.0 - z) * h + z * cand
+
+
+def reference_refine(net: AdapterNet, raw: np.ndarray) -> np.ndarray:
+    """``refine`` on plain arrays, stepped by ``_gru_cell`` and ``_time_row``."""
+    config, w = net.config, net.weights
+    scale = net.scale if net.scale is not None else np.ones(raw.shape[0])
+    t_scale = net.t_scale if net.t_scale is not None else raw.shape[1]
+    raw_norm = raw / scale[:, None]
+    h = [np.zeros((raw.shape[0], config.hidden)) for _ in range(config.layers)]
+    prev = raw_norm[:, 0]
+    out = []
+    for t in range(raw.shape[1]):
+        parts = [(raw_norm[:, t, None], "raw"), (prev[:, None], "prev"),
+                 (_time_row(t, t_scale, config.time_harmonics), "time")]
+        h[0] = _gru_cell(w, "l0", parts, h[0])
+        for layer in range(1, config.layers):
+            h[layer] = _gru_cell(w, f"l{layer}", [(h[layer - 1], "w")], h[layer])
+        corr = np.maximum(raw[:, t] + (h[-1] @ w["out_w"] + w["out_b"]) * scale, 0.0)
+        out.append(corr)
+        prev = corr / scale
+    return np.stack(out, axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +118,39 @@ class TestRefine:
                                AdapterTrainConfig(epochs=2))
         with pytest.raises(ShapeMismatch):
             refine(net, raw[:2])
+
+
+class TestSharedParts:
+    @pytest.mark.parametrize("weeks", [20, 37, 120, 200])
+    @pytest.mark.parametrize("harmonics", [3, 4])
+    def test_time_features_equal_time_rows_bit_for_bit(self, weeks, harmonics):
+        # t_scale below the window puts the later weeks beyond it (x > 1)
+        for t_scale in (weeks, weeks - 1, weeks // 3, 1, 0):
+            tau = calib.time_features(weeks, harmonics, t_scale)
+            rows = np.concatenate([_time_row(t, t_scale, harmonics) for t in range(weeks)])
+            assert np.array_equal(tau, rows), t_scale
+
+    def test_refine_matches_the_reference_cell(self, series):
+        raw, truth = series
+        trained, _ = train_adapter(AdapterNet(AdapterConfig(layers=3), seed=5), raw, truth,
+                                   AdapterTrainConfig(epochs=3, seed=0))
+        for net in (AdapterNet(seed=2), trained):
+            got, want = refine(net, raw), reference_refine(net, raw)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", np.nan),
+        ("weight_decay", -1e-4), ("weight_decay", np.nan), ("clip_norm", np.nan), ("clip_norm", -1.0),
+        ("teacher_ratio", 7.0), ("teacher_ratio", -0.1), ("teacher_ratio", np.nan),
+    ])
+    def test_bad_training_option_refused(self, field, value):
+        with pytest.raises(InvalidOption, match=f"{field} must be"):
+            AdapterTrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["hidden", "layers", "time_harmonics"])
+    def test_bad_architecture_refused(self, field):
+        with pytest.raises(InvalidOption, match=f"{field} must be"):
+            AdapterConfig(**{field: -1})
 
 
 class TestTrainAdapter:

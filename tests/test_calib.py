@@ -13,7 +13,7 @@ from calypso.calib import (
     train_joint,
 )
 from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES, DataSet, Trajectory
-from calypso.errors import CheckpointError, HorizonZero, ShapeMismatch, WindowMismatch
+from calypso.errors import CheckpointError, HorizonZero, InvalidOption, ShapeMismatch, WindowMismatch
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +186,17 @@ class TestTrainJoint:
         train_joint(net, bundle.data, bundle.graph, TrainConfig(epochs=10))
         for k in before:
             assert np.array_equal(net.weights[k], before[k])
+
+    @pytest.mark.parametrize("config, field, value", [
+        (CalibConfig, "hidden", 0), (CalibConfig, "decoder_width", 0), (CalibConfig, "time_harmonics", -1),
+        (TrainConfig, "epochs", -1), (TrainConfig, "learning_rate", np.nan),
+        (TrainConfig, "learning_rate", -1.0), (TrainConfig, "learning_rate", np.inf),
+        (TrainConfig, "weight_decay", np.nan), (TrainConfig, "clip_norm", np.nan),
+        (TrainConfig, "clip_norm", -1.0), (TrainConfig, "lr_step", 0), (TrainConfig, "lr_decay", 0.0),
+    ])
+    def test_bad_option_refused(self, config, field, value):
+        with pytest.raises(InvalidOption, match=f"{field} must be"):
+            config(**{field: value})
 
     def test_window_too_short_rejected(self, bundle):
         import dataclasses

@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from calypso import adapter as adapter_mod
 from calypso import analysis, calib, io, synth
 from calypso.cli import main
 from calypso.core import DiseaseParams
@@ -255,11 +256,16 @@ class TestErrorHandling:
          "CheckpointError", "non-finite number NaN"),
         ("adapter", _json_edit(lambda p: p.pop("t_scale")), "CheckpointError",
          "missing keys ['t_scale']"),
+        ("calib", _json_edit(lambda p: p["config"].update(hidden=0)), "CheckpointError",
+         "hidden must be finite and >= 1"),
+        ("adapter", _json_edit(lambda p: p["config"].update(hidden=0)), "CheckpointError",
+         "hidden must be finite and >= 1"),
         ("data", None, "ShapeMismatch", "feature channels"),
         ("epochs", None, "InvalidOption", "--epochs"),
     ], ids=["not-json", "calib-missing-n_features", "unknown-config-key", "calib-truncated-weight",
             "adapter-truncated-weight", "calib-missing-weight", "adapter-missing-weight",
-            "adapter-nan-weight", "adapter-missing-t_scale", "feature-channel-mismatch",
+            "adapter-nan-weight", "adapter-missing-t_scale", "calib-zero-hidden", "adapter-zero-hidden",
+            "feature-channel-mismatch",
             "calibrate-zero-epochs"])
     def test_malformed_input_exits_three_and_names_fault(
             self, data_dir, checkpoint, adapter_checkpoint, tmp_path, capsys,
@@ -329,6 +335,24 @@ class TestErrorHandling:
         (["correct-data", "--noisy-patches", "nope"], None, None, 3, "UnknownRegion", "unknown noisy patch 'nope'"),
         (["correct-data", "--noisy-count", "2", "--k", "5"], None, None, 3, "KExceedsNoisySet",
          "k=5 exceeds 2 noisy patches"),
+        (["calibrate", "--hidden", "0"], None, None, 3, "InvalidOption", "hidden must be finite and >= 1"),
+        (["calibrate", "--decoder-width", "0"], None, None, 3, "InvalidOption",
+         "decoder_width must be finite and >= 1"),
+        (["calibrate", "--lr", "nan"], None, None, 3, "InvalidOption", "learning_rate must be finite and > 0"),
+        (["calibrate", "--lr", "-1"], None, None, 3, "InvalidOption", "learning_rate must be finite and > 0"),
+        (["calibrate", "--clip", "nan"], None, None, 3, "InvalidOption", "clip_norm must be finite and >= 0"),
+        (["calibrate", "--weight-decay", "nan"], None, None, 3, "InvalidOption",
+         "weight_decay must be finite and >= 0"),
+        (["adapter", "--lr", "-1"], None, None, 3, "InvalidOption", "learning_rate must be finite and > 0"),
+        (["adapter", "--teacher-ratio", "7"], None, None, 3, "InvalidOption",
+         "teacher_ratio must be finite and >= 0 and <= 1"),
+        (["adapter", "--teacher-ratio", "nan"], None, None, 3, "InvalidOption",
+         "teacher_ratio must be finite and >= 0 and <= 1"),
+        (["correct-data", "--eval-draws", "0"], None, None, 3, "InvalidOption", "--eval-draws must be >= 1"),
+        (["correct-data", "--eval-draws", "-4"], None, None, 3, "InvalidOption", "--eval-draws must be >= 1"),
+        (["calibrate", "--seed", "-1"], None, None, 3, "InvalidOption", "seed must be finite and >= 0"),
+        (["eakf", "--seed", "-2"], None, None, 3, "InvalidOption", "seed must be finite and >= 0"),
+        (["correct-data", "--k", "1", "--seed", "-3"], None, None, 3, "InvalidOption", "seed must be finite and >= 0"),
     ], ids=["eakf-inflation-zero", "eakf-inflation-negative", "eakf-inflation-nan",
             "eakf-obs-var-zero", "eakf-obs-var-negative", "eakf-obs-var-nan",
             "calibrate-lr-step-zero", "calibrate-lr-step-negative", "calibrate-nan-count",
@@ -341,13 +365,19 @@ class TestErrorHandling:
             "brute-force-budget-above-candidates", "greedy-budget-above-candidates",
             "correct-data-noisy-count-negative", "correct-data-noisy-count-zero", "correct-data-k-negative",
             "correct-data-noise-sd-nan", "correct-data-noise-sd-negative", "correct-data-noise-sd-inf",
-            "correct-data-unknown-noisy-patch", "correct-data-k-above-noisy-set"])
+            "correct-data-unknown-noisy-patch", "correct-data-k-above-noisy-set",
+            "calibrate-hidden-zero", "calibrate-decoder-width-zero", "calibrate-lr-nan",
+            "calibrate-lr-negative", "calibrate-clip-nan", "calibrate-weight-decay-nan",
+            "adapter-lr-negative", "adapter-teacher-ratio-seven", "adapter-teacher-ratio-nan",
+            "correct-data-eval-draws-zero", "correct-data-eval-draws-negative", "calibrate-seed-negative",
+            "eakf-seed-negative", "correct-data-seed-negative"])
     def test_bad_option_or_value_is_refused(self, data_dir, checkpoint, tmp_path, capsys, monkeypatch,
                                             argv, table, value, code, error, fragment):
         def too_late(*args, **kwargs):
             raise AssertionError("trained or simulated before refusing the input")
 
         monkeypatch.setattr(calib, "train_joint", too_late)
+        monkeypatch.setattr(adapter_mod, "train_adapter", too_late)
         monkeypatch.setattr(analysis, "simulate", too_late)
         monkeypatch.setattr(analysis, "scenario_totals", too_late)
         data = tmp_path / "data"
@@ -365,6 +395,7 @@ class TestErrorHandling:
         else:  # the row's own options come last, so they override these
             argv = [argv[0], "--data", str(data)] + {
                 "calibrate": ["--epochs", "1"],
+                "adapter": ["--checkpoint", str(checkpoint), "--epochs", "1"],
                 "eakf": ["--size", "4"],
                 "policy-greedy": ["--checkpoint", str(checkpoint), "--budget", "2"],
                 "outbreak": ["--checkpoint", str(checkpoint)],

@@ -1,8 +1,10 @@
 """The demos run to completion as scripts.
 
-01 builds a graph by hand and simulates it; 05 calls every analysis that
-scores its scenarios in one batched run.  Each runs in a fresh
-interpreter that imports the package from ``src/``.
+01 builds a graph by hand and simulates it; 04 runs the ensemble Kalman
+baseline; 05 calls every analysis that scores its scenarios in one
+batched run.  Each runs in a fresh interpreter that imports the package
+from ``src/``.  Demos 02, 03 and 06 train networks for tens of seconds
+each, so they are left out.
 """
 
 import os
@@ -15,7 +17,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_simulate_metapopulation.py", "05_policy_analyses.py"])
+@pytest.mark.parametrize("demo", ["01_simulate_metapopulation.py", "04_eakf_baseline.py",
+                                  "05_policy_analyses.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
