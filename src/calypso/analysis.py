@@ -18,7 +18,6 @@ evaluation order.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -42,11 +41,6 @@ from .errors import (
     UnknownRegion,
 )
 from .sim import SimConfig, check_seed_count, scenario_totals, seed_outbreak, simulate
-
-
-def _check_multiplier(value: float, what: str) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ShapeMismatch(f"{what} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +108,7 @@ def regional_beta_reduction(model: FittedModel, graph: PatchGraph, region: str,
     """
     if region not in graph.region_ids:
         raise UnknownRegion(f"unknown region {region!r}")
-    _check_multiplier(factor, "factor")
+    check_option("factor", factor, 0, strict=True)
     scale = np.ones((graph.n_patches, 2))
     scale[graph.patch_region == graph.region_index[region], 1] = factor
     patch_totals = model.totals(graph, scale)
@@ -149,9 +143,8 @@ def _allocation_candidates(graph: PatchGraph, candidates: Sequence[str] | None,
     Refuses, before any simulation, a multiplier that is not finite and
     > 0 and a budget outside 1 .. the number of candidates.
     """
-    _check_multiplier(multiplier, "multiplier")
-    if budget < 1:
-        raise ShapeMismatch("budget must be >= 1")
+    check_option("multiplier", multiplier, 0, strict=True)
+    check_option("budget", budget, 1)
     if candidates is None:
         candidates = graph.patches_of_category(NON_GENERAL)
     for c in candidates:
@@ -266,8 +259,7 @@ def sensitivity_scan(model: FittedModel, graph: PatchGraph, bump: float = 1.1) -
     per region-j resident when region i's beta is scaled by ``bump``.
     Receivers are ranked by their total ratio over external sources.
     """
-    if not (math.isfinite(bump) and bump > 1.0):
-        raise ShapeMismatch(f"bump must be finite and > 1, got {bump}")
+    check_option("bump", bump, 1, strict=True)
     scale = np.ones((graph.n_patches, 1 + graph.n_regions))
     scale[:, 1:] = np.where(graph.patch_region[:, None] == np.arange(graph.n_regions), bump, 1.0)
     region_totals = aggregate(model.totals(graph, scale), "region", graph)

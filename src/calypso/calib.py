@@ -42,6 +42,7 @@ from .core import (
 from .errors import (
     DegenerateTruth,
     HorizonZero,
+    InvalidOption,
     NonFiniteLoss,
     ShapeMismatch,
     WindowMismatch,
@@ -68,11 +69,10 @@ class LossWeights:
     w_state: float = 1.0
 
     def __post_init__(self):
-        vals = (self.w_patch, self.w_region, self.w_state)
-        if any(v < 0 for v in vals):
-            raise ShapeMismatch("loss weights must be nonnegative")
-        if all(v == 0 for v in vals):
-            raise ShapeMismatch("at least one loss weight must be positive")
+        for name in ("w_patch", "w_region", "w_state"):
+            check_option(name, getattr(self, name), 0)
+        if self.w_patch == self.w_region == self.w_state == 0:
+            raise InvalidOption("at least one loss weight must be positive")
 
 
 @dataclass(frozen=True)

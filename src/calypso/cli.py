@@ -5,6 +5,8 @@ policy-region, policy-greedy, sensitivity, outbreak, correct-data,
 metrics.  Every run writes its results plus a ``run_manifest.json``
 (effective config, seed, git-describe string, wall time).  A JSON config
 file may supply defaults via ``--config``; explicit flags override it.
+Every numeric option has a bound in ``_BOUNDS``, checked before any work
+(from a flag or ``--config``); a refusal names the flag.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical abort.
 """
@@ -67,12 +69,6 @@ def _load_model(config: dict, graph, data):
     return net, analysis.FittedModel.from_calibration(net, data, graph)
 
 
-def _at_least(config: dict, key: str, low: int = 1) -> int:
-    if config[key] < low:
-        raise InvalidOption(f"--{key.replace('_', '-')} must be >= {low}, got {config[key]}")
-    return config[key]
-
-
 # -- subcommand bodies ----------------------------------------------------
 
 def cmd_synth(config: dict) -> list:
@@ -87,8 +83,7 @@ def cmd_synth(config: dict) -> list:
 def cmd_simulate(config: dict) -> list:
     graph, data = _load_bundle(config)
     params = io.load_ground_truth_params(config.get("params") or Path(config["data"]) / "ground_truth.csv", graph)
-    steps = params.n_steps if config.get("steps") is None else _at_least(config, "steps")
-    traj = simulate(graph, params, data.initial_infections, SimConfig(steps=steps))
+    traj = simulate(graph, params, data.initial_infections, SimConfig(steps=config.get("steps") or params.n_steps))
     out = _out_dir(config)
     return [
         io.write_trajectory(out / "trajectory.csv", graph, traj),
@@ -97,13 +92,11 @@ def cmd_simulate(config: dict) -> list:
 
 
 def cmd_calibrate(config: dict) -> list:
-    epochs = _at_least(config, "epochs")
-    lr_step = _at_least(config, "lr_step")
     net_config = calib.CalibConfig(hidden=config["hidden"], decoder_width=config["decoder_width"])
     hyper = calib.TrainConfig(
-        epochs=epochs, learning_rate=config["lr"],
+        epochs=config["epochs"], learning_rate=config["lr"],
         weight_decay=config["weight_decay"], clip_norm=config["clip"],
-        lr_step=lr_step, lr_decay=config["lr_decay"], seed=config["seed"],
+        lr_step=config["lr_step"], lr_decay=config["lr_decay"], seed=config["seed"],
         loss_weights=calib.LossWeights(config["w_patch"], config["w_region"], config["w_state"]),
     )
     graph, data = _load_bundle(config)
@@ -127,7 +120,7 @@ def cmd_calibrate(config: dict) -> list:
 
 def cmd_adapter(config: dict) -> list:
     hyper = adapter_mod.AdapterTrainConfig(
-        epochs=_at_least(config, "epochs"), learning_rate=config["lr"],
+        epochs=config["epochs"], learning_rate=config["lr"],
         teacher_ratio=config["teacher_ratio"], seed=config["seed"],
     )
     graph, data = _load_bundle(config)
@@ -148,8 +141,7 @@ def cmd_adapter(config: dict) -> list:
 def cmd_forecast(config: dict) -> list:
     graph, data = _load_bundle(config)
     net, _ = _load_model(config, graph, data)
-    h = config["horizon"]
-    traj = calib.forecast(net, data, graph, h)
+    traj = calib.forecast(net, data, graph, config["horizon"])
     out = _out_dir(config)
     written = [io.write_trajectory(out / "forecast_trajectory.csv", graph, traj)]
     written += io.write_level_series(out, graph, traj.weekly_series, "forecast")
@@ -264,22 +256,18 @@ def cmd_outbreak(config: dict) -> list:
 
 
 def cmd_correct_data(config: dict) -> list:
-    epochs = _at_least(config, "epochs")
-    k = _at_least(config, "k", 0)
-    eval_draws = _at_least(config, "eval_draws")
-    check_option("noise_sd", config["noise_sd"], 0)
     graph, data = _load_bundle(config)
     if config.get("noisy_patches"):
         noisy = config["noisy_patches"].split(",")
     else:
-        noisy = graph.patches_of_category(NON_GENERAL)[: _at_least(config, "noisy_count")]
-    analysis.check_noisy_patches(graph, noisy, k)
+        noisy = graph.patches_of_category(NON_GENERAL)[: config["noisy_count"]]
+    analysis.check_noisy_patches(graph, noisy, config["k"])
     net = calib.CalibNet(data.features.shape[2], seed=config["seed"])
-    hyper = calib.TrainConfig(epochs=epochs, seed=config["seed"])
+    hyper = calib.TrainConfig(epochs=config["epochs"], seed=config["seed"])
     trained = calib.train_joint(net, data, graph, hyper).net
     result = analysis.greedy_data_correction(
-        trained, data, graph, noisy, config["noise_sd"], k,
-        seed=config["seed"], eval_draws=eval_draws,
+        trained, data, graph, noisy, config["noise_sd"], config["k"],
+        seed=config["seed"], eval_draws=config["eval_draws"],
         retrain=config.get("retrain", False), retrain_hyper=hyper,
     )
     out = _out_dir(config)
@@ -323,6 +311,18 @@ _DEFAULTS: dict[str, dict] = {
     "outbreak": {"seed": 0, "k": 50.0, "horizon": 4},
     "correct-data": {"seed": 0, "noise_sd": 0.2, "k": 6, "noisy_count": 6, "epochs": 150, "eval_draws": 5, "horizon": 4},
     "metrics": {"seed": 0},
+}
+
+# Every int and float option's ``check_option`` bound, ``(low, strict[, high])``,
+# shared by every command that has the option; ``high=inf`` admits +inf.
+_BOUNDS: dict[str, tuple] = {
+    "seed": (0, False), "horizon": (0, False), "window": (1, False), "steps": (1, False), "patches": (2, False),
+    "regions": (1, False), "weeks": (8, False), "epochs": (1, False), "lr": (0, True), "weight_decay": (0, False),
+    "clip": (0, False), "lr_step": (1, False), "lr_decay": (0, True), "hidden": (1, False),
+    "decoder_width": (1, False), "w_patch": (0, False), "w_region": (0, False), "w_state": (0, False),
+    "teacher_ratio": (0, False, 1), "size": (2, False), "inflation": (1, False), "obs_var": (0, True, math.inf),
+    "factor": (0, True), "budget": (1, False), "multiplier": (0, True), "bump": (1, True), "k": (0, False),
+    "noise_sd": (0, False), "noisy_count": (1, False), "eval_draws": (1, False),
 }
 
 _HANDLERS = {name: globals()["cmd_" + name.replace("-", "_")] for name in _DEFAULTS}
@@ -398,11 +398,11 @@ def _fits(value, kind: type) -> bool:
 
 
 def _effective_config(args: argparse.Namespace, types: dict[str, type]) -> dict:
-    """Defaults, then ``--config`` values, then explicit flags; ``types`` holds
-    the command's option types, which every ``--config`` value must have."""
+    """Defaults, then ``--config`` values, then explicit flags, each int or float
+    inside its ``_BOUNDS``; every ``--config`` value must have its ``types`` entry."""
     command = args.command
-    config = dict(_DEFAULTS.get(command, {}))
-    if getattr(args, "config", None):
+    config, loaded = dict(_DEFAULTS.get(command, {})), {}
+    if args.config:
         loaded = io.read_json(args.config, InvalidOption)
         if not isinstance(loaded, dict):
             raise InvalidOption(f"{args.config}: need a JSON object of option values")
@@ -413,10 +413,12 @@ def _effective_config(args: argparse.Namespace, types: dict[str, type]) -> dict:
                 raise InvalidOption(
                     f"{args.config}: {key} is {value!r}, need a value of type {types[key].__name__}")
         config.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        config[key] = value
+    flags = {key: value for key, value in vars(args).items() if key not in ("command", "config") and value is not None}
+    config.update(flags)
+    for key, value in config.items():
+        if types[key] in (int, float):
+            source = f"{args.config}: " if key in loaded and key not in flags else ""
+            check_option(f"{source}--{key.replace('_', '-')}", value, *_BOUNDS[key])
     return config
 
 

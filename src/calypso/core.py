@@ -252,12 +252,12 @@ def metrics(pred, truth) -> dict[str, float]:
 
 
 def check_option(name: str, value, low: float, strict: bool = False, high: float | None = None) -> None:
-    """Refuse an option value that is not finite, not >= ``low`` (> ``low``
-    when ``strict``) or above ``high``, with ``InvalidOption`` naming it."""
-    if not (math.isfinite(value) and (value > low if strict else value >= low)
-            and (high is None or value <= high)):
-        need = f"{'>' if strict else '>='} {low}" + ("" if high is None else f" and <= {high}")
-        raise InvalidOption(f"{name} must be finite and {need}, got {value}")
+    """Refuse an option value that is NaN, not >= ``low`` (> ``low`` when ``strict``)
+    or above ``high`` (not finite without one), with ``InvalidOption`` naming it."""
+    if not ((value > low if strict else value >= low)
+            and (value < math.inf if high is None else value <= high)):
+        need = f"{'>' if strict else '>='} {low}" + ("" if high in (None, math.inf) else f" and <= {high}")
+        raise InvalidOption(f"{name} must be {'' if high == math.inf else 'finite and '}{need}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .core import (
     Trajectory,
     check_option,
 )
-from .errors import CollapsedEnsemble, InvalidOption, ShapeMismatch
+from .errors import CollapsedEnsemble, ShapeMismatch
 from .sim import sirs_step, week_coefficients
 
 _VAR_FLOOR = 1e-12
@@ -75,8 +75,8 @@ class Ensemble:
             raise ShapeMismatch("params must be members x (5 * regions)")
         check_option("inflation", self.inflation, 1)
         # +inf is the no-information limit: the update leaves the prior as it is
-        if self.obs_error_variance is not None and not self.obs_error_variance > 0.0:
-            raise InvalidOption(f"observation error variance must be > 0, got {self.obs_error_variance}")
+        if self.obs_error_variance is not None:
+            check_option("observation error variance", self.obs_error_variance, 0, strict=True, high=np.inf)
 
     @property
     def size(self) -> int:
@@ -102,8 +102,7 @@ def init_ensemble(
     spread on the seed infections, so the very first assimilation already
     has state variance to work with.
     """
-    if size < 2:
-        raise InvalidOption(f"ensemble size must be >= 2, got {size}")
+    check_option("ensemble size", size, 2)
     bounds = dict(bounds or DEFAULT_PARAM_BOUNDS)
     rng = seeding.spawn_rng(seed, seeding.EAKF, 0)
     n_regions = graph.n_regions

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import (GENERAL, NON_GENERAL, PARAM_NAMES, DataSet, DiseaseParams, PatchGraph, Trajectory, aggregate,
                    build_travel_matrix)
-from .errors import CheckpointError, DataError, InvalidValue, NonFiniteOutput, ShapeMismatch
+from .errors import CheckpointError, DataError, InvalidOption, InvalidValue, NonFiniteOutput, ShapeMismatch
 
 # Rows read or written per numpy call: enough to amortise the call, few
 # enough that a block's Python objects stay well under a megabyte.
@@ -390,13 +390,18 @@ def load_dataset(in_dir, graph: PatchGraph, window: int | None = None, horizon: 
     the full length minus the horizon.
     """
     in_dir = Path(in_dir)
-    observed = _weekly_table(in_dir / "cases.csv", graph, ["count"], nonnegative=True)[0][:, :, 0]
+    cases = in_dir / "cases.csv"
+    observed = _weekly_table(cases, graph, ["count"], nonnegative=True)[0][:, :, 0]
     features, names = _weekly_table(in_dir / "features.csv", graph)
     if features.shape[1] != observed.shape[1]:
         raise ShapeMismatch("cases.csv and features.csv disagree on week count")
     total = observed.shape[1]
     if window is None:
+        if horizon >= total:
+            raise InvalidOption(f"horizon {horizon} leaves no training window in the {total} weeks of {cases}")
         window = total - horizon
+    elif window + horizon > total:
+        raise InvalidOption(f"window {window} + horizon {horizon} exceed the {total} weeks of {cases}")
     init = np.minimum(observed[:, 0], graph.populations)
     return DataSet(
         features=features,

@@ -66,7 +66,8 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n_regions < 1 or self.n_patches < 2 * self.n_regions:
-            raise InfeasibleSpec("need at least two patches (general + healthcare) per region")
+            raise InfeasibleSpec("need at least two patches (general + healthcare) per region, "
+                                 f"got {self.n_patches} patches for {self.n_regions} regions")
         lo, hi = self.persistence_range
         if not (1 <= lo <= hi):
             raise InfeasibleSpec("persistence range must satisfy 1 <= lo <= hi")

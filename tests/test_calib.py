@@ -13,7 +13,7 @@ from calypso.calib import (
     train_joint,
 )
 from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES, DataSet, Trajectory
-from calypso.errors import CheckpointError, HorizonZero, InvalidOption, ShapeMismatch, WindowMismatch
+from calypso.errors import CheckpointError, HorizonZero, InvalidOption, WindowMismatch
 
 
 @pytest.fixture(scope="module")
@@ -152,10 +152,13 @@ class TestMultiResolutionLoss:
             multi_resolution_loss(short, d, LossWeights(), g)
 
     def test_weights_validated(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidOption):
             LossWeights(0.0, 0.0, 0.0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidOption):
             LossWeights(-1.0, 1.0, 1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidOption, match="w_region must be finite"):
+                LossWeights(1.0, bad, 1.0)
 
 
 class TestTrainJoint:

@@ -1,12 +1,14 @@
+import argparse
 import csv
 import json
+import math
 import shutil
 
 import numpy as np
 import pytest
 
 from calypso import adapter as adapter_mod
-from calypso import analysis, calib, io, synth
+from calypso import analysis, calib, cli, eakf, io, synth
 from calypso.cli import main
 from calypso.core import DiseaseParams
 
@@ -210,6 +212,45 @@ def _json_edit(edit):
     return mutate
 
 
+# Valid edge values of the refusal sweep below, exempt from it.
+_VALID_EDGES = [("seed", 0), ("horizon", 0), ("k", 0), ("weight_decay", 0), ("clip", 0), ("w_patch", 0),
+                ("w_region", 0), ("w_state", 0), ("noise_sd", 0), ("teacher_ratio", 0), ("obs_var", math.inf)]
+
+
+def _bad_values(key: str, kind: type) -> dict:
+    """Out-of-range values for one option by kind name.  argparse refuses
+    nan and inf for an int option itself (exit 2), so those go to floats only."""
+    values = {"nan": math.nan, "inf": math.inf, "minus-inf": -math.inf} if kind is float else {}
+    values.update(negative=-1, zero=0)
+    if key in cli._BOUNDS:
+        low, strict, *high = cli._BOUNDS[key]
+        past = low if strict else low - 1 if kind is int else math.nextafter(low, -math.inf)
+        if past not in (-1, 0):
+            values["past-low"] = past
+        if high and high[0] < math.inf:
+            values["past-high"] = high[0] + 1 if kind is int else math.nextafter(high[0], math.inf)
+    return {name: v for name, v in values.items() if (key, v) not in _VALID_EDGES}
+
+
+def _sweep():
+    """One refusal row per subcommand, int or float option and bad value,
+    from the parser's type table; ``--opt=-inf`` keeps argparse from reading
+    ``-inf`` as a flag.  Ids shorten ``policy-X`` to ``X``."""
+    rows, ids = [], []
+    for command, kinds in cli._build_parser()[1].items():
+        for key, kind in kinds.items():
+            if kind not in (int, float):
+                continue
+            flag = key.replace("_", "-")
+            for name, value in _bad_values(key, kind).items():
+                rows.append(([command, f"--{flag}={value!r}"], None, None, 3, "InvalidOption", f"--{flag} must be"))
+                ids.append(f"{command.removeprefix('policy-')}-{flag}-{name}")
+    return rows, ids
+
+
+_SWEEP_ROWS, _SWEEP_IDS = _sweep()
+
+
 class TestErrorHandling:
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -294,92 +335,31 @@ class TestErrorHandling:
         assert f"[{error}]" in err and fragment in err, err
 
     @pytest.mark.parametrize("argv, table, value, code, error, fragment", [
-        (["eakf", "--inflation", "0"], None, None, 3, "InvalidOption", "inflation"),
-        (["eakf", "--inflation", "-1"], None, None, 3, "InvalidOption", "inflation"),
-        (["eakf", "--inflation", "nan"], None, None, 3, "InvalidOption", "inflation"),
-        (["eakf", "--obs-var", "0"], None, None, 3, "InvalidOption", "observation error variance"),
-        (["eakf", "--obs-var", "-4"], None, None, 3, "InvalidOption", "observation error variance"),
-        (["eakf", "--obs-var", "nan"], None, None, 3, "InvalidOption", "observation error variance"),
-        (["calibrate", "--lr-step", "0"], None, None, 3, "InvalidOption", "--lr-step"),
-        (["calibrate", "--lr-step", "-1"], None, None, 3, "InvalidOption", "--lr-step"),
         (["calibrate"], "cases.csv", "nan", 3, "InvalidValue", "count is nan"),
         (["eakf"], "cases.csv", "nan", 3, "InvalidValue", "count is nan"),
         (["eakf"], "cases.csv", "-3", 3, "InvalidValue", "count is -3.0"),
         (["eakf"], "cases.csv", "many", 3, "InvalidValue", "'many'"),
         (["eakf"], "features.csv", "inf", 3, "InvalidValue", "norm_incidence is inf"),
         (["metrics"], None, None, 3, "InvalidValue", "pred.csv: week 1: "),
-        (["eakf", "--size", "-5"], None, None, 3, "InvalidOption", "ensemble size must be >= 2"),
-        (["eakf", "--size", "1"], None, None, 3, "InvalidOption", "ensemble size must be >= 2"),
-        (["policy-greedy", "--multiplier", "-1"], None, None, 3, "ShapeMismatch", "multiplier must be"),
-        (["policy-greedy", "--multiplier", "0"], None, None, 3, "ShapeMismatch", "multiplier must be"),
-        (["policy-greedy", "--multiplier", "nan"], None, None, 3, "ShapeMismatch", "multiplier must be"),
-        (["policy-greedy", "--multiplier", "inf", "--brute-force"], None, None, 3, "ShapeMismatch",
-         "multiplier must be"),
-        (["outbreak", "--k", "nan"], None, None, 3, "InvalidValue", "seed count must be finite"),
-        (["outbreak", "--k", "inf"], None, None, 3, "InvalidValue", "seed count must be finite"),
-        (["policy-region", "--factor", "nan"], None, None, 3, "ShapeMismatch", "factor must be finite and > 0"),
-        (["policy-region", "--factor", "0"], None, None, 3, "ShapeMismatch", "factor must be finite and > 0"),
-        (["policy-region", "--factor", "-1"], None, None, 3, "ShapeMismatch", "factor must be finite and > 0"),
-        (["sensitivity", "--bump", "nan"], None, None, 3, "ShapeMismatch", "bump must be finite and > 1"),
-        (["sensitivity", "--bump", "inf"], None, None, 3, "ShapeMismatch", "bump must be finite and > 1"),
-        (["sensitivity", "--bump", "1.0"], None, None, 3, "ShapeMismatch", "bump must be finite and > 1"),
         (["policy-greedy", "--budget", "100", "--brute-force"], None, None, 3, "ShapeMismatch",
          "budget 100 exceeds 4 candidates"),
         (["policy-greedy", "--budget", "100"], None, None, 3, "ShapeMismatch", "budget 100 exceeds 4 candidates"),
-        (["correct-data", "--noisy-count", "-1"], None, None, 3, "InvalidOption", "--noisy-count must be >= 1"),
-        (["correct-data", "--noisy-count", "0"], None, None, 3, "InvalidOption", "--noisy-count must be >= 1"),
-        (["correct-data", "--k", "-2"], None, None, 3, "InvalidOption", "--k must be >= 0"),
-        (["correct-data", "--noise-sd", "nan"], None, None, 3, "InvalidOption", "noise_sd must be finite and >= 0"),
-        (["correct-data", "--noise-sd", "-1"], None, None, 3, "InvalidOption", "noise_sd must be finite and >= 0"),
-        (["correct-data", "--noise-sd", "inf"], None, None, 3, "InvalidOption", "noise_sd must be finite and >= 0"),
         (["correct-data", "--noisy-patches", "nope"], None, None, 3, "UnknownRegion", "unknown noisy patch 'nope'"),
         (["correct-data", "--noisy-count", "2", "--k", "5"], None, None, 3, "KExceedsNoisySet",
          "k=5 exceeds 2 noisy patches"),
-        (["calibrate", "--hidden", "0"], None, None, 3, "InvalidOption", "hidden must be finite and >= 1"),
-        (["calibrate", "--decoder-width", "0"], None, None, 3, "InvalidOption",
-         "decoder_width must be finite and >= 1"),
-        (["calibrate", "--lr", "nan"], None, None, 3, "InvalidOption", "learning_rate must be finite and > 0"),
-        (["calibrate", "--lr", "-1"], None, None, 3, "InvalidOption", "learning_rate must be finite and > 0"),
-        (["calibrate", "--clip", "nan"], None, None, 3, "InvalidOption", "clip_norm must be finite and >= 0"),
-        (["calibrate", "--weight-decay", "nan"], None, None, 3, "InvalidOption",
-         "weight_decay must be finite and >= 0"),
-        (["adapter", "--lr", "-1"], None, None, 3, "InvalidOption", "learning_rate must be finite and > 0"),
-        (["adapter", "--teacher-ratio", "7"], None, None, 3, "InvalidOption",
-         "teacher_ratio must be finite and >= 0 and <= 1"),
-        (["adapter", "--teacher-ratio", "nan"], None, None, 3, "InvalidOption",
-         "teacher_ratio must be finite and >= 0 and <= 1"),
-        (["correct-data", "--eval-draws", "0"], None, None, 3, "InvalidOption", "--eval-draws must be >= 1"),
-        (["correct-data", "--eval-draws", "-4"], None, None, 3, "InvalidOption", "--eval-draws must be >= 1"),
-        (["calibrate", "--seed", "-1"], None, None, 3, "InvalidOption", "seed must be finite and >= 0"),
-        (["eakf", "--seed", "-2"], None, None, 3, "InvalidOption", "seed must be finite and >= 0"),
-        (["correct-data", "--k", "1", "--seed", "-3"], None, None, 3, "InvalidOption", "seed must be finite and >= 0"),
-    ], ids=["eakf-inflation-zero", "eakf-inflation-negative", "eakf-inflation-nan",
-            "eakf-obs-var-zero", "eakf-obs-var-negative", "eakf-obs-var-nan",
-            "calibrate-lr-step-zero", "calibrate-lr-step-negative", "calibrate-nan-count",
-            "eakf-nan-count", "eakf-negative-count", "eakf-non-numeric-count",
-            "eakf-infinite-feature", "metrics-nan-pred", "eakf-size-negative", "eakf-size-one",
-            "greedy-multiplier-negative", "greedy-multiplier-zero", "greedy-multiplier-nan",
-            "brute-force-multiplier-inf", "outbreak-k-nan", "outbreak-k-inf",
-            "region-factor-nan", "region-factor-zero", "region-factor-negative",
-            "sensitivity-bump-nan", "sensitivity-bump-inf", "sensitivity-bump-one",
+    ] + _SWEEP_ROWS, ids=["calibrate-nan-count", "eakf-nan-count", "eakf-negative-count",
+            "eakf-non-numeric-count", "eakf-infinite-feature", "metrics-nan-pred",
             "brute-force-budget-above-candidates", "greedy-budget-above-candidates",
-            "correct-data-noisy-count-negative", "correct-data-noisy-count-zero", "correct-data-k-negative",
-            "correct-data-noise-sd-nan", "correct-data-noise-sd-negative", "correct-data-noise-sd-inf",
-            "correct-data-unknown-noisy-patch", "correct-data-k-above-noisy-set",
-            "calibrate-hidden-zero", "calibrate-decoder-width-zero", "calibrate-lr-nan",
-            "calibrate-lr-negative", "calibrate-clip-nan", "calibrate-weight-decay-nan",
-            "adapter-lr-negative", "adapter-teacher-ratio-seven", "adapter-teacher-ratio-nan",
-            "correct-data-eval-draws-zero", "correct-data-eval-draws-negative", "calibrate-seed-negative",
-            "eakf-seed-negative", "correct-data-seed-negative"])
+            "correct-data-unknown-noisy-patch", "correct-data-k-above-noisy-set"] + _SWEEP_IDS)
     def test_bad_option_or_value_is_refused(self, data_dir, checkpoint, tmp_path, capsys, monkeypatch,
                                             argv, table, value, code, error, fragment):
         def too_late(*args, **kwargs):
-            raise AssertionError("trained or simulated before refusing the input")
+            raise AssertionError("trained, filtered or simulated before refusing the input")
 
-        monkeypatch.setattr(calib, "train_joint", too_late)
-        monkeypatch.setattr(adapter_mod, "train_adapter", too_late)
-        monkeypatch.setattr(analysis, "simulate", too_late)
-        monkeypatch.setattr(analysis, "scenario_totals", too_late)
+        for module, name in [(calib, "train_joint"), (adapter_mod, "train_adapter"), (calib, "forecast"),
+                             (eakf, "run_eakf"), (synth, "generate"), (cli, "simulate"),
+                             (analysis, "simulate"), (analysis, "scenario_totals")]:
+            monkeypatch.setattr(module, name, too_late)
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         if table is not None:  # the last column of the fourth data row: first patch, week 3
@@ -392,10 +372,12 @@ class TestErrorHandling:
             (data / "pred.csv").write_text("week_index,value\n0,1\n1,nan\n2,3\n")
             io.write_series(data / "truth.csv", np.array([1.0, 2.0, 4.0]))
             argv = argv + ["--pred", str(data / "pred.csv"), "--truth", str(data / "truth.csv")]
-        else:  # the row's own options come last, so they override these
+        elif argv[0] != "synth":  # the row's own options come last, so they override these
             argv = [argv[0], "--data", str(data)] + {
+                "simulate": [],
                 "calibrate": ["--epochs", "1"],
                 "adapter": ["--checkpoint", str(checkpoint), "--epochs", "1"],
+                "forecast": ["--checkpoint", str(checkpoint)],
                 "eakf": ["--size", "4"],
                 "policy-greedy": ["--checkpoint", str(checkpoint), "--budget", "2"],
                 "outbreak": ["--checkpoint", str(checkpoint)],
@@ -409,6 +391,18 @@ class TestErrorHandling:
         assert f"[{error}]" in err and fragment in err, err
         if table is not None:
             assert f"{table}: patch {rows[4][0]!r}, week 3: " in err, err
+
+    def test_every_numeric_option_has_a_bound(self):
+        """A new int or float option needs a ``_BOUNDS`` entry, and each valid
+        edge value the refusal sweep skips is accepted by every command."""
+        types = cli._build_parser()[1]
+        numeric = {key for kinds in types.values() for key, kind in kinds.items() if kind in (int, float)}
+        assert numeric == set(cli._BOUNDS)
+        for command, kinds in types.items():
+            for key, value in _VALID_EDGES:
+                if key in kinds:
+                    args = argparse.Namespace(command=command, config=None, **{key: value})
+                    assert cli._effective_config(args, kinds)[key] == value, (command, key)
 
     @pytest.mark.parametrize("argv, table, edit, error, fragment", [
         (["eakf"], "patches.csv", lambda rows: rows[1].__setitem__(3, "lots"),
@@ -452,15 +446,20 @@ class TestErrorHandling:
          "cfg.json: epochs is '5', need a value of type int"),
         (["eakf"], "cfg.json", '{"seed": "x"}', "InvalidOption",
          "cfg.json: seed is 'x', need a value of type int"),
+        (["simulate"], "cfg.json", '{"seed": -1}', "InvalidOption", "cfg.json: --seed must be finite and >= 0"),
         (["simulate", "--steps", "0"], None, None, "InvalidOption", "--steps"),
         (["correct-data", "--epochs", "0"], None, None, "InvalidOption", "--epochs"),
+        (["eakf", "--horizon", "50"], None, None, "InvalidOption",
+         "horizon 50 leaves no training window in the 24 weeks of "),
+        (["eakf", "--window", "1000"], None, None, "InvalidOption", "window 1000 + horizon 4 exceed the 24 weeks of "),
     ], ids=["population-not-a-number", "population-zero", "patch-duplicated", "category-unknown",
             "population-column-missing", "cases-duplicated-week", "travel-duplicated-pair",
             "travel-flow-not-a-number", "travel-flow-over-population", "param-nan", "param-not-a-number",
             "param-row-missing", "param-gamma-missing", "param-unknown-field", "metrics-nan-pred",
             "metrics-non-integer-week", "config-not-json", "config-not-an-object",
             "config-unknown-key", "config-nan", "config-epochs-a-string", "config-seed-a-string",
-            "simulate-zero-steps", "correct-data-zero-epochs"])
+            "config-seed-negative", "simulate-zero-steps", "correct-data-zero-epochs",
+            "horizon-past-bundle", "window-past-bundle"])
     def test_input_fault_exits_three_and_names_file(self, data_dir, tmp_path, capsys,
                                                     argv, table, edit, error, fragment):
         data = tmp_path / "data"

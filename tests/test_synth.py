@@ -64,7 +64,7 @@ class TestGenerate:
             assert np.all(arr >= lo) and np.all(arr <= hi)
 
     def test_infeasible_specs_rejected(self):
-        with pytest.raises(InfeasibleSpec):
+        with pytest.raises(InfeasibleSpec, match="got 4 patches for 4 regions"):
             SynthSpec(n_patches=4, n_regions=4)
         with pytest.raises(InfeasibleSpec):
             SynthSpec(persistence_range=(0, 3))
