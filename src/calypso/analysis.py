@@ -40,7 +40,7 @@ from .errors import (
     ShapeMismatch,
     UnknownRegion,
 )
-from .sim import SimConfig, check_seed_count, scenario_totals, seed_outbreak, simulate
+from .sim import SimConfig, scenario_totals, seed_outbreak, simulate
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,7 @@ def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
     candidate set excludes the target itself.  Each distinct candidate is
     scored once, all of them in one batched run with the baseline.
     """
-    check_seed_count(k)
+    check_option("seed count", k, 0)
     if candidates is None:
         candidates = list(graph.patch_ids)
     for c in candidates:

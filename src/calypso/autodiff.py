@@ -6,6 +6,15 @@ always precede children, so a single reverse sweep propagates adjoints.
 with numpy-style operators, which lets the simulator run unchanged on
 plain arrays or on tape-recorded values.
 
+Each node saves what its own backward rule reads and nothing else: mul,
+div and matmul their two operands; sigmoid, tanh and relu their output
+(relu's ``out > 0`` is ``x > 0``, NaN included); min its mask and both
+operand shapes; add and sub the operand shapes; sum its axis and col its
+column, each with the parent's shape; a variable its value.  neg, colvec
+and constants save nothing.  The tape keeps no forward values of its
+own, so a value no rule saves is freed once the model code drops its
+``DualValue``.
+
 Supported record kinds: add, sub, mul, div, neg, min, sigmoid, tanh,
 relu, matmul, sum, col (column extraction, used to peel parameter
 columns off a matrix) and colvec.  ``min`` sends gradient to the smaller
@@ -27,13 +36,21 @@ updates, and lets the tape go before the next step.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import numpy as np
 
 from .errors import DivergedGradient, DivisionByZero, NonFiniteLoss, NonScalarRoot, TapeMismatch
 
-_BINARY = {"add", "sub", "mul", "div", "min", "matmul"}
+_BINARY = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv,
+    "min": np.minimum, "matmul": lambda a, b: np.asarray(a @ b),
+}
+# the three activations' backward rules read only their output
+_ACTIVATIONS = {
+    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)), "tanh": np.tanh, "relu": lambda x: np.maximum(x, 0.0),
+}
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -115,26 +132,28 @@ class Tape:
     """
 
     def __init__(self):
-        self._kinds: list[str] = []
-        self._parents: list[tuple[int, ...]] = []
-        self._payload: list = []
+        self._nodes: list[tuple[str, tuple[int, ...], object]] = []  # (kind, parents, saved)
         self._variables: list[int] = []
-        self.values: list[np.ndarray] = []
+        self._shapes: dict = {}
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._nodes)
 
-    def _append(self, kind: str, parents: tuple[int, ...], payload, value: np.ndarray) -> DualValue:
-        self._kinds.append(kind)
-        self._parents.append(parents)
-        self._payload.append(payload)
-        self.values.append(value)
-        return DualValue(self, len(self.values) - 1, value)
+    def _append(self, kind: str, parents: tuple[int, ...], saved, value: np.ndarray) -> DualValue:
+        self._nodes.append((kind, parents, saved))
+        return DualValue(self, len(self._nodes) - 1, value)
+
+    def _share(self, shapes: tuple) -> tuple:
+        """The tape's one copy of a shape payload.  Payloads repeat from node to
+        node; a fresh tuple per node would make the garbage collector run
+        several times as often while a step records."""
+        return self._shapes.setdefault(shapes, shapes)
 
     def variable(self, value) -> DualValue:
         """A leaf whose adjoint ``backward`` returns."""
-        self._variables.append(len(self.values))
-        return self._append("var", (), None, np.asarray(value, dtype=float))
+        self._variables.append(len(self._nodes))
+        value = np.asarray(value, dtype=float)
+        return self._append("var", (), value, value)
 
     def _lift(self, x) -> DualValue:
         if isinstance(x, DualValue):
@@ -148,39 +167,29 @@ class Tape:
         if op in _BINARY:
             a, b = self._lift(args[0]), self._lift(args[1])
             av, bv = a.value, b.value
-            if op == "add":
-                return self._append("add", (a.index, b.index), None, av + bv)
-            if op == "sub":
-                return self._append("sub", (a.index, b.index), None, av - bv)
-            if op == "mul":
-                return self._append("mul", (a.index, b.index), None, av * bv)
-            if op == "div":
-                if np.any(bv == 0):
-                    raise DivisionByZero("division by zero on tape")
-                return self._append("div", (a.index, b.index), None, av / bv)
-            if op == "min":
-                mask = (av <= bv).astype(float)  # ties favor the first argument
-                return self._append("min", (a.index, b.index), mask, np.minimum(av, bv))
-            # matmul
-            out = av @ bv
-            return self._append("matmul", (a.index, b.index), None, np.asarray(out))
+            if op == "div" and np.any(bv == 0):
+                raise DivisionByZero("division by zero on tape")
+            if op in ("add", "sub"):
+                saved = self._share((av.shape, bv.shape))
+            elif op == "min":  # ties favor the first argument
+                saved = ((av <= bv).astype(float), self._share((av.shape, bv.shape)))
+            else:
+                saved = (av, bv)
+            return self._append(op, (a.index, b.index), saved, _BINARY[op](av, bv))
 
         a = self._lift(args[0])
         av = a.value
+        if op in _ACTIVATIONS:
+            out = _ACTIVATIONS[op](av)
+            return self._append(op, (a.index,), out, out)
         if op == "neg":
             return self._append("neg", (a.index,), None, -av)
-        if op == "sigmoid":
-            out = 1.0 / (1.0 + np.exp(-av))
-            return self._append("sigmoid", (a.index,), None, out)
-        if op == "tanh":
-            return self._append("tanh", (a.index,), None, np.tanh(av))
-        if op == "relu":
-            return self._append("relu", (a.index,), None, np.maximum(av, 0.0))
         if op == "sum":
-            return self._append("sum", (a.index,), axis, np.asarray(av.sum(axis=axis)))
+            out = np.asarray(av.sum(axis=axis))
+            return self._append("sum", (a.index,), self._share((axis, av.shape)), out)
         if op == "col":
             j = int(args[1])
-            return self._append("col", (a.index,), j, av[:, j])
+            return self._append("col", (a.index,), self._share((j, av.shape)), av[:, j])
         if op == "colvec":
             return self._append("colvec", (a.index,), None, av[:, None])
         raise ValueError(f"unknown op {op!r}")
@@ -199,83 +208,71 @@ class Tape:
         if np.asarray(root.value).size != 1:
             raise NonScalarRoot("backward root must be scalar")
 
-        values = self.values
-        kinds = self._kinds
-        parents = self._parents
-        payload = self._payload
-        adj: list[np.ndarray | None] = [None] * len(values)
-        adj[root.index] = np.ones_like(np.asarray(values[root.index], dtype=float))
-        wants = [kind != "const" for kind in kinds]
+        nodes = self._nodes
+        adj: list[np.ndarray | None] = [None] * len(nodes)
+        adj[root.index] = np.ones_like(np.asarray(root.value, dtype=float))
+        wants = [kind != "const" for kind, _, _ in nodes]
         owned: set[int] = set()  # col parents whose adjoint no other node shares
         for k in range(root.index, -1, -1):
-            kind = kinds[k]
+            kind, ps, saved = nodes[k]
             g = adj[k]
             if g is None or kind == "var":
                 continue
             adj[k] = None
-            ps = parents[k]
-            if kind == "add":
+            if kind in ("add", "sub"):
                 a, b = ps
                 if wants[a]:
-                    _acc(adj, a, _unbroadcast(g, values[a].shape))
+                    _acc(adj, a, _unbroadcast(g, saved[0]))
                 if wants[b]:
-                    _acc(adj, b, _unbroadcast(g, values[b].shape))
-            elif kind == "sub":
-                a, b = ps
-                if wants[a]:
-                    _acc(adj, a, _unbroadcast(g, values[a].shape))
-                if wants[b]:
-                    _acc(adj, b, _unbroadcast(-g, values[b].shape))
+                    _acc(adj, b, _unbroadcast(g if kind == "add" else -g, saved[1]))
             elif kind == "mul":
                 a, b = ps
+                av, bv = saved
                 if wants[a]:
-                    _acc(adj, a, _unbroadcast(g * values[b], values[a].shape))
+                    _acc(adj, a, _unbroadcast(g * bv, av.shape))
                 if wants[b]:
-                    _acc(adj, b, _unbroadcast(g * values[a], values[b].shape))
+                    _acc(adj, b, _unbroadcast(g * av, bv.shape))
             elif kind == "div":
                 a, b = ps
+                av, bv = saved
                 if wants[a]:
-                    _acc(adj, a, _unbroadcast(g / values[b], values[a].shape))
+                    _acc(adj, a, _unbroadcast(g / bv, av.shape))
                 if wants[b]:
-                    _acc(adj, b, _unbroadcast(-g * values[a] / values[b] ** 2, values[b].shape))
+                    _acc(adj, b, _unbroadcast(-g * av / bv ** 2, bv.shape))
             elif kind == "min":
                 a, b = ps
-                mask = payload[k]
+                mask, (a_shape, b_shape) = saved
                 if wants[a]:
-                    _acc(adj, a, _unbroadcast(g * mask, values[a].shape))
+                    _acc(adj, a, _unbroadcast(g * mask, a_shape))
                 if wants[b]:
-                    _acc(adj, b, _unbroadcast(g * (1.0 - mask), values[b].shape))
+                    _acc(adj, b, _unbroadcast(g * (1.0 - mask), b_shape))
             elif kind == "neg":
                 _acc(adj, ps[0], -g)
             elif kind == "sigmoid":
-                s = values[k]
-                _acc(adj, ps[0], g * s * (1.0 - s))
+                _acc(adj, ps[0], g * saved * (1.0 - saved))
             elif kind == "tanh":
-                t = values[k]
-                _acc(adj, ps[0], g * (1.0 - t * t))
+                _acc(adj, ps[0], g * (1.0 - saved * saved))
             elif kind == "relu":
-                _acc(adj, ps[0], g * (values[ps[0]] > 0))
+                _acc(adj, ps[0], g * (saved > 0))  # out > 0 exactly where x > 0
             elif kind == "sum":
-                a = ps[0]
-                axis = payload[k]
-                target = values[a]
-                if axis is None:
-                    _acc(adj, a, np.broadcast_to(g, target.shape).copy())
-                else:
-                    _acc(adj, a, np.broadcast_to(np.expand_dims(g, axis), target.shape).copy())
+                axis, shape = saved
+                if axis is not None:
+                    g = np.expand_dims(g, axis)
+                _acc(adj, ps[0], np.broadcast_to(g, shape).copy())
             elif kind == "col":
                 # scatter into the parent's own buffer; the first write copies
                 # an adjoint that may be aliased to another node's
                 a = ps[0]
+                j, shape = saved
                 if a not in owned:
                     owned.add(a)
-                    adj[a] = np.zeros_like(values[a]) if adj[a] is None else adj[a].copy()
-                adj[a][:, payload[k]] += g
+                    adj[a] = np.zeros(shape) if adj[a] is None else adj[a].copy()
+                adj[a][:, j] += g
             elif kind == "colvec":
                 _acc(adj, ps[0], g[:, 0])
             elif kind == "matmul":
                 a, b = ps
-                av, bv = values[a], values[b]
+                av, bv = saved
                 if wants[a]:
                     if bv.ndim == 2:
                         _acc(adj, a, g @ bv.T)
@@ -293,7 +290,7 @@ class Tape:
             else:  # pragma: no cover
                 raise ValueError(f"no backward rule for {kind!r}")
 
-        return {i: np.zeros_like(values[i]) if adj[i] is None else adj[i] for i in self._variables}
+        return {i: np.zeros_like(nodes[i][2]) if adj[i] is None else adj[i] for i in self._variables}
 
 
 def _acc(adj: list, idx: int, g: np.ndarray) -> None:
@@ -380,17 +377,15 @@ def _is_dual(x) -> bool:
 
 
 def sigmoid(x):
-    if _is_dual(x):
-        return x.tape.record("sigmoid", x)
-    return 1.0 / (1.0 + np.exp(-x))
+    return x.tape.record("sigmoid", x) if _is_dual(x) else _ACTIVATIONS["sigmoid"](x)
 
 
 def tanh(x):
-    return x.tape.record("tanh", x) if _is_dual(x) else np.tanh(x)
+    return x.tape.record("tanh", x) if _is_dual(x) else _ACTIVATIONS["tanh"](x)
 
 
 def relu(x):
-    return x.tape.record("relu", x) if _is_dual(x) else np.maximum(x, 0.0)
+    return x.tape.record("relu", x) if _is_dual(x) else _ACTIVATIONS["relu"](x)
 
 
 def minimum(a, b):

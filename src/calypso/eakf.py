@@ -177,22 +177,23 @@ def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray | 
     prior = _inflate(np.concatenate([ens.S, ens.I, ens.R, ens.params], axis=1), ens.inflation)
     observed = prior[:, n_patches : 2 * n_patches].T.copy()  # one contiguous row per patch
     n = ens.size
+    if ens.obs_error_variance is not None:
+        obs_vars = np.full(n_patches, float(ens.obs_error_variance))
+    else:
+        obs_vars = np.maximum(1.0, 0.1 * obs) ** 2
     transform = np.eye(n)  # the week's updates so far: posterior = transform @ prior
     for i in range(n_patches):
         z = transform @ observed[i]
-        pr_mean = z.mean()
+        pr_mean = z.sum() / n
         zc = z - pr_mean
         pr_var = (zc @ zc) / (n - 1)
         if pr_var < _VAR_FLOOR:
             continue  # zero-gain limit: posterior equals prior
-        if ens.obs_error_variance is not None:
-            obs_var = float(ens.obs_error_variance)
-        else:
-            obs_var = max(1.0, 0.1 * obs[i]) ** 2
+        obs_var = obs_vars[i]
         po_var = 1.0 / (1.0 / pr_var + 1.0 / obs_var)
         po_mean = po_var * (pr_mean / pr_var + obs[i] / obs_var)
         inc = (np.sqrt(po_var / pr_var) - 1.0) * zc + (po_mean - pr_mean)
-        transform += np.outer(inc, (zc @ transform) / ((n - 1) * pr_var))
+        transform += inc[:, None] * ((zc @ transform) / ((n - 1) * pr_var))
 
     state = transform @ prior
     out = replace(

@@ -52,14 +52,13 @@ matrix-vector one), not bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from . import autodiff as ad
-from .core import DiseaseParams, PatchGraph, Trajectory
+from .core import DiseaseParams, PatchGraph, Trajectory, check_option
 from .errors import (
     InvalidValue,
     NegativeSeed,
@@ -294,19 +293,11 @@ def scenario_totals(
     return out
 
 
-def check_seed_count(k: float) -> None:
-    """Refuse a seed count that is not finite and nonnegative."""
-    if not math.isfinite(k):
-        raise InvalidValue(f"seed count must be finite, got {k}")
-    if k < 0:
-        raise NegativeSeed("seed count must be nonnegative")
-
-
 def seed_outbreak(init: np.ndarray, patch: str, k: float, graph: PatchGraph) -> np.ndarray:
     """Add ``k`` infections to one patch, respecting its population cap."""
     if patch not in graph.patch_index:
         raise UnknownTarget(f"unknown patch {patch!r}")
-    check_seed_count(k)
+    check_option("seed count", k, 0)
     idx = graph.patch_index[patch]
     out = np.array(init, dtype=float)
     if out[idx] + k > graph.populations[idx]:

@@ -20,7 +20,6 @@ from calypso.core import DiseaseParams, PatchGraph, aggregate, build_travel_matr
 from calypso.errors import (
     EmptyCandidates,
     InvalidOption,
-    InvalidValue,
     KExceedsNoisySet,
     SeedExceedsPopulation,
     ShapeMismatch,
@@ -358,7 +357,7 @@ class TestOutbreakRanking:
 
     @pytest.mark.parametrize("k", [np.nan, np.inf])
     def test_non_finite_seed_refused_before_simulating(self, bundle, model, no_simulation, k):
-        with pytest.raises(InvalidValue, match="seed count must be finite"):
+        with pytest.raises(InvalidOption, match="seed count must be finite"):
             outbreak_ranking(model, bundle.graph, k)
 
     @pytest.mark.parametrize("candidates, error, message", [

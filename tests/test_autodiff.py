@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 import weakref
 
@@ -386,23 +387,54 @@ class TestGruCell:
                             tuple(map(tape.variable, u)), b)
         assert np.array_equal(taped.value, plain)
 
-    def test_gradients_match_finite_differences(self):
-        # d/d(every weight and the state) of a weighted sum of the new state
-        rng = np.random.default_rng(12)
-        w0, w1, u, b = self.cell_weights(rng, (3, 2), 4)
+    @classmethod
+    def probe_loss(cls, seed):
+        """A cell's leaves (every weight, then the state) and a weighted sum of its new state."""
+        rng = np.random.default_rng(seed)
+        w0, w1, u, b = cls.cell_weights(rng, (3, 2), 4)
         x0, x1, h = rng.normal(size=(5, 3)), rng.normal(size=(5, 2)), rng.normal(size=(5, 4))
         probe = rng.normal(size=(5, 4))
-        leaves = [*w0, *w1, *u, *b, h]
 
         def loss(values):
             w0_, w1_, u_, b_ = (tuple(values[3 * i : 3 * i + 3]) for i in range(4))
             return ad.vsum(ad.gru_cell([(x0, w0_), (x1, w1_)], values[12], u_, b_) * probe)
 
-        tape = Tape()
-        duals = [tape.variable(v.copy()) for v in leaves]
-        adj = tape.backward(loss(duals))
+        return [*w0, *w1, *u, *b, h], loss
+
+    @staticmethod
+    def assert_matches_finite_differences(leaves, loss, duals, adj):
         for i, leaf in enumerate(leaves):
             def f(a, i=i):
                 return float(loss([a if j == i else v for j, v in enumerate(leaves)]))
             fd = numeric_grad(f, leaf.copy())
             assert np.allclose(adj[duals[i].index], fd, rtol=1e-6, atol=1e-8), i
+
+    def test_gradients_match_finite_differences(self):
+        leaves, loss = self.probe_loss(12)
+        tape = Tape()
+        duals = [tape.variable(v.copy()) for v in leaves]
+        self.assert_matches_finite_differences(leaves, loss, duals, tape.backward(loss(duals)))
+
+    def test_tape_frees_forward_values_no_rule_reads(self):
+        leaves, loss = self.probe_loss(13)
+        tape = Tape()
+        forward: list[tuple[str, weakref.ref]] = []  # (kind, the node's forward value)
+        append = tape._append
+
+        def watch(kind, parents, saved, value):
+            forward.append((kind, weakref.ref(value)))
+            return append(kind, parents, saved, value)
+
+        tape._append = watch
+        duals = [tape.variable(v.copy()) for v in leaves]
+        root = loss(duals)
+        gc.collect()
+
+        def alive(kind):
+            return [ref() is not None for k, ref in forward if k == kind]
+
+        # every matmul output feeds only an add, which keeps operand shapes
+        assert alive("matmul") == [False] * 9
+        # sigmoid keeps its output; the mul by 1 - z keeps that operand
+        assert alive("sigmoid") == [True, True] and alive("sub") == [True]
+        self.assert_matches_finite_differences(leaves, loss, duals, tape.backward(root))

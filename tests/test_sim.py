@@ -5,6 +5,7 @@ from calypso import autodiff as ad
 from calypso import sim
 from calypso.core import PARAM_NAMES, DiseaseParams, PatchGraph, build_travel_matrix
 from calypso.errors import (
+    InvalidOption,
     InvalidValue,
     NegativeSeed,
     ParamCoverage,
@@ -384,5 +385,5 @@ class TestSeedOutbreak:
 
     @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
     def test_non_finite_count(self, k):
-        with pytest.raises(InvalidValue, match="finite"):
+        with pytest.raises(InvalidOption, match="finite"):
             seed_outbreak(np.array([1.0]), "a", k, single_patch_graph())
