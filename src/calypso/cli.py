@@ -30,12 +30,14 @@ from .sim import SimConfig, simulate
 
 
 def _git_describe() -> str:
+    """``git describe`` of the checkout calypso runs from (not of the working
+    directory); "unknown" when the package is not in a git work tree."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
+            cwd=Path(__file__).resolve().parent, capture_output=True, text=True, timeout=5,
         )
-        return out.stdout.strip() or "unknown"
+        return out.returncode == 0 and out.stdout.strip() or "unknown"
     except Exception:
         return "unknown"
 

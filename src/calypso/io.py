@@ -14,10 +14,16 @@ every region x week.  A bad number raises ``InvalidValue``, a bad key,
 column or coverage ``ShapeMismatch``, each naming the file and row (CLI
 exit 3); an unreadable file is a ``DataError`` naming it.
 
-``write_rows`` writes every CSV and ``write_json`` every JSON result;
-floats are written with ``repr`` (integral ones as ints), so reruns with
+Every CSV is written a block of columns at a time, each block of about
+``_BLOCK_ROWS`` rows: the long writers cut their patch x week arrays into
+blocks of whole patches (or regions) with numpy, and ``write_rows`` cuts
+the small row-shaped result tables into blocks and transposes them.  One
+formatter, ``_cells``, turns a column into text: floats with ``repr``
+(integral ones as ints) after one numpy finiteness check, ints with
+``str``, text quoted as ``csv``'s QUOTE_MINIMAL quotes it.  Reruns with
 one seed give byte-identical files, and a NaN or inf raises
-``NonFiniteOutput`` naming the file (CLI exit 4).  The checkpoint codec
+``NonFiniteOutput`` naming the file and line (CLI exit 4).
+``write_json`` writes every JSON result.  The checkpoint codec
 (``write_checkpoint``/``read_checkpoint``) checks a file against a net
 rebuilt from its own config; ``read_json`` is the strict parse it shares
 with ``--config`` files.
@@ -29,9 +35,9 @@ import csv
 import dataclasses
 import json
 import math
-from itertools import chain, islice, zip_longest
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -46,47 +52,92 @@ _BLOCK_ROWS = 512
 # -- writers ----------------------------------------------------------------
 
 
-def _cells(column: tuple, line: int) -> Sequence:
-    """One column of a block of rows as written: floats as ``repr``
-    (integral ones as ints) after one numpy finiteness check, other cells as
-    they are.  ``line`` is the file line of the block's first row.
-    """
-    at = [i for i, cell in enumerate(column) if isinstance(cell, float)]
-    if not at:
-        return column
-    values = np.array([column[i] for i in at])
+def _quote(text: str) -> str:
+    """``text`` as csv's QUOTE_MINIMAL writes it: in double quotes (inner ones
+    doubled) when it holds a comma, a double quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _floats(values: np.ndarray, line: int, at: Sequence[int] | None = None) -> list[str]:
+    """Finite floats as ``repr``, integral ones below 1e15 as ints.  A NaN or
+    inf raises ``NonFiniteOutput`` naming line ``line`` plus its position
+    (``at[i]`` for the i-th value when given)."""
     if not (finite := np.isfinite(values)).all():
         i = int(np.argmin(finite))
-        raise NonFiniteOutput(f"line {line + at[i]}: non-finite number {values[i]}")
-    cells = list(column)
-    for i, value, whole in zip(at, values.tolist(), ((values % 1 == 0) & (abs(values) < 1e15)).tolist()):
-        cells[i] = repr(int(value)) if whole else repr(value)
+        raise NonFiniteOutput(f"line {line + (i if at is None else at[i])}: non-finite number {values[i]}")
+    whole = (values % 1 == 0) & (np.abs(values) < 1e15)
+    cells = np.empty(len(values), dtype=object)
+    cells[whole] = list(map(str, values[whole].astype(np.int64).tolist()))
+    cells[~whole] = list(map(repr, values[~whole].tolist()))  # tolist: a numpy scalar's repr is "np.float64(...)"
+    return cells.tolist()
+
+
+def _cells(column, line: int) -> list[str]:
+    """One column of a block of rows as CSV cells; ``line`` is the file line
+    of the block's first row.
+
+    A float or int ndarray is formatted whole, and text is quoted once per
+    distinct value.  In any other column, floats (numpy ones too) go
+    through ``_floats`` together, ``None`` is an empty cell and anything
+    else its ``str``.
+    """
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return _floats(column, line)
+        if column.dtype.kind in "biu":
+            return list(map(str, column.tolist()))
+        column = column.tolist()
+    distinct = set(column)
+    if all(type(text) is str for text in distinct):
+        quoted = {text: _quote(text) for text in distinct}
+        return list(map(quoted.__getitem__, column))
+    at = [i for i, cell in enumerate(column) if isinstance(cell, float)]
+    # floats get a placeholder here and their text below
+    texts = [cell if type(cell) is str else "" if cell is None or isinstance(cell, float) else str(cell)
+             for cell in column]
+    quoted = {text: _quote(text) for text in set(texts)}
+    cells = [quoted[text] for text in texts]
+    if at:
+        for i, text in zip(at, _floats(np.array([column[i] for i in at]), line, at)):
+            cells[i] = text
     return cells
 
 
-def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """CSV of ``header`` and ``rows``: floats as ``repr`` (integral ones as
-    ints), any other cell as ``str`` gives it.
+def _write_blocks(path, header: Sequence[str], blocks: Iterable[Sequence]) -> Path:
+    """CSV of ``header`` and ``blocks``, each a list of equal-length columns
+    (ndarrays or sequences of cells) that ``_cells`` formats.
 
-    Rows are formatted a block at a time, column by column.  A NaN or inf
-    raises ``NonFiniteOutput`` naming the file and line, and the partly
-    written file is removed.
+    Rows end in ``\\r\\n`` and a row of one empty cell is written ``""``, as
+    ``csv.writer`` writes them.  A NaN or inf raises ``NonFiniteOutput``
+    naming the file and line, and the partly written file is removed.
     """
     path = Path(path)
-    rows, line = iter(rows), 2
+    line = 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
         try:
-            while block := list(islice(rows, _BLOCK_ROWS)):
-                w.writerows(zip(*(_cells(column, line) for column in zip(*block))))
-                line += len(block)
+            for columns in chain([[[name] for name in header]], blocks):
+                cells = [_cells(column, line) for column in columns]
+                if len(cells) == 1:
+                    cells = [[cell or '""' for cell in cells[0]]]
+                if rows := list(map(",".join, zip(*cells))):
+                    fh.write("\r\n".join(rows) + "\r\n")
+                    line += len(rows)
         except NonFiniteOutput as exc:
             fault = NonFiniteOutput(f"{path}: {exc}")
         else:
             return path
     path.unlink()
     raise fault
+
+
+def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """CSV of ``header`` and ``rows``, cut into blocks of ``_BLOCK_ROWS``
+    rows that are transposed and written as ``_write_blocks`` writes them."""
+    rows = iter(rows)
+    blocks = iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
+    return _write_blocks(path, header, (list(zip(*block)) for block in blocks))
 
 
 def write_json(path, payload) -> Path:
@@ -100,17 +151,47 @@ def write_json(path, payload) -> Path:
     return path
 
 
-def _long_rows(ids: Sequence[str], matrix: np.ndarray):
-    """(id, week_index, value) rows of an ids x weeks matrix, id-major."""
-    return ((i, t, v) for i, row in zip(ids, np.asarray(matrix)) for t, v in enumerate(row.tolist()))
+def _row_blocks(*columns: Sequence) -> Iterator[list]:
+    """Whole columns cut into blocks of ``_BLOCK_ROWS`` rows."""
+    return ([column[lo:lo + _BLOCK_ROWS] for column in columns] for lo in range(0, len(columns[0]), _BLOCK_ROWS))
+
+
+def _long_blocks(ids: Sequence[str], *tables: np.ndarray) -> Iterator[list]:
+    """(id, week_index, one value per table) column blocks of ids x weeks
+    tables, id-major, whole ids of about ``_BLOCK_ROWS`` rows a block."""
+    ids, tables = np.array(ids, dtype=object), [np.asarray(table) for table in tables]
+    weeks = tables[0].shape[1]
+    step = max(1, _BLOCK_ROWS // max(1, weeks))
+    for lo in range(0, len(ids), step):
+        block = ids[lo:lo + step]
+        yield [np.repeat(block, weeks), np.tile(np.arange(weeks), len(block)),
+               *(table[lo:lo + step].ravel() for table in tables)]
 
 
 _PARAM_HEADER = ["kind", "id", "week_index", "field", "value"]
+_STATE_FIELDS = ("S", "I", "R", "new_infections")
 
 
-def _param_rows(params: DiseaseParams):
-    return (("param", rid, t, name, v) for name, arr in params.as_dict().items()
-            for rid, t, v in _long_rows(params.region_ids, arr))
+def _param_blocks(params: DiseaseParams) -> Iterator[list]:
+    for name, arr in params.as_dict().items():
+        for rid, week, value in _long_blocks(params.region_ids, arr):
+            yield [["param"] * len(value), rid, week, [name] * len(value), value]
+
+
+def _state_blocks(ids: Sequence[str], traj: Trajectory) -> Iterator[list]:
+    """Ground-truth ``state`` rows: per patch and week S, I, R and that week's
+    new infections (none after the last week)."""
+    ids, weeks = np.array(ids, dtype=object), traj.S.shape[1]
+    per_patch = len(_STATE_FIELDS) * weeks - 1
+    week = np.repeat(np.arange(weeks), len(_STATE_FIELDS))[:-1]
+    field = (list(_STATE_FIELDS) * weeks)[:-1]
+    step = max(1, _BLOCK_ROWS // per_patch)
+    for lo in range(0, len(ids), step):
+        S, I, R, N = (a[lo:lo + step] for a in (traj.S, traj.I, traj.R, traj.new_infections))
+        N = np.concatenate([N, np.zeros((len(N), 1))], axis=1)  # padding, dropped below
+        values = np.stack([S, I, R, N], axis=2).reshape(len(S), -1)[:, :-1].ravel()
+        yield [["state"] * len(values), np.repeat(ids[lo:lo + step], per_patch),
+               np.tile(week, len(S)), field * len(S), values]
 
 
 def write_inputs(
@@ -123,30 +204,35 @@ def write_inputs(
     """Write the four input CSVs; returns the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ids = graph.patch_ids
+    ids = np.array(graph.patch_ids, dtype=object)
     pairs = sorted(set(commute_flows) | set(facility_flows))
     return [
-        write_rows(out_dir / "patches.csv", ["patch_id", "region", "category", "population"],
-                   ((pid, graph.region_of[pid], graph.category_of[pid], pop)
-                    for pid, pop in zip(ids, graph.populations.tolist()))),
-        write_rows(out_dir / "travel.csv", ["src", "dst", "commute_flow", "facility_flow"],
-                   ((src, dst, commute_flows.get((src, dst), 0.0), facility_flows.get((src, dst), 0.0))
-                    for src, dst in pairs)),
-        write_rows(out_dir / "cases.csv", ["patch_id", "week_index", "count"],
-                   _long_rows(ids, data.observed)),
-        write_rows(out_dir / "features.csv", ["patch_id", "week_index", *data.feature_names],
-                   ((pid, t, *row) for pid, block in zip(ids, data.features)
-                    for t, row in enumerate(block.tolist()))),
+        _write_blocks(out_dir / "patches.csv", ["patch_id", "region", "category", "population"], _row_blocks(
+            ids, [graph.region_of[pid] for pid in ids], [graph.category_of[pid] for pid in ids], graph.populations)),
+        _write_blocks(out_dir / "travel.csv", ["src", "dst", "commute_flow", "facility_flow"], _row_blocks(
+            [src for src, _ in pairs], [dst for _, dst in pairs],
+            np.array([commute_flows.get(pair, 0.0) for pair in pairs], dtype=float),
+            np.array([facility_flows.get(pair, 0.0) for pair in pairs], dtype=float))),
+        _write_blocks(out_dir / "cases.csv", ["patch_id", "week_index", "count"], _long_blocks(ids, data.observed)),
+        _write_blocks(out_dir / "features.csv", ["patch_id", "week_index", *data.feature_names],
+                      _long_blocks(ids, *np.moveaxis(data.features, 2, 0))),
     ]
 
 
 def write_trajectory(path, graph: PatchGraph, traj: Trajectory) -> Path:
-    """Trajectory CSV: patch_id, week_index, S, I, R, new_infections."""
-    patches = zip(graph.patch_ids, traj.S, traj.I, traj.R, traj.new_infections)
-    return write_rows(path, ["patch_id", "week_index", "S", "I", "R", "new_infections"],
-                      ((pid, t, *cells) for pid, S, I, R, N in patches
-                       for t, cells in enumerate(zip(S.tolist(), I.tolist(), R.tolist(),
-                                                     ["", *N.tolist()]))))
+    """Trajectory CSV: patch_id, week_index, S, I, R, new_infections (empty in week 0)."""
+    ids, weeks = np.array(graph.patch_ids, dtype=object), traj.S.shape[1]
+    step = max(1, _BLOCK_ROWS // weeks)
+
+    def blocks():
+        for lo in range(0, len(ids), step):
+            S, I, R = (a[lo:lo + step] for a in (traj.S, traj.I, traj.R))
+            new = np.full(S.shape, "", dtype=object)
+            new[:, 1:] = traj.new_infections[lo:lo + step]
+            yield [np.repeat(ids[lo:lo + step], weeks), np.tile(np.arange(weeks), len(S)),
+                   S.ravel(), I.ravel(), R.ravel(), new.ravel()]
+
+    return _write_blocks(path, ["patch_id", "week_index", *_STATE_FIELDS], blocks())
 
 
 def write_trajectory_summary(path, graph: PatchGraph, traj: Trajectory) -> Path:
@@ -166,17 +252,12 @@ def write_trajectory_summary(path, graph: PatchGraph, traj: Trajectory) -> Path:
 
 def write_ground_truth(path, graph: PatchGraph, params: DiseaseParams, traj: Trajectory) -> Path:
     """Long-format CSV of the generating parameters and trajectory."""
-    patches = zip(graph.patch_ids, traj.S, traj.I, traj.R, traj.new_infections)
-    state_rows = (("state", pid, t, field, v) for pid, S, I, R, N in patches
-                  for t, week in enumerate(zip_longest(S.tolist(), I.tolist(), R.tolist(), N.tolist()))
-                  for field, v in zip(("S", "I", "R", "new_infections"), week)
-                  if v is not None)  # no new_infections after the last week
-    return write_rows(path, _PARAM_HEADER, chain(_param_rows(params), state_rows))
+    return _write_blocks(path, _PARAM_HEADER, chain(_param_blocks(params), _state_blocks(graph.patch_ids, traj)))
 
 
 def write_params(path, params: DiseaseParams) -> Path:
     """Parameter-only long-format CSV (loadable by load_ground_truth_params)."""
-    return write_rows(path, _PARAM_HEADER, _param_rows(params))
+    return _write_blocks(path, _PARAM_HEADER, _param_blocks(params))
 
 
 def write_eakf_summary(path, result, graph: PatchGraph) -> Path:
@@ -189,22 +270,24 @@ def write_eakf_summary(path, result, graph: PatchGraph) -> Path:
         for r, rid in enumerate(graph.region_ids):
             header += [f"{name}_{rid}_mean", f"{name}_{rid}_sd"]
             columns += [result.param_mean[name][r], result.param_sd[name][r]]
-    return write_rows(path, header, ((t, *row.tolist()) for t, row in enumerate(np.stack(columns, axis=1))))
+    table = np.stack(columns)
+    return _write_blocks(path, header, _row_blocks(np.arange(table.shape[1]), *table))
 
 
 def write_series(path, values: np.ndarray, header: str = "value") -> Path:
     """(week, value) CSV for a single time series."""
-    return write_rows(path, ["week_index", header], enumerate(np.asarray(values, dtype=float).ravel().tolist()))
+    values = np.asarray(values, dtype=float).ravel()
+    return _write_blocks(path, ["week_index", header], _row_blocks(np.arange(len(values)), values))
 
 
 def write_level_series(out_dir, graph: PatchGraph, series: np.ndarray, stem: str) -> list[Path]:
     """Write patch/region/state series CSVs for a patches x weeks matrix."""
     out_dir = Path(out_dir)
     return [
-        write_rows(out_dir / f"{stem}_patch.csv", ["patch_id", "week_index", "value"],
-                   _long_rows(graph.patch_ids, series)),
-        write_rows(out_dir / f"{stem}_region.csv", ["region", "week_index", "value"],
-                   _long_rows(graph.region_ids, aggregate(series, "region", graph))),
+        _write_blocks(out_dir / f"{stem}_patch.csv", ["patch_id", "week_index", "value"],
+                      _long_blocks(graph.patch_ids, series)),
+        _write_blocks(out_dir / f"{stem}_region.csv", ["region", "week_index", "value"],
+                      _long_blocks(graph.region_ids, aggregate(series, "region", graph))),
         write_series(out_dir / f"{stem}_state.csv", aggregate(series, "state", graph)[0]),
     ]
 

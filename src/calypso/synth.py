@@ -120,14 +120,12 @@ def _build_graph(spec: SynthSpec, rng: np.random.Generator):
     commute, facility = {}, {}
     for src in ids:
         out_frac = rng.uniform(*spec.outflow_range)
-        commute_targets = [
-            d for d in general_ids
-            if d != src and rng.random() < spec.mobility_density * (1.0 if region_of[d] == region_of[src] else 0.4)
-        ]
-        facility_targets = [
-            d for d in facility_ids
-            if d != src and rng.random() < spec.mobility_density * (1.0 if region_of[d] == region_of[src] else 0.25)
-        ]
+        # one uniform per candidate destination, commute candidates first
+        commute_targets, facility_targets = (
+            [d for d, u in zip(pool, rng.random(len(pool)).tolist())
+             if u < spec.mobility_density * (1.0 if region_of[d] == region_of[src] else cross)]
+            for pool, cross in (([d for d in general_ids if d != src], 0.4),
+                                ([d for d in facility_ids if d != src], 0.25)))
         targets = commute_targets + facility_targets
         if not targets:
             continue
@@ -173,20 +171,19 @@ def _observe(traj: Trajectory, spec: SynthSpec, populations: np.ndarray, rng: np
     n_patches, total = new_inf.shape
     lo, hi = spec.persistence_range
     n_durations = hi - lo + 1
-    probs = np.full(n_durations, 1.0 / n_durations)
-    observed = np.zeros((n_patches, total))
-    for p in range(n_patches):
-        for s in range(total):
-            cohort = int(np.rint(new_inf[p, s]))
-            if cohort <= 0:
-                continue
-            if n_durations == 1:
-                counts = [cohort]
-            else:
-                counts = rng.multinomial(cohort, probs)
-            for d_idx, c in enumerate(counts):
-                if c:
-                    observed[p, s : s + lo + d_idx] += c
+    cohorts = np.rint(new_inf).astype(np.int64)
+    p, s = np.nonzero(cohorts > 0)  # patch-major, the order the draws are taken in
+    cohorts = cohorts[p, s]
+    if n_durations == 1:
+        counts = cohorts[:, None]
+    else:
+        counts = rng.multinomial(cohorts, np.full(n_durations, 1.0 / n_durations))
+    # each cohort's d-th share is observed in weeks s .. s + lo + d - 1 (clipped at the end)
+    change = np.zeros((n_patches, total + 1))
+    change[p, s] = cohorts
+    for d in range(n_durations):
+        np.add.at(change, (p, np.minimum(s + lo + d, total)), -counts[:, d])
+    observed = np.cumsum(change, axis=1)[:, :total]
     return np.minimum(observed, np.rint(populations)[:, None])
 
 

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ class TestSynthCommand:
         assert manifest["command"] == "synth"
         assert manifest["seed"] == 5
         assert "git_describe" in manifest
+
+    def test_manifest_names_calypso_checkout_not_the_working_directory(self, tmp_path, monkeypatch):
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.org", "-c", "commit.gpgsign=false"]
+        subprocess.run([*git, "init", "-q"], cwd=tmp_path, check=True)
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "other"], cwd=tmp_path, check=True)
+        other = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, check=True,
+                               capture_output=True, text=True).stdout.strip()
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--seed", "2", "--patches", "4", "--regions", "2", "--weeks", "8",
+                     "--horizon", "1", "--out", "out"]) == 0
+        described = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["git_describe"]
+        assert described and not other.startswith(described.removesuffix("-dirty"))
 
     def test_byte_identical_rerun(self, tmp_path):
         run_twice(["synth", "--seed", "3", "--patches", "6", "--regions", "2",

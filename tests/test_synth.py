@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calypso import io
+from calypso import io, synth
 from calypso.core import GENERAL, NON_GENERAL, aggregate
 from calypso.errors import InfeasibleSpec
 from calypso.synth import SynthSpec, generate
@@ -96,3 +96,93 @@ class TestBundleWrite:
         generate(spec).write(d2)
         for name in ("patches.csv", "travel.csv", "cases.csv", "features.csv", "ground_truth.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+# -- the draws before they were vectorised, kept as oracles -------------------
+
+def _observe_loop(traj, spec, populations, rng):
+    """One multinomial per positive cohort, patch-major, spread week by week."""
+    new_inf = traj.new_infections
+    n_patches, total = new_inf.shape
+    lo, hi = spec.persistence_range
+    n_durations = hi - lo + 1
+    probs = np.full(n_durations, 1.0 / n_durations)
+    observed = np.zeros((n_patches, total))
+    for p in range(n_patches):
+        for s in range(total):
+            cohort = int(np.rint(new_inf[p, s]))
+            if cohort <= 0:
+                continue
+            counts = [cohort] if n_durations == 1 else rng.multinomial(cohort, probs)
+            for d_idx, c in enumerate(counts):
+                if c:
+                    observed[p, s : s + lo + d_idx] += c
+    return np.minimum(observed, np.rint(populations)[:, None])
+
+
+def _build_graph_loop(spec, rng):
+    """One ``rng.random()`` per candidate destination (the graph drawn as before)."""
+    per_region, remainder = divmod(spec.n_patches, spec.n_regions)
+    populations, region_of, category_of = {}, {}, {}
+    for r in range(spec.n_regions):
+        rid = f"R{r}"
+        count = per_region + (1 if r < remainder else 0)
+        n_general = max(1, count - count // 2)
+        for j in range(count):
+            general = j < n_general
+            pid = f"{rid}-{'G' if general else 'N'}{j if general else j - n_general:02d}"
+            scale = 1.0 if general else spec.facility_population_scale
+            populations[pid] = float(rng.uniform(*spec.population_range)) * scale
+            region_of[pid] = rid
+            category_of[pid] = GENERAL if general else NON_GENERAL
+    ids = sorted(populations)
+    general_ids = [p for p in ids if category_of[p] == GENERAL]
+    facility_ids = [p for p in ids if category_of[p] == NON_GENERAL]
+    commute, facility = {}, {}
+    for src in ids:
+        out_frac = rng.uniform(*spec.outflow_range)
+        commute_targets = [
+            d for d in general_ids
+            if d != src and rng.random() < spec.mobility_density * (1.0 if region_of[d] == region_of[src] else 0.4)
+        ]
+        facility_targets = [
+            d for d in facility_ids
+            if d != src and rng.random() < spec.mobility_density * (1.0 if region_of[d] == region_of[src] else 0.25)
+        ]
+        targets = commute_targets + facility_targets
+        if not targets:
+            continue
+        weights = rng.uniform(0.2, 1.0, size=len(targets))
+        weights = weights / weights.sum() * out_frac * populations[src]
+        for d, wgt in zip(commute_targets, weights[: len(commute_targets)]):
+            commute[(src, d)] = float(wgt)
+        for d, wgt in zip(facility_targets, weights[len(commute_targets):]):
+            facility[(src, d)] = float(wgt)
+    return populations, region_of, category_of, commute, facility
+
+
+class TestDrawsMatchTheLoops:
+    @pytest.mark.parametrize("persistence", [(2, 4), (3, 3), (1, 6), (1, 1)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_observe_is_bit_equal(self, seed, persistence):
+        spec = SynthSpec(n_patches=10, n_regions=2, weeks=16, horizon=2, seed=seed, persistence_range=persistence)
+        bundle = generate(spec)
+        # cohorts in the last weeks, whose windows run past the end
+        assert (np.rint(bundle.trajectory.new_infections[:, -3:]) > 0).any()
+        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = synth._observe(bundle.trajectory, spec, bundle.graph.populations, new_rng)
+        old = _observe_loop(bundle.trajectory, spec, bundle.graph.populations, old_rng)
+        assert new.tobytes() == old.tobytes()
+        # the stream is left where the loop leaves it
+        assert new_rng.random(4).tobytes() == old_rng.random(4).tobytes()
+
+    @pytest.mark.parametrize("seed,n_patches,n_regions", [(1, 24, 4), (2, 9, 3), (5, 40, 5)])
+    def test_build_graph_is_bit_equal(self, seed, n_patches, n_regions):
+        spec = SynthSpec(n_patches=n_patches, n_regions=n_regions, seed=seed)
+        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        graph, commute, facility = synth._build_graph(spec, new_rng)
+        populations, region_of, category_of, old_commute, old_facility = _build_graph_loop(spec, old_rng)
+        assert commute == old_commute and facility == old_facility
+        assert list(commute) == list(old_commute) and list(facility) == list(old_facility)
+        assert graph.region_of == region_of and graph.category_of == category_of
+        assert new_rng.random(4).tobytes() == old_rng.random(4).tobytes()
