@@ -12,7 +12,8 @@ in one batched run, ``FittedModel.totals``, with the baseline as column 0
 of the same batch.  Greedy and brute-force allocation call
 ``FittedModel.run`` once per evaluated scenario; selection happens after
 all candidates of a step are scored, so results do not depend on
-evaluation order.
+evaluation order.  A model builds the simulator's week coefficients once
+per graph, and every run and batch on that graph reuses them.
 """
 
 from __future__ import annotations
@@ -40,16 +41,22 @@ from .errors import (
     ShapeMismatch,
     UnknownRegion,
 )
-from .sim import SimConfig, scenario_totals, seed_outbreak, simulate
+from .sim import SimConfig, patch_coefficients, plain_totals, plain_trajectory, seed_outbreak, simulate
 
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Frozen parameters + initial conditions used by the analyses."""
+    """Frozen parameters + initial conditions used by the analyses.
+
+    The simulator's per-week coefficients are built once for the graph a
+    model last ran on and reused while it runs on that same graph; a model
+    made with ``dataclasses.replace`` starts without them.
+    """
 
     params: DiseaseParams
     init: np.ndarray
     steps: int
+    _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_calibration(net: CalibNet, data: DataSet, graph: PatchGraph) -> "FittedModel":
@@ -59,20 +66,28 @@ class FittedModel:
             steps=data.window,
         )
 
+    def _coefficients(self, graph: PatchGraph) -> tuple:
+        """``patch_coefficients`` of this model on ``graph``, built on the first
+        run there and kept until the model runs on another graph."""
+        memo = self._memo
+        if not memo or memo[0] is not graph or memo[1] is not self.params:
+            memo[:] = (graph, self.params, patch_coefficients(graph, self.params, self.steps))
+        return memo[2]
+
     def run(self, graph: PatchGraph, beta_scale: np.ndarray | None = None,
             init: np.ndarray | None = None):
         """Simulate the fitted model; ``beta_scale`` (one multiplier per patch)
         scales transmission and ``init`` replaces the initial infections."""
-        return simulate(graph, self.params, self.init if init is None else init,
-                        SimConfig(steps=self.steps), beta_scale=beta_scale)
+        return plain_trajectory(graph, self._coefficients(graph), self.init if init is None else init,
+                                beta_scale)
 
     def totals(self, graph: PatchGraph, beta_scale: np.ndarray | None = None,
                init: np.ndarray | None = None) -> np.ndarray:
         """Cumulative new infections per patch, one column per scenario, from
         one batched call; ``beta_scale`` and ``init`` are patches x scenarios
         (``init`` defaults to the fitted initial infections in every column)."""
-        return scenario_totals(graph, self.params, self.init if init is None else init,
-                               SimConfig(steps=self.steps), beta_scale=beta_scale)
+        return plain_totals(graph, self._coefficients(graph), self.init if init is None else init,
+                            beta_scale)
 
 
 @dataclass(frozen=True)

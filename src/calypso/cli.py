@@ -66,9 +66,9 @@ def _load_bundle(config: dict):
     return graph, io.load_dataset(config["data"], graph, window=config.get("window"), horizon=config["horizon"])
 
 
-def _load_model(config: dict, graph, data):
+def _load_model(config: dict, graph, data) -> analysis.FittedModel:
     net, _ = calib.load_checkpoint(config["checkpoint"])
-    return net, analysis.FittedModel.from_calibration(net, data, graph)
+    return analysis.FittedModel.from_calibration(net, data, graph)
 
 
 # -- subcommand bodies ----------------------------------------------------
@@ -126,7 +126,7 @@ def cmd_adapter(config: dict) -> list:
         teacher_ratio=config["teacher_ratio"], seed=config["seed"],
     )
     graph, data = _load_bundle(config)
-    net, _ = _load_model(config, graph, data)
+    net, _ = calib.load_checkpoint(config["checkpoint"])
     traj = simulate(graph, calib.infer_params(net, data, graph), data.initial_infections,
                     SimConfig(steps=data.window))
     raw = adapter_mod.stack_levels(traj.weekly_series, graph)
@@ -142,7 +142,7 @@ def cmd_adapter(config: dict) -> list:
 
 def cmd_forecast(config: dict) -> list:
     graph, data = _load_bundle(config)
-    net, _ = _load_model(config, graph, data)
+    net, _ = calib.load_checkpoint(config["checkpoint"])
     traj = calib.forecast(net, data, graph, config["horizon"])
     out = _out_dir(config)
     written = [io.write_trajectory(out / "forecast_trajectory.csv", graph, traj)]
@@ -183,7 +183,7 @@ def cmd_eakf(config: dict) -> list:
 
 def cmd_policy_region(config: dict) -> list:
     graph, data = _load_bundle(config)
-    _, model = _load_model(config, graph, data)
+    model = _load_model(config, graph, data)
     report = analysis.regional_beta_reduction(model, graph, config["region"], factor=config["factor"])
     out = _out_dir(config)
     return [
@@ -202,7 +202,7 @@ def cmd_policy_region(config: dict) -> list:
 
 def cmd_policy_greedy(config: dict) -> list:
     graph, data = _load_bundle(config)
-    _, model = _load_model(config, graph, data)
+    model = _load_model(config, graph, data)
     candidates = config["candidates"].split(",") if config.get("candidates") else None
     out = _out_dir(config)
     allocate = analysis.brute_force_allocation if config.get("brute_force") else analysis.unit_greedy
@@ -224,7 +224,7 @@ def cmd_policy_greedy(config: dict) -> list:
 
 def cmd_sensitivity(config: dict) -> list:
     graph, data = _load_bundle(config)
-    _, model = _load_model(config, graph, data)
+    model = _load_model(config, graph, data)
     report = analysis.sensitivity_scan(model, graph, bump=config["bump"])
     out = _out_dir(config)
     rows = [(recv, src, report.impact_ratio[j, i])
@@ -241,7 +241,7 @@ def cmd_sensitivity(config: dict) -> list:
 
 def cmd_outbreak(config: dict) -> list:
     graph, data = _load_bundle(config)
-    _, model = _load_model(config, graph, data)
+    model = _load_model(config, graph, data)
     report = analysis.outbreak_ranking(model, graph, config["k"], target=config.get("target"))
     out = _out_dir(config)
     pct = report.details["percent_of_baseline"]

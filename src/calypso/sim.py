@@ -22,22 +22,28 @@ through :mod:`calypso.autodiff` helpers, so it runs on plain ndarrays and
 on tape-recorded values alike.  The per-week coefficients that do not
 depend on the state (beta, the contact factor of move 2, gamma,
 1 - gamma, delta, 1 - delta) come from ``week_coefficients``; ``theta_t``
-and ``n_eff`` are fixed on the ``PatchGraph``.  Two loops call it:
+and ``n_eff`` are fixed on the ``PatchGraph``.  Two loops advance the
+weeks:
 
 - ``iterate_sirs`` is the tape path: calibration and the adapter pass a
   ``step_params(t)`` that records each week's parameters on the tape,
-  and it applies ``week_coefficients`` to them every week.
-- ``_weeks`` is the plain-array path.  It gathers the region parameters
-  onto patches once and computes every week's coefficients in one call
-  on weeks x patches arrays.  Its state is one value per patch, or
-  patches x scenarios with a scenario axis: then every coefficient and
-  ``n_eff`` enter as (P, 1) columns and each week's matrix products
-  advance all scenarios at once.  ``simulate`` runs it on vectors and
-  writes the trajectory into preallocated buffers; ``scenario_totals``
-  runs it on blocks of columns and keeps only the cumulative new
-  infections, so its working arrays stay near a fixed size however many
-  scenarios there are.  Both take their inputs through one set of
-  checks, ``_check_inputs``, before week 0.
+  and it applies ``week_coefficients`` to them and calls ``sirs_step``
+  every week.  The EAKF calls ``sirs_step`` once per member and week.
+- ``_weeks`` is the plain-array loop.  It takes the six coefficients as
+  weeks x patches arrays, built once by ``patch_coefficients``, and does
+  ``sirs_step``'s operations in its order, but writes each one into
+  caller-owned buffers with ufunc outputs: no array is allocated after
+  week 0.  Its state is one value per patch, or patches x scenarios with
+  a scenario axis: then every coefficient and ``n_eff`` enter as (P, 1)
+  columns and each week's matrix products advance all scenarios at once.
+  ``simulate`` keeps the whole history and returns it as a
+  ``Trajectory``; ``scenario_totals`` advances blocks of columns through
+  a rolling pair of states and keeps only the cumulative new infections,
+  so its working arrays stay near a fixed size however many scenarios
+  there are.  ``plain_trajectory`` and ``plain_totals`` run them from
+  coefficients built earlier: ``analysis.FittedModel`` builds them once
+  per graph, not once per run.  Each checks ``init`` and ``beta_scale``
+  before week 0.
 
 A counterfactual that perturbs transmission is a per-patch multiplier,
 ``beta_scale``, applied to every week's patch beta after the gather: a
@@ -141,21 +147,29 @@ def iterate_sirs(
     return s_hist, i_hist, r_hist, di_hist
 
 
-def broadcast_params(graph: PatchGraph, params: DiseaseParams) -> dict[str, np.ndarray]:
-    """Expand region x time parameter matrices to patch x time by copy.
+def patch_coefficients(graph: PatchGraph, params: DiseaseParams, steps: int) -> tuple:
+    """The six ``week_coefficients`` of the first ``steps`` weeks, weeks x patches.
 
-    Each patch takes its region's row (``graph.patch_region``), which is
-    exactly ``graph.broadcast_matrix @ arr``.
+    They are computed on the region rows, then each patch takes its
+    region's row (``graph.patch_region``, exactly ``graph.broadcast_matrix
+    @``) and the result is made week-major, one contiguous row per week.
+    The arithmetic is elementwise, so every entry equals that of gathering
+    first.  Refuses parameters that cover fewer weeks or other regions, and
+    a graph with a zero mobility-weighted population.
     """
+    if params.n_steps < steps:
+        raise ParamCoverage(f"parameters cover {params.n_steps} steps, run needs {steps}")
+    _check_n_eff(graph)
     if tuple(params.region_ids) != graph.region_ids:
         missing = set(graph.region_ids) - set(params.region_ids)
         raise ParamCoverage(f"parameters missing regions {sorted(missing)}" if missing
                             else "parameter region ordering does not match the graph")
-    return {name: arr[graph.patch_region] for name, arr in params.as_dict().items()}
+    return tuple(np.ascontiguousarray(c[graph.patch_region, :steps].T)
+                 for c in week_coefficients(params.as_dict()))
 
 
-def _check_inputs(graph: PatchGraph, params: DiseaseParams, init, config: SimConfig,
-                  beta_scale, batched: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _check_inputs(graph: PatchGraph, init, beta_scale,
+                  batched: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """``init`` and ``beta_scale`` as float arrays, refused before week 0 if bad.
 
     A vector holds one value per patch.  With ``batched`` either may
@@ -192,37 +206,82 @@ def _check_inputs(graph: PatchGraph, params: DiseaseParams, init, config: SimCon
         bad = ~np.isfinite(beta_scale) | (beta_scale < 0)
         if np.any(bad):
             raise InvalidValue(f"beta_scale must be finite and nonnegative{where(bad)}")
-    if params.n_steps < config.steps:
-        raise ParamCoverage(
-            f"parameters cover {params.n_steps} steps, run needs {config.steps}"
-        )
-    _check_n_eff(graph)
     return init, beta_scale
 
 
-def _weeks(graph: PatchGraph, params: DiseaseParams, init: np.ndarray, steps: int,
-           beta_scale: np.ndarray | None):
-    """Yield (S, I, R, new_infections) after each week, from checked inputs.
+def _weeks(graph: PatchGraph, coefficients: tuple, init: np.ndarray, S: np.ndarray,
+           I: np.ndarray, R: np.ndarray, new_inf: np.ndarray,
+           beta_scale: np.ndarray | None = None, total: np.ndarray | None = None) -> None:
+    """Advance one week per row of ``coefficients`` from ``init``, in place.
 
-    With a vector ``init`` the state is one value per patch.  With a
-    patches x scenarios ``init`` (and ``beta_scale``, when given) each
-    column is one scenario, and every per-patch coefficient and ``n_eff``
-    enters as a (P, 1) column: a (P,) vector would broadcast along the
-    scenario axis instead, silently when there are as many scenarios as
-    patches.
+    ``coefficients`` are the six ``patch_coefficients`` arrays and
+    ``init`` the checked initial infections.  The state is one value per
+    patch, or with a patches x scenarios ``init`` (or a (P, 1) column that
+    every scenario shares) each column is one scenario: then ``S``, ``I``,
+    ``R`` and ``new_inf`` carry a scenario axis, and every coefficient and
+    ``n_eff`` enters as a (P, 1) column.  A (P,) vector would broadcast
+    along the scenario axis instead, silently when there are as many
+    scenarios as patches.
+
+    ``S``, ``I`` and ``R`` are stacks of state buffers and ``new_inf`` a
+    stack of new-infection buffers, the caller's.  Week ``t`` writes its
+    state into slot ``(t + 1) % len(S)`` and its new infections into slot
+    ``t % len(new_inf)``, and adds them into ``total`` when given: with
+    ``steps + 1`` and ``steps`` slots they keep the whole history (slot 0,
+    the initial state, is never written), with two and one a rolling pair.
+    The operations are those of ``sirs_step``, in its order, with ufunc
+    outputs in place of temporaries.
     """
-    column = (lambda a: a[..., None]) if init.ndim == 2 else (lambda a: a)
-    # weeks x patches, one contiguous row per week
-    week_major = {name: column(np.ascontiguousarray(arr[:, :steps].T))
-                  for name, arr in broadcast_params(graph, params).items()}
-    beta, *rest = week_coefficients(week_major)
+    mul, add, sub, div, matmul = np.multiply, np.add, np.subtract, np.divide, np.matmul
+    batched = S.ndim == 3
+    column = (lambda a: a[..., None]) if batched else (lambda a: a)
+    beta, factor, gamma, keep_i, delta, keep_r = map(column, coefficients)
     theta, theta_t, n_eff = graph.theta, graph.theta_t, column(graph.n_eff)
-    S, I = column(graph.populations) - init, init
-    R = np.zeros_like(S)
-    for t in range(steps):
-        week_beta = beta[t] if beta_scale is None else beta[t] * beta_scale
-        S, I, R, dI = sirs_step(theta, theta_t, n_eff, S, I, R, week_beta, *(c[t] for c in rest))
-        yield S, I, R, dI
+    depth, dI_depth = len(S), len(new_inf)
+    a, b = np.empty_like(S[0]), np.empty_like(S[0])
+    s, i, r = column(graph.populations) - init, init, np.zeros_like(init)
+    for t in range(len(beta)):
+        slot = (t + 1) % depth
+        s_next, i_next, r_next, dI = S[slot], I[slot], R[slot], new_inf[t % dI_depth]
+        # week 0 multiplies ``init`` itself: a shared column is one
+        # matrix-vector product, not one per scenario
+        i_eff = theta_t @ i if t == 0 else matmul(theta_t, i, a)
+        div(i_eff, n_eff, a)
+        if beta_scale is None:
+            mul(beta[t], a, b)
+        else:
+            mul(beta[t], beta_scale, b)
+            mul(b, a, b)
+        mul(b, factor[t], b)
+        matmul(theta, b, a)
+        mul(a, s, a)
+        np.minimum(s, a, out=dI)
+        sub(s, dI, s_next)
+        add(s_next, mul(delta[t], r, a), s_next)
+        add(dI, mul(keep_i[t], i, a), i_next)
+        add(mul(gamma[t], i, a), mul(keep_r[t], r, b), r_next)
+        if total is not None:
+            add(total, dI, total)
+        s, i, r = s_next, i_next, r_next
+
+
+def plain_trajectory(graph: PatchGraph, coefficients: tuple, init,
+                     beta_scale: np.ndarray | None = None) -> Trajectory:
+    """``simulate`` from ``patch_coefficients(graph, params, steps)`` built earlier."""
+    init, beta_scale = _check_inputs(graph, init, beta_scale, batched=False)
+    steps, n = len(coefficients[0]), graph.n_patches
+    S, I, R = np.empty((steps + 1, n)), np.empty((steps + 1, n)), np.empty((steps + 1, n))
+    new_inf = np.empty((steps, n))
+    S[0] = graph.populations - init
+    I[0] = init
+    R[0] = 0.0
+    _weeks(graph, coefficients, init, S, I, R, new_inf, beta_scale)
+    return Trajectory(
+        S=np.ascontiguousarray(S.T),
+        I=np.ascontiguousarray(I.T),
+        R=np.ascontiguousarray(R.T),
+        new_infections=np.ascontiguousarray(new_inf.T),
+    )
 
 
 def simulate(
@@ -237,27 +296,34 @@ def simulate(
     ``beta_scale``, one finite nonnegative multiplier per patch, scales
     each patch's beta in every week.
     """
-    init, beta_scale = _check_inputs(graph, params, init, config, beta_scale, batched=False)
-    steps, n = config.steps, graph.n_patches
-    S, I, R = np.empty((steps + 1, n)), np.empty((steps + 1, n)), np.empty((steps + 1, n))
-    new_inf = np.empty((steps, n))
-    S[0] = graph.populations - init
-    I[0] = init
-    R[0] = 0.0
-    for t, week in enumerate(_weeks(graph, params, init, steps, beta_scale)):
-        S[t + 1], I[t + 1], R[t + 1], new_inf[t] = week
-    return Trajectory(
-        S=np.ascontiguousarray(S.T),
-        I=np.ascontiguousarray(I.T),
-        R=np.ascontiguousarray(R.T),
-        new_infections=np.ascontiguousarray(new_inf.T),
-    )
+    return plain_trajectory(graph, patch_coefficients(graph, params, config.steps), init, beta_scale)
 
 
 # Scenario columns advanced together, as a number of P x B elements: each
 # working array of the weekly step stays near 128 KiB however many scenarios
 # a call scores (241 for one outbreak per patch at 240 patches).
 _BLOCK_ELEMENTS = 1 << 14
+
+
+def plain_totals(graph: PatchGraph, coefficients: tuple, init,
+                 beta_scale: np.ndarray | None = None) -> np.ndarray:
+    """``scenario_totals`` from ``patch_coefficients(graph, params, steps)`` built earlier."""
+    init, beta_scale = _check_inputs(graph, init, beta_scale, batched=True)
+    if init.ndim == 1:
+        init = init[:, None]
+    n = graph.n_patches
+    width = init.shape[1] if beta_scale is None else beta_scale.shape[1]
+    block = max(1, _BLOCK_ELEMENTS // n)
+    out = np.empty((n, width))
+    for lo in range(0, width, block):
+        cols = slice(lo, lo + block)
+        shape = (n, min(block, width - lo))
+        S, I, R = (np.empty((2, *shape)) for _ in range(3))
+        total = np.zeros(shape)
+        _weeks(graph, coefficients, init if init.shape[1] == 1 else init[:, cols], S, I, R,
+               np.empty((1, *shape)), None if beta_scale is None else beta_scale[:, cols], total)
+        out[:, cols] = total
+    return out
 
 
 def scenario_totals(
@@ -277,20 +343,7 @@ def scenario_totals(
     ``simulate`` multiplies a matrix by a vector, and sums the weeks in
     order.  Scenarios advance in blocks of columns; no trajectory is kept.
     """
-    init, beta_scale = _check_inputs(graph, params, init, config, beta_scale, batched=True)
-    if init.ndim == 1:
-        init = init[:, None]
-    width = init.shape[1] if beta_scale is None else beta_scale.shape[1]
-    block = max(1, _BLOCK_ELEMENTS // graph.n_patches)
-    out = np.empty((graph.n_patches, width))
-    for lo in range(0, width, block):
-        cols = slice(lo, lo + block)
-        total = 0.0
-        for *_, new_inf in _weeks(graph, params, init if init.shape[1] == 1 else init[:, cols],
-                                  config.steps, None if beta_scale is None else beta_scale[:, cols]):
-            total += new_inf
-        out[:, cols] = total
-    return out
+    return plain_totals(graph, patch_coefficients(graph, params, config.steps), init, beta_scale)
 
 
 def seed_outbreak(init: np.ndarray, patch: str, k: float, graph: PatchGraph) -> np.ndarray:

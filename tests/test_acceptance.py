@@ -196,6 +196,7 @@ def test_criterion_2_gradient_oracle():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_3_parameter_recovery(default_bundle, trained_default, forecast_default):
     result, train_time = trained_default
     b = default_bundle
@@ -212,6 +213,7 @@ def test_criterion_3_parameter_recovery(default_bundle, trained_default, forecas
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_4_baseline_ordering(default_bundle, trained_default, forecast_default):
     b = default_bundle
     start = time.monotonic()
@@ -227,6 +229,7 @@ def test_criterion_4_baseline_ordering(default_bundle, trained_default, forecast
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_adapter_effect(default_bundle, trained_default, forecast_default):
     b = default_bundle
     window, horizon = b.data.window, b.data.horizon
@@ -292,6 +295,7 @@ def test_criterion_7_greedy_dominates_random(default_bundle, truth_model):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_8_data_correction_curve():
     spec = synth.SynthSpec(n_patches=12, n_regions=6, weeks=60, horizon=4, seed=3,
                            facility_population_scale=8.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from calypso.errors import (
     ShapeMismatch,
     UnknownRegion,
 )
+from calypso.sim import SimConfig, scenario_totals, simulate
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +51,8 @@ def no_simulation(monkeypatch):
     def simulate(*args, **kwargs):
         raise AssertionError("simulated before refusing the input")
 
-    monkeypatch.setattr(analysis, "simulate", simulate)
-    monkeypatch.setattr(analysis, "scenario_totals", simulate)
+    for name in ("simulate", "plain_trajectory", "plain_totals"):
+        monkeypatch.setattr(analysis, name, simulate)
 
 
 def with_region_row_scaled(model, region, factor):
@@ -128,6 +130,67 @@ def spillover_model():
     init = np.array([0.02 * pops["A-G"], 0.02 * pops["A-N"],
                      0.01 * pops["B-G"], 0.01 * pops["B-N"]])
     return graph, FittedModel(params=params, init=init, steps=steps)
+
+
+def same_trajectory(a, b):
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               for f in ("S", "I", "R", "new_infections"))
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak of ``tracemalloc``'s traced memory while ``fn()`` runs, above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - start) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestFittedModel:
+    """A model keeps the simulator's coefficients for the graph it last ran on;
+    no run may see coefficients of another graph or of other parameters."""
+
+    def test_run_on_another_graph_equals_a_fresh_simulate(self):
+        graph_a, model = two_region_model()
+        # the same patches and flows with A-N and B-N swapped between regions
+        graph_b = PatchGraph(dict(zip(graph_a.patch_ids, graph_a.populations)),
+                             {"A-G": "A", "A-N": "B", "B-G": "B", "B-N": "A"},
+                             dict(graph_a.category_of), graph_a.theta)
+        assert graph_b.region_ids == graph_a.region_ids
+        assert not np.array_equal(graph_b.patch_region, graph_a.patch_region)
+        config = SimConfig(steps=model.steps)
+        scale = np.array([0.9, 1.0, 0.8, 1.0])
+        for graph in (graph_a, graph_b, graph_a):
+            fresh = simulate(graph, model.params, model.init, config, beta_scale=scale)
+            assert same_trajectory(model.run(graph, scale), fresh)
+            totals = scenario_totals(graph, model.params, model.init, config, beta_scale=scale[:, None])
+            assert model.totals(graph, scale[:, None]).tobytes() == totals.tobytes()
+
+    def test_replaced_params_equal_a_fresh_simulate(self):
+        graph, model = two_region_model()
+        model.run(graph)
+        changed = with_region_row_scaled(model, "A", 0.5)
+        fresh = simulate(graph, changed.params, model.init, SimConfig(steps=model.steps))
+        assert same_trajectory(changed.run(graph), fresh)
+        assert not same_trajectory(model.run(graph), fresh)
+
+    def test_memory_at_county_scale(self):
+        """At 240 patches one run and one 241-column batch, each on a new
+        model (so building its coefficients counts), stay within a bound."""
+        b = synth.generate(synth.SynthSpec(n_patches=240, n_regions=40, weeks=120, horizon=4, seed=1))
+        window = b.data.window
+        params = DiseaseParams(region_ids=b.params.region_ids,
+                               **{n: getattr(b.params, n)[:, :window] for n in
+                                  ("beta", "gamma", "delta", "kappa", "epsilon")})
+
+        def new_model():
+            return FittedModel(params=params, init=b.data.initial_infections, steps=window)
+
+        run, batch, scale = new_model(), new_model(), np.ones((240, 241))
+        assert traced_peak_mib(lambda: run.run(b.graph)) < 3.5
+        assert traced_peak_mib(lambda: batch.totals(b.graph, scale)) < 4.5
 
 
 class TestRegionalBetaReduction:

@@ -137,6 +137,22 @@ class TestForecastAndAdapter:
                      "--out", str(fc_out)]) == 0
         assert (fc_out / "forecast_corrected_state.csv").exists()
 
+    @pytest.mark.parametrize("command", ["adapter", "forecast"])
+    def test_infers_parameters_once(self, data_dir, checkpoint, tmp_path, monkeypatch, command):
+        calls = []
+        infer = calib.infer_params
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return infer(*args, **kwargs)
+
+        for module in (calib, analysis):
+            monkeypatch.setattr(module, "infer_params", counting)
+        extra = ["--epochs", "1"] if command == "adapter" else ["--horizon", "4"]
+        assert main([command, "--data", str(data_dir), "--checkpoint", str(checkpoint),
+                     *extra, "--out", str(tmp_path / command)]) == 0
+        assert len(calls) == 1
+
 
 class TestEakfCommand:
     def test_outputs_and_determinism(self, data_dir, tmp_path):
@@ -371,7 +387,7 @@ class TestErrorHandling:
 
         for module, name in [(calib, "train_joint"), (adapter_mod, "train_adapter"), (calib, "forecast"),
                              (eakf, "run_eakf"), (synth, "generate"), (cli, "simulate"),
-                             (analysis, "simulate"), (analysis, "scenario_totals")]:
+                             (analysis, "simulate"), (analysis, "plain_trajectory"), (analysis, "plain_totals")]:
             monkeypatch.setattr(module, name, too_late)
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)

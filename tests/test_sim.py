@@ -14,11 +14,12 @@ from calypso.errors import (
 )
 from calypso.sim import (
     SimConfig,
-    broadcast_params,
     iterate_sirs,
+    patch_coefficients,
     scenario_totals,
     seed_outbreak,
     simulate,
+    week_coefficients,
 )
 
 
@@ -244,6 +245,86 @@ def column_by_column(graph, params, init, steps, scale):
     return np.column_stack(cols)
 
 
+def reference_weeks(graph, params, init, steps, beta_scale):
+    """The plain loop as it stood before it ran in place: patch rows gathered
+    first, then one ``sirs_step`` a week on fresh arrays.  Yields each week's
+    (S, I, R, new_infections); the oracle that ``simulate`` and
+    ``scenario_totals`` match byte for byte."""
+    column = (lambda a: a[..., None]) if init.ndim == 2 else (lambda a: a)
+    week_major = {name: column(np.ascontiguousarray(getattr(params, name)[graph.patch_region][:, :steps].T))
+                  for name in PARAM_NAMES}
+    beta, *rest = week_coefficients(week_major)
+    S, I = column(graph.populations) - init, init
+    R = np.zeros_like(S)
+    for t in range(steps):
+        week_beta = beta[t] if beta_scale is None else beta[t] * beta_scale
+        S, I, R, dI = sim.sirs_step(graph.theta, graph.theta_t, column(graph.n_eff), S, I, R,
+                                    week_beta, *(c[t] for c in rest))
+        yield S, I, R, dI
+
+
+def reference_simulate(graph, params, init, steps, beta_scale=None):
+    """(S, I, R, new_infections), patches x weeks, copied row by row from the reference loop."""
+    n = graph.n_patches
+    S, I, R = np.empty((steps + 1, n)), np.empty((steps + 1, n)), np.empty((steps + 1, n))
+    new_inf = np.empty((steps, n))
+    S[0], I[0], R[0] = graph.populations - init, init, 0.0
+    for t, week in enumerate(reference_weeks(graph, params, init, steps, beta_scale)):
+        S[t + 1], I[t + 1], R[t + 1], new_inf[t] = week
+    return tuple(np.ascontiguousarray(a.T) for a in (S, I, R, new_inf))
+
+
+def reference_totals(graph, params, init, steps, beta_scale=None):
+    """Cumulative new infections per column, blocks of ``sim._BLOCK_ELEMENTS`` as ``scenario_totals`` cuts them."""
+    if init.ndim == 1:
+        init = init[:, None]
+    width = init.shape[1] if beta_scale is None else beta_scale.shape[1]
+    block = max(1, sim._BLOCK_ELEMENTS // graph.n_patches)
+    out = np.empty((graph.n_patches, width))
+    for lo in range(0, width, block):
+        cols = slice(lo, lo + block)
+        total = 0.0
+        for *_, new_inf in reference_weeks(graph, params, init if init.shape[1] == 1 else init[:, cols],
+                                           steps, None if beta_scale is None else beta_scale[:, cols]):
+            total += new_inf
+        out[:, cols] = total
+    return out
+
+
+class TestInPlaceLoopMatchesReference:
+    """Every byte of the in-place loop's results equals the reference loop's."""
+
+    @pytest.mark.parametrize("with_scale", [False, True], ids=["no-scale", "patch-scale"])
+    def test_simulate(self, with_scale):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            graph, params, init, steps = random_instance(rng, n_max=30)
+            scale = rng.uniform(0.5, 1.5, size=graph.n_patches) if with_scale else None
+            traj = simulate(graph, params, init, SimConfig(steps=steps), beta_scale=scale)
+            want = reference_simulate(graph, params, init, steps, scale)
+            for name, ref in zip(("S", "I", "R", "new_infections"), want):
+                assert getattr(traj, name).tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("case", ["init-columns", "shared-init", "as-many-as-patches", "three-blocks"])
+    def test_scenario_totals(self, monkeypatch, case):
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            graph, params, init, steps = random_instance(rng, n_min=3, n_max=30)
+            n = graph.n_patches
+            width = {"as-many-as-patches": n, "three-blocks": 7}.get(case, 4)
+            if case == "three-blocks":
+                monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 3 * n)  # blocks of 3, 3 and 1 columns
+            init_cols = np.minimum(init[:, None] * rng.uniform(0.5, 2.0, size=(n, width)),
+                                   graph.populations[:, None])
+            scale = rng.uniform(0.3, 1.7, size=(n, width))
+            init_arg, scale_arg = {
+                "init-columns": (init_cols, None),
+                "shared-init": (init, scale),
+            }.get(case, (init_cols, scale))
+            got = scenario_totals(graph, params, init_arg, SimConfig(steps=steps), beta_scale=scale_arg)
+            assert got.tobytes() == reference_totals(graph, params, init_arg, steps, scale_arg).tobytes()
+
+
 class TestScenarioTotals:
     @pytest.mark.parametrize("case", ["init-columns", "scale-columns", "both", "as-many-as-patches"])
     def test_equals_one_simulate_per_column(self, case):
@@ -296,11 +377,14 @@ class TestScenarioTotals:
             init_cols = np.minimum(init[:, None] * rng.uniform(0.5, 2.0, size=(n, n)),
                                    graph.populations[:, None])
             scale = rng.uniform(0.0, 2.0, size=(n, n))
-            for S, I, R, dI in sim._weeks(graph, params, init_cols, steps, scale):
-                assert S.shape == I.shape == R.shape == dI.shape == (n, n)
-                np.testing.assert_allclose(S + I + R, np.broadcast_to(graph.populations[:, None], (n, n)),
+            S, I, R = (np.empty((steps + 1, n, n)) for _ in range(3))
+            new_inf = np.empty((steps, n, n))
+            sim._weeks(graph, patch_coefficients(graph, params, steps), init_cols, S, I, R, new_inf, scale)
+            for t in range(steps):  # the state after week t is slot t + 1
+                total = S[t + 1] + I[t + 1] + R[t + 1]
+                np.testing.assert_allclose(total, np.broadcast_to(graph.populations[:, None], (n, n)),
                                            rtol=1e-9)
-                assert np.all(S >= -1e-9) and np.all(dI >= 0)
+                assert np.all(S[t + 1] >= -1e-9) and np.all(new_inf[t] >= 0)
 
     @pytest.mark.parametrize("arg, fault, error, message", [
         ("init", "nan", InvalidValue, "non-finite entry in column 2"),
@@ -334,19 +418,24 @@ class TestScenarioTotals:
         def no_week(*a, **k):
             raise AssertionError("stepped a week before refusing the input")
 
-        monkeypatch.setattr(sim, "sirs_step", no_week)
+        monkeypatch.setattr(sim, "_weeks", no_week)
         with pytest.raises(error, match=message):
             scenario_totals(graph, params, args["init"], SimConfig(steps=steps), beta_scale=args["beta_scale"])
 
 
-class TestBroadcastParams:
+class TestPatchCoefficients:
     def test_gather_equals_broadcast_matrix_product(self):
+        """Coefficients computed on region rows and then gathered equal, byte
+        for byte, those computed on ``broadcast_matrix @`` patch rows."""
         rng = np.random.default_rng(13)
         for _ in range(10):
-            graph, params, _, _ = random_instance(rng)
-            out = broadcast_params(graph, params)
-            for name in PARAM_NAMES:
-                assert np.array_equal(out[name], graph.broadcast_matrix @ getattr(params, name)), name
+            graph, params, _, steps = random_instance(rng)
+            patch_rows = {name: graph.broadcast_matrix @ getattr(params, name) for name in PARAM_NAMES}
+            for weeks in (steps, steps - 2):
+                got = patch_coefficients(graph, params, weeks)
+                for k, want in enumerate(week_coefficients(patch_rows)):
+                    assert got[k].shape == (weeks, graph.n_patches) and got[k].flags.c_contiguous, k
+                    assert got[k].tobytes() == np.ascontiguousarray(want[:, :weeks].T).tobytes(), k
 
     def test_patch_region_indexes_the_broadcast_matrix(self):
         graph, _, _, _ = random_instance(np.random.default_rng(14))
