@@ -4,15 +4,16 @@ Works on the stacked multi-level series (all patch rows, then region
 rows, then the state row).  A multi-layer gated recurrent stack reads,
 per week, the raw forecast value, the previous output (own prediction,
 or the ground truth under teacher forcing), and normalized timestep
-features; an output head emits one residual per unit per week.  The
-corrected series is ``max(0, raw + residual)``.  Every layer steps with
-``autodiff.gru_cell`` and the timestep features come from
-``calib.time_features``, both shared with the calibration net.
+features; an output head emits one residual per unit per week.
+``refine`` returns only the corrected series, ``max(0, raw + residual)``.
+Every layer steps with ``autodiff.gru_cell`` and the timestep features
+come from ``calib.time_features``, both shared with the calibration net.
 
 Training freezes the simulator and calibration net entirely: the
 adapter only ever sees series, never model internals.  Teacher-forced
 and autoregressive steps are mixed by a seeded per-step coin whose bias
-starts at the configured ratio and decays linearly to zero.
+starts at the configured ratio and decays linearly to zero by the last
+epoch (a one-epoch run keeps the ratio).
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ class AdapterTrainConfig:
     learning_rate: float = 5e-3
     weight_decay: float = 1e-4
     clip_norm: float = 10.0
-    teacher_ratio: float = 0.5
-    ratio_decay: bool = True   # decay the ratio linearly to 0 over training
+    teacher_ratio: float = 0.5   # decays linearly to 0 over training
     seed: int = 0
 
     def __post_init__(self):
@@ -114,7 +114,7 @@ def _forward(net_weights, config: AdapterConfig, raw_norm, scale, t_scale: int,
              truth_norm=None, teacher_mask=None):
     """Run the stack over a (units, weeks) normalized raw series.
 
-    Returns (corrected_list, residual_list) of per-week unit vectors.
+    Returns the corrected series as a list of per-week unit vectors.
     When ``teacher_mask`` is given, steps where it is True feed the
     normalized truth as the previous signal instead of the model's own
     output (teacher forcing).
@@ -130,7 +130,7 @@ def _forward(net_weights, config: AdapterConfig, raw_norm, scale, t_scale: int,
     tau = time_features(weeks, config.time_harmonics, t_scale)
     h_states = [np.zeros((n_units, config.hidden)) for _ in range(config.layers)]
     prev = raw_norm[:, 0]
-    corrected, residuals = [], []
+    corrected = []
     for t in range(weeks):
         raw_col = raw_norm[:, t]
         inputs = [(ad.colvec(raw_col), raw_w), (ad.colvec(prev), prev_w), (tau[t : t + 1], time_w)]
@@ -141,15 +141,14 @@ def _forward(net_weights, config: AdapterConfig, raw_norm, scale, t_scale: int,
         res = res_norm * scale
         corr = ad.relu(raw_col * scale + res)
         corrected.append(corr)
-        residuals.append(res)
         if teacher_mask is not None and teacher_mask[t]:
             prev = truth_norm[:, t]
         else:
             prev = corr / scale
-    return corrected, residuals
+    return corrected
 
 
-def refine(net: AdapterNet, raw_forecast: np.ndarray, return_residual: bool = False):
+def refine(net: AdapterNet, raw_forecast: np.ndarray) -> np.ndarray:
     """Correct a (units, weeks) raw series; output is clamped at zero."""
     raw = np.asarray(raw_forecast, dtype=float)
     if raw.ndim == 1:
@@ -160,11 +159,7 @@ def refine(net: AdapterNet, raw_forecast: np.ndarray, return_residual: bool = Fa
     if scale.shape[0] != raw.shape[0]:
         raise ShapeMismatch("adapter was fit on a different number of units")
     t_scale = net.t_scale if net.t_scale is not None else raw.shape[1]
-    corrected, residuals = _forward(net.weights, net.config, raw / scale[:, None], scale, t_scale)
-    corr = np.stack(corrected, axis=1)
-    if return_residual:
-        return corr, np.stack(residuals, axis=1)
-    return corr
+    return np.stack(_forward(net.weights, net.config, raw / scale[:, None], scale, t_scale), axis=1)
 
 
 def train_adapter(
@@ -199,14 +194,11 @@ def train_adapter(
     history = []
 
     for epoch in range(hyper.epochs):
-        if hyper.ratio_decay and hyper.epochs > 1:
-            ratio = hyper.teacher_ratio * (1.0 - epoch / (hyper.epochs - 1))
-        else:
-            ratio = hyper.teacher_ratio
+        ratio = hyper.teacher_ratio * (1.0 - epoch / max(hyper.epochs - 1, 1))
         teacher_mask = rng.random(weeks) < ratio
 
         def epoch_loss(duals):
-            corrected, _ = _forward(
+            corrected = _forward(
                 duals, work.config, raw_norm, scale, work.t_scale,
                 truth_norm=truth_norm, teacher_mask=teacher_mask,
             )

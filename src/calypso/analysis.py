@@ -13,7 +13,11 @@ of the same batch.  Greedy and brute-force allocation call
 ``FittedModel.run`` once per evaluated scenario; selection happens after
 all candidates of a step are scored, so results do not depend on
 evaluation order.  A model builds the simulator's week coefficients once
-per graph, and every run and batch on that graph reuses them.
+per graph, and every run and batch on that graph reuses them.  A patch
+list (allocation candidates, outbreak sources, noisy feeds) counts each
+distinct id once, in graph order.  Data correction scores a feature set
+by one ``simulate`` over the window and the horizon; its noise draw d is
+seeded ``seed + 1 + d``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import seeding
-from .calib import CalibNet, TrainConfig, forecast, infer_params, train_joint
+from .calib import CalibNet, TrainConfig, infer_params, train_joint
 from .core import (
     NON_GENERAL,
     DataSet,
@@ -151,25 +155,31 @@ def regional_beta_reduction(model: FittedModel, graph: PatchGraph, region: str,
     )
 
 
+def _distinct_patches(graph: PatchGraph, ids: Sequence[str], what: str) -> list[str]:
+    """The distinct ``ids`` in graph order; an unknown one raises ``UnknownRegion``."""
+    for pid in ids:
+        if pid not in graph.patch_index:
+            raise UnknownRegion(f"unknown {what} patch {pid!r}")
+    return sorted(set(ids), key=graph.patch_index.__getitem__)
+
+
 def _allocation_candidates(graph: PatchGraph, candidates: Sequence[str] | None,
                            budget: int, multiplier: float) -> list[str]:
-    """Candidate patches in graph order; every non-general patch by default.
+    """The distinct candidate patches in graph order; every non-general patch by default.
 
     Refuses, before any simulation, a multiplier that is not finite and
-    > 0 and a budget outside 1 .. the number of candidates.
+    > 0 and a budget outside 1 .. the number of distinct candidates.
     """
     check_option("multiplier", multiplier, 0, strict=True)
     check_option("budget", budget, 1)
     if candidates is None:
         candidates = graph.patches_of_category(NON_GENERAL)
-    for c in candidates:
-        if c not in graph.patch_index:
-            raise UnknownRegion(f"unknown candidate patch {c!r}")
+    candidates = _distinct_patches(graph, candidates, "candidate")
     if not candidates:
         raise EmptyCandidates("no candidate patches for allocation")
     if budget > len(candidates):
         raise ShapeMismatch(f"budget {budget} exceeds {len(candidates)} candidates")
-    return sorted(candidates, key=lambda p: graph.patch_index[p])
+    return candidates
 
 
 @dataclass(frozen=True)
@@ -306,16 +316,11 @@ def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
     scored once, all of them in one batched run with the baseline.
     """
     check_option("seed count", k, 0)
-    if candidates is None:
-        candidates = list(graph.patch_ids)
-    for c in candidates:
-        if c not in graph.patch_index:
-            raise UnknownRegion(f"unknown candidate patch {c!r}")
+    cands = _distinct_patches(graph, graph.patch_ids if candidates is None else candidates, "candidate")
     if target is not None:
         if target not in graph.patch_index:
             raise UnknownRegion(f"unknown target patch {target!r}")
-        candidates = [c for c in candidates if c != target]
-    cands = sorted(set(candidates), key=lambda p: graph.patch_index[p])
+        cands = [c for c in cands if c != target]
     if not cands:
         raise EmptyCandidates("no candidate outbreak sources")
     init = np.empty((graph.n_patches, 1 + len(cands)))
@@ -354,10 +359,7 @@ def check_noisy_patches(graph: PatchGraph, noisy_patches: Sequence[str], k: int)
     Refuses an unknown patch and a ``k`` above the number of noisy
     patches, so a caller can check before it trains anything.
     """
-    for pid in noisy_patches:
-        if pid not in graph.patch_index:
-            raise UnknownRegion(f"unknown noisy patch {pid!r}")
-    noisy = sorted(set(noisy_patches), key=lambda p: graph.patch_index[p])
+    noisy = _distinct_patches(graph, noisy_patches, "noisy")
     if k > len(noisy):
         raise KExceedsNoisySet(f"k={k} exceeds {len(noisy)} noisy patches")
     return noisy
@@ -395,18 +397,15 @@ class CorrectionResult:
 def _correction_metric(net: CalibNet, dataset: DataSet, clean: DataSet, graph: PatchGraph) -> float:
     """State-level R^2 of the model driven by ``dataset`` features.
 
-    Scores the fit-plus-forecast series (window and horizon together)
+    Scores the fit-plus-forecast series (window and horizon together, the
+    parameters beyond the window holding the last inferred week's values)
     against the clean observations; input noise degrades both the
     calibrated parameter paths and the horizon continuation.
     """
-    window, horizon = clean.window, clean.horizon
-    if horizon >= 1:
-        traj = forecast(net, dataset, graph, horizon)
-    else:
-        traj = simulate(graph, infer_params(net, dataset, graph), dataset.initial_infections,
-                        SimConfig(steps=window))
-    span = window + horizon
-    pred = aggregate(traj.weekly_series[:, :span], "state", graph)[0]
+    span = clean.window + clean.horizon
+    params = infer_params(net, dataset, graph).extended(clean.horizon)
+    traj = simulate(graph, params, dataset.initial_infections, SimConfig(steps=span))
+    pred = aggregate(traj.weekly_series, "state", graph)[0]
     obs = aggregate(clean.observed[:, :span], "state", graph)[0]
     return metrics(pred, obs)["r2"]
 
@@ -421,18 +420,16 @@ def _corrected_dataset(noisy_data: DataSet, clean: DataSet, graph: PatchGraph,
 
 
 def _mean_r2_scorer(net_for, clean: DataSet, graph: PatchGraph, noisy: Sequence[str],
-                    noise_sd: float, seed: int, eval_seed: int | None, eval_draws: int):
+                    noise_sd: float, seed: int, eval_draws: int):
     """``score(corrected)``: the state R^2 averaged over ``eval_draws``
     noisy feature sets, each with the ``corrected`` patches restored.
 
-    Draw d corrupts the ``noisy`` patches with seed ``eval_seed + d``
-    (default ``seed + 1 + d``); ``net_for(dataset)`` is the net scored on
-    that dataset.  Refuses ``eval_draws`` below 1.
+    Draw d corrupts the ``noisy`` patches with seed ``seed + 1 + d``;
+    ``net_for(dataset)`` is the net scored on that dataset.  Refuses
+    ``eval_draws`` below 1.
     """
     check_option("eval_draws", eval_draws, 1)
-    if eval_seed is None:
-        eval_seed = seed + 1
-    noisy_sets = [corrupt_features(clean, graph, noisy, noise_sd, seed=eval_seed + d)
+    noisy_sets = [corrupt_features(clean, graph, noisy, noise_sd, seed=seed + 1 + d)
                   for d in range(eval_draws)]
 
     def score(corrected: Sequence[str]) -> float:
@@ -447,33 +444,31 @@ def _mean_r2_scorer(net_for, clean: DataSet, graph: PatchGraph, noisy: Sequence[
 
 def greedy_data_correction(net: CalibNet, clean: DataSet, graph: PatchGraph,
                            noisy_patches: Sequence[str], noise_sd: float, k: int,
-                           seed: int = 0, eval_seed: int | None = None,
-                           eval_draws: int = 1, retrain: bool = False,
-                           retrain_hyper: TrainConfig | None = None) -> CorrectionResult:
+                           seed: int = 0, eval_draws: int = 1,
+                           retrain: TrainConfig | None = None) -> CorrectionResult:
     """Greedily restore clean features to the patches that help R^2 most.
 
     ``net`` is the deployed model; the named patches' live feeds are
-    corrupted with ``eval_draws`` independent noise draws starting at
-    ``eval_seed`` (default ``seed + 1``) and the reported metric is the
-    mean across draws.  Each greedy step corrects the patch maximizing
-    the state-level R^2; the selection is nested by construction and
-    the curve holds the metric after each correction, ending (at
-    ``k = len(noisy_patches)``) exactly at the clean-data value.
-    ``retrain=True`` refits the network from scratch per candidate
-    dataset instead of re-evaluating the fixed net (slow).
+    corrupted with ``eval_draws`` independent noise draws seeded
+    ``seed + 1`` on, and the reported metric is the mean across draws.
+    Each greedy step corrects the patch maximizing the state-level R^2;
+    the selection is nested by construction and the curve holds the
+    metric after each correction, ending (at ``k = len(noisy_patches)``)
+    exactly at the clean-data value.  With ``retrain`` set, the network
+    is refit from scratch with it per candidate dataset instead of
+    re-evaluating the fixed net (slow).
     """
     noisy = check_noisy_patches(graph, noisy_patches, k)
 
     def eval_net_for(dataset: DataSet) -> CalibNet:
-        if not retrain:
+        if retrain is None:
             return net
-        hyper = retrain_hyper or TrainConfig(epochs=50)
         return train_joint(
             CalibNet(dataset.features.shape[2], bounds=net.bounds, config=net.config, seed=net.seed),
-            dataset, graph, hyper,
+            dataset, graph, retrain,
         ).net
 
-    evaluate = _mean_r2_scorer(eval_net_for, clean, graph, noisy, noise_sd, seed, eval_seed, eval_draws)
+    evaluate = _mean_r2_scorer(eval_net_for, clean, graph, noisy, noise_sd, seed, eval_draws)
     corrected: list[str] = []
     curve = [evaluate([])]
     remaining = list(noisy)
@@ -493,11 +488,10 @@ def greedy_data_correction(net: CalibNet, clean: DataSet, graph: PatchGraph,
 def random_order_correction_curves(net: CalibNet, clean: DataSet, graph: PatchGraph,
                                    noisy_patches: Sequence[str], noise_sd: float,
                                    n_orders: int = 10, seed: int = 0,
-                                   eval_seed: int | None = None,
                                    eval_draws: int = 1) -> np.ndarray:
     """Correction curves for random patch orders (rows: one per order)."""
     noisy = check_noisy_patches(graph, noisy_patches, 0)
-    evaluate = _mean_r2_scorer(lambda ds: net, clean, graph, noisy, noise_sd, seed, eval_seed, eval_draws)
+    evaluate = _mean_r2_scorer(lambda ds: net, clean, graph, noisy, noise_sd, seed, eval_draws)
     rng = seeding.spawn_rng(seed, seeding.ANALYSIS, 2)
     curves = np.zeros((n_orders, len(noisy) + 1))
     for d in range(n_orders):

@@ -270,7 +270,7 @@ def cmd_correct_data(config: dict) -> list:
     result = analysis.greedy_data_correction(
         trained, data, graph, noisy, config["noise_sd"], config["k"],
         seed=config["seed"], eval_draws=config["eval_draws"],
-        retrain=config.get("retrain", False), retrain_hyper=hyper,
+        retrain=hyper if config.get("retrain") else None,
     )
     out = _out_dir(config)
     rows = [(0, "", result.r2_curve[0])]

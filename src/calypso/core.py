@@ -133,9 +133,6 @@ class PatchGraph:
     def region_populations(self) -> np.ndarray:
         return self.region_matrix @ self.populations
 
-    def patches_of_region(self, region: str) -> list[str]:
-        return [p for p in self.patch_ids if self.region_of[p] == region]
-
     def patches_of_category(self, category: str) -> list[str]:
         return [p for p in self.patch_ids if self.category_of[p] == category]
 
@@ -193,20 +190,6 @@ def build_travel_matrix(commute_flows, facility_flows, populations) -> np.ndarra
         )
     np.fill_diagonal(theta, 1.0 - out)
     return theta
-
-
-def average_weekly_matrices(weekly: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of weekly travel matrices (each row-stochastic)."""
-    if len(weekly) == 0:
-        raise ShapeMismatch("need at least one weekly matrix")
-    first = np.asarray(weekly[0], dtype=float)
-    acc = np.zeros_like(first)
-    for w in weekly:
-        w = np.asarray(w, dtype=float)
-        if w.shape != first.shape:
-            raise ShapeMismatch(f"weekly matrix shape {w.shape} != {first.shape}")
-        acc += w
-    return acc / len(weekly)
 
 
 def aggregate(series: np.ndarray, level: str, graph: PatchGraph) -> np.ndarray:

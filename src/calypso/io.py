@@ -310,7 +310,7 @@ class Table:
                  where: tuple[str, str] | None = None):
         self.path, self.label = Path(path), label
         try:
-            with open(self.path, encoding="utf-8", newline="") as fh:
+            with open(self.path, encoding="utf-8-sig", newline="") as fh:
                 rows = csv.reader(fh)
                 self.header = next(rows, [])
                 self._read(rows, text, numbers, where)
@@ -453,6 +453,8 @@ def load_graph(in_dir) -> tuple[PatchGraph, dict, dict]:
     pairs = travel.unique("src", "dst")
     for end in ("src", "dst"):
         travel.positions(end, dict.fromkeys(ids, 0), "patch")
+    if loops := [n for n, (src, dst) in enumerate(pairs) if src == dst]:
+        raise travel.fault(InvalidValue, loops[0], f"line {travel.lines[loops[0]]} flows from a patch to itself")
     flows = travel.numbers(["commute_flow", "facility_flow"], nonnegative=True).tolist()
     commute, facility = (dict(zip(pairs, f)) for f in flows)
     populations = dict(zip(ids, population))

@@ -36,19 +36,19 @@ weeks:
   week 0.  Its state is one value per patch, or patches x scenarios with
   a scenario axis: then every coefficient and ``n_eff`` enter as (P, 1)
   columns and each week's matrix products advance all scenarios at once.
-  ``simulate`` keeps the whole history and returns it as a
-  ``Trajectory``; ``scenario_totals`` advances blocks of columns through
-  a rolling pair of states and keeps only the cumulative new infections,
+  ``plain_trajectory`` keeps the whole history and returns it as a
+  ``Trajectory``; ``plain_totals`` advances blocks of columns through a
+  rolling pair of states and keeps only the cumulative new infections,
   so its working arrays stay near a fixed size however many scenarios
-  there are.  ``plain_trajectory`` and ``plain_totals`` run them from
-  coefficients built earlier: ``analysis.FittedModel`` builds them once
-  per graph, not once per run.  Each checks ``init`` and ``beta_scale``
-  before week 0.
+  there are.  Both run from coefficients built earlier:
+  ``analysis.FittedModel`` builds them once per graph, not once per run,
+  and ``simulate`` builds them for one run.  Each checks ``init`` and
+  ``beta_scale`` before week 0.
 
 A counterfactual that perturbs transmission is a per-patch multiplier,
 ``beta_scale``, applied to every week's patch beta after the gather: a
-vector for ``simulate``, one column per scenario for
-``scenario_totals``.  A region's intervention is
+vector for ``simulate``, one column per scenario for ``plain_totals``.
+A region's intervention is
 ``np.where(graph.patch_region == r, factor, 1.0)``: its products equal
 those of scaling the region's beta row, bit for bit.  An outbreak is a
 column of initial infections.  A batched column matches ``simulate`` of
@@ -307,7 +307,12 @@ _BLOCK_ELEMENTS = 1 << 14
 
 def plain_totals(graph: PatchGraph, coefficients: tuple, init,
                  beta_scale: np.ndarray | None = None) -> np.ndarray:
-    """``scenario_totals`` from ``patch_coefficients(graph, params, steps)`` built earlier."""
+    """Cumulative new infections per patch, one column per scenario, from
+    ``patch_coefficients(graph, params, steps)`` built earlier.
+
+    ``init`` is one value per patch, shared by every scenario, or
+    patches x scenarios; ``beta_scale`` is patches x scenarios.
+    """
     init, beta_scale = _check_inputs(graph, init, beta_scale, batched=True)
     if init.ndim == 1:
         init = init[:, None]
@@ -324,26 +329,6 @@ def plain_totals(graph: PatchGraph, coefficients: tuple, init,
                np.empty((1, *shape)), None if beta_scale is None else beta_scale[:, cols], total)
         out[:, cols] = total
     return out
-
-
-def scenario_totals(
-    graph: PatchGraph,
-    params: DiseaseParams,
-    init: np.ndarray,
-    config: SimConfig,
-    beta_scale: np.ndarray | None = None,
-) -> np.ndarray:
-    """Cumulative new infections per patch over ``config.steps`` weeks, one
-    column per scenario, from batched runs.
-
-    ``init`` is one value per patch, shared by every scenario, or
-    patches x scenarios; ``beta_scale`` is patches x scenarios.  Column
-    ``b`` equals ``simulate(...).new_infections.sum(axis=1)`` for that
-    column's inputs up to rounding: the batch multiplies matrices where
-    ``simulate`` multiplies a matrix by a vector, and sums the weeks in
-    order.  Scenarios advance in blocks of columns; no trajectory is kept.
-    """
-    return plain_totals(graph, patch_coefficients(graph, params, config.steps), init, beta_scale)
 
 
 def seed_outbreak(init: np.ndarray, patch: str, k: float, graph: PatchGraph) -> np.ndarray:

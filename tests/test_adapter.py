@@ -99,14 +99,6 @@ class TestRefine:
         corrected = refine(net, raw)
         assert np.all(corrected >= 0.0)
 
-    def test_residual_additivity(self, series):
-        raw, _ = series
-        net = AdapterNet(seed=2)
-        corrected, residual = refine(net, raw, return_residual=True)
-        clamped = raw + residual
-        mask = clamped >= 0
-        assert np.allclose(corrected[mask], (raw + residual)[mask])
-
     def test_non_finite_input_rejected(self):
         net = AdapterNet(seed=0)
         bad = np.full((2, 5), np.nan)
@@ -176,7 +168,7 @@ class TestTrainAdapter:
 
     def test_teacher_ratio_one_is_pure_supervised(self, series):
         raw, truth = series
-        cfg = AdapterTrainConfig(epochs=5, teacher_ratio=1.0, ratio_decay=False, seed=0)
+        cfg = AdapterTrainConfig(epochs=1, teacher_ratio=1.0, seed=0)
         n1, h1 = train_adapter(AdapterNet(seed=0), raw, truth, cfg)
         n2, h2 = train_adapter(AdapterNet(seed=0), raw, truth, cfg)
         assert np.array_equal(h1["loss"], h2["loss"])

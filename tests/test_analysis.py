@@ -26,7 +26,7 @@ from calypso.errors import (
     ShapeMismatch,
     UnknownRegion,
 )
-from calypso.sim import SimConfig, scenario_totals, simulate
+from calypso.sim import SimConfig, patch_coefficients, plain_totals, simulate
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +165,8 @@ class TestFittedModel:
         for graph in (graph_a, graph_b, graph_a):
             fresh = simulate(graph, model.params, model.init, config, beta_scale=scale)
             assert same_trajectory(model.run(graph, scale), fresh)
-            totals = scenario_totals(graph, model.params, model.init, config, beta_scale=scale[:, None])
+            totals = plain_totals(graph, patch_coefficients(graph, model.params, model.steps), model.init,
+                                  beta_scale=scale[:, None])
             assert model.totals(graph, scale[:, None]).tobytes() == totals.tobytes()
 
     def test_replaced_params_equal_a_fresh_simulate(self):
@@ -539,6 +540,6 @@ class TestGreedyDataCorrection:
         bundle, trained, noisy = correction_setup
         result = greedy_data_correction(
             trained, bundle.data, bundle.graph, noisy[:2], noise_sd=0.2, k=1, seed=0,
-            retrain=True, retrain_hyper=calib.TrainConfig(epochs=3, seed=0))
+            retrain=calib.TrainConfig(epochs=3, seed=0))
         assert len(result.order) == 1
         assert result.r2_curve.shape == (2,)

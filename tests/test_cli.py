@@ -291,6 +291,7 @@ class TestErrorHandling:
                      "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_abort_exits_four(self, data_dir, checkpoint, tmp_path):
         # an absurd learning rate overflows the adapter's residual head
         code = main(["adapter", "--data", str(data_dir), "--checkpoint", str(checkpoint),
@@ -373,12 +374,17 @@ class TestErrorHandling:
         (["policy-greedy", "--budget", "100", "--brute-force"], None, None, 3, "ShapeMismatch",
          "budget 100 exceeds 4 candidates"),
         (["policy-greedy", "--budget", "100"], None, None, 3, "ShapeMismatch", "budget 100 exceeds 4 candidates"),
+        (["policy-greedy", "--candidates", "R0-N00,R0-N00"], None, None, 3, "ShapeMismatch",
+         "budget 2 exceeds 1 candidates"),
+        (["policy-greedy", "--candidates", "R0-N00,R0-N00", "--brute-force"], None, None, 3, "ShapeMismatch",
+         "budget 2 exceeds 1 candidates"),
         (["correct-data", "--noisy-patches", "nope"], None, None, 3, "UnknownRegion", "unknown noisy patch 'nope'"),
         (["correct-data", "--noisy-count", "2", "--k", "5"], None, None, 3, "KExceedsNoisySet",
          "k=5 exceeds 2 noisy patches"),
     ] + _SWEEP_ROWS, ids=["calibrate-nan-count", "eakf-nan-count", "eakf-negative-count",
             "eakf-non-numeric-count", "eakf-infinite-feature", "metrics-nan-pred",
             "brute-force-budget-above-candidates", "greedy-budget-above-candidates",
+            "greedy-duplicated-candidate", "brute-force-duplicated-candidate",
             "correct-data-unknown-noisy-patch", "correct-data-k-above-noisy-set"] + _SWEEP_IDS)
     def test_bad_option_or_value_is_refused(self, data_dir, checkpoint, tmp_path, capsys, monkeypatch,
                                             argv, table, value, code, error, fragment):
@@ -448,6 +454,8 @@ class TestErrorHandling:
          "ShapeMismatch", "cases.csv: patch 'R0-G00', week 3: duplicate of line 5"),
         (["eakf"], "travel.csv", lambda rows: rows.append(list(rows[1])),
          "ShapeMismatch", "duplicate of line 2"),
+        (["eakf"], "travel.csv", lambda rows: rows[1].__setitem__(1, rows[1][0]),
+         "InvalidValue", "travel.csv: flow 'R0-G00'->'R0-G00': line 2 flows from a patch to itself"),
         (["eakf"], "travel.csv", lambda rows: rows[1].__setitem__(2, "x"),
          "InvalidValue", "commute_flow is 'x'"),
         (["eakf"], "travel.csv", lambda rows: rows[1].__setitem__(2, "1e9"),
@@ -482,7 +490,7 @@ class TestErrorHandling:
          "horizon 50 leaves no training window in the 24 weeks of "),
         (["eakf", "--window", "1000"], None, None, "InvalidOption", "window 1000 + horizon 4 exceed the 24 weeks of "),
     ], ids=["population-not-a-number", "population-zero", "patch-duplicated", "category-unknown",
-            "population-column-missing", "cases-duplicated-week", "travel-duplicated-pair",
+            "population-column-missing", "cases-duplicated-week", "travel-duplicated-pair", "travel-self-loop",
             "travel-flow-not-a-number", "travel-flow-over-population", "param-nan", "param-not-a-number",
             "param-row-missing", "param-gamma-missing", "param-unknown-field", "metrics-nan-pred",
             "metrics-non-integer-week", "config-not-json", "config-not-an-object",

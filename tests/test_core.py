@@ -8,7 +8,6 @@ from calypso.core import (
     PatchGraph,
     Trajectory,
     aggregate,
-    average_weekly_matrices,
     build_travel_matrix,
     metrics,
 )
@@ -60,34 +59,6 @@ class TestBuildTravelMatrix:
             {("a", "b"): 10.0}, {("a", "b"): 10.0}, {"a": 100.0, "b": 100.0}
         )
         assert np.allclose(theta[0], [0.8, 0.2])
-
-
-class TestAverageWeeklyMatrices:
-    def test_identical_matrices_unchanged(self):
-        m = np.array([[0.7, 0.3], [0.4, 0.6]])
-        assert np.allclose(average_weekly_matrices([m, m]), m)
-
-    def test_arithmetic_mean(self):
-        a = np.array([[1.0, 0.0], [0.0, 1.0]])
-        b = np.array([[0.5, 0.5], [0.0, 1.0]])
-        assert np.allclose(average_weekly_matrices([a, b]), [[0.75, 0.25], [0.0, 1.0]])
-
-    def test_mean_of_stochastic_is_stochastic(self):
-        rng = np.random.default_rng(3)
-        weekly = []
-        for _ in range(10):
-            m = rng.uniform(0, 1, size=(5, 5))
-            weekly.append(m / m.sum(axis=1, keepdims=True))
-        avg = average_weekly_matrices(weekly)
-        assert np.all(np.abs(avg.sum(axis=1) - 1.0) < 1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            average_weekly_matrices([np.eye(2), np.eye(3)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            average_weekly_matrices([])
 
 
 class TestAggregate:
@@ -242,6 +213,20 @@ class TestCsvRoundTrip:
         assert np.allclose(data2.observed, observed)
         assert np.allclose(data2.features, features)
         assert np.allclose(data2.initial_infections, observed[:, 0])
+
+    @pytest.mark.parametrize("name", ["patches.csv", "travel.csv"])
+    def test_byte_order_mark_loads_the_same_graph(self, tmp_path, name):
+        texts = {"patches.csv": "patch_id,region,category,population\na,r,general,100\nb,r,general,50\n",
+                 "travel.csv": "src,dst,commute_flow,facility_flow\na,b,20,0\nb,a,5,1\n"}
+        for file, text in texts.items():
+            (tmp_path / file).write_text(text, encoding="utf-8")
+        plain = io.load_graph(tmp_path)
+        (tmp_path / name).write_text("\ufeff" + texts[name], encoding="utf-8")
+        marked = io.load_graph(tmp_path)
+        assert marked[1:] == plain[1:]
+        g, h = marked[0], plain[0]
+        assert (g.patch_ids, g.region_of, g.category_of) == (h.patch_ids, h.region_of, h.category_of)
+        assert g.populations.tobytes() == h.populations.tobytes() and g.theta.tobytes() == h.theta.tobytes()
 
     def test_trajectory_round_trip(self, tmp_path):
         g = two_patch_graph()

@@ -16,7 +16,7 @@ from calypso.sim import (
     SimConfig,
     iterate_sirs,
     patch_coefficients,
-    scenario_totals,
+    plain_totals,
     seed_outbreak,
     simulate,
     week_coefficients,
@@ -212,7 +212,7 @@ class TestPlainLoopMatchesTape:
         for _ in range(10):
             graph, params, init, steps = random_instance(rng)
             scale = rng.uniform(0.5, 1.5, size=(graph.n_patches, 1)) if with_scale else None
-            totals = scenario_totals(graph, params, init, SimConfig(steps=steps), beta_scale=scale)
+            totals = plain_totals(graph, patch_coefficients(graph, params, steps), init, beta_scale=scale)
 
             def step_params(t):
                 p = {name: ad.matmul(graph.broadcast_matrix, getattr(params, name)[:, t])
@@ -249,7 +249,7 @@ def reference_weeks(graph, params, init, steps, beta_scale):
     """The plain loop as it stood before it ran in place: patch rows gathered
     first, then one ``sirs_step`` a week on fresh arrays.  Yields each week's
     (S, I, R, new_infections); the oracle that ``simulate`` and
-    ``scenario_totals`` match byte for byte."""
+    ``plain_totals`` match byte for byte."""
     column = (lambda a: a[..., None]) if init.ndim == 2 else (lambda a: a)
     week_major = {name: column(np.ascontiguousarray(getattr(params, name)[graph.patch_region][:, :steps].T))
                   for name in PARAM_NAMES}
@@ -275,7 +275,7 @@ def reference_simulate(graph, params, init, steps, beta_scale=None):
 
 
 def reference_totals(graph, params, init, steps, beta_scale=None):
-    """Cumulative new infections per column, blocks of ``sim._BLOCK_ELEMENTS`` as ``scenario_totals`` cuts them."""
+    """Cumulative new infections per column, blocks of ``sim._BLOCK_ELEMENTS`` as ``plain_totals`` cuts them."""
     if init.ndim == 1:
         init = init[:, None]
     width = init.shape[1] if beta_scale is None else beta_scale.shape[1]
@@ -306,7 +306,7 @@ class TestInPlaceLoopMatchesReference:
                 assert getattr(traj, name).tobytes() == ref.tobytes(), name
 
     @pytest.mark.parametrize("case", ["init-columns", "shared-init", "as-many-as-patches", "three-blocks"])
-    def test_scenario_totals(self, monkeypatch, case):
+    def test_plain_totals(self, monkeypatch, case):
         rng = np.random.default_rng(32)
         for _ in range(10):
             graph, params, init, steps = random_instance(rng, n_min=3, n_max=30)
@@ -321,7 +321,7 @@ class TestInPlaceLoopMatchesReference:
                 "init-columns": (init_cols, None),
                 "shared-init": (init, scale),
             }.get(case, (init_cols, scale))
-            got = scenario_totals(graph, params, init_arg, SimConfig(steps=steps), beta_scale=scale_arg)
+            got = plain_totals(graph, patch_coefficients(graph, params, steps), init_arg, beta_scale=scale_arg)
             assert got.tobytes() == reference_totals(graph, params, init_arg, steps, scale_arg).tobytes()
 
 
@@ -342,7 +342,7 @@ class TestScenarioTotals:
                 "both": (init_cols, scale),
                 "as-many-as-patches": (init_cols, scale),
             }[case]
-            totals = scenario_totals(graph, params, init_arg, SimConfig(steps=steps), beta_scale=scale_arg)
+            totals = plain_totals(graph, patch_coefficients(graph, params, steps), init_arg, beta_scale=scale_arg)
             assert totals.shape == (n, width)
             np.testing.assert_allclose(totals, column_by_column(graph, params, init_arg, steps, scale_arg),
                                        rtol=1e-12)
@@ -358,13 +358,13 @@ class TestScenarioTotals:
             init_arg = np.minimum(init[:, None] * rng.uniform(0.5, 2.0, size=(n, 5)), graph.populations[:, None])
         else:
             scale_arg = rng.uniform(0.3, 1.7, size=(n, 5))
-        totals = scenario_totals(graph, params, init_arg, SimConfig(steps=steps), beta_scale=scale_arg)
+        totals = plain_totals(graph, patch_coefficients(graph, params, steps), init_arg, beta_scale=scale_arg)
         np.testing.assert_allclose(totals, column_by_column(graph, params, init_arg, steps, scale_arg),
                                    rtol=1e-12)
 
     def test_one_init_vector_is_one_column(self):
         graph, params, init, steps = random_instance(np.random.default_rng(22))
-        totals = scenario_totals(graph, params, init, SimConfig(steps=steps))
+        totals = plain_totals(graph, patch_coefficients(graph, params, steps), init)
         assert totals.shape == (graph.n_patches, 1)
         np.testing.assert_allclose(totals[:, 0], simulate(graph, params, init, SimConfig(steps=steps))
                                    .new_infections.sum(axis=1), rtol=1e-12)
@@ -420,7 +420,7 @@ class TestScenarioTotals:
 
         monkeypatch.setattr(sim, "_weeks", no_week)
         with pytest.raises(error, match=message):
-            scenario_totals(graph, params, args["init"], SimConfig(steps=steps), beta_scale=args["beta_scale"])
+            plain_totals(graph, patch_coefficients(graph, params, steps), args["init"], beta_scale=args["beta_scale"])
 
 
 class TestPatchCoefficients:

@@ -43,7 +43,7 @@ class TestGenerate:
         cats = {g.category_of[p] for p in g.patch_ids}
         assert cats == {GENERAL, NON_GENERAL}
         for rid in g.region_ids:
-            members = g.patches_of_region(rid)
+            members = [p for p in g.patch_ids if g.region_of[p] == rid]
             assert any(g.category_of[p] == GENERAL for p in members)
             assert any(g.category_of[p] == NON_GENERAL for p in members)
 
