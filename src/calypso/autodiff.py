@@ -6,14 +6,19 @@ always precede children, so a single reverse sweep propagates adjoints.
 with numpy-style operators, which lets the simulator run unchanged on
 plain arrays or on tape-recorded values.
 
-Each node saves what its own backward rule reads and nothing else: mul,
-div and matmul their two operands; sigmoid, tanh and relu their output
-(relu's ``out > 0`` is ``x > 0``, NaN included); min its mask and both
-operand shapes; add and sub the operand shapes; sum its axis and col its
-column, each with the parent's shape; a variable its value.  neg, colvec
-and constants save nothing.  The tape keeps no forward values of its
-own, so a value no rule saves is freed once the model code drops its
-``DualValue``.
+Each node is one flat tuple ``(kind, a, b, s0, s1)``: ``a`` and ``b`` are
+the parent indices (-1 where there is none), and ``s0``/``s1`` hold what
+the node's own backward rule reads and nothing else: mul, div and matmul
+their two operands; sigmoid, tanh and relu their output (relu's
+``out > 0`` is ``x > 0``, NaN included); min its mask; sum its axis and
+col its column, each with the parent's shape; a variable its value.
+add, sub and min keep both operand shapes only when they differ, that
+is under broadcasting.  neg and colvec save nothing, and every constant
+leaf is the one shared record ``_CONST``.  The tape keeps no forward
+values of its own, so a value no rule saves is freed once the model code
+drops its ``DualValue``.  A record holds only strings, numbers, arrays
+and tuples of these, which the garbage collector stops tracking once it
+has examined them, so a long tape adds little to later collections.
 
 Supported record kinds: add, sub, mul, div, neg, min, sigmoid, tanh,
 relu, matmul, sum, col (column extraction, used to peel parameter
@@ -21,8 +26,8 @@ columns off a matrix) and colvec.  ``min`` sends gradient to the smaller
 argument and, on ties, to the first one, which keeps gradients
 deterministic.
 
-A plain operand of a recorded op becomes a constant leaf; leaves made
-with ``Tape.variable`` are the variables.  ``backward`` forms no adjoint
+A plain operand of a binary op becomes a constant leaf; leaves made with
+``Tape.variable`` are the variables.  ``backward`` forms no adjoint
 toward a constant, drops each intermediate adjoint once its parents have
 their share, and returns adjoints for the variables only.
 
@@ -36,21 +41,17 @@ updates, and lets the tape go before the next step.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable
 
 import numpy as np
 
 from .errors import DivergedGradient, DivisionByZero, NonFiniteLoss, NonScalarRoot, TapeMismatch
 
-_BINARY = {
-    "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv,
-    "min": np.minimum, "matmul": lambda a, b: np.asarray(a @ b),
-}
 # the three activations' backward rules read only their output
 _ACTIVATIONS = {
     "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)), "tanh": np.tanh, "relu": lambda x: np.maximum(x, 0.0),
 }
+_CONST = ("const", -1, -1, None, None)  # the one record every constant leaf shares
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -86,113 +87,130 @@ class DualValue:
 
     # numpy-style operators; scalars/ndarrays are lifted to leaves
     def __add__(self, other):
-        return self.tape.record("add", self, other)
+        return self.tape._binary("add", self, other)
 
     def __radd__(self, other):
-        return self.tape.record("add", other, self)
+        return self.tape._binary("add", other, self)
 
     def __sub__(self, other):
-        return self.tape.record("sub", self, other)
+        return self.tape._binary("sub", self, other)
 
     def __rsub__(self, other):
-        return self.tape.record("sub", other, self)
+        return self.tape._binary("sub", other, self)
 
     def __mul__(self, other):
-        return self.tape.record("mul", self, other)
+        return self.tape._binary("mul", self, other)
 
     def __rmul__(self, other):
-        return self.tape.record("mul", other, self)
+        return self.tape._binary("mul", other, self)
 
     def __truediv__(self, other):
-        return self.tape.record("div", self, other)
+        return self.tape._binary("div", self, other)
 
     def __rtruediv__(self, other):
-        return self.tape.record("div", other, self)
+        return self.tape._binary("div", other, self)
 
     def __matmul__(self, other):
-        return self.tape.record("matmul", self, other)
+        return self.tape._binary("matmul", self, other)
 
     def __rmatmul__(self, other):
-        return self.tape.record("matmul", other, self)
+        return self.tape._binary("matmul", other, self)
 
     def __neg__(self):
         return self.tape.record("neg", self)
 
     def sum(self, axis=None):
-        return self.tape.record("sum", self, axis=axis)
+        return self.tape.record("sum", self, axis)
 
 
 class Tape:
     """Append-only record of operations with a reverse adjoint sweep.
 
     A leaf is a variable (made by ``variable``) or a constant (a plain
-    operand that ``record`` lifted onto the tape).  Every other node has a
-    DualValue operand and so depends on some variable; ``backward`` thus
-    sends adjoints to every parent but a constant.
+    operand that ``_binary`` lifted onto the tape).  Every other node has
+    a DualValue operand and so depends on some variable; ``backward`` thus
+    sends adjoints to every parent but a constant.  Each node's
+    ``DualValue`` is made right after its record is appended.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[str, tuple[int, ...], object]] = []  # (kind, parents, saved)
+        self._nodes: list[tuple] = []  # (kind, a, b, s0, s1), as the module docstring says
         self._variables: list[int] = []
-        self._shapes: dict = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _append(self, kind: str, parents: tuple[int, ...], saved, value: np.ndarray) -> DualValue:
-        self._nodes.append((kind, parents, saved))
-        return DualValue(self, len(self._nodes) - 1, value)
-
-    def _share(self, shapes: tuple) -> tuple:
-        """The tape's one copy of a shape payload.  Payloads repeat from node to
-        node; a fresh tuple per node would make the garbage collector run
-        several times as often while a step records."""
-        return self._shapes.setdefault(shapes, shapes)
-
     def variable(self, value) -> DualValue:
         """A leaf whose adjoint ``backward`` returns."""
-        self._variables.append(len(self._nodes))
         value = np.asarray(value, dtype=float)
-        return self._append("var", (), value, value)
+        self._variables.append(len(self._nodes))
+        self._nodes.append(("var", -1, -1, value, None))
+        return DualValue(self, len(self._nodes) - 1, value)
 
-    def _lift(self, x) -> DualValue:
-        if isinstance(x, DualValue):
+    def _binary(self, op: str, x, y) -> DualValue:
+        """Record add, sub, mul, div, min or matmul; a plain operand becomes a constant leaf."""
+        nodes = self._nodes
+        if x.__class__ is DualValue:
             if x.tape is not self:
                 raise TapeMismatch("operands live on different tapes")
-            return x
-        return self._append("const", (), None, np.asarray(x, dtype=float))
-
-    def record(self, op: str, *args, axis=None) -> DualValue:
-        """Record one operation and return its result node."""
-        if op in _BINARY:
-            a, b = self._lift(args[0]), self._lift(args[1])
-            av, bv = a.value, b.value
-            if op == "div" and np.any(bv == 0):
+            a, av = x.index, x.value
+        else:
+            a, av = len(nodes), np.asarray(x, dtype=float)
+            nodes.append(_CONST)
+        if y.__class__ is DualValue:
+            if y.tape is not self:
+                raise TapeMismatch("operands live on different tapes")
+            b, bv = y.index, y.value
+        else:
+            b, bv = len(nodes), np.asarray(y, dtype=float)
+            nodes.append(_CONST)
+        if op == "add" or op == "sub":
+            out = av + bv if op == "add" else av - bv
+            sa, sb = av.shape, bv.shape
+            nodes.append((op, a, b, None, None) if sa == sb else (op, a, b, sa, sb))
+        elif op == "mul":
+            out = av * bv
+            nodes.append(("mul", a, b, av, bv))
+        elif op == "matmul":
+            out = np.asarray(av @ bv)
+            nodes.append(("matmul", a, b, av, bv))
+        elif op == "div":
+            if (bv == 0).any():
                 raise DivisionByZero("division by zero on tape")
-            if op in ("add", "sub"):
-                saved = self._share((av.shape, bv.shape))
-            elif op == "min":  # ties favor the first argument
-                saved = ((av <= bv).astype(float), self._share((av.shape, bv.shape)))
-            else:
-                saved = (av, bv)
-            return self._append(op, (a.index, b.index), saved, _BINARY[op](av, bv))
+            out = av / bv
+            nodes.append(("div", a, b, av, bv))
+        elif op == "min":  # ties favor the first argument
+            mask = (av <= bv).astype(float)
+            out = np.minimum(av, bv)
+            sa, sb = av.shape, bv.shape
+            nodes.append(("min", a, b, mask, None if sa == sb else (sa, sb)))
+        else:
+            raise ValueError(f"unknown op {op!r}")
+        return DualValue(self, len(nodes) - 1, out)
 
-        a = self._lift(args[0])
-        av = a.value
-        if op in _ACTIVATIONS:
-            out = _ACTIVATIONS[op](av)
-            return self._append(op, (a.index,), out, out)
-        if op == "neg":
-            return self._append("neg", (a.index,), None, -av)
-        if op == "sum":
-            out = np.asarray(av.sum(axis=axis))
-            return self._append("sum", (a.index,), self._share((axis, av.shape)), out)
+    def record(self, op: str, x: DualValue, arg=None) -> DualValue:
+        """Record one unary operation on ``x``, a node of this tape: sigmoid,
+        tanh, relu, neg, sum (``arg`` the axis), col (``arg`` the column) or
+        colvec."""
+        if x.tape is not self:
+            raise TapeMismatch("operand lives on a different tape")
+        a, av = x.index, x.value
         if op == "col":
-            j = int(args[1])
-            return self._append("col", (a.index,), self._share((j, av.shape)), av[:, j])
-        if op == "colvec":
-            return self._append("colvec", (a.index,), None, av[:, None])
-        raise ValueError(f"unknown op {op!r}")
+            j = int(arg)
+            out, node = av[:, j], ("col", a, -1, j, av.shape)
+        elif op in _ACTIVATIONS:
+            out = _ACTIVATIONS[op](av)
+            node = (op, a, -1, out, None)
+        elif op == "sum":
+            out, node = np.asarray(av.sum(axis=arg)), ("sum", a, -1, arg, av.shape)
+        elif op == "neg":
+            out, node = -av, ("neg", a, -1, None, None)
+        elif op == "colvec":
+            out, node = av[:, None], ("colvec", a, -1, None, None)
+        else:
+            raise ValueError(f"unknown op {op!r}")
+        self._nodes.append(node)
+        return DualValue(self, len(self._nodes) - 1, out)
 
     def backward(self, root: DualValue) -> dict[int, np.ndarray]:
         """Reverse sweep from a scalar root; returns {variable index: adjoint}.
@@ -211,91 +229,77 @@ class Tape:
         nodes = self._nodes
         adj: list[np.ndarray | None] = [None] * len(nodes)
         adj[root.index] = np.ones_like(np.asarray(root.value, dtype=float))
-        wants = [kind != "const" for kind, _, _ in nodes]
         owned: set[int] = set()  # col parents whose adjoint no other node shares
+        # the most frequent kinds are tested first; ga and gb are the shares
+        # of parents a and b, never formed toward a constant
         for k in range(root.index, -1, -1):
-            kind, ps, saved = nodes[k]
             g = adj[k]
-            if g is None or kind == "var":
+            if g is None:
                 continue
             adj[k] = None
-            if kind in ("add", "sub"):
-                a, b = ps
-                if wants[a]:
-                    _acc(adj, a, _unbroadcast(g, saved[0]))
-                if wants[b]:
-                    _acc(adj, b, _unbroadcast(g if kind == "add" else -g, saved[1]))
+            kind, a, b, s0, s1 = nodes[k]
+            ga = gb = None
+            if kind == "add" or kind == "sub":
+                if nodes[a] is not _CONST:
+                    ga = g if s0 is None else _unbroadcast(g, s0)
+                if nodes[b] is not _CONST:
+                    gb = g if kind == "add" else -g
+                    if s1 is not None:
+                        gb = _unbroadcast(gb, s1)
             elif kind == "mul":
-                a, b = ps
-                av, bv = saved
-                if wants[a]:
-                    _acc(adj, a, _unbroadcast(g * bv, av.shape))
-                if wants[b]:
-                    _acc(adj, b, _unbroadcast(g * av, bv.shape))
-            elif kind == "div":
-                a, b = ps
-                av, bv = saved
-                if wants[a]:
-                    _acc(adj, a, _unbroadcast(g / bv, av.shape))
-                if wants[b]:
-                    _acc(adj, b, _unbroadcast(-g * av / bv ** 2, bv.shape))
-            elif kind == "min":
-                a, b = ps
-                mask, (a_shape, b_shape) = saved
-                if wants[a]:
-                    _acc(adj, a, _unbroadcast(g * mask, a_shape))
-                if wants[b]:
-                    _acc(adj, b, _unbroadcast(g * (1.0 - mask), b_shape))
-            elif kind == "neg":
-                _acc(adj, ps[0], -g)
-            elif kind == "sigmoid":
-                _acc(adj, ps[0], g * saved * (1.0 - saved))
-            elif kind == "tanh":
-                _acc(adj, ps[0], g * (1.0 - saved * saved))
-            elif kind == "relu":
-                _acc(adj, ps[0], g * (saved > 0))  # out > 0 exactly where x > 0
-            elif kind == "sum":
-                axis, shape = saved
-                if axis is not None:
-                    g = np.expand_dims(g, axis)
-                _acc(adj, ps[0], np.broadcast_to(g, shape).copy())
+                if nodes[a] is not _CONST:
+                    ga = g * s1
+                    if ga.shape != s0.shape:
+                        ga = _unbroadcast(ga, s0.shape)
+                if nodes[b] is not _CONST:
+                    gb = g * s0
+                    if gb.shape != s1.shape:
+                        gb = _unbroadcast(gb, s1.shape)
+            elif kind == "matmul":  # the last branch of each is the 1-D dot product
+                if nodes[a] is not _CONST:
+                    ga = g @ s1.T if s1.ndim == 2 else np.outer(g, s1) if s0.ndim == 2 else g * s1
+                if nodes[b] is not _CONST:
+                    gb = s0.T @ g if s0.ndim == 2 else np.outer(s0, g) if s1.ndim == 2 else g * s0
             elif kind == "col":
                 # scatter into the parent's own buffer; the first write copies
                 # an adjoint that may be aliased to another node's
-                a = ps[0]
-                j, shape = saved
                 if a not in owned:
                     owned.add(a)
-                    adj[a] = np.zeros(shape) if adj[a] is None else adj[a].copy()
-                adj[a][:, j] += g
+                    adj[a] = np.zeros(s1) if adj[a] is None else adj[a].copy()
+                adj[a][:, s0] += g
+            elif kind == "sigmoid":
+                ga = g * s0 * (1.0 - s0)
+            elif kind == "sum":
+                ga = np.empty(s1)
+                ga[...] = g if s0 is None else np.expand_dims(g, s0)
+            elif kind == "div":
+                if nodes[a] is not _CONST:
+                    ga = _unbroadcast(g / s1, s0.shape)
+                if nodes[b] is not _CONST:
+                    gb = _unbroadcast(-g * s0 / s1 ** 2, s1.shape)
+            elif kind == "tanh":
+                ga = g * (1.0 - s0 * s0)
+            elif kind == "relu":
+                ga = g * (s0 > 0)  # out > 0 exactly where x > 0
             elif kind == "colvec":
-                _acc(adj, ps[0], g[:, 0])
-            elif kind == "matmul":
-                a, b = ps
-                av, bv = saved
-                if wants[a]:
-                    if bv.ndim == 2:
-                        _acc(adj, a, g @ bv.T)
-                    elif av.ndim == 2:
-                        _acc(adj, a, np.outer(g, bv))
-                    else:  # 1-D dot product
-                        _acc(adj, a, g * bv)
-                if wants[b]:
-                    if av.ndim == 2:
-                        _acc(adj, b, av.T @ g)
-                    elif bv.ndim == 2:
-                        _acc(adj, b, np.outer(av, g))
-                    else:
-                        _acc(adj, b, g * av)
+                ga = g[:, 0]
+            elif kind == "neg":
+                ga = -g
+            elif kind == "min":
+                if nodes[a] is not _CONST:
+                    ga = g * s0 if s1 is None else _unbroadcast(g * s0, s1[0])
+                if nodes[b] is not _CONST:
+                    gb = g * (1.0 - s0) if s1 is None else _unbroadcast(g * (1.0 - s0), s1[1])
+            elif kind == "var":
+                adj[k] = g
             else:  # pragma: no cover
                 raise ValueError(f"no backward rule for {kind!r}")
+            if ga is not None:
+                adj[a] = ga if adj[a] is None else adj[a] + ga
+            if gb is not None:
+                adj[b] = gb if adj[b] is None else adj[b] + gb
 
-        return {i: np.zeros_like(nodes[i][2]) if adj[i] is None else adj[i] for i in self._variables}
-
-
-def _acc(adj: list, idx: int, g: np.ndarray) -> None:
-    cur = adj[idx]
-    adj[idx] = g if cur is None else cur + g
+        return {i: np.zeros_like(nodes[i][3]) if adj[i] is None else adj[i] for i in self._variables}
 
 
 class Adam:
@@ -372,50 +376,46 @@ def gru_cell(inputs, h, u, b):
 
 # -- type-dispatching helpers so model code runs on both number kinds ----
 
-def _is_dual(x) -> bool:
-    return isinstance(x, DualValue)
-
-
 def sigmoid(x):
-    return x.tape.record("sigmoid", x) if _is_dual(x) else _ACTIVATIONS["sigmoid"](x)
+    return x.tape.record("sigmoid", x) if x.__class__ is DualValue else _ACTIVATIONS["sigmoid"](x)
 
 
 def tanh(x):
-    return x.tape.record("tanh", x) if _is_dual(x) else _ACTIVATIONS["tanh"](x)
+    return x.tape.record("tanh", x) if x.__class__ is DualValue else _ACTIVATIONS["tanh"](x)
 
 
 def relu(x):
-    return x.tape.record("relu", x) if _is_dual(x) else _ACTIVATIONS["relu"](x)
+    return x.tape.record("relu", x) if x.__class__ is DualValue else _ACTIVATIONS["relu"](x)
 
 
 def minimum(a, b):
-    if _is_dual(a):
-        return a.tape.record("min", a, b)
-    if _is_dual(b):
-        return b.tape.record("min", a, b)
+    if a.__class__ is DualValue:
+        return a.tape._binary("min", a, b)
+    if b.__class__ is DualValue:
+        return b.tape._binary("min", a, b)
     return np.minimum(a, b)
 
 
 def matmul(a, b):
-    if _is_dual(a):
-        return a.tape.record("matmul", a, b)
-    if _is_dual(b):
-        return b.tape.record("matmul", a, b)
+    if a.__class__ is DualValue:
+        return a.tape._binary("matmul", a, b)
+    if b.__class__ is DualValue:
+        return b.tape._binary("matmul", a, b)
     return a @ b
 
 
 def vsum(x, axis=None):
-    return x.tape.record("sum", x, axis=axis) if _is_dual(x) else np.asarray(np.sum(x, axis=axis))
+    return x.tape.record("sum", x, axis) if x.__class__ is DualValue else np.asarray(np.sum(x, axis=axis))
 
 
 def col(x, j: int):
-    return x.tape.record("col", x, j) if _is_dual(x) else x[:, j]
+    return x.tape.record("col", x, j) if x.__class__ is DualValue else x[:, j]
 
 
 def colvec(x):
     """Reshape a length-n vector into an (n, 1) column."""
-    return x.tape.record("colvec", x) if _is_dual(x) else np.asarray(x)[:, None]
+    return x.tape.record("colvec", x) if x.__class__ is DualValue else np.asarray(x)[:, None]
 
 
 def value_of(x) -> np.ndarray:
-    return x.value if _is_dual(x) else np.asarray(x)
+    return x.value if x.__class__ is DualValue else np.asarray(x)

@@ -292,8 +292,8 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
     feats = (raw_region - norm_mean) / norm_std
     tau = time_features(window, net.config.time_harmonics)
     lo, span = net.bound_arrays()
-    lo_flat = lo.ravel()
-    hi_flat = lo_flat + span.ravel()
+    lo_tol = lo.ravel() - 1e-9
+    hi_tol = lo.ravel() + span.ravel() + 1e-9
     observed = data.training_observed()
     init = data.initial_infections
     bmat = graph.broadcast_matrix
@@ -314,10 +314,9 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
             nonlocal best_loss, best_loss_epoch, best_loss_w, best_r2, best_r2_epoch, best_r2_w
             bounded = _network_bounded(duals, feats, tau, lo, span, work.config)
 
-            for t in range(window):  # bound safety, asserted every epoch
-                v = bounded[t].value
-                if np.any(v < lo_flat - 1e-9) or np.any(v > hi_flat + 1e-9):
-                    raise NonFiniteLoss(f"epoch {epoch}: parameter left its bound interval")
+            v = np.stack([x.value for x in bounded])  # bound safety, every week, every epoch
+            if (v < lo_tol).any() or (v > hi_tol).any():
+                raise NonFiniteLoss(f"epoch {epoch}: parameter left its bound interval")
 
             def step_params(t: int):
                 patch_mat = ad.matmul(bmat, bounded[t])

@@ -263,7 +263,7 @@ def cmd_correct_data(config: dict) -> list:
         noisy = config["noisy_patches"].split(",")
     else:
         noisy = graph.patches_of_category(NON_GENERAL)[: config["noisy_count"]]
-    analysis.check_noisy_patches(graph, noisy, config["k"])
+    noisy = analysis.check_noisy_patches(graph, noisy, config["k"])
     net = calib.CalibNet(data.features.shape[2], seed=config["seed"])
     hyper = calib.TrainConfig(epochs=config["epochs"], seed=config["seed"])
     trained = calib.train_joint(net, data, graph, hyper).net

@@ -1,4 +1,5 @@
 import gc
+import operator
 import tracemalloc
 import weakref
 
@@ -415,17 +416,17 @@ class TestGruCell:
         duals = [tape.variable(v.copy()) for v in leaves]
         self.assert_matches_finite_differences(leaves, loss, duals, tape.backward(loss(duals)))
 
-    def test_tape_frees_forward_values_no_rule_reads(self):
+    def test_tape_frees_forward_values_no_rule_reads(self, monkeypatch):
         leaves, loss = self.probe_loss(13)
         tape = Tape()
         forward: list[tuple[str, weakref.ref]] = []  # (kind, the node's forward value)
-        append = tape._append
+        init = ad.DualValue.__init__
 
-        def watch(kind, parents, saved, value):
-            forward.append((kind, weakref.ref(value)))
-            return append(kind, parents, saved, value)
+        def watch(dual, tape, index, value):  # each node's handle is made right after its record
+            forward.append((tape._nodes[index][0], weakref.ref(value)))
+            init(dual, tape, index, value)
 
-        tape._append = watch
+        monkeypatch.setattr(ad.DualValue, "__init__", watch)
         duals = [tape.variable(v.copy()) for v in leaves]
         root = loss(duals)
         gc.collect()
@@ -438,3 +439,290 @@ class TestGruCell:
         # sigmoid keeps its output; the mul by 1 - z keeps that operand
         assert alive("sigmoid") == [True, True] and alive("sub") == [True]
         self.assert_matches_finite_differences(leaves, loss, duals, tape.backward(root))
+
+
+# -- the tape before its records were flattened, frozen as the reference -----
+# ``ReferenceTape`` is the earlier ``Tape`` (per-node parents and saved
+# tuples, string dispatch in one ``record``, a ``wants`` list in the sweep),
+# kept verbatim but for the two adapters below that route today's DualValue
+# operators and helpers into its ``_record``.  The current tape must record
+# the same (kind, parents) sequence and return bitwise the same adjoints.
+
+_REF_BINARY = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv,
+    "min": np.minimum, "matmul": lambda a, b: np.asarray(a @ b),
+}
+_REF_ACTIVATIONS = {
+    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)), "tanh": np.tanh, "relu": lambda x: np.maximum(x, 0.0),
+}
+
+
+def _ref_unbroadcast(grad, shape):
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _ref_acc(adj, idx, g):
+    cur = adj[idx]
+    adj[idx] = g if cur is None else cur + g
+
+
+class ReferenceTape:
+    def __init__(self):
+        self._nodes = []  # (kind, parents, saved)
+        self._variables = []
+        self._shapes = {}
+
+    def __len__(self):
+        return len(self._nodes)
+
+    # adapters: every operator and helper lands in the frozen ``_record``
+    def _binary(self, op, x, y):
+        return self._record(op, x, y)
+
+    def record(self, op, x, arg=None):
+        return self._record(op, x, arg, axis=arg)  # col reads args[1], sum its axis
+
+    def _append(self, kind, parents, saved, value):
+        self._nodes.append((kind, parents, saved))
+        return ad.DualValue(self, len(self._nodes) - 1, value)
+
+    def _share(self, shapes):
+        return self._shapes.setdefault(shapes, shapes)
+
+    def variable(self, value):
+        self._variables.append(len(self._nodes))
+        value = np.asarray(value, dtype=float)
+        return self._append("var", (), value, value)
+
+    def _lift(self, x):
+        if isinstance(x, ad.DualValue):
+            if x.tape is not self:
+                raise TapeMismatch("operands live on different tapes")
+            return x
+        return self._append("const", (), None, np.asarray(x, dtype=float))
+
+    def _record(self, op, *args, axis=None):
+        if op in _REF_BINARY:
+            a, b = self._lift(args[0]), self._lift(args[1])
+            av, bv = a.value, b.value
+            if op == "div" and np.any(bv == 0):
+                raise DivisionByZero("division by zero on tape")
+            if op in ("add", "sub"):
+                saved = self._share((av.shape, bv.shape))
+            elif op == "min":
+                saved = ((av <= bv).astype(float), self._share((av.shape, bv.shape)))
+            else:
+                saved = (av, bv)
+            return self._append(op, (a.index, b.index), saved, _REF_BINARY[op](av, bv))
+        a = self._lift(args[0])
+        av = a.value
+        if op in _REF_ACTIVATIONS:
+            out = _REF_ACTIVATIONS[op](av)
+            return self._append(op, (a.index,), out, out)
+        if op == "neg":
+            return self._append("neg", (a.index,), None, -av)
+        if op == "sum":
+            out = np.asarray(av.sum(axis=axis))
+            return self._append("sum", (a.index,), self._share((axis, av.shape)), out)
+        if op == "col":
+            j = int(args[1])
+            return self._append("col", (a.index,), self._share((j, av.shape)), av[:, j])
+        if op == "colvec":
+            return self._append("colvec", (a.index,), None, av[:, None])
+        raise ValueError(f"unknown op {op!r}")
+
+    def backward(self, root):
+        if root.tape is not self:
+            raise TapeMismatch("root lives on a different tape")
+        if np.asarray(root.value).size != 1:
+            raise NonScalarRoot("backward root must be scalar")
+        nodes = self._nodes
+        adj = [None] * len(nodes)
+        adj[root.index] = np.ones_like(np.asarray(root.value, dtype=float))
+        wants = [kind != "const" for kind, _, _ in nodes]
+        owned = set()
+        for k in range(root.index, -1, -1):
+            kind, ps, saved = nodes[k]
+            g = adj[k]
+            if g is None or kind == "var":
+                continue
+            adj[k] = None
+            if kind in ("add", "sub"):
+                a, b = ps
+                if wants[a]:
+                    _ref_acc(adj, a, _ref_unbroadcast(g, saved[0]))
+                if wants[b]:
+                    _ref_acc(adj, b, _ref_unbroadcast(g if kind == "add" else -g, saved[1]))
+            elif kind == "mul":
+                a, b = ps
+                av, bv = saved
+                if wants[a]:
+                    _ref_acc(adj, a, _ref_unbroadcast(g * bv, av.shape))
+                if wants[b]:
+                    _ref_acc(adj, b, _ref_unbroadcast(g * av, bv.shape))
+            elif kind == "div":
+                a, b = ps
+                av, bv = saved
+                if wants[a]:
+                    _ref_acc(adj, a, _ref_unbroadcast(g / bv, av.shape))
+                if wants[b]:
+                    _ref_acc(adj, b, _ref_unbroadcast(-g * av / bv ** 2, bv.shape))
+            elif kind == "min":
+                a, b = ps
+                mask, (a_shape, b_shape) = saved
+                if wants[a]:
+                    _ref_acc(adj, a, _ref_unbroadcast(g * mask, a_shape))
+                if wants[b]:
+                    _ref_acc(adj, b, _ref_unbroadcast(g * (1.0 - mask), b_shape))
+            elif kind == "neg":
+                _ref_acc(adj, ps[0], -g)
+            elif kind == "sigmoid":
+                _ref_acc(adj, ps[0], g * saved * (1.0 - saved))
+            elif kind == "tanh":
+                _ref_acc(adj, ps[0], g * (1.0 - saved * saved))
+            elif kind == "relu":
+                _ref_acc(adj, ps[0], g * (saved > 0))
+            elif kind == "sum":
+                axis, shape = saved
+                if axis is not None:
+                    g = np.expand_dims(g, axis)
+                _ref_acc(adj, ps[0], np.broadcast_to(g, shape).copy())
+            elif kind == "col":
+                a = ps[0]
+                j, shape = saved
+                if a not in owned:
+                    owned.add(a)
+                    adj[a] = np.zeros(shape) if adj[a] is None else adj[a].copy()
+                adj[a][:, j] += g
+            elif kind == "colvec":
+                _ref_acc(adj, ps[0], g[:, 0])
+            elif kind == "matmul":
+                a, b = ps
+                av, bv = saved
+                if wants[a]:
+                    if bv.ndim == 2:
+                        _ref_acc(adj, a, g @ bv.T)
+                    elif av.ndim == 2:
+                        _ref_acc(adj, a, np.outer(g, bv))
+                    else:
+                        _ref_acc(adj, a, g * bv)
+                if wants[b]:
+                    if av.ndim == 2:
+                        _ref_acc(adj, b, av.T @ g)
+                    elif bv.ndim == 2:
+                        _ref_acc(adj, b, np.outer(av, g))
+                    else:
+                        _ref_acc(adj, b, g * av)
+        return {i: np.zeros_like(nodes[i][2]) if adj[i] is None else adj[i] for i in self._variables}
+
+
+def structure(tape) -> list[tuple[str, tuple[int, ...]]]:
+    """(kind, parent indices) per node, from either tape's records."""
+    if isinstance(tape, ReferenceTape):
+        return [(kind, ps) for kind, ps, _ in tape._nodes]
+    return [(node[0], tuple(p for p in node[1:3] if p >= 0)) for node in tape._nodes]
+
+
+def assert_same_run(got, want):
+    """Two (records, adjoints) runs: same (kind, parents) records, bitwise-same adjoints."""
+    (got_nodes, got_adj), (want_nodes, want_adj) = got, want
+    assert got_nodes == want_nodes
+    assert list(got_adj) == list(want_adj)
+    for i in want_adj:
+        assert got_adj[i].shape == want_adj[i].shape and got_adj[i].tobytes() == want_adj[i].tobytes(), i
+
+
+def assert_same_as_reference(program, *leaves):
+    """Run ``program(*variables)`` on both tapes and compare the runs."""
+    runs = []
+    for cls in (Tape, ReferenceTape):
+        tape = cls()
+        root = program(*[tape.variable(x.copy()) for x in leaves])
+        runs.append((structure(tape), tape.backward(root)))
+    assert_same_run(*runs)
+
+
+class TestAgainstReferenceTape:
+    rng = np.random.default_rng(21)
+    m43, m13, v3, v4 = rng.normal(size=(4, 3)), rng.normal(size=(1, 3)), rng.normal(size=3), rng.normal(size=4)
+    pos43, pos13 = rng.uniform(0.5, 2.0, size=(4, 3)), rng.uniform(0.5, 2.0, size=(1, 3))
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "min"])
+    def test_binary_kinds_broadcast_both_ways_and_with_constants(self, op):
+        f = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+             "div": operator.truediv, "min": ad.minimum}[op]
+        big, small = (self.pos43, self.pos13) if op == "div" else (self.m43, self.m13)
+        vec, w = (self.pos13[0], self.pos43) if op == "div" else (self.v3, self.m43 * 0.5)
+        for x, y in ((big, small), (small, big), (big, vec), (vec, big), (big, w), (w, big), (big, big.copy())):
+            assert_same_as_reference(lambda a, b: ad.vsum(ad.tanh(f(a, b)) * f(b, a)), x, y)
+            assert_same_as_reference(lambda a: ad.vsum(f(a, y) + f(y, a)), x)  # constant on either side
+            assert_same_as_reference(lambda a: ad.vsum(f(a, 1.5) * f(2.5, a)), x)  # scalar constants
+
+    def test_matmul_one_and_two_dimensional(self):
+        cases = [((3, 4), (4, 2)), ((3, 4), (4,)), ((3,), (3, 2)), ((4,), (4,))]
+        for sa, sb in cases:
+            x, y = self.rng.normal(size=sa), self.rng.normal(size=sb)
+            assert_same_as_reference(lambda a, b: ad.vsum(ad.sigmoid(ad.matmul(a, b))), x, y)
+            assert_same_as_reference(lambda a: ad.vsum(ad.matmul(a, y)), x)
+            assert_same_as_reference(lambda b: ad.vsum(ad.matmul(x, b) * ad.matmul(x, b)), y)
+
+    def test_unary_kinds_and_sum_with_and_without_axis(self):
+        x = self.m43
+        for axis in (None, 0, 1):
+            assert_same_as_reference(
+                lambda a: ad.vsum(ad.vsum(ad.relu(a) * ad.tanh(-a), axis=axis) * ad.sigmoid(a).sum()), x)
+        assert_same_as_reference(lambda a: ad.vsum(ad.matmul(ad.colvec(ad.col(a, 2)), self.m13)), x)
+
+    def test_col_scatter_aliasing_and_fan_in(self):
+        u = self.v4
+
+        def f(xa, wa):  # the add hands m and w one adjoint; the scatter into m's must copy it
+            m = ad.tanh(xa)
+            c1, c2 = ad.col(m, 1), ad.col(m, 1)
+            s = m + wa
+            return ad.vsum(c1 * c2 * u) + ad.vsum(c1) + ad.vsum(s * s)
+
+        assert_same_as_reference(f, self.m43, self.m43[::-1].copy())
+        assert_same_as_reference(lambda a: ad.vsum(ad.col(a, 0) + ad.col(a, 2) * ad.col(a, 0)) + ad.vsum(a), self.m43)
+        assert_same_as_reference(lambda a: ad.vsum(a * a + a) + ad.vsum(a), self.v3)
+
+    @staticmethod
+    def one_epoch(monkeypatch, tape_cls, train):
+        seen = []
+
+        class Seen(tape_cls):
+            def backward(self, root):
+                adj = super().backward(root)
+                seen.append((structure(self), adj))
+                return adj
+
+        monkeypatch.setattr(ad, "Tape", Seen)
+        train()
+        monkeypatch.undo()
+        [epoch] = seen
+        return epoch
+
+    def assert_epoch_matches(self, monkeypatch, train):
+        got = self.one_epoch(monkeypatch, Tape, train)
+        assert_same_run(got, self.one_epoch(monkeypatch, ReferenceTape, train))
+        return len(got[0])
+
+    def test_desk_calibration_and_adapter_epochs(self, monkeypatch):
+        from calypso import adapter, calib, synth
+
+        b = synth.generate(synth.SynthSpec(seed=1))  # the desk bundle: 24 patches, 4 regions, 120 weeks
+        n_calib = self.assert_epoch_matches(monkeypatch, lambda: calib.train_joint(
+            calib.CalibNet(b.data.features.shape[2], seed=1), b.data, b.graph, calib.TrainConfig(epochs=1)))
+        assert n_calib == 10_719
+        series = adapter.stack_levels(b.data.training_observed(), b.graph)
+        self.assert_epoch_matches(monkeypatch, lambda: adapter.train_adapter(
+            adapter.AdapterNet(adapter.AdapterConfig()), series * 1.1 + 1.0, series,
+            adapter.AdapterTrainConfig(epochs=1)))

@@ -13,7 +13,7 @@ from calypso.calib import (
     train_joint,
 )
 from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES, DataSet, Trajectory
-from calypso.errors import CheckpointError, HorizonZero, InvalidOption, WindowMismatch
+from calypso.errors import CheckpointError, HorizonZero, InvalidOption, NonFiniteLoss, WindowMismatch
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +200,23 @@ class TestTrainJoint:
     def test_bad_option_refused(self, config, field, value):
         with pytest.raises(InvalidOption, match=f"{field} must be"):
             config(**{field: value})
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_parameter_out_of_bounds_refused_naming_the_epoch(self, bundle, monkeypatch, shift):
+        # one week of epoch 1 leaves the interval by a full span, below or above
+        network_bounded, calls = calib._network_bounded, []
+
+        def nudged(weights, feats, tau, lo, span, config):
+            out = network_bounded(weights, feats, tau, lo, span, config)
+            calls.append(len(out))
+            if len(calls) == 2:
+                out[7] = out[7] + shift * span
+            return out
+
+        monkeypatch.setattr(calib, "_network_bounded", nudged)
+        with pytest.raises(NonFiniteLoss, match="^epoch 1: parameter left its bound interval$"):
+            train_joint(small_net(bundle), bundle.data, bundle.graph, TrainConfig(epochs=3))
+        assert calls == [bundle.data.window] * 2
 
     def test_window_too_short_rejected(self, bundle):
         import dataclasses

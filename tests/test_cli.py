@@ -214,6 +214,15 @@ class TestCorrectDataCommand:
         payload = json.loads((out / "correction.json").read_text())
         assert len(payload["order"]) == 2
 
+    def test_reports_the_distinct_noisy_patches_in_graph_order(self, data_dir, tmp_path):
+        # the file names the patches that were corrupted and scored, not the list as typed
+        out = tmp_path / "cd"
+        assert main(["correct-data", "--data", str(data_dir), "--noisy-patches", "R1-G00,R0-N01,R1-G00",
+                     "--k", "1", "--epochs", "2", "--eval-draws", "1", "--out", str(out)]) == 0
+        payload = json.loads((out / "correction.json").read_text())
+        assert payload["noisy_patches"] == ["R0-N01", "R1-G00"]
+        assert payload["order"][0] in payload["noisy_patches"]
+
 
 class TestMetricsCommand:
     def test_metrics_json(self, tmp_path, capsys):
