@@ -13,7 +13,9 @@ Training freezes the simulator and calibration net entirely: the
 adapter only ever sees series, never model internals.  Teacher-forced
 and autoregressive steps are mixed by a seeded per-step coin whose bias
 starts at the configured ratio and decays linearly to zero by the last
-epoch (a one-epoch run keeps the ratio).
+epoch (a one-epoch run keeps the ratio).  Adam's weight decay and
+gradient-norm clip are the constants ``WEIGHT_DECAY`` and ``CLIP_NORM``;
+a checkpoint's ``extra`` object is always empty.
 """
 
 from __future__ import annotations
@@ -51,20 +53,21 @@ class AdapterConfig:
         check_option("time_harmonics", self.time_harmonics, 0)
 
 
+# Adam's coupled weight decay and global gradient-norm clip for every adapter fit
+WEIGHT_DECAY = 1e-4
+CLIP_NORM = 10.0
+
+
 @dataclass(frozen=True)
 class AdapterTrainConfig:
     epochs: int = 400
     learning_rate: float = 5e-3
-    weight_decay: float = 1e-4
-    clip_norm: float = 10.0
     teacher_ratio: float = 0.5   # decays linearly to 0 over training
     seed: int = 0
 
     def __post_init__(self):
         check_option("epochs", self.epochs, 0)
         check_option("learning_rate", self.learning_rate, 0, strict=True)
-        check_option("weight_decay", self.weight_decay, 0)
-        check_option("clip_norm", self.clip_norm, 0)   # 0 turns clipping off
         check_option("teacher_ratio", self.teacher_ratio, 0, high=1)
 
 
@@ -157,7 +160,8 @@ def refine(net: AdapterNet, raw_forecast: np.ndarray) -> np.ndarray:
         raise NonFiniteInput("raw forecast contains non-finite values")
     scale = net.scale if net.scale is not None else np.ones(raw.shape[0])
     if scale.shape[0] != raw.shape[0]:
-        raise ShapeMismatch("adapter was fit on a different number of units")
+        raise ShapeMismatch(f"adapter was fit on a different number of units ({scale.shape[0]}, "
+                            f"the series has {raw.shape[0]})")
     t_scale = net.t_scale if net.t_scale is not None else raw.shape[1]
     return np.stack(_forward(net.weights, net.config, raw / scale[:, None], scale, t_scale), axis=1)
 
@@ -190,7 +194,7 @@ def train_adapter(
     truth_norm = truth / scale[:, None]
 
     rng = seeding.spawn_rng(hyper.seed, seeding.ADAPTER, 1)
-    opt = ad.Adam(work.weights, hyper.weight_decay, hyper.clip_norm)
+    opt = ad.Adam(work.weights, WEIGHT_DECAY, CLIP_NORM)
     history = []
 
     for epoch in range(hyper.epochs):
@@ -214,9 +218,9 @@ def train_adapter(
     return work, {"loss": np.array(history)}
 
 
-def save_checkpoint(path, net: AdapterNet, extra: dict | None = None) -> Path:
+def save_checkpoint(path, net: AdapterNet) -> Path:
     return io.write_checkpoint(
-        path, "adapter", net, extra,
+        path, "adapter", net,
         scale=None if net.scale is None else net.scale.tolist(),
         t_scale=net.t_scale,
     )
@@ -227,7 +231,7 @@ def load_checkpoint(path) -> tuple[AdapterNet, dict]:
         net = AdapterNet(config, seed=seed)
         if payload["scale"] is not None:
             net.scale = io.checkpoint_array(payload["scale"], (len(payload["scale"]),), positive=True)
-        net.t_scale = None if payload["t_scale"] is None else int(payload["t_scale"])
+        net.t_scale = payload["t_scale"]
         return net
 
     return io.read_checkpoint(path, "adapter", AdapterConfig, ("scale", "t_scale"), build)

@@ -14,10 +14,10 @@ of the same batch.  Greedy and brute-force allocation call
 all candidates of a step are scored, so results do not depend on
 evaluation order.  A model builds the simulator's week coefficients once
 per graph, and every run and batch on that graph reuses them.  A patch
-list (allocation candidates, outbreak sources, noisy feeds) counts each
-distinct id once, in graph order.  Data correction scores a feature set
-by one ``simulate`` over the window and the horizon; its noise draw d is
-seeded ``seed + 1 + d``.
+list (allocation candidates, noisy feeds) counts each distinct id once,
+in graph order; outbreak ranking seeds every patch but its target.  Data
+correction scores a feature set by one ``simulate`` over the window and
+the horizon; its noise draw d is seeded ``seed + 1 + d``.
 """
 
 from __future__ import annotations
@@ -78,12 +78,10 @@ class FittedModel:
             memo[:] = (graph, self.params, patch_coefficients(graph, self.params, self.steps))
         return memo[2]
 
-    def run(self, graph: PatchGraph, beta_scale: np.ndarray | None = None,
-            init: np.ndarray | None = None):
-        """Simulate the fitted model; ``beta_scale`` (one multiplier per patch)
-        scales transmission and ``init`` replaces the initial infections."""
-        return plain_trajectory(graph, self._coefficients(graph), self.init if init is None else init,
-                                beta_scale)
+    def run(self, graph: PatchGraph, beta_scale: np.ndarray | None = None):
+        """Simulate the fitted model from its initial infections; ``beta_scale``
+        (one multiplier per patch) scales transmission."""
+        return plain_trajectory(graph, self._coefficients(graph), self.init, beta_scale)
 
     def totals(self, graph: PatchGraph, beta_scale: np.ndarray | None = None,
                init: np.ndarray | None = None) -> np.ndarray:
@@ -306,17 +304,16 @@ def sensitivity_scan(model: FittedModel, graph: PatchGraph, bump: float = 1.1) -
 
 
 def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
-                     candidates: Sequence[str] | None = None,
                      target: str | None = None) -> ImpactReport:
-    """Seed ``k`` extra infections per candidate source and rank the impact.
+    """Seed ``k`` extra infections in each source patch and rank the impact.
 
-    Without a target the metric is the statewide cumulative-infection
-    rise; with ``target`` set it is the rise inside that patch, and the
-    candidate set excludes the target itself.  Each distinct candidate is
-    scored once, all of them in one batched run with the baseline.
+    Without a target every patch is a source and the metric is the
+    statewide cumulative-infection rise; with ``target`` set it is the
+    rise inside that patch, and every other patch is a source.  All
+    sources are scored in one batched run with the baseline.
     """
     check_option("seed count", k, 0)
-    cands = _distinct_patches(graph, graph.patch_ids if candidates is None else candidates, "candidate")
+    cands = list(graph.patch_ids)
     if target is not None:
         if target not in graph.patch_index:
             raise UnknownRegion(f"unknown target patch {target!r}")

@@ -10,8 +10,8 @@ Each node is one flat tuple ``(kind, a, b, s0, s1)``: ``a`` and ``b`` are
 the parent indices (-1 where there is none), and ``s0``/``s1`` hold what
 the node's own backward rule reads and nothing else: mul, div and matmul
 their two operands; sigmoid, tanh and relu their output (relu's
-``out > 0`` is ``x > 0``, NaN included); min its mask; sum its axis and
-col its column, each with the parent's shape; a variable its value.
+``out > 0`` is ``x > 0``, NaN included); min its mask; col its column
+and sum nothing, each with the parent's shape; a variable its value.
 add, sub and min keep both operand shapes only when they differ, that
 is under broadcasting.  neg and colvec save nothing, and every constant
 leaf is the one shared record ``_CONST``.  The tape keeps no forward
@@ -21,10 +21,10 @@ and tuples of these, which the garbage collector stops tracking once it
 has examined them, so a long tape adds little to later collections.
 
 Supported record kinds: add, sub, mul, div, neg, min, sigmoid, tanh,
-relu, matmul, sum, col (column extraction, used to peel parameter
-columns off a matrix) and colvec.  ``min`` sends gradient to the smaller
-argument and, on ties, to the first one, which keeps gradients
-deterministic.
+relu, matmul, sum (of every element), col (column extraction, used to
+peel parameter columns off a matrix) and colvec.  ``min`` sends gradient
+to the smaller argument and, on ties, to the first one, which keeps
+gradients deterministic.
 
 A plain operand of a binary op becomes a constant leaf; leaves made with
 ``Tape.variable`` are the variables.  ``backward`` forms no adjoint
@@ -119,9 +119,6 @@ class DualValue:
     def __neg__(self):
         return self.tape.record("neg", self)
 
-    def sum(self, axis=None):
-        return self.tape.record("sum", self, axis)
-
 
 class Tape:
     """Append-only record of operations with a reverse adjoint sweep.
@@ -190,7 +187,7 @@ class Tape:
 
     def record(self, op: str, x: DualValue, arg=None) -> DualValue:
         """Record one unary operation on ``x``, a node of this tape: sigmoid,
-        tanh, relu, neg, sum (``arg`` the axis), col (``arg`` the column) or
+        tanh, relu, neg, sum (of every element), col (``arg`` the column) or
         colvec."""
         if x.tape is not self:
             raise TapeMismatch("operand lives on a different tape")
@@ -202,7 +199,7 @@ class Tape:
             out = _ACTIVATIONS[op](av)
             node = (op, a, -1, out, None)
         elif op == "sum":
-            out, node = np.asarray(av.sum(axis=arg)), ("sum", a, -1, arg, av.shape)
+            out, node = np.asarray(av.sum()), ("sum", a, -1, None, av.shape)
         elif op == "neg":
             out, node = -av, ("neg", a, -1, None, None)
         elif op == "colvec":
@@ -270,8 +267,7 @@ class Tape:
             elif kind == "sigmoid":
                 ga = g * s0 * (1.0 - s0)
             elif kind == "sum":
-                ga = np.empty(s1)
-                ga[...] = g if s0 is None else np.expand_dims(g, s0)
+                ga = np.full(s1, g)
             elif kind == "div":
                 if nodes[a] is not _CONST:
                     ga = _unbroadcast(g / s1, s0.shape)
@@ -404,8 +400,9 @@ def matmul(a, b):
     return a @ b
 
 
-def vsum(x, axis=None):
-    return x.tape.record("sum", x, axis) if x.__class__ is DualValue else np.asarray(np.sum(x, axis=axis))
+def vsum(x):
+    """The sum of every element of ``x``."""
+    return x.tape.record("sum", x) if x.__class__ is DualValue else np.asarray(np.sum(x))
 
 
 def col(x, j: int):

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import adapter as adapter_mod
 from . import analysis, calib, eakf, io, synth
 from .core import NON_GENERAL, aggregate, check_option, metrics as compute_metrics
-from .errors import DataError, InvalidOption, NumericalError
+from .errors import DataError, InvalidOption, NumericalError, ShapeMismatch
 from .io import write_json as _write_json, write_rows as _write_rows
 from .sim import SimConfig, simulate
 
@@ -150,7 +150,10 @@ def cmd_forecast(config: dict) -> list:
     if config.get("adapter"):
         ad_net, _ = adapter_mod.load_checkpoint(config["adapter"])
         stacked = adapter_mod.stack_levels(traj.weekly_series, graph)
-        corrected = adapter_mod.refine(ad_net, stacked)
+        try:
+            corrected = adapter_mod.refine(ad_net, stacked)
+        except ShapeMismatch as exc:
+            raise ShapeMismatch(f"{config['adapter']}: {exc}") from None
         n_p, n_r = graph.n_patches, graph.n_regions
         written.append(io.write_series(out / "forecast_corrected_state.csv", corrected[n_p + n_r]))
     holdout = data.holdout_observed()

@@ -19,9 +19,10 @@ acts on the member axis only.  The week's serial updates are therefore
 composed in ensemble space (Tippett et al. 2003) into one members x
 members transform, built from the observed columns alone, and the
 inflated prior state is mapped through it in one matrix product at the
-end.  Parameters are re-clamped to their bounds after the update and
-compartments are repaired so every member keeps S + I + R = P and
-nonnegativity.
+end.  Parameters are reflected back inside ``DEFAULT_PARAM_BOUNDS``
+after the update and compartments are repaired so every member keeps
+S + I + R = P and nonnegativity.  Each week's forecast starts with a
+random-walk step of every parameter (``PARAM_WALK``).
 
 Coordinates whose prior variance is below 1e-12 are left untouched by
 that observation (the zero-gain limit); if *every* observed coordinate
@@ -47,6 +48,9 @@ from .errors import CollapsedEnsemble, ShapeMismatch
 from .sim import sirs_step, week_coefficients
 
 _VAR_FLOOR = 1e-12
+# weekly random-walk sd of each parameter, as a fraction of its bound width:
+# it keeps the parameter ensemble from collapsing over long windows
+PARAM_WALK = 0.005
 
 
 @dataclass
@@ -61,8 +65,7 @@ class Ensemble:
     S: np.ndarray                      # members x patches
     I: np.ndarray
     R: np.ndarray
-    params: np.ndarray                 # members x (5 * regions)
-    bounds: dict[str, tuple[float, float]]
+    params: np.ndarray                 # members x (5 * regions), inside DEFAULT_PARAM_BOUNDS
     inflation: float = 1.02
     obs_error_variance: float | None = None  # None -> max(1, 0.1*obs)^2 per obs
 
@@ -94,21 +97,19 @@ def init_ensemble(
     inflation: float = 1.02,
     obs_error_variance: float | None = None,
     seed: int = 0,
-    bounds: dict[str, tuple[float, float]] | None = None,
 ) -> Ensemble:
-    """Uniform parameter draws inside the bounds; jittered initial states.
+    """Uniform parameter draws inside ``DEFAULT_PARAM_BOUNDS``; jittered initial states.
 
     Members share the mean initial condition but carry multiplicative
     spread on the seed infections, so the very first assimilation already
     has state variance to work with.
     """
     check_option("ensemble size", size, 2)
-    bounds = dict(bounds or DEFAULT_PARAM_BOUNDS)
     rng = seeding.spawn_rng(seed, seeding.EAKF, 0)
     n_regions = graph.n_regions
     params = np.zeros((size, 5 * n_regions))
     for p, name in enumerate(PARAM_NAMES):
-        lo, hi = bounds[name]
+        lo, hi = DEFAULT_PARAM_BOUNDS[name]
         params[:, p * n_regions : (p + 1) * n_regions] = rng.uniform(lo, hi, size=(size, n_regions))
     init = np.asarray(init_infections, dtype=float)
     spread = rng.uniform(0.5, 1.5, size=(size, graph.n_patches))
@@ -119,21 +120,20 @@ def init_ensemble(
         I=member_i,
         R=np.zeros((size, graph.n_patches)),
         params=params,
-        bounds=bounds,
         inflation=inflation,
         obs_error_variance=obs_error_variance,
     )
 
 
-def _clamp_params(params: np.ndarray, bounds: dict, n_regions: int) -> None:
-    """Reflect parameter excursions back inside their bounds, in place.
+def _clamp_params(params: np.ndarray, n_regions: int) -> None:
+    """Reflect parameter excursions back inside ``DEFAULT_PARAM_BOUNDS``, in place.
 
     Reflection (rather than hard clipping) keeps the ensemble spread
     alive when an update pushes many members across a bound; a member
     stuck exactly on a bound would otherwise pin the whole column there.
     """
     for p, name in enumerate(PARAM_NAMES):
-        lo, hi = bounds[name]
+        lo, hi = DEFAULT_PARAM_BOUNDS[name]
         block = params[:, p * n_regions : (p + 1) * n_regions]
         width = hi - lo
         over = block > hi
@@ -145,7 +145,7 @@ def _clamp_params(params: np.ndarray, bounds: dict, n_regions: int) -> None:
 
 def _repair(ens: Ensemble, populations: np.ndarray) -> None:
     """Re-bound parameters and restore compartment invariants."""
-    _clamp_params(ens.params, ens.bounds, ens.n_regions)
+    _clamp_params(ens.params, ens.n_regions)
     np.clip(ens.I, 0.0, None, out=ens.I)
     np.clip(ens.R, 0.0, None, out=ens.R)
     total = ens.I + ens.R
@@ -157,12 +157,11 @@ def _repair(ens: Ensemble, populations: np.ndarray) -> None:
     ens.S = populations[None, :] - ens.I - ens.R
 
 
-def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray | None = None) -> Ensemble:
+def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray) -> Ensemble:
     """Assimilate one week of per-patch infection counts.
 
-    Returns a new ensemble; the input is unchanged.  ``populations`` is
-    needed to repair compartments after the update (pass the graph's
-    vector); omit it to skip the repair (pure update, used by tests).
+    Returns a new ensemble, repaired against the patch ``populations``;
+    the input is unchanged.
     """
     obs = np.asarray(observation, dtype=float)
     n_patches = ens.I.shape[1]
@@ -199,12 +198,8 @@ def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray | 
     out = replace(
         ens, S=state[:, :n_patches], I=state[:, n_patches : 2 * n_patches],
         R=state[:, 2 * n_patches : 3 * n_patches], params=state[:, 3 * n_patches :],
-        bounds=dict(ens.bounds),
     )
-    if populations is not None:
-        _repair(out, np.asarray(populations, dtype=float))
-    else:
-        _clamp_params(out.params, out.bounds, out.n_regions)
+    _repair(out, np.asarray(populations, dtype=float))
     return out
 
 
@@ -256,24 +251,16 @@ def run_eakf(
     inflation: float = 1.02,
     obs_error_variance: float | None = None,
     seed: int = 0,
-    bounds: dict[str, tuple[float, float]] | None = None,
-    param_walk: float = 0.005,
 ) -> EakfResult:
-    """Cycle forecast + assimilation over the training window.
-
-    ``param_walk`` is the weekly random-walk standard deviation applied
-    to each parameter, as a fraction of its bound width; it keeps the
-    parameter ensemble from collapsing over long windows.
-    """
+    """Cycle forecast + assimilation over the training window; each week
+    first walks every parameter by ``PARAM_WALK`` of its bound width."""
     ens = init_ensemble(
         graph, data.initial_infections, size=size, inflation=inflation,
-        obs_error_variance=obs_error_variance, seed=seed, bounds=bounds,
+        obs_error_variance=obs_error_variance, seed=seed,
     )
     walk_rng = seeding.spawn_rng(seed, seeding.EAKF, 1)
-    widths = np.concatenate([
-        np.full(ens.n_regions, ens.bounds[name][1] - ens.bounds[name][0])
-        for name in PARAM_NAMES
-    ])
+    widths = np.repeat([DEFAULT_PARAM_BOUNDS[name][1] - DEFAULT_PARAM_BOUNDS[name][0] for name in PARAM_NAMES],
+                       ens.n_regions)
     observed = data.training_observed()
     window = data.window
     theta, theta_t, n_eff = graph.theta, graph.theta_t, graph.n_eff
@@ -287,9 +274,8 @@ def run_eakf(
     p_sd = {name: np.zeros((r, window)) for name in PARAM_NAMES}
 
     for w in range(window):
-        if param_walk > 0:
-            ens.params = ens.params + walk_rng.standard_normal(ens.params.shape) * (param_walk * widths)
-            _clamp_params(ens.params, ens.bounds, r)
+        ens.params = ens.params + walk_rng.standard_normal(ens.params.shape) * (PARAM_WALK * widths)
+        _clamp_params(ens.params, r)
         di_acc = np.zeros(graph.n_patches)
         for m, member in enumerate(zip(*_member_coefficients(ens, graph))):
             s, i, rr, di = sirs_step(theta, theta_t, n_eff, ens.S[m], ens.I[m], ens.R[m], *member)

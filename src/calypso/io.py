@@ -6,9 +6,10 @@ facility_flow), ``cases.csv`` (patch_id, week_index, count),
 ``features.csv`` (patch_id, week_index, one column per channel), the
 ``param`` rows of a long ``kind, id, week_index, field, value`` parameter
 file, and (week, value) series.  Every table is read by ``Table`` in one
-pass under one contract: the required columns are present; numbers are
-finite, and >= 0 for counts, populations and flows; ids, categories and
-travel ends are known, and ids, travel pairs and (id, week) keys unique;
+pass under one contract: the header names each column once and holds the
+required ones; numbers are finite, and >= 0 for counts, populations and
+flows; patch ids and regions are not empty, ids, categories and travel
+ends are known, and ids, travel pairs and (id, week) keys unique;
 weeks run from 0, every patch has every week and each of ``PARAM_NAMES``
 every region x week.  A bad number raises ``InvalidValue``, a bad key,
 column or coverage ``ShapeMismatch``, each naming the file and row (CLI
@@ -274,10 +275,10 @@ def write_eakf_summary(path, result, graph: PatchGraph) -> Path:
     return _write_blocks(path, header, _row_blocks(np.arange(table.shape[1]), *table))
 
 
-def write_series(path, values: np.ndarray, header: str = "value") -> Path:
-    """(week, value) CSV for a single time series."""
+def write_series(path, values: np.ndarray) -> Path:
+    """(week_index, value) CSV for a single time series."""
     values = np.asarray(values, dtype=float).ravel()
-    return _write_blocks(path, ["week_index", header], _row_blocks(np.arange(len(values)), values))
+    return _write_blocks(path, ["week_index", "value"], _row_blocks(np.arange(len(values)), values))
 
 
 def write_level_series(out_dir, graph: PatchGraph, series: np.ndarray, stem: str) -> list[Path]:
@@ -319,6 +320,8 @@ class Table:
 
     def _read(self, rows, text, numbers, where) -> None:
         header, width = self.header, len(self.header)
+        if twice := sorted({c for c in header if header.count(c) > 1}):
+            raise ShapeMismatch(f"{self.path}: column {twice[0]!r} appears more than once in the header")
         numbers = [c for c in header if c not in text] if numbers is None else list(numbers)
         if missing := [c for c in (*text, *numbers) if c not in header]:
             raise ShapeMismatch(f"{self.path}: missing column(s) {missing}")
@@ -443,6 +446,10 @@ def load_graph(in_dir) -> tuple[PatchGraph, dict, dict]:
     in_dir = Path(in_dir)
     patches = Table(in_dir / "patches.csv", ["patch_id", "region", "category"], ["population"],
                     "patch {patch_id!r}")
+    for column in ("patch_id", "region"):
+        if "" in patches.columns[column]:
+            n = patches.columns[column].index("")
+            raise patches.fault(ShapeMismatch, n, f"line {patches.lines[n]} has an empty {column}")
     ids = patches.unique("patch_id")
     patches.positions("category", {GENERAL: 0, NON_GENERAL: 1}, "category")
     [population] = patches.numbers(["population"], nonnegative=True).tolist()
@@ -542,6 +549,10 @@ def read_json(path, error: type[DataError]):
 
 # -- checkpoints ------------------------------------------------------------
 
+# The integer fields a checkpoint may hold: (lowest value, whether null is allowed)
+_CHECKPOINT_INTS = {"seed": (0, False), "n_features": (1, False), "t_scale": (1, True)}
+
+
 def write_checkpoint(path, kind: str, net, extra: dict | None = None, **fields) -> Path:
     """JSON of ``net``'s config, seed and weights plus ``extra`` and the
     net's own ``fields``; a non-finite number raises ``CheckpointError``."""
@@ -567,9 +578,13 @@ def read_checkpoint(path, kind: str, config_type, fields: Sequence[str],
     """Read a ``write_checkpoint`` file back; returns (net, extra).
 
     ``build(config, seed, payload)`` makes a fresh net from the stored
-    config and the caller's ``fields``.  The stored weights must have
-    exactly that net's names and shapes, and every number must be finite;
-    each fault raises ``CheckpointError`` naming the file and the fault.
+    config and the caller's ``fields``.  ``seed``, ``n_features`` and
+    ``t_scale`` must be JSON integers (not bools) of at least
+    ``_CHECKPOINT_INTS``'s low, ``bounds`` must name exactly
+    ``PARAM_NAMES`` and ``extra`` must be an object.  The stored weights
+    must have exactly that net's names and shapes, and every number must be
+    finite; each fault raises ``CheckpointError`` naming the file and the
+    key or the fault.
     """
     path = Path(path)
 
@@ -581,6 +596,14 @@ def read_checkpoint(path, kind: str, config_type, fields: Sequence[str],
         raise bad(f"not a {kind} checkpoint")
     _check_keys(bad, "key", payload, {"kind", "config", "seed", "weights", "extra", *fields})
     _check_keys(bad, "config key", payload["config"], {f.name for f in dataclasses.fields(config_type)})
+    for key, (low, nullable) in _CHECKPOINT_INTS.items():
+        value = payload.get(key)
+        if key in payload and not (type(value) is int and value >= low or nullable and value is None):
+            raise bad(f"{key} is {json.dumps(value)}, need an integer >= {low}{' or null' if nullable else ''}")
+    if "bounds" in payload:
+        _check_keys(bad, "bound", payload["bounds"], set(PARAM_NAMES))
+    if not isinstance(payload["extra"], dict):
+        raise bad(f"extra is {json.dumps(payload['extra'])}, need an object")
     try:
         net = build(config_type(**payload["config"]), payload["seed"], payload)
     except (DataError, AttributeError, KeyError, TypeError, ValueError) as exc:

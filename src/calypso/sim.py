@@ -42,12 +42,13 @@ weeks:
   so its working arrays stay near a fixed size however many scenarios
   there are.  Both run from coefficients built earlier:
   ``analysis.FittedModel`` builds them once per graph, not once per run,
-  and ``simulate`` builds them for one run.  Each checks ``init`` and
-  ``beta_scale`` before week 0.
+  and ``simulate`` builds them for one unscaled run.  Each checks
+  ``init`` and ``beta_scale`` before week 0.
 
 A counterfactual that perturbs transmission is a per-patch multiplier,
 ``beta_scale``, applied to every week's patch beta after the gather: a
-vector for ``simulate``, one column per scenario for ``plain_totals``.
+vector for ``plain_trajectory``, one column per scenario for
+``plain_totals``; ``simulate`` takes none.
 A region's intervention is
 ``np.where(graph.patch_region == r, factor, 1.0)``: its products equal
 those of scaling the region's beta row, bit for bit.  An outbreak is a
@@ -284,19 +285,9 @@ def plain_trajectory(graph: PatchGraph, coefficients: tuple, init,
     )
 
 
-def simulate(
-    graph: PatchGraph,
-    params: DiseaseParams,
-    init: np.ndarray,
-    config: SimConfig,
-    beta_scale: np.ndarray | None = None,
-) -> Trajectory:
-    """Simulate ``config.steps`` weeks from per-patch initial infections.
-
-    ``beta_scale``, one finite nonnegative multiplier per patch, scales
-    each patch's beta in every week.
-    """
-    return plain_trajectory(graph, patch_coefficients(graph, params, config.steps), init, beta_scale)
+def simulate(graph: PatchGraph, params: DiseaseParams, init: np.ndarray, config: SimConfig) -> Trajectory:
+    """Simulate ``config.steps`` weeks from per-patch initial infections."""
+    return plain_trajectory(graph, patch_coefficients(graph, params, config.steps), init)
 
 
 # Scenario columns advanced together, as a number of P x B elements: each

@@ -8,7 +8,9 @@ trajectory, and derives observed weekly case counts by carrying each
 week's new infections for a per-case duration sampled uniformly from the
 persistence range.  Each weekly infection cohort is rounded to an
 integer count before its durations are split, so observed counts are
-nonnegative integers.
+nonnegative integers.  ``SynthSpec`` sets only the size, the window, the
+seed and the healthcare-population scale; every range a draw comes from
+is a module constant.
 
 Feature channels: observed case counts, a lag-1 scaled copy of incidence
 with 10% relative noise (co-circulating-strain proxy), a lag-2 scaled
@@ -24,7 +26,6 @@ import numpy as np
 
 from . import io, seeding
 from .core import (
-    DEFAULT_PARAM_BOUNDS,
     GENERAL,
     NON_GENERAL,
     DataSet,
@@ -39,48 +40,35 @@ from .sim import SimConfig, simulate
 FEATURE_NAMES = ("mrsa", "mssa", "prescriptions", "norm_incidence")
 
 
+# The generator's fixed ranges.  Each parameter range, beta's base plus or
+# minus its amplitude too, lies inside DEFAULT_PARAM_BOUNDS (a test pins this).
+POPULATION_RANGE = (2_000.0, 20_000.0)
+MOBILITY_DENSITY = 0.35            # chance an ordered pair carries flow
+PERSISTENCE_RANGE = (2, 4)         # weeks a case stays observed
+OUTFLOW_RANGE = (0.08, 0.25)       # share of a patch's population that travels
+BETA_BASE_RANGE = (0.45, 0.6)
+BETA_AMPLITUDE = 0.18
+BETA_PERIOD = 52.0
+BETA_PHASE_JITTER = 2.0            # weeks a region's seasonal peak may sit off the window end
+CONSTANT_RANGES = {"gamma": (0.3, 0.4), "delta": (0.05, 0.12), "kappa": (0.1, 0.3), "epsilon": (0.4, 0.7)}
+SEED_FRACTION_RANGE = (0.002, 0.01)  # initial infections as a share of each population
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     n_patches: int = 24
     n_regions: int = 4
-    population_range: tuple[float, float] = (2_000.0, 20_000.0)
     facility_population_scale: float = 1.0  # multiplier on healthcare-patch populations
     weeks: int = 120                   # training window
     horizon: int = 4
     seed: int = 1
-    mobility_density: float = 0.35     # chance an ordered pair carries flow
-    persistence_range: tuple[int, int] = (2, 4)
-    outflow_range: tuple[float, float] = (0.08, 0.25)
-    beta_base_range: tuple[float, float] = (0.45, 0.6)
-    beta_amplitude: float = 0.18
-    beta_period: float = 52.0
-    # seasonal forcing is synchronized statewide; its peak sits at
-    # beta_peak_week (window end when None) plus a small per-region jitter
-    beta_peak_week: float | None = None
-    beta_phase_jitter: float = 2.0
-    gamma_range: tuple[float, float] = (0.3, 0.4)
-    delta_range: tuple[float, float] = (0.05, 0.12)
-    kappa_range: tuple[float, float] = (0.1, 0.3)
-    epsilon_range: tuple[float, float] = (0.4, 0.7)
-    seed_fraction_range: tuple[float, float] = (0.002, 0.01)
 
     def __post_init__(self):
         if self.n_regions < 1 or self.n_patches < 2 * self.n_regions:
             raise InfeasibleSpec("need at least two patches (general + healthcare) per region, "
                                  f"got {self.n_patches} patches for {self.n_regions} regions")
-        lo, hi = self.persistence_range
-        if not (1 <= lo <= hi):
-            raise InfeasibleSpec("persistence range must satisfy 1 <= lo <= hi")
         if self.weeks < 8 or self.horizon < 0:
             raise InfeasibleSpec("weeks must be >= 8 and horizon >= 0")
-        for name, rng_ in (("beta", self.beta_base_range), ("gamma", self.gamma_range),
-                           ("delta", self.delta_range), ("kappa", self.kappa_range),
-                           ("epsilon", self.epsilon_range)):
-            blo, bhi = DEFAULT_PARAM_BOUNDS[name]
-            if rng_[0] < blo or rng_[1] > bhi:
-                raise InfeasibleSpec(f"{name} range {rng_} leaves its bound interval")
-        if self.beta_base_range[1] + self.beta_amplitude > DEFAULT_PARAM_BOUNDS["beta"][1]:
-            raise InfeasibleSpec("beta base + amplitude exceeds the beta bound")
 
 
 @dataclass(frozen=True)
@@ -110,7 +98,7 @@ def _build_graph(spec: SynthSpec, rng: np.random.Generator):
             general = j < n_general
             pid = f"{rid}-{'G' if general else 'N'}{j if general else j - n_general:02d}"
             scale = 1.0 if general else spec.facility_population_scale
-            populations[pid] = float(rng.uniform(*spec.population_range)) * scale
+            populations[pid] = float(rng.uniform(*POPULATION_RANGE)) * scale
             region_of[pid] = rid
             category_of[pid] = GENERAL if general else NON_GENERAL
     ids = sorted(populations)
@@ -119,11 +107,11 @@ def _build_graph(spec: SynthSpec, rng: np.random.Generator):
 
     commute, facility = {}, {}
     for src in ids:
-        out_frac = rng.uniform(*spec.outflow_range)
+        out_frac = rng.uniform(*OUTFLOW_RANGE)
         # one uniform per candidate destination, commute candidates first
         commute_targets, facility_targets = (
             [d for d, u in zip(pool, rng.random(len(pool)).tolist())
-             if u < spec.mobility_density * (1.0 if region_of[d] == region_of[src] else cross)]
+             if u < MOBILITY_DENSITY * (1.0 if region_of[d] == region_of[src] else cross)]
             for pool, cross in (([d for d in general_ids if d != src], 0.4),
                                 ([d for d in facility_ids if d != src], 0.25)))
         targets = commute_targets + facility_targets
@@ -144,32 +132,24 @@ def _draw_params(spec: SynthSpec, region_ids, rng: np.random.Generator) -> Disea
     total = spec.weeks + spec.horizon
     t = np.arange(total)
     n_regions = len(region_ids)
-    base = rng.uniform(*spec.beta_base_range, size=n_regions)
-    peak = spec.weeks if spec.beta_peak_week is None else spec.beta_peak_week
-    anchor = (0.25 * spec.beta_period - peak) % spec.beta_period
-    phase = anchor + rng.uniform(-spec.beta_phase_jitter, spec.beta_phase_jitter, size=n_regions)
-    beta = base[:, None] + spec.beta_amplitude * np.sin(2 * np.pi * (t[None, :] + phase[:, None]) / spec.beta_period)
-    lo, hi = DEFAULT_PARAM_BOUNDS["beta"]
-    beta = np.clip(beta, lo, hi)
-
-    def const(rng_pair):
-        return np.repeat(rng.uniform(*rng_pair, size=n_regions)[:, None], total, axis=1)
-
-    return DiseaseParams(
-        region_ids=tuple(region_ids),
-        beta=beta,
-        gamma=const(spec.gamma_range),
-        delta=const(spec.delta_range),
-        kappa=const(spec.kappa_range),
-        epsilon=const(spec.epsilon_range),
-    )
+    base = rng.uniform(*BETA_BASE_RANGE, size=n_regions)
+    anchor = (0.25 * BETA_PERIOD - spec.weeks) % BETA_PERIOD  # statewide seasonal peak at the window end
+    phase = anchor + rng.uniform(-BETA_PHASE_JITTER, BETA_PHASE_JITTER, size=n_regions)
+    beta = base[:, None] + BETA_AMPLITUDE * np.sin(2 * np.pi * (t[None, :] + phase[:, None]) / BETA_PERIOD)
+    # the stream draws the constant rates in CONSTANT_RANGES order
+    return DiseaseParams(region_ids=tuple(region_ids), beta=beta, **{
+        name: np.repeat(rng.uniform(*pair, size=n_regions)[:, None], total, axis=1)
+        for name, pair in CONSTANT_RANGES.items()
+    })
 
 
-def _observe(traj: Trajectory, spec: SynthSpec, populations: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Weekly observed counts from integerized infection cohorts."""
+def _observe(traj: Trajectory, populations: np.ndarray, persistence: tuple[int, int],
+             rng: np.random.Generator) -> np.ndarray:
+    """Weekly observed counts from integerized infection cohorts, each case
+    observed for a number of weeks drawn uniformly from ``persistence``."""
     new_inf = traj.new_infections
     n_patches, total = new_inf.shape
-    lo, hi = spec.persistence_range
+    lo, hi = persistence
     n_durations = hi - lo + 1
     cohorts = np.rint(new_inf).astype(np.int64)
     p, s = np.nonzero(cohorts > 0)  # patch-major, the order the draws are taken in
@@ -206,9 +186,9 @@ def generate(spec: SynthSpec) -> SynthBundle:
 
     graph, commute, facility = _build_graph(spec, rng_graph)
     params = _draw_params(spec, graph.region_ids, rng_params)
-    init = rng_params.uniform(*spec.seed_fraction_range, size=graph.n_patches) * graph.populations
+    init = rng_params.uniform(*SEED_FRACTION_RANGE, size=graph.n_patches) * graph.populations
     traj = simulate(graph, params, init, SimConfig(steps=spec.weeks + spec.horizon))
-    observed = _observe(traj, spec, graph.populations, rng_obs)
+    observed = _observe(traj, graph.populations, PERSISTENCE_RANGE, rng_obs)
     features = _features(observed, traj, graph.populations, rng_feat)
     data = DataSet(
         features=features,

@@ -133,7 +133,6 @@ class TestSharedParts:
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1), ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", np.nan),
-        ("weight_decay", -1e-4), ("weight_decay", np.nan), ("clip_norm", np.nan), ("clip_norm", -1.0),
         ("teacher_ratio", 7.0), ("teacher_ratio", -0.1), ("teacher_ratio", np.nan),
     ])
     def test_bad_training_option_refused(self, field, value):

@@ -26,7 +26,7 @@ from calypso.errors import (
     ShapeMismatch,
     UnknownRegion,
 )
-from calypso.sim import SimConfig, patch_coefficients, plain_totals, simulate
+from calypso.sim import SimConfig, patch_coefficients, plain_totals, plain_trajectory, simulate
 
 
 @pytest.fixture(scope="module")
@@ -163,10 +163,10 @@ class TestFittedModel:
         config = SimConfig(steps=model.steps)
         scale = np.array([0.9, 1.0, 0.8, 1.0])
         for graph in (graph_a, graph_b, graph_a):
-            fresh = simulate(graph, model.params, model.init, config, beta_scale=scale)
+            coefficients = patch_coefficients(graph, model.params, config.steps)
+            fresh = plain_trajectory(graph, coefficients, model.init, scale)
             assert same_trajectory(model.run(graph, scale), fresh)
-            totals = plain_totals(graph, patch_coefficients(graph, model.params, model.steps), model.init,
-                                  beta_scale=scale[:, None])
+            totals = plain_totals(graph, coefficients, model.init, beta_scale=scale[:, None])
             assert model.totals(graph, scale[:, None]).tobytes() == totals.tobytes()
 
     def test_replaced_params_equal_a_fresh_simulate(self):
@@ -388,7 +388,8 @@ class TestOutbreakRanking:
         assert all(v == pytest.approx(0.0) for _, v in report.ranking)
 
     def test_largest_population_outflow_source_ranks_first(self):
-        # sources feeding a shared hub: a has the larger population and outflow
+        # sources feeding a shared hub: a has the larger population and outflow,
+        # so it ranks above b (the hub is scored as a source too)
         pops = {"a": 10000.0, "b": 3000.0, "h": 6000.0}
         commute = {("a", "h"): 0.25 * pops["a"], ("b", "h"): 0.05 * pops["b"],
                    ("h", "a"): 0.05 * pops["h"], ("h", "b"): 0.02 * pops["h"]}
@@ -398,14 +399,8 @@ class TestOutbreakRanking:
         params = DiseaseParams.constant(graph.region_ids, 30, beta=0.45, gamma=0.3,
                                         delta=0.05, kappa=0.0, epsilon=1.0)
         model = FittedModel(params=params, init=np.array([5.0, 5.0, 5.0]), steps=30)
-        report = outbreak_ranking(model, graph, k=50.0, candidates=["a", "b"])
-        assert report.ranking[0][0] == "a"
-
-    def test_order_invariance(self, bundle, model):
-        ids = list(bundle.graph.patch_ids[:6])
-        fwd = outbreak_ranking(model, bundle.graph, k=10.0, candidates=ids)
-        rev = outbreak_ranking(model, bundle.graph, k=10.0, candidates=ids[::-1])
-        assert fwd.ranking == rev.ranking
+        ranked = [pid for pid, _ in outbreak_ranking(model, graph, k=50.0).ranking]
+        assert ranked.index("a") < ranked.index("b")
 
     def test_target_mode_excludes_target(self, bundle, model):
         target = bundle.graph.patch_ids[0]
@@ -416,37 +411,31 @@ class TestOutbreakRanking:
     def test_seed_exceeding_population_rejected(self, bundle, model):
         smallest = bundle.graph.patch_ids[int(np.argmin(bundle.graph.populations))]
         too_many = float(bundle.graph.populations.min()) + 1.0
-        with pytest.raises(SeedExceedsPopulation):
-            outbreak_ranking(model, bundle.graph, k=too_many, candidates=[smallest])
+        with pytest.raises(SeedExceedsPopulation, match=repr(smallest)):
+            outbreak_ranking(model, bundle.graph, k=too_many)
 
     @pytest.mark.parametrize("k", [np.nan, np.inf])
     def test_non_finite_seed_refused_before_simulating(self, bundle, model, no_simulation, k):
         with pytest.raises(InvalidOption, match="seed count must be finite"):
             outbreak_ranking(model, bundle.graph, k)
 
-    @pytest.mark.parametrize("candidates, error, message", [
-        (["nope"], UnknownRegion, "unknown candidate patch 'nope'"),
-        ([], EmptyCandidates, "no candidate outbreak sources"),
+    @pytest.mark.parametrize("one_patch, target, error, message", [
+        (False, "nope", UnknownRegion, "unknown target patch 'nope'"),
+        (True, "a", EmptyCandidates, "no candidate outbreak sources"),
     ], ids=["unknown", "empty"])
     def test_bad_candidates_refused_before_simulating(self, bundle, model, no_simulation,
-                                                      candidates, error, message):
+                                                      one_patch, target, error, message):
+        """The sources are every patch but the target: an unknown target, or
+        a graph whose one patch is the target, is refused."""
+        if one_patch:
+            graph = PatchGraph({"a": 100.0}, {"a": "r0"}, {"a": "general"}, np.ones((1, 1)))
+            model = FittedModel(params=DiseaseParams.constant(graph.region_ids, 4, beta=0.5, gamma=0.3,
+                                                              delta=0.05, kappa=0.0, epsilon=1.0),
+                                init=np.array([1.0]), steps=4)
+        else:
+            graph = bundle.graph
         with pytest.raises(error, match=message):
-            outbreak_ranking(model, bundle.graph, 10.0, candidates=candidates)
-
-    def test_duplicate_candidate_scored_once(self, bundle, model, monkeypatch):
-        ids = list(bundle.graph.patch_ids[:4])
-        once = outbreak_ranking(model, bundle.graph, k=10.0, candidates=ids)
-        widths = []
-        totals = FittedModel.totals
-
-        def counting(self, graph, beta_scale=None, init=None):
-            widths.append(init.shape[1])
-            return totals(self, graph, beta_scale, init)
-
-        monkeypatch.setattr(FittedModel, "totals", counting)
-        twice = outbreak_ranking(model, bundle.graph, k=10.0, candidates=ids + ids[1:3])
-        assert twice.ranking == once.ranking
-        assert widths == [1 + len(ids)]
+            outbreak_ranking(model, graph, 10.0, target=target)
 
     def test_deltas_match_one_simulation_per_source(self, bundle, model):
         graph = bundle.graph
@@ -454,7 +443,8 @@ class TestOutbreakRanking:
         for target in (None, graph.patch_ids[3]):
             report = outbreak_ranking(model, graph, k=25.0, target=target)
             for pid, delta in report.ranking:
-                traj = model.run(graph, init=analysis.seed_outbreak(model.init, pid, 25.0, graph))
+                seeded = dataclasses.replace(model, init=analysis.seed_outbreak(model.init, pid, 25.0, graph))
+                traj = seeded.run(graph)
                 if target is None:
                     oracle = traj.new_infections.sum() - base
                 else:

@@ -340,12 +340,32 @@ class TestErrorHandling:
          "hidden must be finite and >= 1"),
         ("adapter", _json_edit(lambda p: p["config"].update(hidden=0)), "CheckpointError",
          "hidden must be finite and >= 1"),
+        ("calib", _json_edit(lambda p: p.update(seed=1.5)), "CheckpointError",
+         "checkpoint.json: seed is 1.5, need an integer >= 0"),
+        ("calib", _json_edit(lambda p: p.update(seed=True)), "CheckpointError",
+         "checkpoint.json: seed is true, need an integer >= 0"),
+        ("calib", _json_edit(lambda p: p.update(n_features=4.7)), "CheckpointError",
+         "checkpoint.json: n_features is 4.7, need an integer >= 1"),
+        ("calib", _json_edit(lambda p: p.update(extra=5)), "CheckpointError",
+         "checkpoint.json: extra is 5, need an object"),
+        ("calib", _json_edit(lambda p: p["bounds"].update(zeta=[0.0, 1.0])), "CheckpointError",
+         "checkpoint.json: unknown bounds ['zeta']"),
+        ("adapter", _json_edit(lambda p: p.update(t_scale=-5)), "CheckpointError",
+         "adapter.json: t_scale is -5, need an integer >= 1 or null"),
+        ("adapter", _json_edit(lambda p: p.update(t_scale=2.5)), "CheckpointError",
+         "adapter.json: t_scale is 2.5, need an integer >= 1 or null"),
+        ("adapter", _json_edit(lambda p: p.update(t_scale=True)), "CheckpointError",
+         "adapter.json: t_scale is true, need an integer >= 1 or null"),
+        ("adapter", _json_edit(lambda p: p["scale"].pop()), "ShapeMismatch",
+         "adapter.json: adapter was fit on a different number of units"),
         ("data", None, "ShapeMismatch", "feature channels"),
         ("epochs", None, "InvalidOption", "--epochs"),
     ], ids=["not-json", "calib-missing-n_features", "unknown-config-key", "calib-truncated-weight",
             "adapter-truncated-weight", "calib-missing-weight", "adapter-missing-weight",
             "adapter-nan-weight", "adapter-missing-t_scale", "calib-zero-hidden", "adapter-zero-hidden",
-            "feature-channel-mismatch",
+            "calib-float-seed", "calib-bool-seed", "calib-float-n_features", "calib-extra-not-an-object",
+            "calib-sixth-bound", "adapter-negative-t_scale", "adapter-float-t_scale", "adapter-bool-t_scale",
+            "adapter-other-unit-count", "feature-channel-mismatch",
             "calibrate-zero-epochs"])
     def test_malformed_input_exits_three_and_names_fault(
             self, data_dir, checkpoint, adapter_checkpoint, tmp_path, capsys,
@@ -459,6 +479,22 @@ class TestErrorHandling:
          "ShapeMismatch", "patches.csv: patch 'R0-G00': unknown category 'hospital'"),
         (["eakf"], "patches.csv", lambda rows: [row.pop(3) for row in rows],
          "ShapeMismatch", "patches.csv: missing column(s) ['population']"),
+        (["eakf"], "patches.csv", lambda rows: rows[1].__setitem__(0, ""),
+         "ShapeMismatch", "patches.csv: patch '': line 2 has an empty patch_id"),
+        (["calibrate"], "patches.csv", lambda rows: rows[1].__setitem__(1, ""),
+         "ShapeMismatch", "patches.csv: patch 'R0-G00': line 2 has an empty region"),
+        (["eakf"], "patches.csv", lambda rows: [row.append(row[1]) for row in rows],
+         "ShapeMismatch", "patches.csv: column 'region' appears more than once in the header"),
+        (["eakf"], "travel.csv", lambda rows: [row.append(row[2]) for row in rows],
+         "ShapeMismatch", "travel.csv: column 'commute_flow' appears more than once in the header"),
+        (["eakf"], "cases.csv", lambda rows: [row.append(row[2]) for row in rows],
+         "ShapeMismatch", "cases.csv: column 'count' appears more than once in the header"),
+        (["calibrate"], "features.csv", lambda rows: [row.append(row[2]) for row in rows],
+         "ShapeMismatch", "features.csv: column 'mrsa' appears more than once in the header"),
+        (["simulate"], "ground_truth.csv", lambda rows: [row.append(row[4]) for row in rows],
+         "ShapeMismatch", "ground_truth.csv: column 'value' appears more than once in the header"),
+        (["metrics"], "pred.csv", "week_index,value,value\n0,1,1\n1,2,2\n2,3,3\n",
+         "ShapeMismatch", "pred.csv: column 'value' appears more than once in the header"),
         (["eakf"], "cases.csv", lambda rows: rows.append(rows[4][:2] + ["7"]),
          "ShapeMismatch", "cases.csv: patch 'R0-G00', week 3: duplicate of line 5"),
         (["eakf"], "travel.csv", lambda rows: rows.append(list(rows[1])),
@@ -499,7 +535,9 @@ class TestErrorHandling:
          "horizon 50 leaves no training window in the 24 weeks of "),
         (["eakf", "--window", "1000"], None, None, "InvalidOption", "window 1000 + horizon 4 exceed the 24 weeks of "),
     ], ids=["population-not-a-number", "population-zero", "patch-duplicated", "category-unknown",
-            "population-column-missing", "cases-duplicated-week", "travel-duplicated-pair", "travel-self-loop",
+            "population-column-missing", "patch-id-empty", "region-empty", "patches-column-twice",
+            "travel-column-twice", "cases-column-twice", "features-column-twice", "param-column-twice",
+            "metrics-column-twice", "cases-duplicated-week", "travel-duplicated-pair", "travel-self-loop",
             "travel-flow-not-a-number", "travel-flow-over-population", "param-nan", "param-not-a-number",
             "param-row-missing", "param-gamma-missing", "param-unknown-field", "metrics-nan-pred",
             "metrics-non-integer-week", "config-not-json", "config-not-an-object",

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from calypso import eakf, synth
+from calypso import eakf, seeding, synth
 from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES
 from calypso.eakf import Ensemble, eakf_step, init_ensemble, run_eakf
 from calypso.errors import CollapsedEnsemble, InvalidOption, ShapeMismatch
+from calypso.sim import SimConfig, simulate
 
 
 def scalar_ensemble(values, obs_var=None, inflation=1.0):
@@ -19,13 +20,16 @@ def scalar_ensemble(values, obs_var=None, inflation=1.0):
         I=values[:, None],
         R=np.zeros((n, 1)),
         params=np.tile([0.5, 0.3, 0.1, 0.2, 0.5], (n, 1)),
-        bounds=dict(DEFAULT_PARAM_BOUNDS),
         inflation=inflation,
         obs_error_variance=obs_var,
     )
 
 
-def state_space_step(ens, observation, populations=None):
+# the population of the one patch of ``scalar_ensemble``
+SCALAR_POPULATION = np.array([100.0])
+
+
+def state_space_step(ens, observation, populations):
     """Reference serial EAKF: one full-state covariance update per observed patch."""
     obs = np.asarray(observation, dtype=float)
     prior_var = ens.I.var(axis=0, ddof=1)
@@ -53,12 +57,8 @@ def state_space_step(ens, observation, populations=None):
     out = dataclasses.replace(
         ens, S=state[:, :n_patches], I=state[:, n_patches : 2 * n_patches],
         R=state[:, 2 * n_patches : 3 * n_patches], params=state[:, 3 * n_patches :],
-        bounds=dict(ens.bounds),
     )
-    if populations is not None:
-        eakf._repair(out, np.asarray(populations, dtype=float))
-    else:
-        eakf._clamp_params(out.params, out.bounds, out.n_regions)
+    eakf._repair(out, np.asarray(populations, dtype=float))
     return out
 
 
@@ -107,9 +107,7 @@ class TestEnsembleSpaceStep:
         ens = propagated_ensemble(desk_bundle, size, obs_error_variance=obs_var)
         obs = desk_bundle.data.observed[:, 6]
         pops = desk_bundle.graph.populations
-        assert_same_ensemble(eakf_step(ens, obs, populations=pops),
-                             state_space_step(ens, obs, populations=pops))
-        assert_same_ensemble(eakf_step(ens, obs), state_space_step(ens, obs))
+        assert_same_ensemble(eakf_step(ens, obs, pops), state_space_step(ens, obs, pops))
 
     def test_matches_with_floored_coordinates(self, desk_bundle):
         ens = propagated_ensemble(desk_bundle, 100)
@@ -117,8 +115,8 @@ class TestEnsembleSpaceStep:
         ens.S = desk_bundle.graph.populations[None, :] - ens.I - ens.R
         assert np.all(ens.I[:, ::3].var(axis=0, ddof=1) < eakf._VAR_FLOOR)
         obs = desk_bundle.data.observed[:, 6]
-        post = eakf_step(ens, obs, populations=desk_bundle.graph.populations)
-        assert_same_ensemble(post, state_space_step(ens, obs, populations=desk_bundle.graph.populations))
+        post = eakf_step(ens, obs, desk_bundle.graph.populations)
+        assert_same_ensemble(post, state_space_step(ens, obs, desk_bundle.graph.populations))
 
     def test_full_run_matches_state_space_loop(self, desk_bundle, monkeypatch):
         graph, data = desk_bundle.graph, desk_bundle.data
@@ -143,7 +141,7 @@ class TestEakfStep:
         z = (z - z.mean()) / z.std(ddof=1)  # exactly mean 0, sd 1
         values = 10.0 + 2.0 * z
         ens = scalar_ensemble(values, obs_var=4.0)
-        post = eakf_step(ens, np.array([14.0]))
+        post = eakf_step(ens, np.array([14.0]), SCALAR_POPULATION)
         assert post.I[:, 0].mean() == pytest.approx(12.0, abs=1e-9)
         assert post.I[:, 0].var(ddof=1) == pytest.approx(2.0, rel=1e-9)
 
@@ -151,7 +149,7 @@ class TestEakfStep:
         rng = np.random.default_rng(1)
         values = 10.0 + rng.normal(size=50)
         ens = scalar_ensemble(values, obs_var=np.inf)
-        post = eakf_step(ens, np.array([25.0]))
+        post = eakf_step(ens, np.array([25.0]), SCALAR_POPULATION)
         assert np.allclose(post.I[:, 0], values)
 
     def test_tiny_prior_variance_leaves_mean(self):
@@ -161,7 +159,7 @@ class TestEakfStep:
         ens.S[:, 0] += np.linspace(-5, 5, 30)  # keep the filter alive elsewhere
         with pytest.raises(CollapsedEnsemble):
             # observed coordinate variance is the collapse test
-            eakf_step(ens, np.array([14.0]))
+            eakf_step(ens, np.array([14.0]), SCALAR_POPULATION)
 
     def test_variance_contraction_per_observed_coordinate(self):
         rng = np.random.default_rng(2)
@@ -170,7 +168,7 @@ class TestEakfStep:
         ens = init_ensemble(bundle.graph, bundle.data.initial_infections, size=40, seed=0)
         ens.I += rng.uniform(0, 20, size=ens.I.shape)
         prior_var = (eakf._inflate(ens.I, ens.inflation)).var(axis=0, ddof=1)
-        post = eakf_step(ens, bundle.data.observed[:, 0], populations=bundle.graph.populations)
+        post = eakf_step(ens, bundle.data.observed[:, 0], bundle.graph.populations)
         post_var = post.I.var(axis=0, ddof=1)
         assert np.all(post_var <= prior_var + 1e-9)
 
@@ -178,13 +176,13 @@ class TestEakfStep:
         values = np.full(10, 5.0)
         ens = scalar_ensemble(values)
         with pytest.raises(CollapsedEnsemble):
-            eakf_step(ens, np.array([6.0]))
+            eakf_step(ens, np.array([6.0]), SCALAR_POPULATION)
 
     def test_mean_preserved_under_zero_information(self):
         rng = np.random.default_rng(3)
         values = 20.0 + rng.normal(size=60)
         ens = scalar_ensemble(values, obs_var=np.inf)
-        post = eakf_step(ens, np.array([100.0]))
+        post = eakf_step(ens, np.array([100.0]), SCALAR_POPULATION)
         assert post.I.mean() == pytest.approx(values.mean())
         assert post.params.mean(axis=0) == pytest.approx(ens.params.mean(axis=0))
 
@@ -203,9 +201,30 @@ class TestEakfStep:
         ens = scalar_ensemble(values, obs_var=0.01)
         ens.params[:, 0] = 0.99  # near the beta upper bound, correlated update may push out
         ens.params[:, 0] += 0.005 * (values - values.mean())
-        post = eakf_step(ens, np.array([30.0]))
+        post = eakf_step(ens, np.array([30.0]), SCALAR_POPULATION)
         lo, hi = DEFAULT_PARAM_BOUNDS["beta"]
         assert np.all(post.params[:, 0] >= lo) and np.all(post.params[:, 0] <= hi)
+
+
+def constant_beta_bundle(spec, base_range=(0.5, 0.55)):
+    """``spec``'s bundle with each region's beta held at one value drawn from
+    ``base_range``, observed as ``synth.generate`` observes.
+
+    The beta draw takes the place of the seasonal base draw, the first of the
+    parameter stream, and the stream's other draws (phase, the constant
+    rates, the initial infections) keep their positions, so every other
+    parameter and the initial infections are the generated bundle's.
+    """
+    bundle = synth.generate(spec)
+    graph, total = bundle.graph, spec.weeks + spec.horizon
+    base = seeding.spawn_rng(spec.seed, seeding.SYNTH, 1).uniform(*base_range, size=graph.n_regions)
+    params = dataclasses.replace(bundle.params, beta=np.repeat(base[:, None], total, axis=1))
+    traj = simulate(graph, params, bundle.data.initial_infections, SimConfig(steps=total))
+    observed = synth._observe(traj, graph.populations, synth.PERSISTENCE_RANGE,
+                              seeding.spawn_rng(spec.seed, seeding.SYNTH, 2))
+    features = synth._features(observed, traj, graph.populations, seeding.spawn_rng(spec.seed, seeding.SYNTH, 3))
+    data = dataclasses.replace(bundle.data, observed=observed, features=features)
+    return dataclasses.replace(bundle, data=data, trajectory=traj, params=params)
 
 
 @pytest.fixture(scope="module")
@@ -270,11 +289,8 @@ class TestRunEakf:
 
     def test_constant_beta_recovery(self):
         # a long window with constant known parameters: posterior beta near truth
-        rng_spec = synth.SynthSpec(n_patches=4, n_regions=2, weeks=100, horizon=2,
-                                   seed=12, beta_amplitude=0.0,
-                                   beta_base_range=(0.5, 0.55))
-        bundle = synth.generate(rng_spec)
-        result = run_eakf(bundle.graph, bundle.data, size=150, seed=0, param_walk=0.005)
+        bundle = constant_beta_bundle(synth.SynthSpec(n_patches=4, n_regions=2, weeks=100, horizon=2, seed=12))
+        result = run_eakf(bundle.graph, bundle.data, size=150, seed=0)
         true_beta = bundle.params.beta[:, 0]
         # effective transmission is beta times the symptomatic/intervention factor;
         # compare those products, which is what infections identify; read the

@@ -17,10 +17,17 @@ from calypso.sim import (
     iterate_sirs,
     patch_coefficients,
     plain_totals,
+    plain_trajectory,
     seed_outbreak,
     simulate,
     week_coefficients,
 )
+
+
+def scaled_run(graph, params, init, steps, beta_scale):
+    """``simulate`` of ``steps`` weeks with each patch's beta scaled by ``beta_scale``,
+    as ``FittedModel.run`` scales it: ``plain_trajectory`` from fresh coefficients."""
+    return plain_trajectory(graph, patch_coefficients(graph, params, steps), init, beta_scale)
 
 
 def single_patch_graph(pop=100.0):
@@ -167,7 +174,7 @@ class TestSimulate:
         g = single_patch_graph()
         p = DiseaseParams.constant(g.region_ids, 3, beta=0.1, gamma=0.3)
         with pytest.raises(error, match="beta_scale"):
-            simulate(g, p, np.array([1.0]), SimConfig(steps=3), beta_scale=scale)
+            scaled_run(g, p, np.array([1.0]), 3, scale)
 
     def test_infection_clamp_keeps_susceptibles_nonnegative(self):
         g = single_patch_graph(pop=10.0)
@@ -178,8 +185,9 @@ class TestSimulate:
 
 
 class TestPlainLoopMatchesTape:
-    """``simulate`` runs its own loop on plain arrays; the taped ``iterate_sirs``
-    forward, fed the ``broadcast_matrix @`` parameters, is its reference, bit for bit."""
+    """``plain_trajectory`` (``simulate``'s loop) runs on plain arrays; the taped
+    ``iterate_sirs`` forward, fed the ``broadcast_matrix @`` parameters, is its
+    reference, bit for bit."""
 
     @pytest.mark.parametrize("with_scale", [False, True], ids=["no-scale", "patch-scale"])
     def test_trajectory_equals_taped_forward(self, with_scale):
@@ -187,7 +195,7 @@ class TestPlainLoopMatchesTape:
         for _ in range(10):
             graph, params, init, steps = random_instance(rng)
             scale = rng.uniform(0.5, 1.5, size=graph.n_patches) if with_scale else None
-            traj = simulate(graph, params, init, SimConfig(steps=steps), beta_scale=scale)
+            traj = scaled_run(graph, params, init, steps, scale)
 
             tape = ad.Tape()
             region = {name: tape.variable(getattr(params, name)) for name in PARAM_NAMES}
@@ -234,13 +242,13 @@ class TestPlainLoopMatchesTape:
 
 
 def column_by_column(graph, params, init, steps, scale):
-    """Per-patch cumulative new infections, one ``simulate`` per column."""
+    """Per-patch cumulative new infections, one ``scaled_run`` per column."""
     width = max(a.shape[1] for a in (init, scale) if a is not None and a.ndim == 2)
     cols = []
     for b in range(width):
         col_init = init[:, b] if init.ndim == 2 else init
         col_scale = None if scale is None else scale[:, b]
-        traj = simulate(graph, params, col_init, SimConfig(steps=steps), beta_scale=col_scale)
+        traj = scaled_run(graph, params, col_init, steps, col_scale)
         cols.append(traj.new_infections.sum(axis=1))
     return np.column_stack(cols)
 
@@ -300,7 +308,7 @@ class TestInPlaceLoopMatchesReference:
         for _ in range(20):
             graph, params, init, steps = random_instance(rng, n_max=30)
             scale = rng.uniform(0.5, 1.5, size=graph.n_patches) if with_scale else None
-            traj = simulate(graph, params, init, SimConfig(steps=steps), beta_scale=scale)
+            traj = scaled_run(graph, params, init, steps, scale)
             want = reference_simulate(graph, params, init, steps, scale)
             for name, ref in zip(("S", "I", "R", "new_infections"), want):
                 assert getattr(traj, name).tobytes() == ref.tobytes(), name

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from calypso import io, synth
-from calypso.core import GENERAL, NON_GENERAL, aggregate
+from calypso.core import DEFAULT_PARAM_BOUNDS, GENERAL, NON_GENERAL, PARAM_NAMES, aggregate
 from calypso.errors import InfeasibleSpec
 from calypso.synth import SynthSpec, generate
 
@@ -22,9 +22,9 @@ class TestGenerate:
         assert not np.array_equal(a.data.observed, b.data.observed)
 
     def test_unit_persistence_reproduces_rounded_incidence(self):
-        bundle = generate(SynthSpec(n_patches=8, n_regions=2, weeks=20, horizon=2,
-                                    seed=3, persistence_range=(1, 1)))
-        assert np.array_equal(bundle.data.observed,
+        bundle = generate(SynthSpec(n_patches=8, n_regions=2, weeks=20, horizon=2, seed=3))
+        observed = synth._observe(bundle.trajectory, bundle.graph.populations, (1, 1), np.random.default_rng(3))
+        assert np.array_equal(observed,
                               np.minimum(np.rint(bundle.trajectory.new_infections),
                                          np.rint(bundle.graph.populations)[:, None]))
 
@@ -55,8 +55,6 @@ class TestGenerate:
         assert r > 0.8
 
     def test_params_within_calibration_bounds(self):
-        from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES
-
         bundle = generate(SynthSpec(seed=6))
         for name in PARAM_NAMES:
             lo, hi = DEFAULT_PARAM_BOUNDS[name]
@@ -66,10 +64,22 @@ class TestGenerate:
     def test_infeasible_specs_rejected(self):
         with pytest.raises(InfeasibleSpec, match="got 4 patches for 4 regions"):
             SynthSpec(n_patches=4, n_regions=4)
-        with pytest.raises(InfeasibleSpec):
-            SynthSpec(persistence_range=(0, 3))
-        with pytest.raises(InfeasibleSpec):
-            SynthSpec(gamma_range=(0.0, 0.5))
+        with pytest.raises(InfeasibleSpec, match="weeks must be >= 8"):
+            SynthSpec(weeks=7)
+
+    def test_generator_ranges_lie_inside_the_bounds(self):
+        """The fixed ranges keep every drawn parameter inside its bound interval
+        (beta's base plus or minus its amplitude too) and every case observed
+        for at least one week."""
+        ranges = {"beta": (synth.BETA_BASE_RANGE[0] - synth.BETA_AMPLITUDE,
+                           synth.BETA_BASE_RANGE[1] + synth.BETA_AMPLITUDE), **synth.CONSTANT_RANGES}
+        assert set(ranges) == set(DEFAULT_PARAM_BOUNDS)
+        for name, (lo, hi) in ranges.items():
+            blo, bhi = DEFAULT_PARAM_BOUNDS[name]
+            assert blo <= lo <= hi <= bhi, name
+        lo, hi = synth.PERSISTENCE_RANGE
+        assert 1 <= lo <= hi
+        assert 0 < synth.SEED_FRACTION_RANGE[0] <= synth.SEED_FRACTION_RANGE[1] < 1
 
     def test_trajectory_conserves_population(self):
         bundle = generate(SynthSpec(seed=7))
@@ -100,11 +110,11 @@ class TestBundleWrite:
 
 # -- the draws before they were vectorised, kept as oracles -------------------
 
-def _observe_loop(traj, spec, populations, rng):
+def _observe_loop(traj, populations, persistence, rng):
     """One multinomial per positive cohort, patch-major, spread week by week."""
     new_inf = traj.new_infections
     n_patches, total = new_inf.shape
-    lo, hi = spec.persistence_range
+    lo, hi = persistence
     n_durations = hi - lo + 1
     probs = np.full(n_durations, 1.0 / n_durations)
     observed = np.zeros((n_patches, total))
@@ -132,7 +142,7 @@ def _build_graph_loop(spec, rng):
             general = j < n_general
             pid = f"{rid}-{'G' if general else 'N'}{j if general else j - n_general:02d}"
             scale = 1.0 if general else spec.facility_population_scale
-            populations[pid] = float(rng.uniform(*spec.population_range)) * scale
+            populations[pid] = float(rng.uniform(*synth.POPULATION_RANGE)) * scale
             region_of[pid] = rid
             category_of[pid] = GENERAL if general else NON_GENERAL
     ids = sorted(populations)
@@ -140,14 +150,14 @@ def _build_graph_loop(spec, rng):
     facility_ids = [p for p in ids if category_of[p] == NON_GENERAL]
     commute, facility = {}, {}
     for src in ids:
-        out_frac = rng.uniform(*spec.outflow_range)
+        out_frac = rng.uniform(*synth.OUTFLOW_RANGE)
         commute_targets = [
             d for d in general_ids
-            if d != src and rng.random() < spec.mobility_density * (1.0 if region_of[d] == region_of[src] else 0.4)
+            if d != src and rng.random() < synth.MOBILITY_DENSITY * (1.0 if region_of[d] == region_of[src] else 0.4)
         ]
         facility_targets = [
             d for d in facility_ids
-            if d != src and rng.random() < spec.mobility_density * (1.0 if region_of[d] == region_of[src] else 0.25)
+            if d != src and rng.random() < synth.MOBILITY_DENSITY * (1.0 if region_of[d] == region_of[src] else 0.25)
         ]
         targets = commute_targets + facility_targets
         if not targets:
@@ -165,13 +175,12 @@ class TestDrawsMatchTheLoops:
     @pytest.mark.parametrize("persistence", [(2, 4), (3, 3), (1, 6), (1, 1)])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_observe_is_bit_equal(self, seed, persistence):
-        spec = SynthSpec(n_patches=10, n_regions=2, weeks=16, horizon=2, seed=seed, persistence_range=persistence)
-        bundle = generate(spec)
+        bundle = generate(SynthSpec(n_patches=10, n_regions=2, weeks=16, horizon=2, seed=seed))
         # cohorts in the last weeks, whose windows run past the end
         assert (np.rint(bundle.trajectory.new_infections[:, -3:]) > 0).any()
         new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        new = synth._observe(bundle.trajectory, spec, bundle.graph.populations, new_rng)
-        old = _observe_loop(bundle.trajectory, spec, bundle.graph.populations, old_rng)
+        new = synth._observe(bundle.trajectory, bundle.graph.populations, persistence, new_rng)
+        old = _observe_loop(bundle.trajectory, bundle.graph.populations, persistence, old_rng)
         assert new.tobytes() == old.tobytes()
         # the stream is left where the loop leaves it
         assert new_rng.random(4).tobytes() == old_rng.random(4).tobytes()
