@@ -107,11 +107,6 @@ class AdapterNet:
     def copy(self) -> "AdapterNet":
         return copy.deepcopy(self)
 
-    def zero_head_(self) -> "AdapterNet":
-        self.weights["out_w"][...] = 0.0
-        self.weights["out_b"][...] = 0.0
-        return self
-
 
 def _forward(net_weights, config: AdapterConfig, raw_norm, scale, t_scale: int,
              truth_norm=None, teacher_mask=None):

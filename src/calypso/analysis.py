@@ -16,8 +16,8 @@ evaluation order.  A model builds the simulator's week coefficients once
 per graph, and every run and batch on that graph reuses them.  A patch
 list (allocation candidates, noisy feeds) counts each distinct id once,
 in graph order; outbreak ranking seeds every patch but its target.  Data
-correction scores a feature set by one ``simulate`` over the window and
-the horizon; its noise draw d is seeded ``seed + 1 + d``.
+correction scores a feature set by one ``calib.forecast`` over the window
+and the horizon; its noise draw d is seeded ``seed + 1 + d``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import seeding
-from .calib import CalibNet, TrainConfig, infer_params, train_joint
+from .calib import CalibNet, TrainConfig, forecast, infer_params, train_joint
 from .core import (
     NON_GENERAL,
     DataSet,
@@ -45,7 +45,7 @@ from .errors import (
     ShapeMismatch,
     UnknownRegion,
 )
-from .sim import SimConfig, patch_coefficients, plain_totals, plain_trajectory, seed_outbreak, simulate
+from .sim import patch_coefficients, plain_totals, plain_trajectory, seed_outbreak
 
 
 @dataclass(frozen=True)
@@ -399,11 +399,9 @@ def _correction_metric(net: CalibNet, dataset: DataSet, clean: DataSet, graph: P
     against the clean observations; input noise degrades both the
     calibrated parameter paths and the horizon continuation.
     """
-    span = clean.window + clean.horizon
-    params = infer_params(net, dataset, graph).extended(clean.horizon)
-    traj = simulate(graph, params, dataset.initial_infections, SimConfig(steps=span))
+    traj = forecast(net, dataset, graph, clean.horizon)
     pred = aggregate(traj.weekly_series, "state", graph)[0]
-    obs = aggregate(clean.observed[:, :span], "state", graph)[0]
+    obs = aggregate(clean.observed[:, : clean.window + clean.horizon], "state", graph)[0]
     return metrics(pred, obs)["r2"]
 
 
@@ -461,7 +459,7 @@ def greedy_data_correction(net: CalibNet, clean: DataSet, graph: PatchGraph,
         if retrain is None:
             return net
         return train_joint(
-            CalibNet(dataset.features.shape[2], bounds=net.bounds, config=net.config, seed=net.seed),
+            CalibNet(dataset.features.shape[2], config=net.config, seed=net.seed),
             dataset, graph, retrain,
         ).net
 

@@ -3,8 +3,8 @@
 A ``Tape`` records every operation as an append-only node list; parents
 always precede children, so a single reverse sweep propagates adjoints.
 ``DualValue`` is a lightweight handle (tape, node index, forward value)
-with numpy-style operators, which lets the simulator run unchanged on
-plain arrays or on tape-recorded values.
+with ``+``, ``-``, ``*`` and ``/`` (a DualValue dividend), which lets the
+simulator run unchanged on plain arrays or on tape-recorded values.
 
 Each node is one flat tuple ``(kind, a, b, s0, s1)``: ``a`` and ``b`` are
 the parent indices (-1 where there is none), and ``s0``/``s1`` hold what
@@ -13,16 +13,16 @@ their two operands; sigmoid, tanh and relu their output (relu's
 ``out > 0`` is ``x > 0``, NaN included); min its mask; col its column
 and sum nothing, each with the parent's shape; a variable its value.
 add, sub and min keep both operand shapes only when they differ, that
-is under broadcasting.  neg and colvec save nothing, and every constant
-leaf is the one shared record ``_CONST``.  The tape keeps no forward
+is under broadcasting.  colvec saves nothing, and every constant leaf
+is the one shared record ``_CONST``.  The tape keeps no forward
 values of its own, so a value no rule saves is freed once the model code
 drops its ``DualValue``.  A record holds only strings, numbers, arrays
 and tuples of these, which the garbage collector stops tracking once it
 has examined them, so a long tape adds little to later collections.
 
-Supported record kinds: add, sub, mul, div, neg, min, sigmoid, tanh,
-relu, matmul, sum (of every element), col (column extraction, used to
-peel parameter columns off a matrix) and colvec.  ``min`` sends gradient
+Supported record kinds: add, sub, mul, div, min, sigmoid, tanh, relu,
+matmul, sum (of every element), col (column extraction, used to peel
+parameter columns off a matrix) and colvec.  ``min`` sends gradient
 to the smaller argument and, on ties, to the first one, which keeps
 gradients deterministic.
 
@@ -107,18 +107,6 @@ class DualValue:
     def __truediv__(self, other):
         return self.tape._binary("div", self, other)
 
-    def __rtruediv__(self, other):
-        return self.tape._binary("div", other, self)
-
-    def __matmul__(self, other):
-        return self.tape._binary("matmul", self, other)
-
-    def __rmatmul__(self, other):
-        return self.tape._binary("matmul", other, self)
-
-    def __neg__(self):
-        return self.tape.record("neg", self)
-
 
 class Tape:
     """Append-only record of operations with a reverse adjoint sweep.
@@ -187,7 +175,7 @@ class Tape:
 
     def record(self, op: str, x: DualValue, arg=None) -> DualValue:
         """Record one unary operation on ``x``, a node of this tape: sigmoid,
-        tanh, relu, neg, sum (of every element), col (``arg`` the column) or
+        tanh, relu, sum (of every element), col (``arg`` the column) or
         colvec."""
         if x.tape is not self:
             raise TapeMismatch("operand lives on a different tape")
@@ -200,8 +188,6 @@ class Tape:
             node = (op, a, -1, out, None)
         elif op == "sum":
             out, node = np.asarray(av.sum()), ("sum", a, -1, None, av.shape)
-        elif op == "neg":
-            out, node = -av, ("neg", a, -1, None, None)
         elif op == "colvec":
             out, node = av[:, None], ("colvec", a, -1, None, None)
         else:
@@ -279,8 +265,6 @@ class Tape:
                 ga = g * (s0 > 0)  # out > 0 exactly where x > 0
             elif kind == "colvec":
                 ga = g[:, 0]
-            elif kind == "neg":
-                ga = -g
             elif kind == "min":
                 if nodes[a] is not _CONST:
                     ga = g * s0 if s1 is None else _unbroadcast(g * s0, s1[0])

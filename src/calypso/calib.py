@@ -9,13 +9,16 @@ week-specific parameters:
 - decoder: a feed-forward layer conditioned on normalized time-index
   features (``time_features``, which the adapter shares: a linear term
   plus sine/cosine harmonics), emitting one logit per parameter,
-  squashed into its bound interval via ``lo + (hi - lo) * sigmoid(logit)``.
+  squashed into its bound interval via ``lo + (hi - lo) * sigmoid(logit)``;
+  every net uses the one bound table, ``core.DEFAULT_PARAM_BOUNDS``.
 
 Training is full-batch gradient descent on the multi-resolution MSE
 (patch + region + state), differentiated straight through the simulator
 by the autodiff tape.  Adam with coupled weight decay, gradient-norm
 clipping, and a step-decay learning-rate schedule; the best weights by
 lowest loss and by highest state-level R^2 are both retained.
+``forecast`` (the window plus ``h >= 0`` weeks) is the one path from a
+net to a simulated trajectory.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from . import autodiff as ad
 from . import io, seeding
 from .core import (
     DEFAULT_PARAM_BOUNDS,
+    PARAM_HI,
+    PARAM_LO,
     PARAM_NAMES,
     DataSet,
     DiseaseParams,
@@ -39,14 +44,7 @@ from .core import (
     check_option,
     metrics,
 )
-from .errors import (
-    DegenerateTruth,
-    HorizonZero,
-    InvalidOption,
-    NonFiniteLoss,
-    ShapeMismatch,
-    WindowMismatch,
-)
+from .errors import DegenerateTruth, InvalidOption, NonFiniteLoss, ShapeMismatch, WindowMismatch
 from .sim import SimConfig, iterate_sirs, simulate
 
 
@@ -96,22 +94,12 @@ class TrainConfig:
 
 
 class CalibNet:
-    """Weights, bound spec, and architecture sizes of the calibration net."""
+    """Weights and architecture sizes of the calibration net; its outputs
+    lie inside ``core.DEFAULT_PARAM_BOUNDS``."""
 
-    def __init__(
-        self,
-        n_features: int,
-        bounds: dict[str, tuple[float, float]] | None = None,
-        config: CalibConfig = CalibConfig(),
-        seed: int = 0,
-    ):
+    def __init__(self, n_features: int, config: CalibConfig = CalibConfig(), seed: int = 0):
         self.n_features = int(n_features)
         self.config = config
-        self.bounds = dict(bounds or DEFAULT_PARAM_BOUNDS)
-        for name in PARAM_NAMES:
-            lo, hi = self.bounds[name]
-            if not lo < hi:
-                raise ShapeMismatch(f"bound interval for {name} is empty")
         self.seed = int(seed)
         h, d = config.hidden, config.decoder_width
         k = 1 + 2 * config.time_harmonics
@@ -138,16 +126,9 @@ class CalibNet:
     def copy(self) -> "CalibNet":
         return copy.deepcopy(self)
 
-    def zero_(self) -> "CalibNet":
-        """Zero every weight in place (useful in tests)."""
-        for v in self.weights.values():
-            v[...] = 0.0
-        return self
-
     def bound_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([[self.bounds[n][0] for n in PARAM_NAMES]])
-        hi = np.array([[self.bounds[n][1] for n in PARAM_NAMES]])
-        return lo, hi - lo
+        """(low, width) of the parameter bounds as (1, 5) rows."""
+        return PARAM_LO, PARAM_HI - PARAM_LO
 
 
 def time_features(window: int, harmonics: int, t_scale: int | None = None) -> np.ndarray:
@@ -247,17 +228,6 @@ def _mr_loss(i_steps, observed: np.ndarray, graph: PatchGraph, lw: LossWeights):
     )
 
 
-def multi_resolution_loss(pred: Trajectory, observed: DataSet, weights: LossWeights, graph: PatchGraph) -> float:
-    """Weighted patch/region/state MSE of a trajectory against observations."""
-    window = observed.window
-    if pred.n_steps < window:
-        raise WindowMismatch(f"trajectory covers {pred.n_steps} steps, window is {window}")
-    if pred.I.shape[0] != observed.n_patches or observed.n_patches != graph.n_patches:
-        raise WindowMismatch("trajectory/observations/graph disagree on patches")
-    i_steps = [pred.I[:, t + 1] for t in range(window)]
-    return float(_mr_loss(i_steps, observed.training_observed(), graph, weights))
-
-
 def _state_r2(i_steps_values, observed: np.ndarray, graph: PatchGraph) -> float:
     pred = np.stack([np.asarray(v) for v in i_steps_values], axis=1)
     pred_state = aggregate(pred, "state", graph)[0]
@@ -292,8 +262,7 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
     feats = (raw_region - norm_mean) / norm_std
     tau = time_features(window, net.config.time_harmonics)
     lo, span = net.bound_arrays()
-    lo_tol = lo.ravel() - 1e-9
-    hi_tol = lo.ravel() + span.ravel() + 1e-9
+    lo_tol, hi_tol = PARAM_LO.ravel() - 1e-9, PARAM_HI.ravel() + 1e-9
     observed = data.training_observed()
     init = data.initial_infections
     bmat = graph.broadcast_matrix
@@ -361,14 +330,12 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
 
 
 def forecast(net: CalibNet, data: DataSet, graph: PatchGraph, h: int) -> Trajectory:
-    """Simulate the window plus ``h`` extra weeks.
+    """Simulate the window plus ``h >= 0`` extra weeks (``h = 0``: the fit alone).
 
     Parameters beyond the window hold the last inferred week's values;
     the simulation runs straight through, so the horizon continues from
     the final calibrated state.
     """
-    if h < 1:
-        raise HorizonZero("forecast horizon must be >= 1")
     params = infer_params(net, data, graph).extended(h)
     return simulate(graph, params, data.initial_infections, SimConfig(steps=data.window + h))
 
@@ -377,7 +344,7 @@ def save_checkpoint(path, net: CalibNet, extra: dict | None = None) -> Path:
     return io.write_checkpoint(
         path, "calib", net, extra,
         n_features=net.n_features,
-        bounds={k: list(v) for k, v in net.bounds.items()},
+        bounds={k: list(v) for k, v in DEFAULT_PARAM_BOUNDS.items()},
         norm_mean=None if net.norm_mean is None else net.norm_mean.tolist(),
         norm_std=None if net.norm_std is None else net.norm_std.tolist(),
     )
@@ -385,8 +352,7 @@ def save_checkpoint(path, net: CalibNet, extra: dict | None = None) -> Path:
 
 def load_checkpoint(path) -> tuple[CalibNet, dict]:
     def build(config: CalibConfig, seed: int, payload: dict) -> CalibNet:
-        bounds = {k: tuple(map(float, v)) for k, v in payload["bounds"].items()}
-        net = CalibNet(payload["n_features"], bounds=bounds, config=config, seed=seed)
+        net = CalibNet(payload["n_features"], config=config, seed=seed)
         if payload["norm_mean"] is not None or payload["norm_std"] is not None:
             shape = (1, 1, net.n_features)
             net.norm_mean = io.checkpoint_array(payload["norm_mean"], shape)

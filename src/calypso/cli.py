@@ -6,7 +6,8 @@ metrics.  Every run writes its results plus a ``run_manifest.json``
 (effective config, seed, git-describe string, wall time).  A JSON config
 file may supply defaults via ``--config``; explicit flags override it.
 Every numeric option has a bound in ``_BOUNDS``, checked before any work
-(from a flag or ``--config``); a refusal names the flag.
+(from a flag or ``--config``); a refusal names the flag.  Every command
+that reads ``--checkpoint`` loads it through ``_load_net``.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical abort.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 from . import adapter as adapter_mod
 from . import analysis, calib, eakf, io, synth
 from .core import NON_GENERAL, aggregate, check_option, metrics as compute_metrics
-from .errors import DataError, InvalidOption, NumericalError, ShapeMismatch
+from .errors import DataError, HorizonZero, InvalidOption, NumericalError, ShapeMismatch
 from .io import write_json as _write_json, write_rows as _write_rows
 from .sim import SimConfig, simulate
 
@@ -66,9 +67,17 @@ def _load_bundle(config: dict):
     return graph, io.load_dataset(config["data"], graph, window=config.get("window"), horizon=config["horizon"])
 
 
-def _load_model(config: dict, graph, data) -> analysis.FittedModel:
+def _load_net(config: dict, data) -> calib.CalibNet:
+    """The ``--checkpoint`` net; a net fit on another feature-channel count is refused."""
     net, _ = calib.load_checkpoint(config["checkpoint"])
-    return analysis.FittedModel.from_calibration(net, data, graph)
+    if net.n_features != data.features.shape[2]:
+        raise ShapeMismatch(f"{config['checkpoint']}: net takes {net.n_features} feature channels, "
+                            f"{Path(config['data']) / 'features.csv'} has {data.features.shape[2]}")
+    return net
+
+
+def _load_model(config: dict, graph, data) -> analysis.FittedModel:
+    return analysis.FittedModel.from_calibration(_load_net(config, data), data, graph)
 
 
 # -- subcommand bodies ----------------------------------------------------
@@ -126,9 +135,7 @@ def cmd_adapter(config: dict) -> list:
         teacher_ratio=config["teacher_ratio"], seed=config["seed"],
     )
     graph, data = _load_bundle(config)
-    net, _ = calib.load_checkpoint(config["checkpoint"])
-    traj = simulate(graph, calib.infer_params(net, data, graph), data.initial_infections,
-                    SimConfig(steps=data.window))
+    traj = calib.forecast(_load_net(config, data), data, graph, 0)
     raw = adapter_mod.stack_levels(traj.weekly_series, graph)
     truth = adapter_mod.stack_levels(data.training_observed(), graph)
     ad_net = adapter_mod.AdapterNet(seed=config["seed"])
@@ -141,9 +148,10 @@ def cmd_adapter(config: dict) -> list:
 
 
 def cmd_forecast(config: dict) -> list:
+    if config["horizon"] < 1:
+        raise HorizonZero(f"forecast needs --horizon >= 1, got {config['horizon']}")
     graph, data = _load_bundle(config)
-    net, _ = calib.load_checkpoint(config["checkpoint"])
-    traj = calib.forecast(net, data, graph, config["horizon"])
+    traj = calib.forecast(_load_net(config, data), data, graph, config["horizon"])
     out = _out_dir(config)
     written = [io.write_trajectory(out / "forecast_trajectory.csv", graph, traj)]
     written += io.write_level_series(out, graph, traj.weekly_series, "forecast")

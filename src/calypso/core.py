@@ -33,7 +33,8 @@ NON_GENERAL = "non-general"
 
 PARAM_NAMES = ("beta", "gamma", "delta", "kappa", "epsilon")
 
-# Default admissible intervals for the SIRS parameters (weekly scale).
+# The admissible interval of each SIRS parameter (weekly scale): every
+# calibration net, checkpoint and EAKF ensemble uses these.
 DEFAULT_PARAM_BOUNDS = {
     "beta": (0.0, 1.0),
     "gamma": (0.05, 0.9),
@@ -49,6 +50,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.asarray(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+# The same bounds as read-only (1, 5) rows in ``PARAM_NAMES`` order.
+PARAM_LO, PARAM_HI = (_readonly([[DEFAULT_PARAM_BOUNDS[n][i] for n in PARAM_NAMES]]) for i in (0, 1))
 
 
 class PatchGraph:

@@ -36,14 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import seeding
-from .core import (
-    DEFAULT_PARAM_BOUNDS,
-    PARAM_NAMES,
-    DataSet,
-    PatchGraph,
-    Trajectory,
-    check_option,
-)
+from .core import DEFAULT_PARAM_BOUNDS, PARAM_HI, PARAM_LO, PARAM_NAMES, DataSet, PatchGraph, Trajectory, check_option
 from .errors import CollapsedEnsemble, ShapeMismatch
 from .sim import sirs_step, week_coefficients
 
@@ -126,21 +119,18 @@ def init_ensemble(
 
 
 def _clamp_params(params: np.ndarray, n_regions: int) -> None:
-    """Reflect parameter excursions back inside ``DEFAULT_PARAM_BOUNDS``, in place.
+    """Reflect parameter excursions back inside ``DEFAULT_PARAM_BOUNDS``, in
+    place, in one pass over every parameter column.
 
     Reflection (rather than hard clipping) keeps the ensemble spread
     alive when an update pushes many members across a bound; a member
     stuck exactly on a bound would otherwise pin the whole column there.
     """
-    for p, name in enumerate(PARAM_NAMES):
-        lo, hi = DEFAULT_PARAM_BOUNDS[name]
-        block = params[:, p * n_regions : (p + 1) * n_regions]
-        width = hi - lo
-        over = block > hi
-        block[over] = hi - np.minimum(block[over] - hi, width)
-        under = block < lo
-        block[under] = lo + np.minimum(lo - block[under], width)
-        np.clip(block, lo, hi, out=block)
+    lo, hi = np.repeat(PARAM_LO, n_regions), np.repeat(PARAM_HI, n_regions)
+    width = hi - lo
+    np.copyto(params, hi - np.minimum(params - hi, width), where=params > hi)
+    np.copyto(params, lo + np.minimum(lo - params, width), where=params < lo)
+    np.clip(params, lo, hi, out=params)
 
 
 def _repair(ens: Ensemble, populations: np.ndarray) -> None:
@@ -259,8 +249,7 @@ def run_eakf(
         obs_error_variance=obs_error_variance, seed=seed,
     )
     walk_rng = seeding.spawn_rng(seed, seeding.EAKF, 1)
-    widths = np.repeat([DEFAULT_PARAM_BOUNDS[name][1] - DEFAULT_PARAM_BOUNDS[name][0] for name in PARAM_NAMES],
-                       ens.n_regions)
+    widths = np.repeat(PARAM_HI - PARAM_LO, ens.n_regions)
     observed = data.training_observed()
     window = data.window
     theta, theta_t, n_eff = graph.theta, graph.theta_t, graph.n_eff

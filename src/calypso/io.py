@@ -26,8 +26,8 @@ one seed give byte-identical files, and a NaN or inf raises
 ``NonFiniteOutput`` naming the file and line (CLI exit 4).
 ``write_json`` writes every JSON result.  The checkpoint codec
 (``write_checkpoint``/``read_checkpoint``) checks a file against a net
-rebuilt from its own config; ``read_json`` is the strict parse it shares
-with ``--config`` files.
+rebuilt from its own config and against ``DEFAULT_PARAM_BOUNDS``;
+``read_json`` is the strict parse it shares with ``--config`` files.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import (GENERAL, NON_GENERAL, PARAM_NAMES, DataSet, DiseaseParams, PatchGraph, Trajectory, aggregate,
-                   build_travel_matrix)
+from .core import (DEFAULT_PARAM_BOUNDS, GENERAL, NON_GENERAL, PARAM_NAMES, DataSet, DiseaseParams, PatchGraph,
+                   Trajectory, aggregate, build_travel_matrix)
 from .errors import CheckpointError, DataError, InvalidOption, InvalidValue, NonFiniteOutput, ShapeMismatch
 
 # Rows read or written per numpy call: enough to amortise the call, few
@@ -578,10 +578,11 @@ def read_checkpoint(path, kind: str, config_type, fields: Sequence[str],
     """Read a ``write_checkpoint`` file back; returns (net, extra).
 
     ``build(config, seed, payload)`` makes a fresh net from the stored
-    config and the caller's ``fields``.  ``seed``, ``n_features`` and
-    ``t_scale`` must be JSON integers (not bools) of at least
-    ``_CHECKPOINT_INTS``'s low, ``bounds`` must name exactly
-    ``PARAM_NAMES`` and ``extra`` must be an object.  The stored weights
+    config and the caller's ``fields``.  Every int field of the config,
+    ``seed``, ``n_features`` and ``t_scale`` must be JSON integers (not
+    bools), the last three of at least ``_CHECKPOINT_INTS``'s low;
+    ``bounds`` must be ``DEFAULT_PARAM_BOUNDS``, the one interval set every
+    net uses, and ``extra`` must be an object.  The stored weights
     must have exactly that net's names and shapes, and every number must be
     finite; each fault raises ``CheckpointError`` naming the file and the
     key or the fault.
@@ -595,13 +596,20 @@ def read_checkpoint(path, kind: str, config_type, fields: Sequence[str],
     if not isinstance(payload, dict) or payload.get("kind") != kind:
         raise bad(f"not a {kind} checkpoint")
     _check_keys(bad, "key", payload, {"kind", "config", "seed", "weights", "extra", *fields})
-    _check_keys(bad, "config key", payload["config"], {f.name for f in dataclasses.fields(config_type)})
+    config_fields = dataclasses.fields(config_type)
+    _check_keys(bad, "config key", payload["config"], {f.name for f in config_fields})
+    for f in config_fields:
+        if f.type in (int, "int") and type(payload["config"][f.name]) is not int:
+            raise bad(f"config {f.name} is {json.dumps(payload['config'][f.name])}, need an integer")
     for key, (low, nullable) in _CHECKPOINT_INTS.items():
         value = payload.get(key)
         if key in payload and not (type(value) is int and value >= low or nullable and value is None):
             raise bad(f"{key} is {json.dumps(value)}, need an integer >= {low}{' or null' if nullable else ''}")
     if "bounds" in payload:
         _check_keys(bad, "bound", payload["bounds"], set(PARAM_NAMES))
+        for name, pair in payload["bounds"].items():
+            if pair != list(DEFAULT_PARAM_BOUNDS[name]) or any(isinstance(v, bool) for v in pair):
+                raise bad(f"bounds {name} is {json.dumps(pair)}, need {json.dumps(DEFAULT_PARAM_BOUNDS[name])}")
     if not isinstance(payload["extra"], dict):
         raise bad(f"extra is {json.dumps(payload['extra'])}, need an object")
     try:

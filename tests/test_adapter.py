@@ -87,7 +87,9 @@ def checksum(weights):
 class TestRefine:
     def test_zero_head_is_identity_on_nonnegative_series(self, series):
         raw, _ = series
-        net = AdapterNet(seed=0).zero_head_()
+        net = AdapterNet(seed=0)
+        net.weights["out_w"][...] = 0.0
+        net.weights["out_b"][...] = 0.0
         assert np.allclose(refine(net, raw), raw)
 
     def test_output_clamped_at_zero(self):

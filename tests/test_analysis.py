@@ -51,7 +51,7 @@ def no_simulation(monkeypatch):
     def simulate(*args, **kwargs):
         raise AssertionError("simulated before refusing the input")
 
-    for name in ("simulate", "plain_trajectory", "plain_totals"):
+    for name in ("forecast", "plain_trajectory", "plain_totals"):
         monkeypatch.setattr(analysis, name, simulate)
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,10 @@ from calypso.calib import (
     TrainConfig,
     forecast,
     infer_params,
-    multi_resolution_loss,
     train_joint,
 )
-from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES, DataSet, Trajectory
-from calypso.errors import CheckpointError, HorizonZero, InvalidOption, NonFiniteLoss, WindowMismatch
+from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES
+from calypso.errors import CheckpointError, InvalidOption, NonFiniteLoss, WindowMismatch
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,9 @@ def small_net(bundle, seed=0):
 
 class TestInferParams:
     def test_zero_weights_give_bound_midpoints(self, bundle):
-        net = small_net(bundle).zero_()
+        net = small_net(bundle)
+        for w in net.weights.values():
+            w[...] = 0.0
         params = infer_params(net, bundle.data, bundle.graph)
         for name in PARAM_NAMES:
             lo, hi = DEFAULT_PARAM_BOUNDS[name]
@@ -88,17 +91,11 @@ class TestInferParams:
 
 
 class TestMultiResolutionLoss:
+    """The loss ``train_joint`` records, on plain weekly prediction columns."""
+
     def test_zero_when_prediction_matches(self, bundle):
-        g, d = bundle.graph, bundle.data
-        W = d.window
-        obs = d.training_observed()
-        ident = Trajectory(
-            S=np.zeros((g.n_patches, W + 1)),
-            I=np.concatenate([d.initial_infections[:, None], obs], axis=1),
-            R=np.zeros((g.n_patches, W + 1)),
-            new_infections=np.zeros((g.n_patches, W)),
-        )
-        assert multi_resolution_loss(ident, d, LossWeights(), g) == pytest.approx(0.0)
+        obs = bundle.data.training_observed()
+        assert calib._mr_loss(list(obs.T), obs, bundle.graph, LossWeights()) == pytest.approx(0.0)
 
     def test_hand_computed_patch_term(self):
         # 4 patches, 10 steps, single error of 2 -> patch MSE 4/40 = 0.1
@@ -107,28 +104,18 @@ class TestMultiResolutionLoss:
         ids = [f"p{i}" for i in range(4)]
         g = core.PatchGraph({p: 100.0 for p in ids}, {p: "r0" for p in ids},
                             {p: "general" for p in ids}, np.eye(4))
-        obs = np.zeros((4, 10))
-        features = np.zeros((4, 10, 1))
-        d = DataSet(features=features, observed=obs, initial_infections=np.zeros(4),
-                    horizon=0, window=10, feature_names=("x",))
-        i_mat = np.zeros((4, 11))
-        i_mat[0, 3] = 2.0  # week 2 prediction off by 2
-        traj = Trajectory(S=np.zeros((4, 11)), I=i_mat, R=np.zeros((4, 11)),
-                          new_infections=np.zeros((4, 10)))
-        loss = multi_resolution_loss(traj, d, LossWeights(1.0, 0.0, 0.0), g)
+        pred = np.zeros((4, 10))
+        pred[0, 2] = 2.0  # week 2 prediction off by 2
+        loss = calib._mr_loss(list(pred.T), np.zeros((4, 10)), g, LossWeights(1.0, 0.0, 0.0))
         assert loss == pytest.approx(0.1)
 
     def test_relabeling_invariance(self, bundle):
-        g, d = bundle.graph, bundle.data
+        g, obs = bundle.graph, bundle.data.training_observed()
         rng = np.random.default_rng(1)
-        W = d.window
-        i_mat = rng.uniform(0, 50, size=(g.n_patches, W + 1))
-        traj = Trajectory(S=np.zeros_like(i_mat), I=i_mat, R=np.zeros_like(i_mat),
-                          new_infections=np.zeros((g.n_patches, W)))
-        base = multi_resolution_loss(traj, d, LossWeights(), g)
+        pred = rng.uniform(0, 50, size=obs.shape)
+        base = calib._mr_loss(list(pred.T), obs, g, LossWeights())
 
         import calypso.core as core
-        import dataclasses
 
         perm = np.arange(g.n_patches)[::-1]
         new_ids = [f"z{k}" for k in range(g.n_patches)]
@@ -138,18 +125,8 @@ class TestMultiResolutionLoss:
             {new_ids[k]: g.category_of[g.patch_ids[perm[k]]] for k in range(g.n_patches)},
             g.theta[np.ix_(perm, perm)],
         )
-        d2 = dataclasses.replace(d, features=d.features[perm], observed=d.observed[perm],
-                                 initial_infections=d.initial_infections[perm])
-        traj2 = dataclasses.replace(traj, I=i_mat[perm], S=np.zeros_like(i_mat),
-                                    R=np.zeros_like(i_mat))
-        assert multi_resolution_loss(traj2, d2, LossWeights(), g2) == pytest.approx(base, rel=1e-12)
-
-    def test_window_mismatch(self, bundle):
-        g, d = bundle.graph, bundle.data
-        short = Trajectory(S=np.zeros((g.n_patches, 3)), I=np.zeros((g.n_patches, 3)),
-                           R=np.zeros((g.n_patches, 3)), new_infections=np.zeros((g.n_patches, 2)))
-        with pytest.raises(WindowMismatch):
-            multi_resolution_loss(short, d, LossWeights(), g)
+        relabeled = calib._mr_loss(list(pred[perm].T), obs[perm], g2, LossWeights())
+        assert relabeled == pytest.approx(base, rel=1e-12)
 
     def test_weights_validated(self):
         with pytest.raises(InvalidOption):
@@ -305,9 +282,14 @@ class TestForecast:
         cont = simulate(g, ext, np.array([50.0]), SimConfig(steps=304))
         assert np.allclose(cont.I[0, -4:], i_eq, rtol=1e-3)
 
-    def test_horizon_zero_rejected(self, bundle):
-        with pytest.raises(HorizonZero):
-            forecast(small_net(bundle), bundle.data, bundle.graph, 0)
+    def test_horizon_zero_is_the_fit_alone(self, bundle):
+        from calypso.sim import SimConfig, simulate
+
+        net, data, graph = small_net(bundle), bundle.data, bundle.graph
+        got = forecast(net, data, graph, 0)
+        want = simulate(graph, infer_params(net, data, graph), data.initial_infections, SimConfig(data.window))
+        for name in ("S", "I", "R", "new_infections"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestCheckpoint:
@@ -320,7 +302,7 @@ class TestCheckpoint:
         p1 = infer_params(result.net, bundle.data, bundle.graph)
         p2 = infer_params(loaded, bundle.data, bundle.graph)
         assert np.array_equal(p1.beta, p2.beta)
-        assert loaded.bounds == result.net.bounds
+        assert json.loads(path.read_text())["bounds"] == {k: list(v) for k, v in DEFAULT_PARAM_BOUNDS.items()}
 
     def test_non_finite_value_is_not_written(self, bundle, tmp_path):
         with pytest.raises(CheckpointError):

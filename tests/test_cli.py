@@ -360,13 +360,35 @@ class TestErrorHandling:
          "adapter.json: adapter was fit on a different number of units"),
         ("data", None, "ShapeMismatch", "feature channels"),
         ("epochs", None, "InvalidOption", "--epochs"),
+        ("calib", _json_edit(lambda p: p["config"].update(hidden=2.5)), "CheckpointError",
+         "checkpoint.json: config hidden is 2.5, need an integer"),
+        ("calib", _json_edit(lambda p: p["config"].update(hidden=True)), "CheckpointError",
+         "checkpoint.json: config hidden is true, need an integer"),
+        ("calib", _json_edit(lambda p: p["config"].update(time_harmonics=1.5)), "CheckpointError",
+         "checkpoint.json: config time_harmonics is 1.5, need an integer"),
+        ("adapter", _json_edit(lambda p: p["config"].update(hidden=12.0)), "CheckpointError",
+         "adapter.json: config hidden is 12.0, need an integer"),
+        ("adapter", _json_edit(lambda p: p["config"].update(layers=False)), "CheckpointError",
+         "adapter.json: config layers is false, need an integer"),
+        ("adapter", _json_edit(lambda p: p["config"].update(time_harmonics=0.5)), "CheckpointError",
+         "adapter.json: config time_harmonics is 0.5, need an integer"),
+        ("calib", _json_edit(lambda p: p["bounds"].update(beta=[-5, 5])), "CheckpointError",
+         "checkpoint.json: bounds beta is [-5, 5], need [0.0, 1.0]"),
+        ("calib", _json_edit(lambda p: p["bounds"].update(beta=[0.2, 0.8])), "CheckpointError",
+         "checkpoint.json: bounds beta is [0.2, 0.8], need [0.0, 1.0]"),
+        ("calib", _json_edit(lambda p: p["bounds"].update(gamma=[0.5])), "CheckpointError",
+         "checkpoint.json: bounds gamma is [0.5], need [0.05, 0.9]"),
+        ("calib", _json_edit(lambda p: p["bounds"].update(delta=[False, 0.2])), "CheckpointError",
+         "checkpoint.json: bounds delta is [false, 0.2], need [0.0, 0.2]"),
     ], ids=["not-json", "calib-missing-n_features", "unknown-config-key", "calib-truncated-weight",
             "adapter-truncated-weight", "calib-missing-weight", "adapter-missing-weight",
             "adapter-nan-weight", "adapter-missing-t_scale", "calib-zero-hidden", "adapter-zero-hidden",
             "calib-float-seed", "calib-bool-seed", "calib-float-n_features", "calib-extra-not-an-object",
             "calib-sixth-bound", "adapter-negative-t_scale", "adapter-float-t_scale", "adapter-bool-t_scale",
             "adapter-other-unit-count", "feature-channel-mismatch",
-            "calibrate-zero-epochs"])
+            "calibrate-zero-epochs", "calib-float-hidden", "calib-bool-hidden", "calib-float-time_harmonics",
+            "adapter-float-hidden", "adapter-bool-layers", "adapter-float-time_harmonics",
+            "calib-wide-bound", "calib-narrow-bound", "calib-one-number-bound", "calib-bool-bound"])
     def test_malformed_input_exits_three_and_names_fault(
             self, data_dir, checkpoint, adapter_checkpoint, tmp_path, capsys,
             target, mutate, error, fragment):
@@ -393,6 +415,23 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert f"[{error}]" in err and fragment in err, err
 
+    @pytest.mark.parametrize("argv", [["forecast"], ["adapter"], ["policy-region", "--region", "R0"],
+                                      ["policy-greedy"], ["sensitivity"], ["outbreak"]],
+                             ids=lambda argv: argv[0])
+    def test_feature_count_mismatch_names_the_checkpoint_and_features_file(
+            self, data_dir, checkpoint, tmp_path, capsys, argv):
+        data = tmp_path / "data"  # one more feature channel than the net was fit on
+        shutil.copytree(data_dir, data)
+        with open(data_dir / "features.csv", newline="") as fh:
+            rows = [row + [row[-1] if i else "extra"] for i, row in enumerate(csv.reader(fh))]
+        with open(data / "features.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert main(argv + ["--data", str(data), "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert (f"[ShapeMismatch] {checkpoint}: net takes 4 feature channels, "
+                f"{data / 'features.csv'} has 5") in err, err
+
     @pytest.mark.parametrize("argv, table, value, code, error, fragment", [
         (["calibrate"], "cases.csv", "nan", 3, "InvalidValue", "count is nan"),
         (["eakf"], "cases.csv", "nan", 3, "InvalidValue", "count is nan"),
@@ -410,11 +449,13 @@ class TestErrorHandling:
         (["correct-data", "--noisy-patches", "nope"], None, None, 3, "UnknownRegion", "unknown noisy patch 'nope'"),
         (["correct-data", "--noisy-count", "2", "--k", "5"], None, None, 3, "KExceedsNoisySet",
          "k=5 exceeds 2 noisy patches"),
+        (["forecast", "--horizon", "0"], None, None, 3, "HorizonZero", "forecast needs --horizon >= 1, got 0"),
     ] + _SWEEP_ROWS, ids=["calibrate-nan-count", "eakf-nan-count", "eakf-negative-count",
             "eakf-non-numeric-count", "eakf-infinite-feature", "metrics-nan-pred",
             "brute-force-budget-above-candidates", "greedy-budget-above-candidates",
             "greedy-duplicated-candidate", "brute-force-duplicated-candidate",
-            "correct-data-unknown-noisy-patch", "correct-data-k-above-noisy-set"] + _SWEEP_IDS)
+            "correct-data-unknown-noisy-patch", "correct-data-k-above-noisy-set",
+            "forecast-zero-horizon"] + _SWEEP_IDS)
     def test_bad_option_or_value_is_refused(self, data_dir, checkpoint, tmp_path, capsys, monkeypatch,
                                             argv, table, value, code, error, fragment):
         def too_late(*args, **kwargs):
@@ -422,7 +463,7 @@ class TestErrorHandling:
 
         for module, name in [(calib, "train_joint"), (adapter_mod, "train_adapter"), (calib, "forecast"),
                              (eakf, "run_eakf"), (synth, "generate"), (cli, "simulate"),
-                             (analysis, "simulate"), (analysis, "plain_trajectory"), (analysis, "plain_totals")]:
+                             (analysis, "forecast"), (analysis, "plain_trajectory"), (analysis, "plain_totals")]:
             monkeypatch.setattr(module, name, too_late)
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)

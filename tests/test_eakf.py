@@ -205,6 +205,38 @@ class TestEakfStep:
         lo, hi = DEFAULT_PARAM_BOUNDS["beta"]
         assert np.all(post.params[:, 0] >= lo) and np.all(post.params[:, 0] <= hi)
 
+    @staticmethod
+    def clamp_by_blocks(params, n_regions):
+        """The reference: ``_clamp_params``'s reflection one parameter block at a time."""
+        for p, name in enumerate(PARAM_NAMES):
+            lo, hi = DEFAULT_PARAM_BOUNDS[name]
+            block = params[:, p * n_regions : (p + 1) * n_regions]
+            width = hi - lo
+            over = block > hi
+            block[over] = hi - np.minimum(block[over] - hi, width)
+            under = block < lo
+            block[under] = lo + np.minimum(lo - block[under], width)
+            np.clip(block, lo, hi, out=block)
+
+    @pytest.mark.parametrize("n_regions", [1, 3, 40])
+    def test_clamp_equals_the_block_loop_bit_for_bit(self, n_regions):
+        # draws inside, just past, within a width past and more than a width past
+        # each bound, and both infinities, on a strided view as eakf_step passes it
+        rng = np.random.default_rng(n_regions)
+        lo = np.repeat([DEFAULT_PARAM_BOUNDS[n][0] for n in PARAM_NAMES], n_regions)
+        hi = np.repeat([DEFAULT_PARAM_BOUNDS[n][1] for n in PARAM_NAMES], n_regions)
+        width = hi - lo
+        draws = lo + width * rng.uniform(-2.5, 3.5, size=(60, 5 * n_regions))
+        draws[:4] = [hi + 1e-12, lo - 1e-12, hi + 1.7 * width, lo - 2.3 * width]
+        draws[4, ::2], draws[4, 1::2] = np.inf, -np.inf
+        assert (draws > hi + width).any() and (draws < lo - width).any()
+        state = np.concatenate([rng.normal(size=(60, 7)), draws], axis=1)
+        got, want = state.copy(), state.copy()
+        eakf._clamp_params(got[:, 7:], n_regions)
+        self.clamp_by_blocks(want[:, 7:], n_regions)
+        assert got.tobytes() == want.tobytes()
+        assert np.all((got[:, 7:] >= lo) & (got[:, 7:] <= hi))
+
 
 def constant_beta_bundle(spec, base_range=(0.5, 0.55)):
     """``spec``'s bundle with each region's beta held at one value drawn from

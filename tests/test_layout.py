@@ -1,13 +1,22 @@
-"""Source layout checks that need no import of the package: stdlib ``ast`` only."""
+"""Source layout checks that need no import of the package: stdlib ``ast`` only.
+
+Every import a module makes is read in it, and every public function,
+class and method under ``src/calypso/`` is named somewhere other than its
+own definition: in the package, a demo or the acceptance gate.  Code that
+only the other tests reach is dead code with a test.
+"""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "calypso"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "calypso"
 # ``__init__.py`` imports names to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# where a definition under src/calypso/ may be named: the package, the demos and the acceptance gate
+USERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,6 +33,56 @@ def unused_imports(source: str) -> list[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
             if name not in used]
+
+
+def definitions(source: str) -> list[tuple[str, ast.AST]]:
+    """Public functions and classes, and the non-dunder methods of those classes, by qualified name."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append((node.name, node))
+            out += [(f"{node.name}.{m.name}", m) for m in getattr(node, "body", [])
+                    if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return out
+
+
+def names_read(source: str) -> list[tuple[str, int]]:
+    """(identifier, line) of every name, attribute and imported name in ``source``."""
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return [(getattr(node, field[type(node)]), node.lineno)
+            for node in ast.walk(ast.parse(source)) if type(node) in field]
+
+
+def unnamed_definitions(sources: dict[str, str], module: str) -> list[str]:
+    """Definitions in ``sources[module]`` that no source names outside their own lines.
+    ``cli.cmd_*`` is exempt: ``cli._HANDLERS`` reaches each by its subcommand name."""
+    reads = {key: names_read(text) for key, text in sources.items()}
+    out = []
+    for qual, node in definitions(sources[module]):
+        if Path(module).stem == "cli" and qual.startswith("cmd_"):
+            continue
+        if not any(name == node.name and (key != module or not node.lineno <= line <= node.end_lineno)
+                   for key, named in reads.items() for name, line in named):
+            out.append(qual)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_public_definition_is_named_by_the_package_the_demos_or_the_gate(path):
+    sources = {str(p): p.read_text(encoding="utf-8") for p in USERS}
+    assert unnamed_definitions(sources, str(path)) == []
+
+
+def test_the_check_finds_a_definition_only_its_own_body_names():
+    sources = {
+        "a.py": "def used():\n    return 1\n\ndef alone(n):\n    return alone(n - 1)\n\n"
+                "class Net:\n    def __init__(self):\n        pass\n\n    def zero_(self):\n        pass\n",
+        "b.py": "from a import used, Net\nNet()\n",
+        "cli.py": "def cmd_run():\n    pass\n",
+    }
+    assert unnamed_definitions(sources, "a.py") == ["alone", "Net.zero_"]
+    assert unnamed_definitions(sources, "cli.py") == []
+    assert USERS[-1].name == "test_acceptance.py" and any(p.parent.name == "demos" for p in USERS)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
