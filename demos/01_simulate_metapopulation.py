@@ -38,7 +38,7 @@ init = np.array([40.0, 5.0, 20.0, 2.0])  # ordering is sorted patch ids
 init = init[np.argsort(list(populations))]
 
 traj = simulate(graph, params, init, SimConfig(steps=30))
-traj.check(graph.populations)  # S+I+R == P at every step
+traj.check(graph)  # S+I+R == P at every step
 
 print("\nweekly state-level prevalence:")
 state = aggregate(traj.weekly_series, "state", graph)[0]

@@ -30,7 +30,7 @@ from . import autodiff as ad
 from . import io, seeding
 from .calib import time_features
 from .core import PatchGraph, aggregate, check_option
-from .errors import NonFiniteInput, ShapeMismatch
+from .errors import NumericalError, ShapeMismatch
 
 
 def stack_levels(series: np.ndarray, graph: PatchGraph) -> np.ndarray:
@@ -152,7 +152,7 @@ def refine(net: AdapterNet, raw_forecast: np.ndarray) -> np.ndarray:
     if raw.ndim == 1:
         raw = raw[None, :]
     if not np.all(np.isfinite(raw)):
-        raise NonFiniteInput("raw forecast contains non-finite values")
+        raise NumericalError("raw forecast contains non-finite values")
     scale = net.scale if net.scale is not None else np.ones(raw.shape[0])
     if scale.shape[0] != raw.shape[0]:
         raise ShapeMismatch(f"adapter was fit on a different number of units ({scale.shape[0]}, "
@@ -178,7 +178,7 @@ def train_adapter(
     if raw.shape != truth.shape:
         raise ShapeMismatch(f"raw {raw.shape} and truth {truth.shape} differ")
     if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(truth))):
-        raise NonFiniteInput("training series contain non-finite values")
+        raise NumericalError("training series contain non-finite values")
 
     work = net.copy()
     n_units, weeks = raw.shape
@@ -225,7 +225,7 @@ def load_checkpoint(path) -> tuple[AdapterNet, dict]:
     def build(config: AdapterConfig, seed: int, payload: dict) -> AdapterNet:
         net = AdapterNet(config, seed=seed)
         if payload["scale"] is not None:
-            net.scale = io.checkpoint_array(payload["scale"], (len(payload["scale"]),), positive=True)
+            net.scale = io.checkpoint_array("scale", payload["scale"], (None,), positive=True)
         net.t_scale = payload["t_scale"]
         return net
 

@@ -39,12 +39,7 @@ from .core import (
     check_option,
     metrics,
 )
-from .errors import (
-    EmptyCandidates,
-    KExceedsNoisySet,
-    ShapeMismatch,
-    UnknownRegion,
-)
+from .errors import InvalidOption, ShapeMismatch
 from .sim import patch_coefficients, plain_totals, plain_trajectory, seed_outbreak
 
 
@@ -124,7 +119,7 @@ def regional_beta_reduction(model: FittedModel, graph: PatchGraph, region: str,
     sub-populations show up as positive entries (never clamped).
     """
     if region not in graph.region_ids:
-        raise UnknownRegion(f"unknown region {region!r}")
+        raise InvalidOption(f"unknown region {region!r}")
     check_option("factor", factor, 0, strict=True)
     scale = np.ones((graph.n_patches, 2))
     scale[graph.patch_region == graph.region_index[region], 1] = factor
@@ -154,10 +149,10 @@ def regional_beta_reduction(model: FittedModel, graph: PatchGraph, region: str,
 
 
 def _distinct_patches(graph: PatchGraph, ids: Sequence[str], what: str) -> list[str]:
-    """The distinct ``ids`` in graph order; an unknown one raises ``UnknownRegion``."""
+    """The distinct ``ids`` in graph order; an unknown one raises ``InvalidOption``."""
     for pid in ids:
         if pid not in graph.patch_index:
-            raise UnknownRegion(f"unknown {what} patch {pid!r}")
+            raise InvalidOption(f"unknown {what} patch {pid!r}")
     return sorted(set(ids), key=graph.patch_index.__getitem__)
 
 
@@ -174,7 +169,7 @@ def _allocation_candidates(graph: PatchGraph, candidates: Sequence[str] | None,
         candidates = graph.patches_of_category(NON_GENERAL)
     candidates = _distinct_patches(graph, candidates, "candidate")
     if not candidates:
-        raise EmptyCandidates("no candidate patches for allocation")
+        raise InvalidOption("no candidate patches for allocation")
     if budget > len(candidates):
         raise ShapeMismatch(f"budget {budget} exceeds {len(candidates)} candidates")
     return candidates
@@ -316,10 +311,10 @@ def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
     cands = list(graph.patch_ids)
     if target is not None:
         if target not in graph.patch_index:
-            raise UnknownRegion(f"unknown target patch {target!r}")
+            raise InvalidOption(f"unknown target patch {target!r}")
         cands = [c for c in cands if c != target]
     if not cands:
-        raise EmptyCandidates("no candidate outbreak sources")
+        raise InvalidOption("no candidate outbreak sources")
     init = np.empty((graph.n_patches, 1 + len(cands)))
     init[:, 0] = model.init
     for j, c in enumerate(cands, start=1):
@@ -358,7 +353,7 @@ def check_noisy_patches(graph: PatchGraph, noisy_patches: Sequence[str], k: int)
     """
     noisy = _distinct_patches(graph, noisy_patches, "noisy")
     if k > len(noisy):
-        raise KExceedsNoisySet(f"k={k} exceeds {len(noisy)} noisy patches")
+        raise InvalidOption(f"k={k} exceeds {len(noisy)} noisy patches")
     return noisy
 
 
@@ -376,7 +371,7 @@ def corrupt_features(data: DataSet, graph: PatchGraph, patches: Sequence[str],
     sd_ch = features[:, : data.window, :].std(axis=(0, 1))
     for pid in patches:
         if pid not in graph.patch_index:
-            raise UnknownRegion(f"unknown patch {pid!r}")
+            raise InvalidOption(f"unknown patch {pid!r}")
         i = graph.patch_index[pid]
         noise = rng.standard_normal(features[i].shape) * (noise_sd * sd_ch)[None, :]
         features[i] = features[i] + noise

@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergedGradient, DivisionByZero, NonFiniteLoss, NonScalarRoot, TapeMismatch
+from .errors import InvalidValue, NonFiniteLoss, NumericalError, ShapeMismatch
 
 # the three activations' backward rules read only their output
 _ACTIVATIONS = {
@@ -137,14 +137,14 @@ class Tape:
         nodes = self._nodes
         if x.__class__ is DualValue:
             if x.tape is not self:
-                raise TapeMismatch("operands live on different tapes")
+                raise ShapeMismatch("operands live on different tapes")
             a, av = x.index, x.value
         else:
             a, av = len(nodes), np.asarray(x, dtype=float)
             nodes.append(_CONST)
         if y.__class__ is DualValue:
             if y.tape is not self:
-                raise TapeMismatch("operands live on different tapes")
+                raise ShapeMismatch("operands live on different tapes")
             b, bv = y.index, y.value
         else:
             b, bv = len(nodes), np.asarray(y, dtype=float)
@@ -161,7 +161,7 @@ class Tape:
             nodes.append(("matmul", a, b, av, bv))
         elif op == "div":
             if (bv == 0).any():
-                raise DivisionByZero("division by zero on tape")
+                raise InvalidValue("division by zero on tape")
             out = av / bv
             nodes.append(("div", a, b, av, bv))
         elif op == "min":  # ties favor the first argument
@@ -178,7 +178,7 @@ class Tape:
         tanh, relu, sum (of every element), col (``arg`` the column) or
         colvec."""
         if x.tape is not self:
-            raise TapeMismatch("operand lives on a different tape")
+            raise ShapeMismatch("operand lives on a different tape")
         a, av = x.index, x.value
         if op == "col":
             j = int(arg)
@@ -205,9 +205,9 @@ class Tape:
         from fresh adjoints, so the sweep can be repeated.
         """
         if root.tape is not self:
-            raise TapeMismatch("root lives on a different tape")
+            raise ShapeMismatch("root lives on a different tape")
         if np.asarray(root.value).size != 1:
-            raise NonScalarRoot("backward root must be scalar")
+            raise ShapeMismatch("backward root must be scalar")
 
         nodes = self._nodes
         adj: list[np.ndarray | None] = [None] * len(nodes)
@@ -306,10 +306,10 @@ class Adam:
         and returns the scalar loss node; it sees the weights before they
         move, so it may also check and log its forward pass.  A non-finite
         loss raises ``NonFiniteLoss``.  Gradient = adjoint + decay * weight;
-        clip, check finite, update.  The tape and every node on it are
-        unreachable once this returns, so the next step records with no
-        earlier tape alive.  ``where`` (e.g. the epoch) prefixes the
-        ``NonFiniteLoss`` and ``DivergedGradient`` messages.
+        clip, check finite (else ``NumericalError``), update.  The tape and
+        every node on it are unreachable once this returns, so the next step
+        records with no earlier tape alive.  ``where`` (e.g. the epoch)
+        prefixes both messages.
         """
         w = self.weights
         tape = Tape()
@@ -324,7 +324,7 @@ class Adam:
             scale = self.clip_norm / gnorm
             grads = {n: g * scale for n, g in grads.items()}
         if any(not np.all(np.isfinite(g)) for g in grads.values()):
-            raise DivergedGradient(f"{where}: gradient not finite after clipping")
+            raise NumericalError(f"{where}: gradient not finite after clipping")
         self.steps += 1
         b1, b2, t = self.beta1, self.beta2, self.steps
         for n in self.names:

@@ -44,7 +44,7 @@ from .core import (
     check_option,
     metrics,
 )
-from .errors import DegenerateTruth, InvalidOption, NonFiniteLoss, ShapeMismatch, WindowMismatch
+from .errors import DegenerateTruth, InvalidOption, NonFiniteLoss, ShapeMismatch
 from .sim import SimConfig, iterate_sirs, simulate
 
 
@@ -255,7 +255,7 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
     The input net is not mutated; the returned nets are copies.
     """
     if data.window < 8:
-        raise WindowMismatch(f"training window must be >= 8 weeks, got {data.window}")
+        raise InvalidOption(f"training window must be >= 8 weeks, got {data.window}")
     window = data.window
     raw_region = np.einsum("rp,pwf->rwf", graph.region_matrix, data.features[:, :window, :])
     norm_mean, norm_std = feature_stats(raw_region)
@@ -355,8 +355,8 @@ def load_checkpoint(path) -> tuple[CalibNet, dict]:
         net = CalibNet(payload["n_features"], config=config, seed=seed)
         if payload["norm_mean"] is not None or payload["norm_std"] is not None:
             shape = (1, 1, net.n_features)
-            net.norm_mean = io.checkpoint_array(payload["norm_mean"], shape)
-            net.norm_std = io.checkpoint_array(payload["norm_std"], shape, positive=True)
+            net.norm_mean = io.checkpoint_array("norm_mean", payload["norm_mean"], shape)
+            net.norm_std = io.checkpoint_array("norm_std", payload["norm_std"], shape, positive=True)
         return net
 
     fields = ("n_features", "bounds", "norm_mean", "norm_std")

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import adapter as adapter_mod
 from . import analysis, calib, eakf, io, synth
 from .core import NON_GENERAL, aggregate, check_option, metrics as compute_metrics
-from .errors import DataError, HorizonZero, InvalidOption, NumericalError, ShapeMismatch
+from .errors import DataError, InvalidOption, NumericalError, ShapeMismatch
 from .io import write_json as _write_json, write_rows as _write_rows
 from .sim import SimConfig, simulate
 
@@ -149,7 +149,7 @@ def cmd_adapter(config: dict) -> list:
 
 def cmd_forecast(config: dict) -> list:
     if config["horizon"] < 1:
-        raise HorizonZero(f"forecast needs --horizon >= 1, got {config['horizon']}")
+        raise InvalidOption(f"forecast needs --horizon >= 1, got {config['horizon']}")
     graph, data = _load_bundle(config)
     traj = calib.forecast(_load_net(config, data), data, graph, config["horizon"])
     out = _out_dir(config)

@@ -20,13 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateTruth,
-    InvalidOption,
-    OffDiagonalOverflow,
-    ShapeMismatch,
-    UnknownLevel,
-)
+from .errors import DegenerateTruth, InvalidOption, InvalidValue, NumericalError, ShapeMismatch
 
 GENERAL = "general"
 NON_GENERAL = "non-general"
@@ -189,7 +183,7 @@ def build_travel_matrix(commute_flows, facility_flows, populations) -> np.ndarra
     if np.any(out > 1.0 + 1e-12):
         worst = int(np.argmax(out))
         name = ids[worst] if ids is not None else str(worst)
-        raise OffDiagonalOverflow(
+        raise InvalidValue(
             f"outgoing flows from patch {name!r} exceed its population "
             f"({out[worst] * pop[worst]:.6g} > {pop[worst]:.6g})"
         )
@@ -218,7 +212,7 @@ def aggregate(series: np.ndarray, level: str, graph: PatchGraph) -> np.ndarray:
         return region
     if level == "state":
         return region.sum(axis=0, keepdims=True)
-    raise UnknownLevel(f"level must be patch/region/state, got {level!r}")
+    raise InvalidOption(f"level must be patch/region/state, got {level!r}")
 
 
 def metrics(pred, truth) -> dict[str, float]:
@@ -341,14 +335,20 @@ class Trajectory:
         """Patches x steps predicted prevalence (post-step I)."""
         return self.I[:, 1:]
 
-    def check(self, populations: np.ndarray, rtol: float = 1e-6) -> None:
-        """Assert conservation and nonnegativity."""
+    def check(self, graph: PatchGraph) -> None:
+        """Conservation (S+I+R within 1e-6 relative of the populations), then
+        S, I, R >= -1e-9; the first fault raises ``NumericalError`` naming its
+        patch and week."""
+        pop = graph.populations
         total = self.S + self.I + self.R
-        if not np.allclose(total, populations[:, None], rtol=rtol, atol=0):
-            raise ShapeMismatch("S+I+R deviates from populations")
-        for name in ("S", "I", "R"):
-            if np.any(getattr(self, name) < -1e-9):
-                raise ShapeMismatch(f"{name} went negative")
+        checks = [("S+I+R", total, ~np.isclose(total, pop[:, None], rtol=1e-6, atol=0))]
+        checks += [(name, getattr(self, name), getattr(self, name) < -1e-9) for name in ("S", "I", "R")]
+        for label, values, bad in checks:
+            if bad.any():
+                p, t = divmod(int(np.argmax(bad)), bad.shape[1])
+                need = f"the population {pop[p]:.9g}" if label == "S+I+R" else "a value >= 0"
+                raise NumericalError(f"patch {graph.patch_ids[p]!r}, week {t}: "
+                                     f"{label} is {values[p, t]:.9g}, need {need}")
 
 
 @dataclass(frozen=True)

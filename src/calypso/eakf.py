@@ -26,7 +26,7 @@ random-walk step of every parameter (``PARAM_WALK``).
 
 Coordinates whose prior variance is below 1e-12 are left untouched by
 that observation (the zero-gain limit); if *every* observed coordinate
-has collapsed the filter raises ``CollapsedEnsemble``.
+has collapsed the filter raises ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import seeding
 from .core import DEFAULT_PARAM_BOUNDS, PARAM_HI, PARAM_LO, PARAM_NAMES, DataSet, PatchGraph, Trajectory, check_option
-from .errors import CollapsedEnsemble, ShapeMismatch
+from .errors import NumericalError, ShapeMismatch
 from .sim import sirs_step, week_coefficients
 
 _VAR_FLOOR = 1e-12
@@ -160,7 +160,7 @@ def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray) -
 
     prior_var = ens.I.var(axis=0, ddof=1)
     if float(prior_var.max(initial=0.0)) < _VAR_FLOOR:
-        raise CollapsedEnsemble("ensemble variance vanished in every observed coordinate")
+        raise NumericalError("ensemble variance vanished in every observed coordinate")
 
     # multiplicative inflation of all augmented coordinates about the mean
     prior = _inflate(np.concatenate([ens.S, ens.I, ens.R, ens.params], axis=1), ens.inflation)

@@ -1,140 +1,69 @@
-"""Exception hierarchy shared across the package.
+"""The package's exceptions: two families and the classes code tells apart.
 
-Two broad families matter operationally: ``DataError`` for anything wrong
-with inputs or configuration (CLI exit code 3) and ``NumericalError`` for
-aborts of iterative numerics (CLI exit code 4).
+The CLI prints ``calypso: error [Class] message`` to stderr and exits 3
+for a ``DataError`` (bad input or configuration) or 4 for a
+``NumericalError`` (an aborted computation or a broken result).  Every
+message names the option, file, line, key or epoch at fault.
+
+================  ==============  ====  =====================================
+class             family          exit  raised when
+================  ==============  ====  =====================================
+DataError         base            3     an input file cannot be read
+InvalidOption     DataError       3     an option, argument or ``--config``
+                                        value is out of range, names no known
+                                        level, region, patch or target, or
+                                        does not fit the data
+InvalidValue      DataError       3     a number in an input table or array
+                                        is non-numeric, non-finite, negative,
+                                        zero or above a population
+ShapeMismatch     DataError       3     shapes, columns, keys, coverage or
+                                        tapes disagree
+CheckpointError   DataError       3     a checkpoint is not JSON or misfits
+                                        its own config, key by key
+DegenerateTruth   DataError       3     a truth series is constant, so R^2 is
+                                        undefined (``calib`` catches it)
+NumericalError    base            4     gradients diverge, a series or an
+                                        ensemble is unusable, or a trajectory
+                                        breaks S+I+R = P or goes negative
+NonFiniteLoss     NumericalError  4     a training loss is NaN or inf, or a
+                                        parameter leaves its bounds
+NonFiniteOutput   NumericalError  4     a result to be written holds NaN or
+                                        inf
+================  ==============  ====  =====================================
 """
 
 
-class CalypsoError(Exception):
-    """Base class for all package errors."""
+class DataError(Exception):
+    """Invalid inputs, options or file contents (exit 3)."""
 
 
-class DataError(CalypsoError):
-    """Invalid inputs, shapes, identifiers, or file contents."""
+class NumericalError(Exception):
+    """An aborted computation or a broken result (exit 4)."""
 
 
-class NumericalError(CalypsoError):
-    """Non-finite values or collapsed state inside iterative numerics."""
-
-
-# -- core ---------------------------------------------------------------
-
-class OffDiagonalOverflow(DataError):
-    """Outgoing flows from a source patch exceed its population."""
-
-
-class ShapeMismatch(DataError):
-    """Array arguments disagree on shape or length."""
-
-
-class UnknownLevel(DataError):
-    """Aggregation level is not one of patch/region/state."""
-
-
-class DegenerateTruth(DataError):
-    """Truth series has zero variance, so R^2 is undefined."""
-
-
-# -- autodiff -----------------------------------------------------------
-
-class TapeMismatch(DataError):
-    """Operands were recorded on different tapes."""
-
-
-class DivisionByZero(DataError):
-    """Division with a zero denominator on the tape."""
-
-
-class NonScalarRoot(DataError):
-    """backward() called on a non-scalar node."""
-
-
-# -- sim ----------------------------------------------------------------
-
-class ParamCoverage(DataError):
-    """Disease parameters do not cover every region/step of a run."""
-
-
-class NegativeSeed(DataError):
-    """Initial infections contain a negative entry."""
-
-
-class SeedExceedsPopulation(DataError):
-    """Seeded infections exceed the patch population."""
-
-
-class UnknownTarget(DataError):
-    """A scenario names a region or patch that does not exist."""
-
-
-class ZeroEffectivePopulation(DataError):
-    """A patch has zero mobility-weighted population (division impossible)."""
-
-
-# -- calib / adapter ----------------------------------------------------
-
-class WindowMismatch(DataError):
-    """Prediction and observations disagree on the time window."""
-
-
-class HorizonZero(DataError):
-    """Forecast horizon must be at least one step."""
-
-
-class NonFiniteLoss(NumericalError):
-    """Training loss became NaN/inf; message carries the epoch index."""
-
-
-class DivergedGradient(NumericalError):
-    """Gradients are non-finite even after norm clipping."""
-
-
-class NonFiniteInput(NumericalError):
-    """A series handed to the adapter contains NaN/inf."""
-
-
-# -- io -----------------------------------------------------------------
-
-class CheckpointError(DataError):
-    """A checkpoint is not JSON, holds a non-finite number, or misfits its own config."""
+class InvalidOption(DataError):
+    """An option or argument is out of range or names nothing known."""
 
 
 class InvalidValue(DataError):
-    """An input table holds a non-numeric, non-finite or out-of-range value."""
+    """A number is non-numeric, non-finite or out of range."""
+
+
+class ShapeMismatch(DataError):
+    """Shapes, columns, keys or coverage disagree."""
+
+
+class CheckpointError(DataError):
+    """A checkpoint is not JSON or misfits its own config."""
+
+
+class DegenerateTruth(DataError):
+    """A truth series has zero variance, so R^2 is undefined."""
+
+
+class NonFiniteLoss(NumericalError):
+    """A training loss became NaN or inf; the message names the epoch."""
 
 
 class NonFiniteOutput(NumericalError):
-    """A result about to be written as CSV or JSON holds NaN or inf."""
-
-
-# -- cli ----------------------------------------------------------------
-
-class InvalidOption(DataError):
-    """A command-line or config option is out of its allowed range."""
-
-
-# -- eakf ---------------------------------------------------------------
-
-class CollapsedEnsemble(NumericalError):
-    """Ensemble variance vanished in every observed coordinate."""
-
-
-# -- analysis -----------------------------------------------------------
-
-class UnknownRegion(DataError):
-    """Named region is not part of the graph."""
-
-
-class EmptyCandidates(DataError):
-    """Greedy allocation has no candidate patches."""
-
-
-class KExceedsNoisySet(DataError):
-    """Correction budget exceeds the number of noisy patches."""
-
-
-# -- synth --------------------------------------------------------------
-
-class InfeasibleSpec(DataError):
-    """Synthetic-data spec cannot be realised (bad counts or ranges)."""
+    """A result about to be written holds NaN or inf."""

@@ -23,11 +23,14 @@ formatter, ``_cells``, turns a column into text: floats with ``repr``
 (integral ones as ints) after one numpy finiteness check, ints with
 ``str``, text quoted as ``csv``'s QUOTE_MINIMAL quotes it.  Reruns with
 one seed give byte-identical files, and a NaN or inf raises
-``NonFiniteOutput`` naming the file and line (CLI exit 4).
+``NonFiniteOutput`` naming the file and line (CLI exit 4);
+``write_trajectory`` first runs ``Trajectory.check``, so a trajectory off
+S+I+R = P raises ``NumericalError`` naming the file, patch and week.
 ``write_json`` writes every JSON result.  The checkpoint codec
 (``write_checkpoint``/``read_checkpoint``) checks a file against a net
-rebuilt from its own config and against ``DEFAULT_PARAM_BOUNDS``;
-``read_json`` is the strict parse it shares with ``--config`` files.
+rebuilt from its own config and against ``DEFAULT_PARAM_BOUNDS``, and
+every array in it by key through ``checkpoint_array``; ``read_json`` is
+the strict parse it shares with ``--config`` files.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -44,7 +48,8 @@ import numpy as np
 
 from .core import (DEFAULT_PARAM_BOUNDS, GENERAL, NON_GENERAL, PARAM_NAMES, DataSet, DiseaseParams, PatchGraph,
                    Trajectory, aggregate, build_travel_matrix)
-from .errors import CheckpointError, DataError, InvalidOption, InvalidValue, NonFiniteOutput, ShapeMismatch
+from .errors import (CheckpointError, DataError, InvalidOption, InvalidValue, NonFiniteOutput, NumericalError,
+                     ShapeMismatch)
 
 # Rows read or written per numpy call: enough to amortise the call, few
 # enough that a block's Python objects stay well under a megabyte.
@@ -221,7 +226,13 @@ def write_inputs(
 
 
 def write_trajectory(path, graph: PatchGraph, traj: Trajectory) -> Path:
-    """Trajectory CSV: patch_id, week_index, S, I, R, new_infections (empty in week 0)."""
+    """Trajectory CSV: patch_id, week_index, S, I, R, new_infections (empty in
+    week 0).  A trajectory that fails ``Trajectory.check`` raises
+    ``NumericalError`` naming the file, patch and week, and nothing is written."""
+    try:
+        traj.check(graph)
+    except NumericalError as exc:
+        raise NumericalError(f"{path}: {exc}") from None
     ids, weeks = np.array(graph.patch_ids, dtype=object), traj.S.shape[1]
     step = max(1, _BLOCK_ROWS // weeks)
 
@@ -578,67 +589,77 @@ def read_checkpoint(path, kind: str, config_type, fields: Sequence[str],
     """Read a ``write_checkpoint`` file back; returns (net, extra).
 
     ``build(config, seed, payload)`` makes a fresh net from the stored
-    config and the caller's ``fields``.  Every int field of the config,
-    ``seed``, ``n_features`` and ``t_scale`` must be JSON integers (not
-    bools), the last three of at least ``_CHECKPOINT_INTS``'s low;
-    ``bounds`` must be ``DEFAULT_PARAM_BOUNDS``, the one interval set every
-    net uses, and ``extra`` must be an object.  The stored weights
-    must have exactly that net's names and shapes, and every number must be
-    finite; each fault raises ``CheckpointError`` naming the file and the
-    key or the fault.
+    config and the caller's ``fields``, reading any array field through
+    ``checkpoint_array``.  Every int field of the config, ``seed``,
+    ``n_features`` and ``t_scale`` must be JSON integers (not bools), the
+    last three of at least ``_CHECKPOINT_INTS``'s low; ``bounds`` must be
+    ``DEFAULT_PARAM_BOUNDS``, the one interval set every net uses, and
+    ``extra`` must be an object.  The stored weights must have exactly that
+    net's names and shapes.  Each fault raises ``CheckpointError`` naming
+    the file and the key or the fault.
     """
-    path = Path(path)
-
-    def bad(msg: str) -> CheckpointError:
-        return CheckpointError(f"{path}: {msg}")
-
     payload = read_json(path, CheckpointError)
+    try:
+        return _checked_net(payload, kind, config_type, fields, build), payload["extra"]
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _checked_net(payload, kind: str, config_type, fields: Sequence[str], build):
+    """``read_checkpoint``'s checks and net; a fault raises ``CheckpointError`` without the file name."""
     if not isinstance(payload, dict) or payload.get("kind") != kind:
-        raise bad(f"not a {kind} checkpoint")
-    _check_keys(bad, "key", payload, {"kind", "config", "seed", "weights", "extra", *fields})
+        raise CheckpointError(f"not a {kind} checkpoint")
+    _check_keys("key", payload, {"kind", "config", "seed", "weights", "extra", *fields})
     config_fields = dataclasses.fields(config_type)
-    _check_keys(bad, "config key", payload["config"], {f.name for f in config_fields})
+    _check_keys("config key", payload["config"], {f.name for f in config_fields})
     for f in config_fields:
         if f.type in (int, "int") and type(payload["config"][f.name]) is not int:
-            raise bad(f"config {f.name} is {json.dumps(payload['config'][f.name])}, need an integer")
+            raise CheckpointError(f"config {f.name} is {json.dumps(payload['config'][f.name])}, need an integer")
     for key, (low, nullable) in _CHECKPOINT_INTS.items():
         value = payload.get(key)
         if key in payload and not (type(value) is int and value >= low or nullable and value is None):
-            raise bad(f"{key} is {json.dumps(value)}, need an integer >= {low}{' or null' if nullable else ''}")
+            raise CheckpointError(f"{key} is {json.dumps(value)}, need an integer >= {low}"
+                                  f"{' or null' if nullable else ''}")
     if "bounds" in payload:
-        _check_keys(bad, "bound", payload["bounds"], set(PARAM_NAMES))
+        _check_keys("bound", payload["bounds"], set(PARAM_NAMES))
         for name, pair in payload["bounds"].items():
             if pair != list(DEFAULT_PARAM_BOUNDS[name]) or any(isinstance(v, bool) for v in pair):
-                raise bad(f"bounds {name} is {json.dumps(pair)}, need {json.dumps(DEFAULT_PARAM_BOUNDS[name])}")
+                raise CheckpointError(f"bounds {name} is {json.dumps(pair)}, "
+                                      f"need {json.dumps(DEFAULT_PARAM_BOUNDS[name])}")
     if not isinstance(payload["extra"], dict):
-        raise bad(f"extra is {json.dumps(payload['extra'])}, need an object")
+        raise CheckpointError(f"extra is {json.dumps(payload['extra'])}, need an object")
     try:
         net = build(config_type(**payload["config"]), payload["seed"], payload)
+    except CheckpointError:
+        raise
     except (DataError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise bad(f"malformed {kind} fields ({type(exc).__name__}: {exc})") from None
-    _check_keys(bad, "weight", payload["weights"], set(net.weights))
+        raise CheckpointError(f"malformed {kind} fields ({type(exc).__name__}: {exc})") from None
+    _check_keys("weight", payload["weights"], set(net.weights))
     for name, init in net.weights.items():
-        try:
-            net.weights[name] = checkpoint_array(payload["weights"][name], init.shape)
-        except (TypeError, ValueError) as exc:
-            raise bad(f"weight {name!r}: {exc}") from None
-    return net, payload["extra"]
+        net.weights[name] = checkpoint_array(f"weight {name!r}", payload["weights"][name], init.shape)
+    return net
 
 
-def _check_keys(bad, what: str, obj, expected: set) -> None:
+def _check_keys(what: str, obj, expected: set) -> None:
     if not isinstance(obj, dict):
-        raise bad(f"{what}s must be an object")
+        raise CheckpointError(f"{what}s must be an object")
     if missing := sorted(expected - set(obj)):
-        raise bad(f"missing {what}s {missing}")
+        raise CheckpointError(f"missing {what}s {missing}")
     if unknown := sorted(set(obj) - expected):
-        raise bad(f"unknown {what}s {unknown}")
+        raise CheckpointError(f"unknown {what}s {unknown}")
 
 
-def checkpoint_array(value, shape: tuple, positive: bool = False) -> np.ndarray:
-    """``value`` as a finite (optionally positive) float array of ``shape``."""
-    arr = np.array(value, dtype=float)
-    ok = np.isfinite(arr) & (arr > 0) if positive else np.isfinite(arr)
-    if arr.shape != tuple(shape) or not np.all(ok):
-        what = "finite positive" if positive else "finite"
-        raise ValueError(f"need {what} values of shape {tuple(shape)}, got shape {arr.shape}")
-    return arr
+def checkpoint_array(what: str, value, shape: tuple, positive: bool = False) -> np.ndarray:
+    """``value`` as a float array of ``shape`` (a None entry matches any
+    length) whose every leaf is a finite JSON number, not a bool, and > 0 if
+    ``positive``; a fault raises ``CheckpointError`` naming ``what`` and the
+    shape or the first bad value."""
+    need = "finite positive" if positive else "finite"
+    cells = np.array(value, dtype=object)
+    if cells.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, cells.shape)):
+        shown = str(tuple(shape)).replace("None", "n")
+        raise CheckpointError(f"{what}: need {need} values of shape {shown}, got shape {cells.shape}")
+    for leaf in cells.ravel().tolist():
+        if type(leaf) not in (int, float) or not abs(leaf) <= sys.float_info.max or positive and leaf <= 0:
+            raise CheckpointError(f"{what} holds {json.dumps(leaf)}, need a {need} number")
+    return cells.astype(float)

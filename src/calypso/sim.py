@@ -66,14 +66,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .core import DiseaseParams, PatchGraph, Trajectory, check_option
-from .errors import (
-    InvalidValue,
-    NegativeSeed,
-    ParamCoverage,
-    SeedExceedsPopulation,
-    UnknownTarget,
-    ZeroEffectivePopulation,
-)
+from .errors import InvalidOption, InvalidValue, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class SimConfig:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ParamCoverage("steps must be >= 1")
+            raise ShapeMismatch("steps must be >= 1")
 
 
 def sirs_step(theta, theta_t, n_eff, S, I, R, beta, factor, gamma, keep_i, delta, keep_r):
@@ -117,7 +110,7 @@ def week_coefficients(p: Mapping[str, object]) -> tuple:
 
 def _check_n_eff(graph: PatchGraph) -> None:
     if np.any(graph.n_eff <= 0):
-        raise ZeroEffectivePopulation("a patch has zero mobility-weighted population")
+        raise InvalidValue("a patch has zero mobility-weighted population")
 
 
 def iterate_sirs(
@@ -159,11 +152,11 @@ def patch_coefficients(graph: PatchGraph, params: DiseaseParams, steps: int) -> 
     a graph with a zero mobility-weighted population.
     """
     if params.n_steps < steps:
-        raise ParamCoverage(f"parameters cover {params.n_steps} steps, run needs {steps}")
+        raise ShapeMismatch(f"parameters cover {params.n_steps} steps, run needs {steps}")
     _check_n_eff(graph)
     if tuple(params.region_ids) != graph.region_ids:
         missing = set(graph.region_ids) - set(params.region_ids)
-        raise ParamCoverage(f"parameters missing regions {sorted(missing)}" if missing
+        raise ShapeMismatch(f"parameters missing regions {sorted(missing)}" if missing
                             else "parameter region ordering does not match the graph")
     return tuple(np.ascontiguousarray(c[graph.patch_region, :steps].T)
                  for c in week_coefficients(params.as_dict()))
@@ -184,25 +177,22 @@ def _check_inputs(graph: PatchGraph, init, beta_scale,
         ranks = (1,) if not batched else (1, 2) if name == "init" else (2,)
         if arr.ndim not in ranks or arr.shape[0] != graph.n_patches:
             per_column = " per scenario column" if 2 in ranks else ""
-            raise ParamCoverage(f"{name} must hold one value per patch ({graph.n_patches})"
+            raise ShapeMismatch(f"{name} must hold one value per patch ({graph.n_patches})"
                                 f"{per_column}, got shape {arr.shape}")
     init = arrays["init"]
     beta_scale = arrays.get("beta_scale")
     if init.ndim == 2 and beta_scale is not None and init.shape[1] != beta_scale.shape[1]:
-        raise ParamCoverage(f"init has {init.shape[1]} scenario columns, "
+        raise ShapeMismatch(f"init has {init.shape[1]} scenario columns, "
                             f"beta_scale has {beta_scale.shape[1]}")
 
     def where(bad: np.ndarray) -> str:
         return "" if bad.ndim == 1 else f" in column {int(np.flatnonzero(bad.any(axis=0))[0])}"
 
     cap = graph.populations if init.ndim == 1 else graph.populations[:, None]
-    for bad, error, what in (
-        (~np.isfinite(init), InvalidValue, "contain a non-finite entry"),
-        (init < 0, NegativeSeed, "contain a negative entry"),
-        (init > cap, SeedExceedsPopulation, "exceed a patch population"),
-    ):
+    for bad, what in ((~np.isfinite(init), "contain a non-finite entry"), (init < 0, "contain a negative entry"),
+                      (init > cap, "exceed a patch population")):
         if np.any(bad):
-            raise error(f"initial infections {what}{where(bad)}")
+            raise InvalidValue(f"initial infections {what}{where(bad)}")
     if beta_scale is not None:
         bad = ~np.isfinite(beta_scale) | (beta_scale < 0)
         if np.any(bad):
@@ -325,12 +315,12 @@ def plain_totals(graph: PatchGraph, coefficients: tuple, init,
 def seed_outbreak(init: np.ndarray, patch: str, k: float, graph: PatchGraph) -> np.ndarray:
     """Add ``k`` infections to one patch, respecting its population cap."""
     if patch not in graph.patch_index:
-        raise UnknownTarget(f"unknown patch {patch!r}")
+        raise InvalidOption(f"unknown patch {patch!r}")
     check_option("seed count", k, 0)
     idx = graph.patch_index[patch]
     out = np.array(init, dtype=float)
     if out[idx] + k > graph.populations[idx]:
-        raise SeedExceedsPopulation(
+        raise InvalidValue(
             f"seeding {k} in {patch!r} exceeds its population {graph.populations[idx]:.6g}"
         )
     out[idx] += k

@@ -34,7 +34,7 @@ from .core import (
     Trajectory,
     build_travel_matrix,
 )
-from .errors import InfeasibleSpec
+from .errors import InvalidOption
 from .sim import SimConfig, simulate
 
 FEATURE_NAMES = ("mrsa", "mssa", "prescriptions", "norm_incidence")
@@ -65,10 +65,10 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n_regions < 1 or self.n_patches < 2 * self.n_regions:
-            raise InfeasibleSpec("need at least two patches (general + healthcare) per region, "
-                                 f"got {self.n_patches} patches for {self.n_regions} regions")
+            raise InvalidOption("need at least two patches (general + healthcare) per region, "
+                                f"got {self.n_patches} patches for {self.n_regions} regions")
         if self.weeks < 8 or self.horizon < 0:
-            raise InfeasibleSpec("weeks must be >= 8 and horizon >= 0")
+            raise InvalidOption("weeks must be >= 8 and horizon >= 0")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from calypso.adapter import (
     stack_levels,
     train_adapter,
 )
-from calypso.errors import InvalidOption, NonFiniteInput, ShapeMismatch
+from calypso.errors import InvalidOption, NumericalError, ShapeMismatch
 
 
 def _time_row(t: int, t_scale: int, harmonics: int) -> np.ndarray:
@@ -104,7 +104,7 @@ class TestRefine:
     def test_non_finite_input_rejected(self):
         net = AdapterNet(seed=0)
         bad = np.full((2, 5), np.nan)
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(NumericalError, match="raw forecast contains non-finite values"):
             refine(net, bad)
 
     def test_unit_count_must_match_fit(self, series):

@@ -18,14 +18,7 @@ from calypso.analysis import (
     unit_greedy,
 )
 from calypso.core import DiseaseParams, PatchGraph, aggregate, build_travel_matrix
-from calypso.errors import (
-    EmptyCandidates,
-    InvalidOption,
-    KExceedsNoisySet,
-    SeedExceedsPopulation,
-    ShapeMismatch,
-    UnknownRegion,
-)
+from calypso.errors import InvalidOption, InvalidValue, ShapeMismatch
 from calypso.sim import SimConfig, patch_coefficients, plain_totals, plain_trajectory, simulate
 
 
@@ -235,7 +228,7 @@ class TestRegionalBetaReduction:
             regional_beta_reduction(model, bundle.graph, bundle.graph.region_ids[0], factor)
 
     def test_unknown_region(self, bundle, model):
-        with pytest.raises(UnknownRegion):
+        with pytest.raises(InvalidOption, match="unknown region 'XX'"):
             regional_beta_reduction(model, bundle.graph, "XX")
 
     def test_model_params_not_mutated(self, bundle, model):
@@ -302,7 +295,7 @@ class TestUnitGreedy:
         assert result.selected == ("a",)
 
     def test_empty_candidates(self, bundle, model):
-        with pytest.raises(EmptyCandidates):
+        with pytest.raises(InvalidOption, match="no candidate patches for allocation"):
             unit_greedy(model, bundle.graph, budget=1, candidates=[])
 
     @pytest.mark.parametrize("allocate", [unit_greedy, brute_force_allocation,
@@ -325,7 +318,7 @@ class TestUnitGreedy:
 
     def test_unknown_candidate_rejected(self, bundle, model):
         for allocate in (unit_greedy, brute_force_allocation):
-            with pytest.raises(UnknownRegion):
+            with pytest.raises(InvalidOption, match="unknown candidate patch 'nope'"):
                 allocate(model, bundle.graph, budget=1, candidates=["nope"])
 
 
@@ -411,7 +404,7 @@ class TestOutbreakRanking:
     def test_seed_exceeding_population_rejected(self, bundle, model):
         smallest = bundle.graph.patch_ids[int(np.argmin(bundle.graph.populations))]
         too_many = float(bundle.graph.populations.min()) + 1.0
-        with pytest.raises(SeedExceedsPopulation, match=repr(smallest)):
+        with pytest.raises(InvalidValue, match=f"in {smallest!r} exceeds its population"):
             outbreak_ranking(model, bundle.graph, k=too_many)
 
     @pytest.mark.parametrize("k", [np.nan, np.inf])
@@ -420,8 +413,8 @@ class TestOutbreakRanking:
             outbreak_ranking(model, bundle.graph, k)
 
     @pytest.mark.parametrize("one_patch, target, error, message", [
-        (False, "nope", UnknownRegion, "unknown target patch 'nope'"),
-        (True, "a", EmptyCandidates, "no candidate outbreak sources"),
+        (False, "nope", InvalidOption, "unknown target patch 'nope'"),
+        (True, "a", InvalidOption, "no candidate outbreak sources"),
     ], ids=["unknown", "empty"])
     def test_bad_candidates_refused_before_simulating(self, bundle, model, no_simulation,
                                                       one_patch, target, error, message):
@@ -501,13 +494,13 @@ class TestGreedyDataCorrection:
 
     def test_k_exceeding_noisy_set_rejected(self, correction_setup):
         bundle, trained, noisy = correction_setup
-        with pytest.raises(KExceedsNoisySet):
+        with pytest.raises(InvalidOption, match=f"k={len(noisy) + 1} exceeds {len(noisy)} noisy patches"):
             greedy_data_correction(trained, bundle.data, bundle.graph, noisy,
                                    noise_sd=0.2, k=len(noisy) + 1)
 
     def test_unknown_noisy_patch_rejected(self, correction_setup):
         bundle, trained, noisy = correction_setup
-        with pytest.raises(UnknownRegion, match="unknown noisy patch 'nope'"):
+        with pytest.raises(InvalidOption, match="unknown noisy patch 'nope'"):
             greedy_data_correction(trained, bundle.data, bundle.graph, noisy + ["nope"],
                                    noise_sd=0.2, k=1)
 

@@ -14,7 +14,7 @@ from calypso.calib import (
     train_joint,
 )
 from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES
-from calypso.errors import CheckpointError, InvalidOption, NonFiniteLoss, WindowMismatch
+from calypso.errors import CheckpointError, InvalidOption, NonFiniteLoss
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +199,7 @@ class TestTrainJoint:
         import dataclasses
 
         tiny = dataclasses.replace(bundle.data, window=5, horizon=0)
-        with pytest.raises(WindowMismatch):
+        with pytest.raises(InvalidOption, match="training window must be >= 8 weeks, got 5"):
             train_joint(small_net(bundle), tiny, bundle.graph, TrainConfig(epochs=1))
 
     def test_gradient_matches_finite_differences(self, bundle):

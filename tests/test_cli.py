@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import shutil
@@ -307,6 +308,24 @@ class TestErrorHandling:
                      "--epochs", "5", "--lr", "1e154", "--out", str(tmp_path / "o")])
         assert code == 4
 
+    def test_broken_conservation_exits_four_and_writes_no_trajectory(self, data_dir, tmp_path, capsys, monkeypatch):
+        simulate = cli.simulate
+
+        def leaky(graph, *args):  # S+I+R misses P by 1e-3 relative in the second patch, week 3
+            traj = simulate(graph, *args)
+            S = traj.S.copy()
+            S[1, 3] += 1e-3 * graph.populations[1]
+            return dataclasses.replace(traj, S=S)
+
+        monkeypatch.setattr(cli, "simulate", leaky)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["simulate", "--data", str(data_dir), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        patch = io.load_graph(data_dir)[0].patch_ids[1]
+        assert f"[NumericalError] {out / 'trajectory.csv'}: patch {patch!r}, week 3: S+I+R is " in err, err
+        assert not (out / "trajectory.csv").exists()
+
     def test_config_file_supplies_defaults(self, data_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 3, "seed": 9, "lr_decay": 1}))  # an int may stand for a float
@@ -380,6 +399,28 @@ class TestErrorHandling:
          "checkpoint.json: bounds gamma is [0.5], need [0.05, 0.9]"),
         ("calib", _json_edit(lambda p: p["bounds"].update(delta=[False, 0.2])), "CheckpointError",
          "checkpoint.json: bounds delta is [false, 0.2], need [0.0, 0.2]"),
+        ("calib", _json_edit(lambda p: p.update(norm_mean=None)), "CheckpointError",
+         "checkpoint.json: norm_mean: need finite values of shape (1, 1, 4), got shape ()"),
+        ("calib", _json_edit(lambda p: p["norm_mean"][0][0].__setitem__(1, "abc")), "CheckpointError",
+         'checkpoint.json: norm_mean holds "abc", need a finite number'),
+        ("calib", _json_edit(lambda p: p["norm_mean"][0][0].__setitem__(0, True)), "CheckpointError",
+         "checkpoint.json: norm_mean holds true, need a finite number"),
+        ("calib", _json_edit(lambda p: p["norm_std"][0][0].pop()), "CheckpointError",
+         "checkpoint.json: norm_std: need finite positive values of shape (1, 1, 4), got shape (1, 1, 3)"),
+        ("calib", _json_edit(lambda p: p["norm_std"][0][0].__setitem__(2, 0)), "CheckpointError",
+         "checkpoint.json: norm_std holds 0, need a finite positive number"),
+        ("calib", _json_edit(lambda p: p["weights"].update(out_b=["0"] * 5)), "CheckpointError",
+         "checkpoint.json: weight 'out_b' holds \"0\", need a finite number"),
+        ("calib", _json_edit(lambda p: p["weights"]["dec_b"].__setitem__(3, False)), "CheckpointError",
+         "checkpoint.json: weight 'dec_b' holds false, need a finite number"),
+        ("adapter", _json_edit(lambda p: p.update(scale="abc")), "CheckpointError",
+         "adapter.json: scale: need finite positive values of shape (n,), got shape ()"),
+        ("adapter", _json_edit(lambda p: p["scale"].__setitem__(0, "abc")), "CheckpointError",
+         'adapter.json: scale holds "abc", need a finite positive number'),
+        ("adapter", _json_edit(lambda p: p.update(scale=[p["scale"]])), "CheckpointError",
+         "adapter.json: scale: need finite positive values of shape (n,), got shape (1, 11)"),
+        ("adapter", _json_edit(lambda p: p["scale"].__setitem__(3, 0)), "CheckpointError",
+         "adapter.json: scale holds 0, need a finite positive number"),
     ], ids=["not-json", "calib-missing-n_features", "unknown-config-key", "calib-truncated-weight",
             "adapter-truncated-weight", "calib-missing-weight", "adapter-missing-weight",
             "adapter-nan-weight", "adapter-missing-t_scale", "calib-zero-hidden", "adapter-zero-hidden",
@@ -388,7 +429,10 @@ class TestErrorHandling:
             "adapter-other-unit-count", "feature-channel-mismatch",
             "calibrate-zero-epochs", "calib-float-hidden", "calib-bool-hidden", "calib-float-time_harmonics",
             "adapter-float-hidden", "adapter-bool-layers", "adapter-float-time_harmonics",
-            "calib-wide-bound", "calib-narrow-bound", "calib-one-number-bound", "calib-bool-bound"])
+            "calib-wide-bound", "calib-narrow-bound", "calib-one-number-bound", "calib-bool-bound",
+            "calib-null-norm_mean", "calib-string-norm_mean", "calib-bool-norm_mean", "calib-short-norm_std",
+            "calib-zero-norm_std", "calib-string-weight", "calib-bool-weight", "adapter-string-scale",
+            "adapter-string-in-scale", "adapter-nested-scale", "adapter-zero-scale"])
     def test_malformed_input_exits_three_and_names_fault(
             self, data_dir, checkpoint, adapter_checkpoint, tmp_path, capsys,
             target, mutate, error, fragment):
@@ -446,10 +490,10 @@ class TestErrorHandling:
          "budget 2 exceeds 1 candidates"),
         (["policy-greedy", "--candidates", "R0-N00,R0-N00", "--brute-force"], None, None, 3, "ShapeMismatch",
          "budget 2 exceeds 1 candidates"),
-        (["correct-data", "--noisy-patches", "nope"], None, None, 3, "UnknownRegion", "unknown noisy patch 'nope'"),
-        (["correct-data", "--noisy-count", "2", "--k", "5"], None, None, 3, "KExceedsNoisySet",
+        (["correct-data", "--noisy-patches", "nope"], None, None, 3, "InvalidOption", "unknown noisy patch 'nope'"),
+        (["correct-data", "--noisy-count", "2", "--k", "5"], None, None, 3, "InvalidOption",
          "k=5 exceeds 2 noisy patches"),
-        (["forecast", "--horizon", "0"], None, None, 3, "HorizonZero", "forecast needs --horizon >= 1, got 0"),
+        (["forecast", "--horizon", "0"], None, None, 3, "InvalidOption", "forecast needs --horizon >= 1, got 0"),
     ] + _SWEEP_ROWS, ids=["calibrate-nan-count", "eakf-nan-count", "eakf-negative-count",
             "eakf-non-numeric-count", "eakf-infinite-feature", "metrics-nan-pred",
             "brute-force-budget-above-candidates", "greedy-budget-above-candidates",
@@ -545,7 +589,7 @@ class TestErrorHandling:
         (["eakf"], "travel.csv", lambda rows: rows[1].__setitem__(2, "x"),
          "InvalidValue", "commute_flow is 'x'"),
         (["eakf"], "travel.csv", lambda rows: rows[1].__setitem__(2, "1e9"),
-         "OffDiagonalOverflow", "travel.csv: outgoing flows from patch 'R0-G00' exceed its population"),
+         "InvalidValue", "travel.csv: outgoing flows from patch 'R0-G00' exceed its population"),
         (["simulate"], "ground_truth.csv", lambda rows: rows[4].__setitem__(4, "nan"),
          "InvalidValue", "ground_truth.csv: beta of region 'R0', week 3: value is nan"),
         (["simulate"], "ground_truth.csv", lambda rows: rows[4].__setitem__(4, "xyz"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from calypso.core import (
     build_travel_matrix,
     metrics,
 )
-from calypso.errors import DegenerateTruth, NonFiniteOutput, OffDiagonalOverflow, ShapeMismatch, UnknownLevel
+from calypso.errors import DegenerateTruth, InvalidOption, InvalidValue, NonFiniteOutput, NumericalError, ShapeMismatch
 
 
 def two_patch_graph():
@@ -47,7 +49,7 @@ class TestBuildTravelMatrix:
             assert np.all(theta >= 0) and np.all(theta <= 1)
 
     def test_overflow_names_source_patch(self):
-        with pytest.raises(OffDiagonalOverflow, match="'a'"):
+        with pytest.raises(InvalidValue, match="outgoing flows from patch 'a' exceed its population"):
             build_travel_matrix({("a", "b"): 150.0}, {}, {"a": 100.0, "b": 100.0})
 
     def test_negative_flow_rejected(self):
@@ -101,7 +103,7 @@ class TestAggregate:
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
     def test_unknown_level(self):
-        with pytest.raises(UnknownLevel):
+        with pytest.raises(InvalidOption, match="level must be patch/region/state, got 'county'"):
             aggregate(np.zeros((2, 3)), "county", two_patch_graph())
 
 
@@ -244,6 +246,25 @@ class TestCsvRoundTrip:
 
         payload = json.loads(summary.read_text())
         assert payload["cumulative_new_infections"]["state"] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("s, i, fragment", [
+        (99.1, 1.0, "week 1: S+I+R is 100.1, need the population 100"),  # 1e-3 relative
+        (101.0, -1.0, "week 1: I is -1, need a value >= 0"),  # S+I+R still 100
+    ], ids=["conservation", "negative"])
+    def test_broken_trajectory_is_refused_naming_patch_and_week(self, tmp_path, s, i, fragment):
+        g = two_patch_graph()
+        traj = Trajectory(
+            S=np.array([[97.0, 95.0], [99.0, s]]),
+            I=np.array([[3.0, 4.0], [1.0, i]]),
+            R=np.array([[0.0, 1.0], [0.0, 0.0]]),
+            new_infections=np.array([[4.0], [1.0]]),
+        )
+        with pytest.raises(NumericalError, match=re.escape(f"patch 'b', {fragment}")):
+            traj.check(g)
+        path = tmp_path / "traj.csv"
+        with pytest.raises(NumericalError, match=re.escape(f"{path}: patch 'b', {fragment}")):
+            io.write_trajectory(path, g, traj)
+        assert not path.exists()
 
     def test_params_round_trip(self, tmp_path):
         g = two_patch_graph()

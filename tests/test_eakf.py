@@ -6,7 +6,7 @@ import pytest
 from calypso import eakf, seeding, synth
 from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES
 from calypso.eakf import Ensemble, eakf_step, init_ensemble, run_eakf
-from calypso.errors import CollapsedEnsemble, InvalidOption, ShapeMismatch
+from calypso.errors import InvalidOption, NumericalError, ShapeMismatch
 from calypso.sim import SimConfig, simulate
 
 
@@ -34,7 +34,7 @@ def state_space_step(ens, observation, populations):
     obs = np.asarray(observation, dtype=float)
     prior_var = ens.I.var(axis=0, ddof=1)
     if float(prior_var.max(initial=0.0)) < eakf._VAR_FLOOR:
-        raise CollapsedEnsemble("ensemble variance vanished in every observed coordinate")
+        raise NumericalError("ensemble variance vanished in every observed coordinate")
     state = np.concatenate([eakf._inflate(a, ens.inflation) for a in (ens.S, ens.I, ens.R, ens.params)],
                            axis=1)
     n, n_patches = ens.size, ens.I.shape[1]
@@ -157,7 +157,7 @@ class TestEakfStep:
         values[0] += 1e-8  # variance ~ 3e-18, below the update floor
         ens = scalar_ensemble(values, obs_var=1.0)
         ens.S[:, 0] += np.linspace(-5, 5, 30)  # keep the filter alive elsewhere
-        with pytest.raises(CollapsedEnsemble):
+        with pytest.raises(NumericalError, match="ensemble variance vanished"):
             # observed coordinate variance is the collapse test
             eakf_step(ens, np.array([14.0]), SCALAR_POPULATION)
 
@@ -175,7 +175,7 @@ class TestEakfStep:
     def test_collapsed_ensemble_raises(self):
         values = np.full(10, 5.0)
         ens = scalar_ensemble(values)
-        with pytest.raises(CollapsedEnsemble):
+        with pytest.raises(NumericalError, match="ensemble variance vanished"):
             eakf_step(ens, np.array([6.0]), SCALAR_POPULATION)
 
     def test_mean_preserved_under_zero_information(self):

@@ -3,7 +3,9 @@
 Every import a module makes is read in it, and every public function,
 class and method under ``src/calypso/`` is named somewhere other than its
 own definition: in the package, a demo or the acceptance gate.  Code that
-only the other tests reach is dead code with a test.
+only the other tests reach is dead code with a test.  Every class in
+``errors.py`` is named in a ``raise`` under ``src/calypso/``: a class
+nothing raises is a name no user can see.
 """
 
 import ast
@@ -94,3 +96,23 @@ def test_the_check_finds_an_unused_import():
     source = "import json\nimport numpy as np\nfrom .core import DataSet, PatchGraph\nx: PatchGraph = np.ones(1)\n"
     assert unused_imports(source) == ["line 1: json", "line 3: DataSet"]
     assert MODULES and all(p.suffix == ".py" for p in MODULES)
+
+
+def unraised_classes(errors_source: str, sources: list[str]) -> list[str]:
+    """Classes defined in ``errors_source`` that no ``raise`` statement in ``sources`` names."""
+    raised = {getattr(node, "id", getattr(node, "attr", None))
+              for source in sources for statement in ast.walk(ast.parse(source)) if isinstance(statement, ast.Raise)
+              for node in ast.walk(statement)}
+    return [node.name for node in ast.parse(errors_source).body
+            if isinstance(node, ast.ClassDef) and node.name not in raised]
+
+
+def test_every_error_class_is_raised_by_the_package():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert unraised_classes((SRC / "errors.py").read_text(encoding="utf-8"), sources) == []
+
+
+def test_the_check_finds_an_error_class_nothing_raises():
+    errors = "class Base(Exception):\n    pass\n\nclass Named(Base):\n    pass\n\nclass Passed(Base):\n    pass\n"
+    sources = ["raise Named('x')\n", "def f(exc):\n    raise fault(Passed, 1) from exc\n\nBase\n"]
+    assert unraised_classes(errors, sources) == ["Base"]

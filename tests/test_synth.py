@@ -3,7 +3,7 @@ import pytest
 
 from calypso import io, synth
 from calypso.core import DEFAULT_PARAM_BOUNDS, GENERAL, NON_GENERAL, PARAM_NAMES, aggregate
-from calypso.errors import InfeasibleSpec
+from calypso.errors import InvalidOption
 from calypso.synth import SynthSpec, generate
 
 
@@ -62,9 +62,9 @@ class TestGenerate:
             assert np.all(arr >= lo) and np.all(arr <= hi)
 
     def test_infeasible_specs_rejected(self):
-        with pytest.raises(InfeasibleSpec, match="got 4 patches for 4 regions"):
+        with pytest.raises(InvalidOption, match="got 4 patches for 4 regions"):
             SynthSpec(n_patches=4, n_regions=4)
-        with pytest.raises(InfeasibleSpec, match="weeks must be >= 8"):
+        with pytest.raises(InvalidOption, match="weeks must be >= 8"):
             SynthSpec(weeks=7)
 
     def test_generator_ranges_lie_inside_the_bounds(self):
@@ -83,7 +83,7 @@ class TestGenerate:
 
     def test_trajectory_conserves_population(self):
         bundle = generate(SynthSpec(seed=7))
-        bundle.trajectory.check(bundle.graph.populations)
+        bundle.trajectory.check(bundle.graph)
 
 
 class TestBundleWrite:
