@@ -155,7 +155,7 @@ def refine(net: AdapterNet, raw_forecast: np.ndarray) -> np.ndarray:
         raise NumericalError("raw forecast contains non-finite values")
     scale = net.scale if net.scale is not None else np.ones(raw.shape[0])
     if scale.shape[0] != raw.shape[0]:
-        raise ShapeMismatch(f"adapter was fit on a different number of units ({scale.shape[0]}, "
+        raise ShapeMismatch(f"adapter was fit on a different number of units (scale has {scale.shape[0]}, "
                             f"the series has {raw.shape[0]})")
     t_scale = net.t_scale if net.t_scale is not None else raw.shape[1]
     return np.stack(_forward(net.weights, net.config, raw / scale[:, None], scale, t_scale), axis=1)
@@ -214,19 +214,9 @@ def train_adapter(
 
 
 def save_checkpoint(path, net: AdapterNet) -> Path:
-    return io.write_checkpoint(
-        path, "adapter", net,
-        scale=None if net.scale is None else net.scale.tolist(),
-        t_scale=net.t_scale,
-    )
+    return io.write_checkpoint(path, "adapter", net)
 
 
 def load_checkpoint(path) -> tuple[AdapterNet, dict]:
-    def build(config: AdapterConfig, seed: int, payload: dict) -> AdapterNet:
-        net = AdapterNet(config, seed=seed)
-        if payload["scale"] is not None:
-            net.scale = io.checkpoint_array("scale", payload["scale"], (None,), positive=True)
-        net.t_scale = payload["t_scale"]
-        return net
-
-    return io.read_checkpoint(path, "adapter", AdapterConfig, ("scale", "t_scale"), build)
+    return io.read_checkpoint(path, "adapter", AdapterConfig,
+                              lambda config, fields: AdapterNet(config, seed=fields["seed"]))

@@ -32,7 +32,6 @@ import numpy as np
 from . import autodiff as ad
 from . import io, seeding
 from .core import (
-    DEFAULT_PARAM_BOUNDS,
     PARAM_HI,
     PARAM_LO,
     PARAM_NAMES,
@@ -341,23 +340,9 @@ def forecast(net: CalibNet, data: DataSet, graph: PatchGraph, h: int) -> Traject
 
 
 def save_checkpoint(path, net: CalibNet, extra: dict | None = None) -> Path:
-    return io.write_checkpoint(
-        path, "calib", net, extra,
-        n_features=net.n_features,
-        bounds={k: list(v) for k, v in DEFAULT_PARAM_BOUNDS.items()},
-        norm_mean=None if net.norm_mean is None else net.norm_mean.tolist(),
-        norm_std=None if net.norm_std is None else net.norm_std.tolist(),
-    )
+    return io.write_checkpoint(path, "calib", net, extra)
 
 
 def load_checkpoint(path) -> tuple[CalibNet, dict]:
-    def build(config: CalibConfig, seed: int, payload: dict) -> CalibNet:
-        net = CalibNet(payload["n_features"], config=config, seed=seed)
-        if payload["norm_mean"] is not None or payload["norm_std"] is not None:
-            shape = (1, 1, net.n_features)
-            net.norm_mean = io.checkpoint_array("norm_mean", payload["norm_mean"], shape)
-            net.norm_std = io.checkpoint_array("norm_std", payload["norm_std"], shape, positive=True)
-        return net
-
-    fields = ("n_features", "bounds", "norm_mean", "norm_std")
-    return io.read_checkpoint(path, "calib", CalibConfig, fields, build)
+    return io.read_checkpoint(path, "calib", CalibConfig,
+                              lambda config, fields: CalibNet(fields["n_features"], config=config, seed=fields["seed"]))

@@ -151,19 +151,20 @@ def cmd_forecast(config: dict) -> list:
     if config["horizon"] < 1:
         raise InvalidOption(f"forecast needs --horizon >= 1, got {config['horizon']}")
     graph, data = _load_bundle(config)
-    traj = calib.forecast(_load_net(config, data), data, graph, config["horizon"])
+    net = _load_net(config, data)
+    ad_net = adapter_mod.load_checkpoint(config["adapter"])[0] if config.get("adapter") else None
+    traj = calib.forecast(net, data, graph, config["horizon"])
+    if ad_net is not None:  # refined before the first write, so a refusal leaves no file
+        try:
+            corrected = adapter_mod.refine(ad_net, adapter_mod.stack_levels(traj.weekly_series, graph))
+        except ShapeMismatch as exc:
+            raise ShapeMismatch(f"{config['adapter']}: {exc}") from None
     out = _out_dir(config)
     written = [io.write_trajectory(out / "forecast_trajectory.csv", graph, traj)]
     written += io.write_level_series(out, graph, traj.weekly_series, "forecast")
-    if config.get("adapter"):
-        ad_net, _ = adapter_mod.load_checkpoint(config["adapter"])
-        stacked = adapter_mod.stack_levels(traj.weekly_series, graph)
-        try:
-            corrected = adapter_mod.refine(ad_net, stacked)
-        except ShapeMismatch as exc:
-            raise ShapeMismatch(f"{config['adapter']}: {exc}") from None
-        n_p, n_r = graph.n_patches, graph.n_regions
-        written.append(io.write_series(out / "forecast_corrected_state.csv", corrected[n_p + n_r]))
+    if ad_net is not None:
+        written.append(io.write_series(out / "forecast_corrected_state.csv",
+                                       corrected[graph.n_patches + graph.n_regions]))
     holdout = data.holdout_observed()
     if holdout.shape[1] >= 2 and traj.n_steps >= data.window + holdout.shape[1]:
         pred = aggregate(traj.weekly_series[:, data.window : data.window + holdout.shape[1]], "state", graph)[0]

@@ -1,19 +1,17 @@
 """The one owner of the on-disk formats: every CSV and JSON file goes through here.
 
-Inputs (UTF-8, one header row): ``patches.csv`` (patch_id, region,
-category, population), ``travel.csv`` (src, dst, commute_flow,
-facility_flow), ``cases.csv`` (patch_id, week_index, count),
-``features.csv`` (patch_id, week_index, one column per channel), the
-``param`` rows of a long ``kind, id, week_index, field, value`` parameter
-file, and (week, value) series.  Every table is read by ``Table`` in one
-pass under one contract: the header names each column once and holds the
-required ones; numbers are finite, and >= 0 for counts, populations and
-flows; patch ids and regions are not empty, ids, categories and travel
-ends are known, and ids, travel pairs and (id, week) keys unique;
-weeks run from 0, every patch has every week and each of ``PARAM_NAMES``
-every region x week.  A bad number raises ``InvalidValue``, a bad key,
-column or coverage ``ShapeMismatch``, each naming the file and row (CLI
-exit 3); an unreadable file is a ``DataError`` naming it.
+``INPUTS`` states each input CSV once; its readers, writers and tests read
+it.  A column's kind is ``TEXT``, ``ID`` (not empty), ``NUMBER`` (finite),
+``COUNT`` (>= 0: count, flows), ``POSITIVE`` (> 0: population) or ``WEEK``
+(an integer >= 0); every listed column is required, the ``key`` is unique
+and, with a week, covers every id x week from week 0; ``known`` columns
+hold known patches, regions, categories or ``PARAM_NAMES``; ``rest`` is
+features.csv's channels, at least one.  Valid too: a BOM, CRLF or LF, blank
+lines, unused named columns and a header-only travel.csv (no travel).
+``Table`` reads a file in one pass; a bad number raises ``InvalidValue``,
+a bad key, id, column or coverage ``ShapeMismatch``, naming the file and
+row (line or key) or column (CLI exit 3); an unreadable file is a
+``DataError`` naming it.
 
 Every CSV is written a block of columns at a time, each block of about
 ``_BLOCK_ROWS`` rows: the long writers cut their patch x week arrays into
@@ -24,13 +22,20 @@ formatter, ``_cells``, turns a column into text: floats with ``repr``
 ``str``, text quoted as ``csv``'s QUOTE_MINIMAL quotes it.  Reruns with
 one seed give byte-identical files, and a NaN or inf raises
 ``NonFiniteOutput`` naming the file and line (CLI exit 4);
-``write_trajectory`` first runs ``Trajectory.check``, so a trajectory off
-S+I+R = P raises ``NumericalError`` naming the file, patch and week.
-``write_json`` writes every JSON result.  The checkpoint codec
-(``write_checkpoint``/``read_checkpoint``) checks a file against a net
-rebuilt from its own config and against ``DEFAULT_PARAM_BOUNDS``, and
-every array in it by key through ``checkpoint_array``; ``read_json`` is
-the strict parse it shares with ``--config`` files.
+``write_trajectory`` first runs ``Trajectory.check`` and ``write_params``
+and ``write_eakf_summary`` check ``PARAM_LO``/``PARAM_HI`` (widened by
+1e-9), raising ``NumericalError`` naming the file, patch or parameter,
+region and week.  ``write_json`` writes every JSON result.
+
+``CHECKPOINTS`` states each checkpoint kind's fields (all: kind, config,
+seed, weights, extra; calib: n_features, bounds, norm_mean, norm_std;
+adapter: scale, t_scale) and their rules: ``("equal", value)``, ``("int",
+low, nullable)``, ``("array", shape, positive)`` (a shape entry is a
+length, None for any, or an int field's key; a kind's arrays are all null,
+a net never fit, or all set) or ``("object",)``; int and array fields are
+the net's attributes.  ``config`` holds its dataclass's fields, ints as
+JSON integers, and ``weights`` the net's names and shapes.  ``read_json``
+is the strict parse checkpoints share with ``--config`` files.
 """
 
 from __future__ import annotations
@@ -42,12 +47,12 @@ import math
 import sys
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_PARAM_BOUNDS, GENERAL, NON_GENERAL, PARAM_NAMES, DataSet, DiseaseParams, PatchGraph,
-                   Trajectory, aggregate, build_travel_matrix)
+from .core import (DEFAULT_PARAM_BOUNDS, GENERAL, NON_GENERAL, PARAM_HI, PARAM_LO, PARAM_NAMES, DataSet,
+                   DiseaseParams, PatchGraph, Trajectory, aggregate, build_travel_matrix)
 from .errors import (CheckpointError, DataError, InvalidOption, InvalidValue, NonFiniteOutput, NumericalError,
                      ShapeMismatch)
 
@@ -111,7 +116,7 @@ def _cells(column, line: int) -> list[str]:
     return cells
 
 
-def _write_blocks(path, header: Sequence[str], blocks: Iterable[Sequence]) -> Path:
+def _write_blocks(path, header: Iterable[str], blocks: Iterable[Sequence]) -> Path:
     """CSV of ``header`` and ``blocks``, each a list of equal-length columns
     (ndarrays or sequences of cells) that ``_cells`` formats.
 
@@ -174,7 +179,6 @@ def _long_blocks(ids: Sequence[str], *tables: np.ndarray) -> Iterator[list]:
                *(table[lo:lo + step].ravel() for table in tables)]
 
 
-_PARAM_HEADER = ["kind", "id", "week_index", "field", "value"]
 _STATE_FIELDS = ("S", "I", "R", "new_infections")
 
 
@@ -213,14 +217,14 @@ def write_inputs(
     ids = np.array(graph.patch_ids, dtype=object)
     pairs = sorted(set(commute_flows) | set(facility_flows))
     return [
-        _write_blocks(out_dir / "patches.csv", ["patch_id", "region", "category", "population"], _row_blocks(
+        _write_blocks(out_dir / "patches.csv", INPUTS["patches"].columns, _row_blocks(
             ids, [graph.region_of[pid] for pid in ids], [graph.category_of[pid] for pid in ids], graph.populations)),
-        _write_blocks(out_dir / "travel.csv", ["src", "dst", "commute_flow", "facility_flow"], _row_blocks(
+        _write_blocks(out_dir / "travel.csv", INPUTS["travel"].columns, _row_blocks(
             [src for src, _ in pairs], [dst for _, dst in pairs],
             np.array([commute_flows.get(pair, 0.0) for pair in pairs], dtype=float),
             np.array([facility_flows.get(pair, 0.0) for pair in pairs], dtype=float))),
-        _write_blocks(out_dir / "cases.csv", ["patch_id", "week_index", "count"], _long_blocks(ids, data.observed)),
-        _write_blocks(out_dir / "features.csv", ["patch_id", "week_index", *data.feature_names],
+        _write_blocks(out_dir / "cases.csv", INPUTS["cases"].columns, _long_blocks(ids, data.observed)),
+        _write_blocks(out_dir / "features.csv", [*INPUTS["features"].columns, *data.feature_names],
                       _long_blocks(ids, *np.moveaxis(data.features, 2, 0))),
     ]
 
@@ -264,16 +268,19 @@ def write_trajectory_summary(path, graph: PatchGraph, traj: Trajectory) -> Path:
 
 def write_ground_truth(path, graph: PatchGraph, params: DiseaseParams, traj: Trajectory) -> Path:
     """Long-format CSV of the generating parameters and trajectory."""
-    return _write_blocks(path, _PARAM_HEADER, chain(_param_blocks(params), _state_blocks(graph.patch_ids, traj)))
+    blocks = chain(_param_blocks(params), _state_blocks(graph.patch_ids, traj))
+    return _write_blocks(path, INPUTS["params"].columns, blocks)
 
 
 def write_params(path, params: DiseaseParams) -> Path:
     """Parameter-only long-format CSV (loadable by load_ground_truth_params)."""
-    return _write_blocks(path, _PARAM_HEADER, _param_blocks(params))
+    _check_bounds(path, params.as_dict(), params.region_ids)
+    return _write_blocks(path, INPUTS["params"].columns, _param_blocks(params))
 
 
 def write_eakf_summary(path, result, graph: PatchGraph) -> Path:
     """Weekly ensemble summary: state-level mean I plus parameter posteriors."""
+    _check_bounds(path, result.param_mean, graph.region_ids)
     state_i = aggregate(result.trajectory.I[:, 1:], "state", graph)[0]
     names = sorted(result.param_mean)
     header = ["week_index", "state_infected_mean"]
@@ -286,10 +293,22 @@ def write_eakf_summary(path, result, graph: PatchGraph) -> Path:
     return _write_blocks(path, header, _row_blocks(np.arange(table.shape[1]), *table))
 
 
+def _check_bounds(path, params: Mapping[str, np.ndarray], region_ids: Sequence[str]) -> None:
+    """Refuse a regions x weeks parameter outside ``PARAM_LO``/``PARAM_HI``
+    widened by 1e-9 with ``NumericalError`` naming the file, parameter,
+    region and week (a NaN is left to the writer's finiteness check)."""
+    values = np.stack([params[name] for name in PARAM_NAMES])
+    bad = (values < PARAM_LO.reshape(-1, 1, 1) - 1e-9) | (values > PARAM_HI.reshape(-1, 1, 1) + 1e-9)
+    if bad.any():
+        f, r, t = np.argwhere(bad)[0]
+        raise NumericalError(f"{path}: {PARAM_NAMES[f]} of region {region_ids[r]!r}, week {t}: "
+                             f"{float(values[f, r, t])!r} lies outside {list(DEFAULT_PARAM_BOUNDS[PARAM_NAMES[f]])}")
+
+
 def write_series(path, values: np.ndarray) -> Path:
     """(week_index, value) CSV for a single time series."""
     values = np.asarray(values, dtype=float).ravel()
-    return _write_blocks(path, ["week_index", "value"], _row_blocks(np.arange(len(values)), values))
+    return _write_blocks(path, INPUTS["series"].columns, _row_blocks(np.arange(len(values)), values))
 
 
 def write_level_series(out_dir, graph: PatchGraph, series: np.ndarray, stem: str) -> list[Path]:
@@ -304,46 +323,90 @@ def write_level_series(out_dir, graph: PatchGraph, series: np.ndarray, stem: str
     ]
 
 
-# -- readers ----------------------------------------------------------------
+# -- the input schema -------------------------------------------------------
+
+# Column kinds: any text, an id (not empty), a finite number, a count or
+# flow (>= 0), a population (> 0) and a week index (an integer >= 0).
+TEXT, ID, NUMBER, COUNT, POSITIVE, WEEK = "text", "id", "number", ">= 0", "> 0", "week"
+# the ids a ``known`` column may hold that no reader has to supply
+_FIXED_IDS = {"category": {GENERAL: 0, NON_GENERAL: 1}, "field": {name: f for f, name in enumerate(PARAM_NAMES)}}
+
+
+class _Input(NamedTuple):
+    """One input CSV format, as the module docstring describes its fields."""
+    columns: dict  # name -> kind, in header order
+    key: tuple
+    label: str  # ``str.format`` template naming a row by its cells and ``line``
+    known: dict = {}  # column -> what its ids are
+    rest: tuple | None = None  # (what, kind) of every other column
+    where: tuple | None = None  # (column, value) of the rows read
+    empty_ok: bool = False
+
+
+# Every input CSV format by role; a bundle holds ``<role>.csv`` for the first four.
+INPUTS = {
+    "patches": _Input({"patch_id": ID, "region": ID, "category": TEXT, "population": POSITIVE}, ("patch_id",),
+                      "patch {patch_id!r}", {"category": "category"}),
+    "travel": _Input({"src": ID, "dst": ID, "commute_flow": COUNT, "facility_flow": COUNT}, ("src", "dst"),
+                     "flow {src!r}->{dst!r}", {"src": "patch", "dst": "patch"}, empty_ok=True),
+    "cases": _Input({"patch_id": ID, "week_index": WEEK, "count": COUNT}, ("patch_id", "week_index"),
+                    "patch {patch_id!r}, week {week_index}", {"patch_id": "patch"}),
+    "features": _Input({"patch_id": ID, "week_index": WEEK}, ("patch_id", "week_index"),
+                       "patch {patch_id!r}, week {week_index}", {"patch_id": "patch"}, rest=("feature", NUMBER)),
+    "params": _Input({"kind": TEXT, "id": ID, "week_index": WEEK, "field": TEXT, "value": NUMBER},
+                     ("field", "id", "week_index"), "{field} of region {id!r}, week {week_index}",
+                     {"field": "field", "id": "region"}, where=("kind", "param")),
+    "series": _Input({"week_index": WEEK, "value": NUMBER}, ("week_index",), "week {week_index}"),
+}
 
 
 class Table:
-    """One CSV file read in one ``csv.reader`` pass, a block of rows at a time.
+    """One input CSV read against its ``INPUTS`` entry in one ``csv.reader``
+    pass, a block of rows at a time, then checked.
 
-    ``text`` columns are kept as strings (one object per distinct value),
-    ``numbers`` columns (when None, every other one) as floats converted in
-    one numpy call per block, so the file's text is never held whole.
-    ``label`` is a ``str.format`` template that names a row in fault
-    messages from its cells (by position and by column name) and ``line``.
-    ``where=(column, value)`` keeps the rows whose ``column`` holds ``value``.
+    Text columns are kept as strings (one object per distinct value), number
+    columns as floats converted in one numpy call per block.  ``ids`` maps
+    "patch" or "region" to an id -> position index; ``at`` holds each known
+    column's positions, ``keys`` each row's key when it holds no week and
+    ``value_names`` the number columns outside the key.
     """
 
-    def __init__(self, path, text: Sequence[str], numbers: Sequence[str] | None, label: str,
-                 where: tuple[str, str] | None = None):
-        self.path, self.label = Path(path), label
+    def __init__(self, path, spec: _Input, ids: Mapping[str, Mapping[str, int]] | None = None):
+        self.path, self.spec = Path(path), spec
         try:
             with open(self.path, encoding="utf-8-sig", newline="") as fh:
                 rows = csv.reader(fh)
                 self.header = next(rows, [])
-                self._read(rows, text, numbers, where)
+                self._read(rows)
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"cannot read input file {self.path} ({type(exc).__name__})") from None
+        self._check({**_FIXED_IDS, **(ids or {})})
 
-    def _read(self, rows, text, numbers, where) -> None:
-        header, width = self.header, len(self.header)
+    def _read(self, rows) -> None:
+        spec, header, width = self.spec, self.header, len(self.header)
+        if "" in header:
+            raise ShapeMismatch(f"{self.path}: column {header.index('') + 1} of the header has no name")
         if twice := sorted({c for c in header if header.count(c) > 1}):
             raise ShapeMismatch(f"{self.path}: column {twice[0]!r} appears more than once in the header")
-        numbers = [c for c in header if c not in text] if numbers is None else list(numbers)
-        if missing := [c for c in (*text, *numbers) if c not in header]:
+        if missing := [c for c in spec.columns if c not in header]:
             raise ShapeMismatch(f"{self.path}: missing column(s) {missing}")
+        self.kinds = dict(spec.columns)
+        if spec.rest:
+            if not (rest := [c for c in header if c not in spec.columns]):
+                raise ShapeMismatch(f"{self.path}: missing {spec.rest[0]} column(s): need one besides "
+                                    f"{list(spec.columns)}")
+            self.kinds.update(dict.fromkeys(rest, spec.rest[1]))
+        text = [c for c, kind in self.kinds.items() if kind in (TEXT, ID)]
+        numbers = [c for c in self.kinds if c not in text]
+        self.value_names = [c for c in numbers if c not in spec.key]
         at = [header.index(c) for c in (*text, *numbers)]
-        k = header.index(where[0]) if where else None
+        k, keep = (header.index(spec.where[0]), spec.where[1]) if spec.where else (None, None)
         cells, values, lines, memo, line = [[] for _ in text], [], [], {}, 2
         while block := list(islice(rows, _BLOCK_ROWS)):
             if set(map(len, block)) - {width, 0}:
                 n = next(n for n, r in enumerate(block) if len(r) not in (width, 0))
                 raise ShapeMismatch(f"{self.path}: line {line + n} has {len(block[n])} fields, the header has {width}")
-            kept = [n for n, r in enumerate(block) if r and (k is None or r[k] == where[1])]
+            kept = [n for n, r in enumerate(block) if r and (k is None or r[k] == keep)]
             lines.append(np.array(kept, dtype=np.int64) + line)
             line += len(block)
             columns = [[block[n][i] for n in kept] for i in at]
@@ -365,46 +428,43 @@ class Table:
         values = np.concatenate(values, axis=1) if values else np.empty((len(numbers), 0))
         self.columns: dict[str, Sequence] = {**dict(zip(text, cells)), **dict(zip(numbers, values))}
 
+    def _check(self, ids: Mapping[str, Mapping[str, int]]) -> None:
+        spec = self.spec
+        if self.n == 0 and not spec.empty_ok:
+            raise ShapeMismatch(f"{self.path}: no data rows")
+        for name, kind in self.kinds.items():
+            column = self.columns[name]
+            if kind == ID and "" in column:
+                n = column.index("")
+                raise self.fault(ShapeMismatch, n, f"line {self.lines[n]} has an empty {name}")
+            if kind not in (TEXT, ID) and (bad := ~np.isfinite(column) | (
+                    column < 0 if kind == COUNT else column <= 0 if kind == POSITIVE else False)).any():
+                n, low = int(np.argmax(bad)), {COUNT: " >= 0", POSITIVE: " > 0"}.get(kind, "")
+                raise self.fault(InvalidValue, n, f"{name} is {float(column[n])}, need a finite number{low}")
+            if kind == WEEK and (bad := (column < 0) | (column % 1 != 0)).any():
+                n = int(np.argmax(bad))
+                raise self.fault(ShapeMismatch, n, f"{name} is {_show(column[n])}, need an integer >= 0")
+        self.at = {}
+        for name, what in spec.known.items():
+            try:
+                self.at[name] = np.array([ids[what][v] for v in self.columns[name]], dtype=np.int64)
+            except KeyError:
+                n = next(n for n, v in enumerate(self.columns[name]) if v not in ids[what])
+                raise self.fault(ShapeMismatch, n, f"unknown {what} {self.columns[name][n]!r}") from None
+        if WEEK not in (self.kinds[c] for c in spec.key):  # a key with a week is checked by ``_dense``
+            self.keys, first = list(zip(*(self.columns[c] for c in spec.key))), {}
+            for n, key in enumerate(self.keys):
+                if first.setdefault(key, n) != n:
+                    raise self.fault(ShapeMismatch, n, f"duplicate of line {self.lines[first[key]]}")
+
     def _fault(self, error: type[DataError], cells: dict, line: int, message: str) -> DataError:
-        where = self.label.format(*cells.values(), **dict(cells, line=line))
-        return error(f"{self.path}: {where}: {message}")
+        return error(f"{self.path}: {self.spec.label.format(**dict(cells, line=line))}: {message}")
 
     def fault(self, error: type[DataError], n: int, message: str) -> DataError:
         """``error`` naming the file and kept row ``n``."""
         show = {c: v if isinstance(v := self.columns[c][n], str) else _show(v) for c in self.header if c in self.columns}
         return self._fault(error, show, self.lines[n], message)
 
-    def unique(self, *names: str) -> list:
-        """The ``names`` column (tuples for several) after checking no two rows share a value."""
-        keys = list(self.columns[names[0]] if len(names) == 1 else zip(*(self.columns[c] for c in names)))
-        if len(set(keys)) != len(keys):
-            first: dict = {}
-            for n, key in enumerate(keys):
-                if key in first:
-                    raise self.fault(ShapeMismatch, n, f"duplicate of line {self.lines[first[key]]}")
-                first[key] = n
-        return keys
-
-    def numbers(self, names: Sequence[str], nonnegative: bool = False) -> np.ndarray:
-        """len(names) x rows array; a NaN, inf or (if ``nonnegative``) negative raises ``InvalidValue``."""
-        values = np.array([self.columns[c] for c in names]).reshape(len(names), self.n)
-        bad = ~np.isfinite(values)
-        if nonnegative:
-            bad |= values < 0
-        if bad.any():
-            n, j = np.argwhere(bad.T)[0]
-            need = "a finite number >= 0" if nonnegative else "a finite number"
-            raise self.fault(InvalidValue, n, f"{names[j]} is {float(values[j, n])}, need {need}")
-        return values
-
-    def positions(self, name: str, index: Mapping[str, int], what: str) -> np.ndarray:
-        """Each row's ``name`` mapped through ``index``; an unknown one raises ``ShapeMismatch``."""
-        column = self.columns[name]
-        try:
-            return np.array([index[v] for v in column], dtype=np.int64)
-        except KeyError:
-            n = next(n for n, v in enumerate(column) if v not in index)
-            raise self.fault(ShapeMismatch, n, f"unknown {what} {column[n]!r}") from None
 
 
 def _show(value: float) -> str:
@@ -412,17 +472,11 @@ def _show(value: float) -> str:
     return repr(int(value)) if float(value).is_integer() else repr(float(value))
 
 
-def _dense(table: Table, pos: np.ndarray, keys: Sequence[str], values: np.ndarray,
-           week: str = "week_index") -> np.ndarray:
-    """len(keys) x weeks x len(values) array of a table keyed by (``pos``, ``week``):
+def _dense(table: Table, pos: np.ndarray, keys: Sequence[str]) -> np.ndarray:
+    """len(keys) x weeks x value-column array of a table keyed by (``pos``, its week):
     every (key, week) from week 0 on must occur exactly once, else ``ShapeMismatch``."""
-    if table.n == 0:
-        raise ShapeMismatch(f"{table.path}: no data rows")
-    weeks = table.numbers([week])[0]
-    if (bad := (weeks < 0) | (weeks % 1 != 0)).any():
-        n = int(np.argmax(bad))
-        raise table.fault(ShapeMismatch, n, f"{week} is {_show(weeks[n])}, need an integer >= 0")
-    weeks = weeks.astype(np.int64)
+    week = next(c for c in table.spec.key if table.kinds[c] == WEEK)
+    weeks = table.columns[week].astype(np.int64)
     n_weeks = int(weeks.max()) + 1
     order = np.lexsort((weeks, pos))
     p, w = pos[order], weeks[order]
@@ -436,46 +490,29 @@ def _dense(table: Table, pos: np.ndarray, keys: Sequence[str], values: np.ndarra
         gap = np.flatnonzero((p != k) | (w != t))
         k, t = divmod(int(gap[0]) if gap.size else table.n, n_weeks)
         raise ShapeMismatch(f"{table.path}: {keys[k]} has no {week} {t} row")
-    out = np.empty((len(keys), n_weeks, values.shape[0]))
-    out[pos, weeks] = values.T
+    out = np.empty((len(keys), n_weeks, len(table.value_names)))
+    out[pos, weeks] = np.array([table.columns[c] for c in table.value_names]).T
     return out
 
 
-def _weekly_table(path, graph: PatchGraph, value_cols: Sequence[str] = (),
-                  nonnegative: bool = False) -> tuple[np.ndarray, tuple[str, ...]]:
-    """(patches x weeks x columns array, value columns: all but the key if none given) of a weekly CSV."""
-    table = Table(path, ["patch_id"], ["week_index", *value_cols] if value_cols else None,
-                  "patch {patch_id!r}, week {week_index}")
-    value_cols = value_cols or tuple(c for c in table.header if c not in ("patch_id", "week_index"))
-    pos = table.positions("patch_id", graph.patch_index, "patch")
-    values = table.numbers(value_cols, nonnegative)
-    return _dense(table, pos, [f"patch {p!r}" for p in graph.patch_ids], values), tuple(value_cols)
+def _weekly_table(in_dir: Path, role: str, graph: PatchGraph) -> tuple[np.ndarray, tuple[str, ...]]:
+    """(patches x weeks x value columns array, value column names) of a bundle's weekly CSV."""
+    table = Table(in_dir / f"{role}.csv", INPUTS[role], {"patch": graph.patch_index})
+    keys = [f"patch {p!r}" for p in graph.patch_ids]
+    return _dense(table, table.at["patch_id"], keys), tuple(table.value_names)
 
 
 def load_graph(in_dir) -> tuple[PatchGraph, dict, dict]:
     """Read patches.csv + travel.csv; returns (graph, commute, facility)."""
     in_dir = Path(in_dir)
-    patches = Table(in_dir / "patches.csv", ["patch_id", "region", "category"], ["population"],
-                    "patch {patch_id!r}")
-    for column in ("patch_id", "region"):
-        if "" in patches.columns[column]:
-            n = patches.columns[column].index("")
-            raise patches.fault(ShapeMismatch, n, f"line {patches.lines[n]} has an empty {column}")
-    ids = patches.unique("patch_id")
-    patches.positions("category", {GENERAL: 0, NON_GENERAL: 1}, "category")
-    [population] = patches.numbers(["population"], nonnegative=True).tolist()
-    if 0 in population:  # the travel matrix divides by it
-        raise patches.fault(InvalidValue, population.index(0), "population is 0, need a number > 0")
-    travel = Table(in_dir / "travel.csv", ["src", "dst"], ["commute_flow", "facility_flow"],
-                   "flow {src!r}->{dst!r}")
-    pairs = travel.unique("src", "dst")
-    for end in ("src", "dst"):
-        travel.positions(end, dict.fromkeys(ids, 0), "patch")
+    patches = Table(in_dir / "patches.csv", INPUTS["patches"])
+    ids = patches.columns["patch_id"]
+    travel = Table(in_dir / "travel.csv", INPUTS["travel"], {"patch": dict.fromkeys(ids, 0)})
+    pairs = travel.keys
     if loops := [n for n, (src, dst) in enumerate(pairs) if src == dst]:
         raise travel.fault(InvalidValue, loops[0], f"line {travel.lines[loops[0]]} flows from a patch to itself")
-    flows = travel.numbers(["commute_flow", "facility_flow"], nonnegative=True).tolist()
-    commute, facility = (dict(zip(pairs, f)) for f in flows)
-    populations = dict(zip(ids, population))
+    commute, facility = (dict(zip(pairs, travel.columns[c].tolist())) for c in ("commute_flow", "facility_flow"))
+    populations = dict(zip(ids, patches.columns["population"].tolist()))
     try:
         theta = build_travel_matrix(commute, facility, populations)
     except DataError as exc:
@@ -494,8 +531,8 @@ def load_dataset(in_dir, graph: PatchGraph, window: int | None = None, horizon: 
     """
     in_dir = Path(in_dir)
     cases = in_dir / "cases.csv"
-    observed = _weekly_table(cases, graph, ["count"], nonnegative=True)[0][:, :, 0]
-    features, names = _weekly_table(in_dir / "features.csv", graph)
+    observed = _weekly_table(in_dir, "cases", graph)[0][:, :, 0]
+    features, names = _weekly_table(in_dir, "features", graph)
     if features.shape[1] != observed.shape[1]:
         raise ShapeMismatch("cases.csv and features.csv disagree on week count")
     total = observed.shape[1]
@@ -518,12 +555,9 @@ def load_dataset(in_dir, graph: PatchGraph, window: int | None = None, horizon: 
 
 def load_ground_truth_params(path, graph: PatchGraph) -> DiseaseParams:
     """Rebuild DiseaseParams from the ``param`` rows of a ground-truth (or params-only) CSV."""
-    table = Table(path, ["kind", "id", "field"], ["week_index", "value"],
-                  "{field} of region {id!r}, week {week_index}", where=("kind", "param"))
-    field = table.positions("field", {name: f for f, name in enumerate(PARAM_NAMES)}, "field")
-    region = table.positions("id", graph.region_index, "region")
+    table = Table(path, INPUTS["params"], {"region": graph.region_index})
     keys = [f"{name} of region {rid!r}" for name in PARAM_NAMES for rid in graph.region_ids]
-    values = _dense(table, field * graph.n_regions + region, keys, table.numbers(["value"]))
+    values = _dense(table, table.at["field"] * graph.n_regions + table.at["id"], keys)
     arrays = values[:, :, 0].reshape(len(PARAM_NAMES), graph.n_regions, -1)
     try:
         return DiseaseParams(region_ids=graph.region_ids, **dict(zip(PARAM_NAMES, arrays)))
@@ -532,49 +566,65 @@ def load_ground_truth_params(path, graph: PatchGraph) -> DiseaseParams:
 
 
 def read_series(path) -> np.ndarray:
-    """The value column of a (week, value) CSV, in week order."""
-    table = Table(path, [], None, "week {0}")
-    if len(table.header) < 2:
-        raise ShapeMismatch(f"{path}: expected (week, value) columns")
-    week, value = table.header[:2]
-    series = _dense(table, np.zeros(table.n, dtype=np.int64), ["the series"], table.numbers([value]), week)
-    return series[0, :, 0]
+    """The value column of a (week_index, value) CSV, in week order."""
+    table = Table(path, INPUTS["series"])
+    return _dense(table, np.zeros(table.n, dtype=np.int64), ["the series"])[0, :, 0]
 
 
 def read_json(path, error: type[DataError]):
-    """Strict JSON: an unreadable file, invalid JSON or a NaN/inf number raises ``error`` naming the file."""
+    """Strict JSON: an unreadable file, invalid JSON or a NaN/inf number (named
+    with its key) raises ``error`` naming the file."""
     path = Path(path)
+    bad: list = []
 
-    def finite(token: str) -> float:
-        if not math.isfinite(x := float(token)):
-            raise error(f"{path}: non-finite number {token}")
-        return x
+    def finite(token: str):
+        if math.isfinite(x := float(token)):
+            return x
+        bad.append(token)
+        return bad  # found again below by identity
 
     try:
-        return json.loads(path.read_text(encoding="utf-8"), parse_float=finite, parse_constant=finite)
+        payload = json.loads(path.read_text(encoding="utf-8"), parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise error(f"cannot read {path} ({type(exc).__name__})") from None
     except ValueError as exc:
         raise error(f"{path}: not valid JSON ({exc})") from None
+    if bad:
+        raise error(f"{path}: non-finite number {bad[0]} at {''.join(f'[{k!r}]' for k in _key_path(payload, bad))}")
+    return payload
+
+
+def _key_path(obj, target) -> list | None:
+    """The keys and indices leading to the first ``target`` (by identity) inside ``obj``."""
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ():
+        if (below := [] if value is target else _key_path(value, target)) is not None:
+            return [key, *below]
+    return None if obj is not target else []
 
 
 # -- checkpoints ------------------------------------------------------------
 
-# The integer fields a checkpoint may hold: (lowest value, whether null is allowed)
-_CHECKPOINT_INTS = {"seed": (0, False), "n_features": (1, False), "t_scale": (1, True)}
+# The fields of each kind of checkpoint, in the order they are checked, and
+# their rules, as the module docstring describes them.
+CHECKPOINTS = {kind: {"kind": ("equal", kind), "config": ("object",), "seed": ("int", 0, False),
+                      "weights": ("object",), "extra": ("object",), **fields} for kind, fields in {
+    "calib": {"n_features": ("int", 1, False),
+              "bounds": ("equal", {name: list(pair) for name, pair in DEFAULT_PARAM_BOUNDS.items()}),
+              "norm_mean": ("array", (1, 1, "n_features"), False),
+              "norm_std": ("array", (1, 1, "n_features"), True)},
+    "adapter": {"scale": ("array", (None,), True), "t_scale": ("int", 1, True)},
+}.items()}
 
 
-def write_checkpoint(path, kind: str, net, extra: dict | None = None, **fields) -> Path:
-    """JSON of ``net``'s config, seed and weights plus ``extra`` and the
-    net's own ``fields``; a non-finite number raises ``CheckpointError``."""
-    payload = {
-        "kind": kind,
-        "config": dataclasses.asdict(net.config),
-        "seed": net.seed,
-        "weights": {k: np.asarray(v).tolist() for k, v in net.weights.items()},
-        "extra": extra or {},
-        **fields,
-    }
+def write_checkpoint(path, kind: str, net, extra: dict | None = None) -> Path:
+    """JSON of ``net``'s ``CHECKPOINTS[kind]`` fields plus ``extra``; a
+    non-finite number raises ``CheckpointError``."""
+    payload = {"config": dataclasses.asdict(net.config), "extra": extra or {},
+               "weights": {k: np.asarray(v).tolist() for k, v in net.weights.items()}}
+    for key, rule in CHECKPOINTS[kind].items():
+        if key not in payload:
+            value = rule[1] if rule[0] == "equal" else getattr(net, key)
+            payload[key] = value.tolist() if isinstance(value, np.ndarray) else value
     try:
         text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
     except ValueError as exc:
@@ -584,72 +634,79 @@ def write_checkpoint(path, kind: str, net, extra: dict | None = None, **fields) 
     return path
 
 
-def read_checkpoint(path, kind: str, config_type, fields: Sequence[str],
-                    build: Callable[[object, int, dict], object]) -> tuple[object, dict]:
+def read_checkpoint(path, kind: str, config_type, build: Callable[[object, dict], object]) -> tuple[object, dict]:
     """Read a ``write_checkpoint`` file back; returns (net, extra).
 
-    ``build(config, seed, payload)`` makes a fresh net from the stored
-    config and the caller's ``fields``, reading any array field through
-    ``checkpoint_array``.  Every int field of the config, ``seed``,
-    ``n_features`` and ``t_scale`` must be JSON integers (not bools), the
-    last three of at least ``_CHECKPOINT_INTS``'s low; ``bounds`` must be
-    ``DEFAULT_PARAM_BOUNDS``, the one interval set every net uses, and
-    ``extra`` must be an object.  The stored weights must have exactly that
-    net's names and shapes.  Each fault raises ``CheckpointError`` naming
-    the file and the key or the fault.
+    Every field is checked against ``CHECKPOINTS[kind]`` and the config
+    against ``config_type``; ``build(config, fields)`` makes a fresh net,
+    which then takes the int and array fields and the stored weights.  Each
+    fault raises ``CheckpointError`` naming the file and the key.
     """
     payload = read_json(path, CheckpointError)
     try:
-        return _checked_net(payload, kind, config_type, fields, build), payload["extra"]
+        return _checked_net(payload, kind, config_type, build), payload["extra"]
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 
 
-def _checked_net(payload, kind: str, config_type, fields: Sequence[str], build):
+def _checked_net(payload, kind: str, config_type, build):
     """``read_checkpoint``'s checks and net; a fault raises ``CheckpointError`` without the file name."""
-    if not isinstance(payload, dict) or payload.get("kind") != kind:
-        raise CheckpointError(f"not a {kind} checkpoint")
-    _check_keys("key", payload, {"kind", "config", "seed", "weights", "extra", *fields})
+    rules = CHECKPOINTS[kind]
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"not a {kind} checkpoint (need a JSON object)")
+    _checked("kind", payload.get("kind"), rules["kind"], payload)  # before the keys: a checkpoint of another kind
+    _check_keys("keys", payload, set(rules))
+    unfit = all(payload[key] is None for key, rule in rules.items() if rule[0] == "array")
+    fields = {key: _checked(key, payload[key], rule, payload, unfit) for key, rule in rules.items()}
     config_fields = dataclasses.fields(config_type)
-    _check_keys("config key", payload["config"], {f.name for f in config_fields})
+    _check_keys("config keys", payload["config"], {f.name for f in config_fields})
     for f in config_fields:
         if f.type in (int, "int") and type(payload["config"][f.name]) is not int:
             raise CheckpointError(f"config {f.name} is {json.dumps(payload['config'][f.name])}, need an integer")
-    for key, (low, nullable) in _CHECKPOINT_INTS.items():
-        value = payload.get(key)
-        if key in payload and not (type(value) is int and value >= low or nullable and value is None):
-            raise CheckpointError(f"{key} is {json.dumps(value)}, need an integer >= {low}"
-                                  f"{' or null' if nullable else ''}")
-    if "bounds" in payload:
-        _check_keys("bound", payload["bounds"], set(PARAM_NAMES))
-        for name, pair in payload["bounds"].items():
-            if pair != list(DEFAULT_PARAM_BOUNDS[name]) or any(isinstance(v, bool) for v in pair):
-                raise CheckpointError(f"bounds {name} is {json.dumps(pair)}, "
-                                      f"need {json.dumps(DEFAULT_PARAM_BOUNDS[name])}")
-    if not isinstance(payload["extra"], dict):
-        raise CheckpointError(f"extra is {json.dumps(payload['extra'])}, need an object")
     try:
-        net = build(config_type(**payload["config"]), payload["seed"], payload)
-    except CheckpointError:
-        raise
-    except (DataError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed {kind} fields ({type(exc).__name__}: {exc})") from None
-    _check_keys("weight", payload["weights"], set(net.weights))
+        config = config_type(**payload["config"])
+    except DataError as exc:
+        raise CheckpointError(f"config {exc}") from None
+    net = build(config, fields)
+    for key, rule in rules.items():
+        if rule[0] in ("int", "array"):
+            setattr(net, key, fields[key])
+    _check_keys("weights", payload["weights"], set(net.weights))
     for name, init in net.weights.items():
-        net.weights[name] = checkpoint_array(f"weight {name!r}", payload["weights"][name], init.shape)
+        net.weights[name] = _array(f"weight {name!r}", payload["weights"][name], init.shape)
     return net
+
+
+def _checked(key: str, value, rule: tuple, payload: dict, unfit: bool = False):
+    """``value`` (an array field as a float array) if it meets its ``CHECKPOINTS``
+    rule, else ``CheckpointError``; ``unfit``: every array field is null."""
+    if rule[0] == "equal" and isinstance(rule[1], dict):
+        _check_keys(key, value, set(rule[1]))
+        for name, want in rule[1].items():
+            _checked(f"{key} {name}", value[name], ("equal", want), payload)
+    elif rule[0] == "equal" and (value != rule[1] or any(isinstance(v, bool) for v in (
+            value if isinstance(value, list) else [value]))):
+        raise CheckpointError(f"{key} is {json.dumps(value)}, need {json.dumps(rule[1])}")
+    elif rule[0] == "int" and not (type(value) is int and value >= rule[1] or rule[2] and value is None):
+        raise CheckpointError(f"{key} is {json.dumps(value)}, need an integer >= {rule[1]}"
+                              f"{' or null' if rule[2] else ''}")
+    elif rule[0] == "array" and not unfit:
+        return _array(key, value, tuple(payload[n] if isinstance(n, str) else n for n in rule[1]), rule[2])
+    elif rule[0] == "object" and not isinstance(value, dict):
+        raise CheckpointError(f"{key} is {json.dumps(value)}, need an object")
+    return value
 
 
 def _check_keys(what: str, obj, expected: set) -> None:
     if not isinstance(obj, dict):
-        raise CheckpointError(f"{what}s must be an object")
+        raise CheckpointError(f"{what} must be an object")
     if missing := sorted(expected - set(obj)):
-        raise CheckpointError(f"missing {what}s {missing}")
+        raise CheckpointError(f"missing {what} {missing}")
     if unknown := sorted(set(obj) - expected):
-        raise CheckpointError(f"unknown {what}s {unknown}")
+        raise CheckpointError(f"unknown {what} {unknown}")
 
 
-def checkpoint_array(what: str, value, shape: tuple, positive: bool = False) -> np.ndarray:
+def _array(what: str, value, shape: tuple, positive: bool = False) -> np.ndarray:
     """``value`` as a float array of ``shape`` (a None entry matches any
     length) whose every leaf is a finite JSON number, not a bool, and > 0 if
     ``positive``; a fault raises ``CheckpointError`` naming ``what`` and the

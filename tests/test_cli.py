@@ -12,7 +12,7 @@ import pytest
 from calypso import adapter as adapter_mod
 from calypso import analysis, calib, cli, eakf, io, synth
 from calypso.cli import main
-from calypso.core import DiseaseParams
+from calypso.core import DEFAULT_PARAM_BOUNDS, DiseaseParams
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +326,47 @@ class TestErrorHandling:
         assert f"[NumericalError] {out / 'trajectory.csv'}: patch {patch!r}, week 3: S+I+R is " in err, err
         assert not (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command, written", [("calibrate", "params.csv"), ("eakf", "eakf_summary.csv")])
+    def test_parameter_past_a_bound_exits_four_and_writes_no_file(self, data_dir, tmp_path, capsys, monkeypatch,
+                                                                   command, written):
+        def past(params):  # gamma of the second region, week 2, 2e-9 above its upper bound
+            gamma = params["gamma"].copy()
+            gamma[1, 2] = DEFAULT_PARAM_BOUNDS["gamma"][1] + 2e-9
+            return gamma
+
+        if command == "calibrate":
+            infer = calib.infer_params
+            monkeypatch.setattr(calib, "infer_params", lambda *args: dataclasses.replace(
+                infer(*args), gamma=past(infer(*args).as_dict())))
+        else:
+            run = eakf.run_eakf
+            monkeypatch.setattr(eakf, "run_eakf", lambda *args, **kwargs: dataclasses.replace(
+                result := run(*args, **kwargs), param_mean={**result.param_mean, "gamma": past(result.param_mean)}))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main([command, "--data", str(data_dir), "--epochs" if command == "calibrate" else "--size", "2",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"[NumericalError] {out / written}: gamma of region 'R1', week 2: 0.900000002" in err, err
+        assert not (out / written).exists()
+
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda p: p["scale"].__setitem__(0, "abc"), 'adapter.json: scale holds "abc"'),
+        (lambda p: p["scale"].pop(), "adapter.json: adapter was fit on a different number of units (scale has 10"),
+    ], ids=["string-in-scale", "unit-fewer"])
+    def test_bad_adapter_leaves_no_forecast_file(self, data_dir, checkpoint, adapter_checkpoint, tmp_path, capsys,
+                                                 edit, fragment):
+        payload = json.loads(adapter_checkpoint.read_text())
+        edit(payload)
+        bad = tmp_path / "adapter.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["forecast", "--data", str(data_dir), "--checkpoint", str(checkpoint), "--adapter", str(bad),
+                     "--out", str(out)]) == 3
+        assert fragment in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_config_file_supplies_defaults(self, data_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 3, "seed": 9, "lr_decay": 1}))  # an int may stand for a float
@@ -619,6 +660,10 @@ class TestErrorHandling:
         (["eakf", "--horizon", "50"], None, None, "InvalidOption",
          "horizon 50 leaves no training window in the 24 weeks of "),
         (["eakf", "--window", "1000"], None, None, "InvalidOption", "window 1000 + horizon 4 exceed the 24 weeks of "),
+        (["calibrate"], "features.csv", lambda rows: [row.pop(1) for row in rows],
+         "ShapeMismatch", "features.csv: missing column(s) ['week_index']"),
+        (["correct-data"], "features.csv", lambda rows: [row.__delitem__(slice(2, None)) for row in rows],
+         "ShapeMismatch", "features.csv: missing feature column(s)"),
     ], ids=["population-not-a-number", "population-zero", "patch-duplicated", "category-unknown",
             "population-column-missing", "patch-id-empty", "region-empty", "patches-column-twice",
             "travel-column-twice", "cases-column-twice", "features-column-twice", "param-column-twice",
@@ -628,7 +673,7 @@ class TestErrorHandling:
             "metrics-non-integer-week", "config-not-json", "config-not-an-object",
             "config-unknown-key", "config-nan", "config-epochs-a-string", "config-seed-a-string",
             "config-seed-negative", "simulate-zero-steps", "correct-data-zero-epochs",
-            "horizon-past-bundle", "window-past-bundle"])
+            "horizon-past-bundle", "window-past-bundle", "features-week-column-missing", "features-no-channel"])
     def test_input_fault_exits_three_and_names_file(self, data_dir, tmp_path, capsys,
                                                     argv, table, edit, error, fragment):
         data = tmp_path / "data"

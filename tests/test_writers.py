@@ -68,7 +68,8 @@ def _oracle_synth_files(out, bundle):
     _oracle_write_rows(out / "features.csv", ["patch_id", "week_index", *data.feature_names],
                        ((pid, t, *row) for pid, block in zip(ids, data.features)
                         for t, row in enumerate(block.tolist())))
-    _oracle_write_rows(out / "ground_truth.csv", io._PARAM_HEADER, chain(param_rows, state_rows))
+    _oracle_write_rows(out / "ground_truth.csv", ["kind", "id", "week_index", "field", "value"],
+                       chain(param_rows, state_rows))
 
 
 def _mixed_rows(n):
