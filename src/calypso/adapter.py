@@ -1,13 +1,14 @@
 """Residual corrector for simulator forecasts.
 
 Works on the stacked multi-level series (all patch rows, then region
-rows, then the state row).  A multi-layer gated recurrent stack reads,
-per week, the raw forecast value, the previous output (own prediction,
-or the ground truth under teacher forcing), and normalized timestep
-features; an output head emits one residual per unit per week.
-``refine`` returns only the corrected series, ``max(0, raw + residual)``.
-Every layer steps with ``autodiff.gru_cell`` and the timestep features
-come from ``calib.time_features``, both shared with the calibration net.
+rows, then the state row).  A gated recurrent stack of the fixed shape
+``core.ADAPTER_SHAPE`` reads, per week, the raw forecast value, the
+previous output (own prediction, or the ground truth under teacher
+forcing), and normalized timestep features; an output head emits one
+residual per unit per week.  ``refine`` corrects a units x weeks series
+with a fit net and returns only ``max(0, raw + residual)``.  The cell
+(``autodiff.gru_cell``), the timestep features (``calib.time_features``)
+and the first weights (``calib.init_weights``) are the calibration net's.
 
 Training freezes the simulator and calibration net entirely: the
 adapter only ever sees series, never model internals.  Teacher-forced
@@ -28,9 +29,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import io, seeding
-from .calib import time_features
-from .core import PatchGraph, aggregate, check_option
-from .errors import NumericalError, ShapeMismatch
+from .calib import init_weights, time_features
+from .core import ADAPTER_SHAPE, PatchGraph, aggregate, check_option
+from .errors import InvalidOption, NumericalError, ShapeMismatch
+
+HIDDEN, LAYERS, TIME_HARMONICS = (ADAPTER_SHAPE[key] for key in ("hidden", "layers", "time_harmonics"))
 
 
 def stack_levels(series: np.ndarray, graph: PatchGraph) -> np.ndarray:
@@ -39,18 +42,6 @@ def stack_levels(series: np.ndarray, graph: PatchGraph) -> np.ndarray:
     return np.concatenate(
         [series, aggregate(series, "region", graph), aggregate(series, "state", graph)], axis=0
     )
-
-
-@dataclass(frozen=True)
-class AdapterConfig:
-    hidden: int = 12
-    layers: int = 2
-    time_harmonics: int = 3
-
-    def __post_init__(self):
-        check_option("hidden", self.hidden, 1)
-        check_option("layers", self.layers, 1)
-        check_option("time_harmonics", self.time_harmonics, 0)
 
 
 # Adam's coupled weight decay and global gradient-norm clip for every adapter fit
@@ -74,12 +65,10 @@ class AdapterTrainConfig:
 class AdapterNet:
     """Recurrent-stack weights, output head, and timestep-embedding weights."""
 
-    def __init__(self, config: AdapterConfig = AdapterConfig(), seed: int = 0):
-        self.config = config
+    def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        h = config.hidden
-        k = 1 + 2 * config.time_harmonics
-        rng = seeding.spawn_rng(seed, seeding.ADAPTER, 0)
+        h = HIDDEN
+        k = 1 + 2 * TIME_HARMONICS
         shapes: dict[str, tuple] = {}
         for g in ("z", "r", "h"):
             shapes[f"l0_raw_{g}"] = (1, h)
@@ -87,29 +76,23 @@ class AdapterNet:
             shapes[f"l0_time_{g}"] = (k, h)
             shapes[f"l0_u_{g}"] = (h, h)
             shapes[f"l0_b_{g}"] = (h,)
-        for layer in range(1, config.layers):
+        for layer in range(1, LAYERS):
             for g in ("z", "r", "h"):
                 shapes[f"l{layer}_w_{g}"] = (h, h)
                 shapes[f"l{layer}_u_{g}"] = (h, h)
                 shapes[f"l{layer}_b_{g}"] = (h,)
         shapes["out_w"] = (h,)
         shapes["out_b"] = ()
-        self.weights: dict[str, np.ndarray] = {}
-        for name, shape in shapes.items():
-            if name.startswith("out_b") or "_b_" in name:
-                self.weights[name] = np.zeros(shape)
-            else:
-                bound = 1.0 / np.sqrt(shape[0] if shape else 1)
-                self.weights[name] = rng.uniform(-bound, bound, size=shape)
-        self.scale: np.ndarray | None = None   # per-unit normalization, set at fit
-        self.t_scale: int | None = None        # week-index normalizer, set at fit
+        self.weights = init_weights(seeding.spawn_rng(seed, seeding.ADAPTER, 0), shapes)
+        # set by ``train_adapter``; a net without them was never fit
+        self.scale: np.ndarray | None = None   # per-unit normalization
+        self.t_scale: int | None = None        # week-index normalizer
 
     def copy(self) -> "AdapterNet":
         return copy.deepcopy(self)
 
 
-def _forward(net_weights, config: AdapterConfig, raw_norm, scale, t_scale: int,
-             truth_norm=None, teacher_mask=None):
+def _forward(net_weights, raw_norm, scale, t_scale: int, truth_norm=None, teacher_mask=None):
     """Run the stack over a (units, weeks) normalized raw series.
 
     Returns the corrected series as a list of per-week unit vectors.
@@ -123,10 +106,10 @@ def _forward(net_weights, config: AdapterConfig, raw_norm, scale, t_scale: int,
         return tuple(net_weights[f"{name}_{g}"] for g in "zrh")
 
     raw_w, prev_w, time_w = gates("l0_raw"), gates("l0_prev"), gates("l0_time")
-    deep_w = [gates(f"l{layer}_w") for layer in range(1, config.layers)]
-    recurrent = [(gates(f"l{layer}_u"), gates(f"l{layer}_b")) for layer in range(config.layers)]
-    tau = time_features(weeks, config.time_harmonics, t_scale)
-    h_states = [np.zeros((n_units, config.hidden)) for _ in range(config.layers)]
+    deep_w = [gates(f"l{layer}_w") for layer in range(1, LAYERS)]
+    recurrent = [(gates(f"l{layer}_u"), gates(f"l{layer}_b")) for layer in range(LAYERS)]
+    tau = time_features(weeks, TIME_HARMONICS, t_scale)
+    h_states = [np.zeros((n_units, HIDDEN)) for _ in range(LAYERS)]
     prev = raw_norm[:, 0]
     corrected = []
     for t in range(weeks):
@@ -147,18 +130,19 @@ def _forward(net_weights, config: AdapterConfig, raw_norm, scale, t_scale: int,
 
 
 def refine(net: AdapterNet, raw_forecast: np.ndarray) -> np.ndarray:
-    """Correct a (units, weeks) raw series; output is clamped at zero."""
+    """Correct a (units, weeks) raw series with a fit net; output is clamped at zero."""
+    if net.scale is None or net.t_scale is None:
+        raise InvalidOption("adapter was never fit: train_adapter sets its scale")
     raw = np.asarray(raw_forecast, dtype=float)
-    if raw.ndim == 1:
-        raw = raw[None, :]
+    if raw.ndim != 2:
+        raise ShapeMismatch(f"raw forecast must be units x weeks, got shape {raw.shape}")
     if not np.all(np.isfinite(raw)):
         raise NumericalError("raw forecast contains non-finite values")
-    scale = net.scale if net.scale is not None else np.ones(raw.shape[0])
+    scale = net.scale
     if scale.shape[0] != raw.shape[0]:
         raise ShapeMismatch(f"adapter was fit on a different number of units (scale has {scale.shape[0]}, "
                             f"the series has {raw.shape[0]})")
-    t_scale = net.t_scale if net.t_scale is not None else raw.shape[1]
-    return np.stack(_forward(net.weights, net.config, raw / scale[:, None], scale, t_scale), axis=1)
+    return np.stack(_forward(net.weights, raw / scale[:, None], scale, net.t_scale), axis=1)
 
 
 def train_adapter(
@@ -197,10 +181,8 @@ def train_adapter(
         teacher_mask = rng.random(weeks) < ratio
 
         def epoch_loss(duals):
-            corrected = _forward(
-                duals, work.config, raw_norm, scale, work.t_scale,
-                truth_norm=truth_norm, teacher_mask=teacher_mask,
-            )
+            corrected = _forward(duals, raw_norm, scale, work.t_scale, truth_norm=truth_norm,
+                                 teacher_mask=teacher_mask)
             sse = 0.0
             for t in range(weeks):
                 d = corrected[t] / scale - truth_norm[:, t]
@@ -217,6 +199,5 @@ def save_checkpoint(path, net: AdapterNet) -> Path:
     return io.write_checkpoint(path, "adapter", net)
 
 
-def load_checkpoint(path) -> tuple[AdapterNet, dict]:
-    return io.read_checkpoint(path, "adapter", AdapterConfig,
-                              lambda config, fields: AdapterNet(config, seed=fields["seed"]))
+def load_checkpoint(path) -> AdapterNet:
+    return io.read_checkpoint(path, "adapter", None, lambda fields: AdapterNet(fields["seed"]))

@@ -42,6 +42,8 @@ from .core import (
 from .errors import InvalidOption, ShapeMismatch
 from .sim import patch_coefficients, plain_totals, plain_trajectory, seed_outbreak
 
+MULTIPLIER = 0.9  # an allocated patch's transmission multiplier, unless a caller sets one
+
 
 @dataclass(frozen=True)
 class FittedModel:
@@ -184,7 +186,7 @@ class GreedyResult:
 
 
 def unit_greedy(model: FittedModel, graph: PatchGraph, budget: int,
-                multiplier: float = 0.9,
+                multiplier: float = MULTIPLIER,
                 candidates: Sequence[str] | None = None) -> GreedyResult:
     """Pick ``budget`` patches one at a time by maximal marginal gain.
 
@@ -229,7 +231,7 @@ class BruteForceResult:
 
 
 def brute_force_allocation(model: FittedModel, graph: PatchGraph, budget: int,
-                           multiplier: float = 0.9,
+                           multiplier: float = MULTIPLIER,
                            candidates: Sequence[str] | None = None) -> BruteForceResult:
     """Exhaustive search over all size-``budget`` candidate subsets."""
     cands = _allocation_candidates(graph, candidates, budget, multiplier)
@@ -255,17 +257,15 @@ def brute_force_allocation(model: FittedModel, graph: PatchGraph, budget: int,
 
 
 def random_allocation_reduction(model: FittedModel, graph: PatchGraph, budget: int,
-                                multiplier: float = 0.9,
-                                candidates: Sequence[str] | None = None,
                                 n_draws: int = 20, seed: int = 0) -> np.ndarray:
-    """Reductions of ``n_draws`` random size-``budget`` allocations."""
-    cands = _allocation_candidates(graph, candidates, budget, multiplier)
+    """Reductions of ``n_draws`` random size-``budget`` non-general allocations."""
+    cands = _allocation_candidates(graph, None, budget, MULTIPLIER)
     rng = seeding.spawn_rng(seed, seeding.ANALYSIS, 0)
     scale = np.ones((graph.n_patches, 1 + n_draws))
     for d in range(n_draws):
         picks = rng.choice(len(cands), size=budget, replace=False)
         for k in picks:
-            scale[graph.patch_index[cands[k]], 1 + d] *= multiplier
+            scale[graph.patch_index[cands[k]], 1 + d] *= MULTIPLIER
     state_totals = aggregate(model.totals(graph, scale), "state", graph)[0]
     return state_totals[0] - state_totals[1:]
 

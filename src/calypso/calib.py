@@ -18,7 +18,8 @@ by the autodiff tape.  Adam with coupled weight decay, gradient-norm
 clipping, and a step-decay learning-rate schedule; the best weights by
 lowest loss and by highest state-level R^2 are both retained.
 ``forecast`` (the window plus ``h >= 0`` weeks) is the one path from a
-net to a simulated trajectory.
+net to a simulated trajectory; it, ``infer_params`` and the checkpoint
+writer refuse a net that ``train_joint`` never fit.
 """
 
 from __future__ import annotations
@@ -103,22 +104,15 @@ class CalibNet:
         h, d = config.hidden, config.decoder_width
         k = 1 + 2 * config.time_harmonics
         f = self.n_features
-        rng = seeding.spawn_rng(seed, seeding.CALIB, 0)
-        shapes = {
+        self.weights = init_weights(seeding.spawn_rng(seed, seeding.CALIB, 0), {
             "enc_wz": (f, h), "enc_uz": (h, h), "enc_bz": (h,),
             "enc_wr": (f, h), "enc_ur": (h, h), "enc_br": (h,),
             "enc_wh": (f, h), "enc_uh": (h, h), "enc_bh": (h,),
             "dec_wh": (h, d), "dec_wt": (k, d), "dec_b": (d,),
             "out_w": (d, 5), "out_b": (5,),
-        }
-        self.weights: dict[str, np.ndarray] = {}
-        for name, shape in shapes.items():
-            if name.endswith(("_bz", "_br", "_bh", "_b")):
-                self.weights[name] = np.zeros(shape)
-            else:
-                bound = 1.0 / np.sqrt(shape[0])
-                self.weights[name] = rng.uniform(-bound, bound, size=shape)
-        # per-channel z-score statistics, frozen at fit time
+        })
+        # the feature channels' names and z-score statistics, set by ``train_joint``
+        self.feature_names: tuple[str, ...] | None = None
         self.norm_mean: np.ndarray | None = None
         self.norm_std: np.ndarray | None = None
 
@@ -128,6 +122,20 @@ class CalibNet:
     def bound_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(low, width) of the parameter bounds as (1, 5) rows."""
         return PARAM_LO, PARAM_HI - PARAM_LO
+
+
+def init_weights(rng: np.random.Generator, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Weights of ``shapes``, drawn from ``rng`` in their order: a bias (a name
+    holding ``_b``) is zero, any other weight uniform in +-1/sqrt(its first axis).
+    ``CalibNet`` and ``AdapterNet`` both start from it."""
+    weights = {}
+    for name, shape in shapes.items():
+        if "_b" in name:
+            weights[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[0])
+            weights[name] = rng.uniform(-bound, bound, size=shape)
+    return weights
 
 
 def time_features(window: int, harmonics: int, t_scale: int | None = None) -> np.ndarray:
@@ -190,11 +198,12 @@ def _network_bounded(weights, feats: np.ndarray, tau: np.ndarray, lo: np.ndarray
 
 
 def infer_params(net: CalibNet, data: DataSet, graph: PatchGraph) -> DiseaseParams:
-    """Run the network on region-aggregated features; bounded parameters out."""
+    """Run a fit network on region-aggregated features; bounded parameters out."""
+    if net.norm_mean is None:
+        raise InvalidOption("calibration net was never fit: train_joint sets its feature statistics")
     if data.features.shape[2] != net.n_features:
         raise ShapeMismatch(f"net takes {net.n_features} feature channels, data has {data.features.shape[2]}")
-    stats = None if net.norm_mean is None else (net.norm_mean, net.norm_std)
-    feats = region_features(data, graph, stats=stats)
+    feats = region_features(data, graph, stats=(net.norm_mean, net.norm_std))
     tau = time_features(data.window, net.config.time_harmonics)
     lo, span = net.bound_arrays()
     bounded = _network_bounded(net.weights, feats, tau, lo, span, net.config)
@@ -267,7 +276,7 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
     bmat = graph.broadcast_matrix
 
     work = net.copy()
-    work.norm_mean, work.norm_std = norm_mean, norm_std
+    work.feature_names, work.norm_mean, work.norm_std = tuple(data.feature_names), norm_mean, norm_std
     opt = ad.Adam(work.weights, hyper.weight_decay, hyper.clip_norm)
 
     history_loss, history_r2, history_lr = [], [], []
@@ -343,6 +352,6 @@ def save_checkpoint(path, net: CalibNet, extra: dict | None = None) -> Path:
     return io.write_checkpoint(path, "calib", net, extra)
 
 
-def load_checkpoint(path) -> tuple[CalibNet, dict]:
+def load_checkpoint(path) -> CalibNet:
     return io.read_checkpoint(path, "calib", CalibConfig,
-                              lambda config, fields: CalibNet(fields["n_features"], config=config, seed=fields["seed"]))
+                              lambda fields: CalibNet(fields["n_features"], config=fields["config"], seed=fields["seed"]))

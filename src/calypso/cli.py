@@ -68,11 +68,11 @@ def _load_bundle(config: dict):
 
 
 def _load_net(config: dict, data) -> calib.CalibNet:
-    """The ``--checkpoint`` net; a net fit on another feature-channel count is refused."""
-    net, _ = calib.load_checkpoint(config["checkpoint"])
-    if net.n_features != data.features.shape[2]:
-        raise ShapeMismatch(f"{config['checkpoint']}: net takes {net.n_features} feature channels, "
-                            f"{Path(config['data']) / 'features.csv'} has {data.features.shape[2]}")
+    """The ``--checkpoint`` net; a net fit on other feature channels (names, in order) is refused."""
+    net = calib.load_checkpoint(config["checkpoint"])
+    if net.feature_names != data.feature_names:
+        raise ShapeMismatch(f"{config['checkpoint']}: net was fit on feature channels {list(net.feature_names)}, "
+                            f"{Path(config['data']) / 'features.csv'} has {list(data.feature_names)}")
     return net
 
 
@@ -152,7 +152,7 @@ def cmd_forecast(config: dict) -> list:
         raise InvalidOption(f"forecast needs --horizon >= 1, got {config['horizon']}")
     graph, data = _load_bundle(config)
     net = _load_net(config, data)
-    ad_net = adapter_mod.load_checkpoint(config["adapter"])[0] if config.get("adapter") else None
+    ad_net = adapter_mod.load_checkpoint(config["adapter"]) if config.get("adapter") else None
     traj = calib.forecast(net, data, graph, config["horizon"])
     if ad_net is not None:  # refined before the first write, so a refusal leaves no file
         try:
@@ -312,7 +312,7 @@ def cmd_metrics(config: dict) -> list:
 # flag per key, typed by its default.
 _DEFAULTS: dict[str, dict] = {
     "synth": {"seed": 1, "patches": 24, "regions": 4, "weeks": 120, "horizon": 4},
-    "simulate": {"seed": 0, "horizon": 4},
+    "simulate": {"horizon": 4},
     "calibrate": {"seed": 0, "epochs": 2000, "lr": 5e-3, "weight_decay": 0.01, "clip": 10.0,
                    "lr_step": 30, "lr_decay": 0.9, "horizon": 4, "w_patch": 1.0, "w_region": 1.0,
                    "w_state": 1.0, "hidden": 20, "decoder_width": 20},
@@ -324,7 +324,7 @@ _DEFAULTS: dict[str, dict] = {
     "sensitivity": {"seed": 0, "bump": 1.1, "horizon": 4},
     "outbreak": {"seed": 0, "k": 50.0, "horizon": 4},
     "correct-data": {"seed": 0, "noise_sd": 0.2, "k": 6, "noisy_count": 6, "epochs": 150, "eval_draws": 5, "horizon": 4},
-    "metrics": {"seed": 0},
+    "metrics": {},
 }
 
 # Every int and float option's ``check_option`` bound, ``(low, strict[, high])``,

@@ -37,6 +37,9 @@ DEFAULT_PARAM_BOUNDS = {
     "epsilon": (0.0, 1.0),
 }
 
+# The residual adapter's one architecture, which every adapter checkpoint holds as its ``config``.
+ADAPTER_SHAPE = {"hidden": 12, "layers": 2, "time_harmonics": 3}
+
 ROW_SUM_TOL = 1e-9
 
 
@@ -138,8 +141,6 @@ class PatchGraph:
 
 def _flows_to_matrix(flows, ids: Sequence[str] | None, n: int) -> np.ndarray:
     """Accept either an (n, n) array or a {(src, dst): flow} mapping."""
-    if flows is None:
-        return np.zeros((n, n))
     if isinstance(flows, Mapping):
         if ids is None:
             raise ShapeMismatch("mapping flows need id-keyed populations")
@@ -192,27 +193,21 @@ def build_travel_matrix(commute_flows, facility_flows, populations) -> np.ndarra
 
 
 def aggregate(series: np.ndarray, level: str, graph: PatchGraph) -> np.ndarray:
-    """Aggregate a patches x time matrix additively to the requested level.
+    """Aggregate a patches x time matrix additively to "region" or "state".
 
     Region rows sum their member patches; the state row is the sum of
     the region rows (computed from them, so the two levels agree
     exactly, not just to rounding).
     """
     series = np.asarray(series, dtype=float)
-    if series.ndim == 1:
-        series = series[None, :] if series.shape[0] != graph.n_patches else series[:, None]
-    if series.shape[0] != graph.n_patches:
-        raise ShapeMismatch(
-            f"series has {series.shape[0]} rows, graph has {graph.n_patches} patches"
-        )
-    if level == "patch":
-        return series
+    if series.ndim != 2 or series.shape[0] != graph.n_patches:
+        raise ShapeMismatch(f"series must be {graph.n_patches} patches x weeks, got shape {series.shape}")
     region = graph.region_matrix @ series
     if level == "region":
         return region
     if level == "state":
         return region.sum(axis=0, keepdims=True)
-    raise InvalidOption(f"level must be patch/region/state, got {level!r}")
+    raise InvalidOption(f"level must be region/state, got {level!r}")
 
 
 def metrics(pred, truth) -> dict[str, float]:

@@ -22,7 +22,10 @@ inflated prior state is mapped through it in one matrix product at the
 end.  Parameters are reflected back inside ``DEFAULT_PARAM_BOUNDS``
 after the update and compartments are repaired so every member keeps
 S + I + R = P and nonnegativity.  Each week's forecast starts with a
-random-walk step of every parameter (``PARAM_WALK``).
+random-walk step of every parameter (``PARAM_WALK``); ``_step_members``
+advances the members a week, for the filter and ``EakfResult.forecast``.
+An ``Ensemble`` holds states and parameters: the inflation and the
+observation error variance are ``eakf_step``'s arguments.
 
 Coordinates whose prior variance is below 1e-12 are left untouched by
 that observation (the zero-gain limit); if *every* observed coordinate
@@ -59,8 +62,6 @@ class Ensemble:
     I: np.ndarray
     R: np.ndarray
     params: np.ndarray                 # members x (5 * regions), inside DEFAULT_PARAM_BOUNDS
-    inflation: float = 1.02
-    obs_error_variance: float | None = None  # None -> max(1, 0.1*obs)^2 per obs
 
     def __post_init__(self):
         if self.S.shape[0] < 2:
@@ -69,10 +70,6 @@ class Ensemble:
             raise ShapeMismatch("member compartments disagree on shape")
         if self.params.shape != (self.S.shape[0], 5 * len(self.region_ids)):
             raise ShapeMismatch("params must be members x (5 * regions)")
-        check_option("inflation", self.inflation, 1)
-        # +inf is the no-information limit: the update leaves the prior as it is
-        if self.obs_error_variance is not None:
-            check_option("observation error variance", self.obs_error_variance, 0, strict=True, high=np.inf)
 
     @property
     def size(self) -> int:
@@ -87,8 +84,6 @@ def init_ensemble(
     graph: PatchGraph,
     init_infections: np.ndarray,
     size: int = 100,
-    inflation: float = 1.02,
-    obs_error_variance: float | None = None,
     seed: int = 0,
 ) -> Ensemble:
     """Uniform parameter draws inside ``DEFAULT_PARAM_BOUNDS``; jittered initial states.
@@ -113,8 +108,6 @@ def init_ensemble(
         I=member_i,
         R=np.zeros((size, graph.n_patches)),
         params=params,
-        inflation=inflation,
-        obs_error_variance=obs_error_variance,
     )
 
 
@@ -147,12 +140,17 @@ def _repair(ens: Ensemble, populations: np.ndarray) -> None:
     ens.S = populations[None, :] - ens.I - ens.R
 
 
-def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray) -> Ensemble:
-    """Assimilate one week of per-patch infection counts.
-
-    Returns a new ensemble, repaired against the patch ``populations``;
-    the input is unchanged.
+def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray, inflation: float,
+              obs_error_variance: float | None) -> Ensemble:
+    """Assimilate one week of per-patch infection counts, each of error variance
+    ``obs_error_variance`` (> 0 or +inf; None: max(1, 0.1 * count)^2), after
+    inflating every coordinate by ``inflation`` (>= 1).  Returns a new
+    ensemble, repaired against the patch ``populations``; the input is unchanged.
     """
+    check_option("inflation", inflation, 1)
+    # +inf is the no-information limit: the update leaves the prior as it is
+    if obs_error_variance is not None:
+        check_option("observation error variance", obs_error_variance, 0, strict=True, high=np.inf)
     obs = np.asarray(observation, dtype=float)
     n_patches = ens.I.shape[1]
     if obs.shape != (n_patches,):
@@ -163,11 +161,11 @@ def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray) -
         raise NumericalError("ensemble variance vanished in every observed coordinate")
 
     # multiplicative inflation of all augmented coordinates about the mean
-    prior = _inflate(np.concatenate([ens.S, ens.I, ens.R, ens.params], axis=1), ens.inflation)
+    prior = _inflate(np.concatenate([ens.S, ens.I, ens.R, ens.params], axis=1), inflation)
     observed = prior[:, n_patches : 2 * n_patches].T.copy()  # one contiguous row per patch
     n = ens.size
-    if ens.obs_error_variance is not None:
-        obs_vars = np.full(n_patches, float(ens.obs_error_variance))
+    if obs_error_variance is not None:
+        obs_vars = np.full(n_patches, float(obs_error_variance))
     else:
         obs_vars = np.maximum(1.0, 0.1 * obs) ** 2
     transform = np.eye(n)  # the week's updates so far: posterior = transform @ prior
@@ -206,6 +204,18 @@ def _member_coefficients(ens: Ensemble, graph: PatchGraph) -> tuple:
     })
 
 
+def _step_members(ens: Ensemble, graph: PatchGraph, coefficients: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Advance every member one week in place, one ``sirs_step`` each with its
+    ``_member_coefficients``; returns the sums, in member order, of I and of the new infections."""
+    i_sum, new_sum = np.zeros(graph.n_patches), np.zeros(graph.n_patches)
+    for m, member in enumerate(zip(*coefficients)):
+        ens.S[m], ens.I[m], ens.R[m], new = sirs_step(graph.theta, graph.theta_t, graph.n_eff,
+                                                      ens.S[m], ens.I[m], ens.R[m], *member)
+        i_sum += ens.I[m]
+        new_sum += new
+    return i_sum, new_sum
+
+
 def _inflate(arr: np.ndarray, factor: float) -> np.ndarray:
     mean = arr.mean(axis=0, keepdims=True)
     return mean + factor * (arr - mean)
@@ -223,14 +233,11 @@ class EakfResult:
 
     def forecast(self, h: int) -> np.ndarray:
         """Ensemble-mean infections over ``h`` further weeks (patches x h)."""
-        graph = self.graph
-        ens = self.ensemble
-        out = np.zeros((graph.n_patches, h))
-        for m, member in enumerate(zip(*_member_coefficients(ens, graph))):
-            s, i, rr = ens.S[m], ens.I[m], ens.R[m]
-            for t in range(h):
-                s, i, rr, _ = sirs_step(graph.theta, graph.theta_t, graph.n_eff, s, i, rr, *member)
-                out[:, t] += i
+        ens = replace(self.ensemble, S=self.ensemble.S.copy(), I=self.ensemble.I.copy(), R=self.ensemble.R.copy())
+        coefficients = _member_coefficients(ens, self.graph)
+        out = np.zeros((self.graph.n_patches, h))
+        for t in range(h):
+            out[:, t] = _step_members(ens, self.graph, coefficients)[0]
         return out / ens.size
 
 
@@ -244,15 +251,11 @@ def run_eakf(
 ) -> EakfResult:
     """Cycle forecast + assimilation over the training window; each week
     first walks every parameter by ``PARAM_WALK`` of its bound width."""
-    ens = init_ensemble(
-        graph, data.initial_infections, size=size, inflation=inflation,
-        obs_error_variance=obs_error_variance, seed=seed,
-    )
+    ens = init_ensemble(graph, data.initial_infections, size=size, seed=seed)
     walk_rng = seeding.spawn_rng(seed, seeding.EAKF, 1)
     widths = np.repeat(PARAM_HI - PARAM_LO, ens.n_regions)
     observed = data.training_observed()
     window = data.window
-    theta, theta_t, n_eff = graph.theta, graph.theta_t, graph.n_eff
     r = ens.n_regions
 
     s_mean = [ens.S.mean(axis=0)]
@@ -265,14 +268,9 @@ def run_eakf(
     for w in range(window):
         ens.params = ens.params + walk_rng.standard_normal(ens.params.shape) * (PARAM_WALK * widths)
         _clamp_params(ens.params, r)
-        di_acc = np.zeros(graph.n_patches)
-        for m, member in enumerate(zip(*_member_coefficients(ens, graph))):
-            s, i, rr, di = sirs_step(theta, theta_t, n_eff, ens.S[m], ens.I[m], ens.R[m], *member)
-            ens.S[m], ens.I[m], ens.R[m] = s, i, rr
-            di_acc += di
-        di_mean.append(di_acc / ens.size)
+        di_mean.append(_step_members(ens, graph, _member_coefficients(ens, graph))[1] / ens.size)
 
-        ens = eakf_step(ens, observed[:, w], populations=graph.populations)
+        ens = eakf_step(ens, observed[:, w], graph.populations, inflation, obs_error_variance)
         s_mean.append(ens.S.mean(axis=0))
         i_mean.append(ens.I.mean(axis=0))
         r_mean.append(ens.R.mean(axis=0))

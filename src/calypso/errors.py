@@ -10,9 +10,9 @@ class             family          exit  raised when
 ================  ==============  ====  =====================================
 DataError         base            3     an input file cannot be read
 InvalidOption     DataError       3     an option, argument or ``--config``
-                                        value is out of range, names no known
-                                        level, region, patch or target, or
-                                        does not fit the data
+                                        value is out of range, names nothing
+                                        known, does not fit the data or is a
+                                        net that was never fit
 InvalidValue      DataError       3     a number in an input table or array
                                         is non-numeric, non-finite, negative,
                                         zero or above a population

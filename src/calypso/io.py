@@ -28,14 +28,16 @@ and ``write_eakf_summary`` check ``PARAM_LO``/``PARAM_HI`` (widened by
 region and week.  ``write_json`` writes every JSON result.
 
 ``CHECKPOINTS`` states each checkpoint kind's fields (all: kind, config,
-seed, weights, extra; calib: n_features, bounds, norm_mean, norm_std;
-adapter: scale, t_scale) and their rules: ``("equal", value)``, ``("int",
-low, nullable)``, ``("array", shape, positive)`` (a shape entry is a
-length, None for any, or an int field's key; a kind's arrays are all null,
-a net never fit, or all set) or ``("object",)``; int and array fields are
-the net's attributes.  ``config`` holds its dataclass's fields, ints as
-JSON integers, and ``weights`` the net's names and shapes.  ``read_json``
-is the strict parse checkpoints share with ``--config`` files.
+seed, weights, extra; calib: n_features, feature_names, bounds, norm_mean,
+norm_std; adapter: scale, t_scale) and their rules: ``("equal", value)``
+(an int may stand for a float), ``("int", low)``, ``("names", count key)``
+(distinct, non-empty strings), ``("array", shape, positive)`` (a shape
+entry is a length, None for any, or an int field's key) or ``("object",)``.
+Only a fit net is written or read, every field set; the int, names and
+array fields are the net's attributes.  A calib ``config`` holds its
+dataclass's fields as JSON integers, an adapter's is ``core.ADAPTER_SHAPE``
+and ``weights`` the net's names and shapes.  ``read_json`` is the strict
+parse checkpoints share with ``--config`` files.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_PARAM_BOUNDS, GENERAL, NON_GENERAL, PARAM_HI, PARAM_LO, PARAM_NAMES, DataSet,
-                   DiseaseParams, PatchGraph, Trajectory, aggregate, build_travel_matrix)
+from .core import (ADAPTER_SHAPE, DEFAULT_PARAM_BOUNDS, GENERAL, NON_GENERAL, PARAM_HI, PARAM_LO, PARAM_NAMES,
+                   DataSet, DiseaseParams, PatchGraph, Trajectory, aggregate, build_travel_matrix)
 from .errors import (CheckpointError, DataError, InvalidOption, InvalidValue, NonFiniteOutput, NumericalError,
                      ShapeMismatch)
 
@@ -606,25 +608,27 @@ def _key_path(obj, target) -> list | None:
 
 # The fields of each kind of checkpoint, in the order they are checked, and
 # their rules, as the module docstring describes them.
-CHECKPOINTS = {kind: {"kind": ("equal", kind), "config": ("object",), "seed": ("int", 0, False),
-                      "weights": ("object",), "extra": ("object",), **fields} for kind, fields in {
-    "calib": {"n_features": ("int", 1, False),
-              "bounds": ("equal", {name: list(pair) for name, pair in DEFAULT_PARAM_BOUNDS.items()}),
-              "norm_mean": ("array", (1, 1, "n_features"), False),
-              "norm_std": ("array", (1, 1, "n_features"), True)},
-    "adapter": {"scale": ("array", (None,), True), "t_scale": ("int", 1, True)},
-}.items()}
+CHECKPOINTS = {kind: {"kind": ("equal", kind), "config": config, "seed": ("int", 0), "weights": ("object",),
+                      "extra": ("object",), **fields} for kind, config, fields in (
+    ("calib", ("object",), {
+        "n_features": ("int", 1), "feature_names": ("names", "n_features"),
+        "bounds": ("equal", {name: list(pair) for name, pair in DEFAULT_PARAM_BOUNDS.items()}),
+        "norm_mean": ("array", (1, 1, "n_features"), False), "norm_std": ("array", (1, 1, "n_features"), True)}),
+    ("adapter", ("equal", ADAPTER_SHAPE), {"scale": ("array", (None,), True), "t_scale": ("int", 1)}),
+)}
 
 
 def write_checkpoint(path, kind: str, net, extra: dict | None = None) -> Path:
-    """JSON of ``net``'s ``CHECKPOINTS[kind]`` fields plus ``extra``; a
-    non-finite number raises ``CheckpointError``."""
-    payload = {"config": dataclasses.asdict(net.config), "extra": extra or {},
-               "weights": {k: np.asarray(v).tolist() for k, v in net.weights.items()}}
+    """JSON of ``net``'s ``CHECKPOINTS[kind]`` fields plus ``extra``; a net never fit
+    (a field still None) raises ``InvalidOption``, a non-finite number ``CheckpointError``."""
+    payload = {"extra": extra or {}, "weights": {k: np.asarray(v).tolist() for k, v in net.weights.items()}}
     for key, rule in CHECKPOINTS[kind].items():
         if key not in payload:
             value = rule[1] if rule[0] == "equal" else getattr(net, key)
-            payload[key] = value.tolist() if isinstance(value, np.ndarray) else value
+            if value is None:
+                raise InvalidOption(f"{path}: the {kind} net was never fit ({key} is not set)")
+            payload[key] = (dataclasses.asdict(value) if dataclasses.is_dataclass(value)
+                            else value.tolist() if isinstance(value, np.ndarray) else value)
     try:
         text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
     except ValueError as exc:
@@ -634,17 +638,17 @@ def write_checkpoint(path, kind: str, net, extra: dict | None = None) -> Path:
     return path
 
 
-def read_checkpoint(path, kind: str, config_type, build: Callable[[object, dict], object]) -> tuple[object, dict]:
-    """Read a ``write_checkpoint`` file back; returns (net, extra).
+def read_checkpoint(path, kind: str, config_type, build: Callable[[dict], object]):
+    """Read a ``write_checkpoint`` file back into a net.
 
-    Every field is checked against ``CHECKPOINTS[kind]`` and the config
-    against ``config_type``; ``build(config, fields)`` makes a fresh net,
-    which then takes the int and array fields and the stored weights.  Each
-    fault raises ``CheckpointError`` naming the file and the key.
+    Every field is checked against ``CHECKPOINTS[kind]`` and a calib config
+    against ``config_type`` (None for the adapter's fixed one); ``build(fields)``
+    makes a fresh net, which then takes the int, names and array fields and
+    the stored weights.  A fault raises ``CheckpointError`` naming file and key.
     """
     payload = read_json(path, CheckpointError)
     try:
-        return _checked_net(payload, kind, config_type, build), payload["extra"]
+        return _checked_net(payload, kind, config_type, build)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 
@@ -656,20 +660,20 @@ def _checked_net(payload, kind: str, config_type, build):
         raise CheckpointError(f"not a {kind} checkpoint (need a JSON object)")
     _checked("kind", payload.get("kind"), rules["kind"], payload)  # before the keys: a checkpoint of another kind
     _check_keys("keys", payload, set(rules))
-    unfit = all(payload[key] is None for key, rule in rules.items() if rule[0] == "array")
-    fields = {key: _checked(key, payload[key], rule, payload, unfit) for key, rule in rules.items()}
-    config_fields = dataclasses.fields(config_type)
-    _check_keys("config keys", payload["config"], {f.name for f in config_fields})
-    for f in config_fields:
-        if f.type in (int, "int") and type(payload["config"][f.name]) is not int:
-            raise CheckpointError(f"config {f.name} is {json.dumps(payload['config'][f.name])}, need an integer")
-    try:
-        config = config_type(**payload["config"])
-    except DataError as exc:
-        raise CheckpointError(f"config {exc}") from None
-    net = build(config, fields)
+    fields = {key: _checked(key, payload[key], rule, payload) for key, rule in rules.items()}
+    if config_type is not None:
+        config = payload["config"]
+        _check_keys("config keys", config, {f.name for f in dataclasses.fields(config_type)})
+        for name, value in config.items():
+            if type(value) is not int:
+                raise CheckpointError(f"config {name} is {json.dumps(value)}, need an integer")
+        try:
+            fields["config"] = config_type(**config)
+        except DataError as exc:
+            raise CheckpointError(f"config {exc}") from None
+    net = build(fields)
     for key, rule in rules.items():
-        if rule[0] in ("int", "array"):
+        if rule[0] in ("int", "names", "array"):
             setattr(net, key, fields[key])
     _check_keys("weights", payload["weights"], set(net.weights))
     for name, init in net.weights.items():
@@ -677,24 +681,35 @@ def _checked_net(payload, kind: str, config_type, build):
     return net
 
 
-def _checked(key: str, value, rule: tuple, payload: dict, unfit: bool = False):
-    """``value`` (an array field as a float array) if it meets its ``CHECKPOINTS``
-    rule, else ``CheckpointError``; ``unfit``: every array field is null."""
+def _checked(key: str, value, rule: tuple, payload: dict):
+    """``value`` (an array field as a float array, names as a tuple) if it
+    meets its ``CHECKPOINTS`` rule, else ``CheckpointError``."""
     if rule[0] == "equal" and isinstance(rule[1], dict):
         _check_keys(key, value, set(rule[1]))
         for name, want in rule[1].items():
             _checked(f"{key} {name}", value[name], ("equal", want), payload)
-    elif rule[0] == "equal" and (value != rule[1] or any(isinstance(v, bool) for v in (
-            value if isinstance(value, list) else [value]))):
+    elif rule[0] == "equal" and not _same(value, rule[1]):
         raise CheckpointError(f"{key} is {json.dumps(value)}, need {json.dumps(rule[1])}")
-    elif rule[0] == "int" and not (type(value) is int and value >= rule[1] or rule[2] and value is None):
-        raise CheckpointError(f"{key} is {json.dumps(value)}, need an integer >= {rule[1]}"
-                              f"{' or null' if rule[2] else ''}")
-    elif rule[0] == "array" and not unfit:
+    elif rule[0] == "int" and not (type(value) is int and value >= rule[1]):
+        raise CheckpointError(f"{key} is {json.dumps(value)}, need an integer >= {rule[1]}")
+    elif rule[0] == "names":
+        n = payload[rule[1]]
+        if not (isinstance(value, list) and all(type(name) is str for name in value)
+                and len(value) == len(set(value) - {""}) == n):
+            raise CheckpointError(f"{key} is {json.dumps(value)}, need {n} distinct, non-empty strings")
+        return tuple(value)
+    elif rule[0] == "array":
         return _array(key, value, tuple(payload[n] if isinstance(n, str) else n for n in rule[1]), rule[2])
     elif rule[0] == "object" and not isinstance(value, dict):
         raise CheckpointError(f"{key} is {json.dumps(value)}, need an object")
     return value
+
+
+def _same(value, want) -> bool:
+    """``value == want`` leaf by leaf; an int may stand for a float, nothing else for another type."""
+    if isinstance(want, list):
+        return isinstance(value, list) and len(value) == len(want) and all(map(_same, value, want))
+    return type(value) in ((int, float) if type(want) is float else (type(want),)) and value == want
 
 
 def _check_keys(what: str, obj, expected: set) -> None:

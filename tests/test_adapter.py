@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from calypso import adapter, calib, synth
+from calypso import adapter, calib, seeding, synth
 from calypso import autodiff as ad
 from calypso.adapter import (
-    AdapterConfig,
+    HIDDEN,
+    LAYERS,
+    TIME_HARMONICS,
     AdapterNet,
     AdapterTrainConfig,
     refine,
@@ -42,20 +44,24 @@ def _gru_cell(weights, prefix: str, x_parts, h):
     return (1.0 - z) * h + z * cand
 
 
+def fitted(net: AdapterNet, units: int, weeks: int) -> AdapterNet:
+    """``net`` with the unit scale and week normaliser a fit would set, its weights untouched."""
+    net.scale, net.t_scale = np.linspace(1.0, 2.0, units), weeks
+    return net
+
+
 def reference_refine(net: AdapterNet, raw: np.ndarray) -> np.ndarray:
     """``refine`` on plain arrays, stepped by ``_gru_cell`` and ``_time_row``."""
-    config, w = net.config, net.weights
-    scale = net.scale if net.scale is not None else np.ones(raw.shape[0])
-    t_scale = net.t_scale if net.t_scale is not None else raw.shape[1]
+    w, scale, t_scale = net.weights, net.scale, net.t_scale
     raw_norm = raw / scale[:, None]
-    h = [np.zeros((raw.shape[0], config.hidden)) for _ in range(config.layers)]
+    h = [np.zeros((raw.shape[0], HIDDEN)) for _ in range(LAYERS)]
     prev = raw_norm[:, 0]
     out = []
     for t in range(raw.shape[1]):
         parts = [(raw_norm[:, t, None], "raw"), (prev[:, None], "prev"),
-                 (_time_row(t, t_scale, config.time_harmonics), "time")]
+                 (_time_row(t, t_scale, TIME_HARMONICS), "time")]
         h[0] = _gru_cell(w, "l0", parts, h[0])
-        for layer in range(1, config.layers):
+        for layer in range(1, LAYERS):
             h[layer] = _gru_cell(w, f"l{layer}", [(h[layer - 1], "w")], h[layer])
         corr = np.maximum(raw[:, t] + (h[-1] @ w["out_w"] + w["out_b"]) * scale, 0.0)
         out.append(corr)
@@ -87,22 +93,20 @@ def checksum(weights):
 class TestRefine:
     def test_zero_head_is_identity_on_nonnegative_series(self, series):
         raw, _ = series
-        net = AdapterNet(seed=0)
+        net = fitted(AdapterNet(seed=0), *raw.shape)
         net.weights["out_w"][...] = 0.0
         net.weights["out_b"][...] = 0.0
         assert np.allclose(refine(net, raw), raw)
 
     def test_output_clamped_at_zero(self):
         rng = np.random.default_rng(0)
-        net = AdapterNet(seed=1)
-        net.scale = np.ones(2)
-        net.t_scale = 10
+        net = fitted(AdapterNet(seed=1), 2, 10)
         raw = rng.uniform(0, 0.5, size=(2, 10))
         corrected = refine(net, raw)
         assert np.all(corrected >= 0.0)
 
     def test_non_finite_input_rejected(self):
-        net = AdapterNet(seed=0)
+        net = fitted(AdapterNet(seed=0), 2, 5)
         bad = np.full((2, 5), np.nan)
         with pytest.raises(NumericalError, match="raw forecast contains non-finite values"):
             refine(net, bad)
@@ -113,6 +117,16 @@ class TestRefine:
                                AdapterTrainConfig(epochs=2))
         with pytest.raises(ShapeMismatch):
             refine(net, raw[:2])
+
+    @pytest.mark.parametrize("shape", [(40,), (1, 3, 40)])
+    def test_only_a_units_x_weeks_series_is_refined(self, series, shape):
+        net = fitted(AdapterNet(seed=0), 3, 40)
+        with pytest.raises(ShapeMismatch, match=r"raw forecast must be units x weeks, got shape \("):
+            refine(net, np.ones(shape))
+
+    def test_a_net_never_fit_is_refused(self, series):
+        with pytest.raises(InvalidOption, match="adapter was never fit: train_adapter sets its scale"):
+            refine(AdapterNet(seed=0), series[0])
 
 
 class TestSharedParts:
@@ -127,9 +141,8 @@ class TestSharedParts:
 
     def test_refine_matches_the_reference_cell(self, series):
         raw, truth = series
-        trained, _ = train_adapter(AdapterNet(AdapterConfig(layers=3), seed=5), raw, truth,
-                                   AdapterTrainConfig(epochs=3, seed=0))
-        for net in (AdapterNet(seed=2), trained):
+        trained, _ = train_adapter(AdapterNet(seed=5), raw, truth, AdapterTrainConfig(epochs=3, seed=0))
+        for net in (fitted(AdapterNet(seed=2), *raw.shape), trained):
             got, want = refine(net, raw), reference_refine(net, raw)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -141,10 +154,17 @@ class TestSharedParts:
         with pytest.raises(InvalidOption, match=f"{field} must be"):
             AdapterTrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["hidden", "layers", "time_harmonics"])
-    def test_bad_architecture_refused(self, field):
-        with pytest.raises(InvalidOption, match=f"{field} must be"):
-            AdapterConfig(**{field: -1})
+    def test_both_nets_draw_their_first_weights_from_one_initialiser(self):
+        """Zero biases, every other weight uniform in +-1/sqrt(its first axis),
+        drawn in the net's weight order from its own stream."""
+        for net, rng in ((AdapterNet(seed=3), seeding.spawn_rng(3, seeding.ADAPTER, 0)),
+                         (calib.CalibNet(4, seed=3), seeding.spawn_rng(3, seeding.CALIB, 0))):
+            for name, value in net.weights.items():
+                if "_b" in name:
+                    assert not value.any(), name
+                else:
+                    bound = 1.0 / np.sqrt(value.shape[0])
+                    assert value.tobytes() == rng.uniform(-bound, bound, size=value.shape).tobytes(), name
 
 
 class TestTrainAdapter:
@@ -244,5 +264,10 @@ class TestCheckpoint:
         raw, truth = series
         net, _ = train_adapter(AdapterNet(seed=4), raw, truth, AdapterTrainConfig(epochs=3))
         path = adapter.save_checkpoint(tmp_path / "adapter.json", net)
-        loaded, _ = adapter.load_checkpoint(path)
+        loaded = adapter.load_checkpoint(path)
         assert np.allclose(refine(loaded, raw), refine(net, raw))
+
+    def test_a_net_never_fit_is_not_written(self, tmp_path):
+        with pytest.raises(InvalidOption, match=r"adapter.json: the adapter net was never fit \(scale is not set\)"):
+            adapter.save_checkpoint(tmp_path / "adapter.json", AdapterNet(seed=0))
+        assert not (tmp_path / "adapter.json").exists()

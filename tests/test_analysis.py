@@ -298,16 +298,14 @@ class TestUnitGreedy:
         with pytest.raises(InvalidOption, match="no candidate patches for allocation"):
             unit_greedy(model, bundle.graph, budget=1, candidates=[])
 
-    @pytest.mark.parametrize("allocate", [unit_greedy, brute_force_allocation,
-                                          random_allocation_reduction])
+    @pytest.mark.parametrize("allocate", [unit_greedy, brute_force_allocation])
     @pytest.mark.parametrize("multiplier", [-1.0, 0.0, np.nan, np.inf])
     def test_bad_multiplier_refused_before_simulating(self, bundle, model, no_simulation,
                                                        allocate, multiplier):
         with pytest.raises(InvalidOption, match="multiplier must be finite and > 0"):
             allocate(model, bundle.graph, 2, multiplier=multiplier)
 
-    @pytest.mark.parametrize("allocate", [unit_greedy, brute_force_allocation,
-                                          random_allocation_reduction])
+    @pytest.mark.parametrize("allocate", [unit_greedy, brute_force_allocation])
     @pytest.mark.parametrize("budget, message", [(0, "budget must be finite and >= 1"),
                                                  (100, "budget 100 exceeds 3 candidates")])
     def test_bad_budget_refused_before_simulating(self, bundle, model, no_simulation,
@@ -315,6 +313,13 @@ class TestUnitGreedy:
         candidates = bundle.graph.patch_ids[:3]
         with pytest.raises(InvalidOption if budget < 1 else ShapeMismatch, match=message):
             allocate(model, bundle.graph, budget, candidates=candidates)
+
+    def test_random_allocation_refuses_a_bad_budget_before_simulating(self, bundle, model, no_simulation):
+        n = len(bundle.graph.patches_of_category("non-general"))
+        with pytest.raises(InvalidOption, match="budget must be finite and >= 1"):
+            random_allocation_reduction(model, bundle.graph, 0)
+        with pytest.raises(ShapeMismatch, match=f"budget {n + 1} exceeds {n} candidates"):
+            random_allocation_reduction(model, bundle.graph, n + 1)
 
     def test_unknown_candidate_rejected(self, bundle, model):
         for allocate in (unit_greedy, brute_force_allocation):

@@ -369,7 +369,7 @@ class TestTrainingStep:
         net = calib.CalibNet(b.data.features.shape[2], config=calib.CalibConfig(hidden=4, decoder_width=4))
         calib.train_joint(net, b.data, b.graph, calib.TrainConfig(epochs=3))
         series = adapter.stack_levels(b.data.training_observed(), b.graph)
-        adapter.train_adapter(adapter.AdapterNet(adapter.AdapterConfig(hidden=3)), series + 1.0, series,
+        adapter.train_adapter(adapter.AdapterNet(), series + 1.0, series,
                               adapter.AdapterTrainConfig(epochs=3))
         assert alive_at_start == [0] * 6
 
@@ -737,5 +737,5 @@ class TestAgainstReferenceTape:
         assert n_calib == 10_719
         series = adapter.stack_levels(b.data.training_observed(), b.graph)
         self.assert_epoch_matches(monkeypatch, lambda: adapter.train_adapter(
-            adapter.AdapterNet(adapter.AdapterConfig()), series * 1.1 + 1.0, series,
+            adapter.AdapterNet(), series * 1.1 + 1.0, series,
             adapter.AdapterTrainConfig(epochs=1)))

@@ -23,8 +23,12 @@ def bundle():
 
 
 def small_net(bundle, seed=0):
-    return CalibNet(bundle.data.features.shape[2],
-                    config=CalibConfig(hidden=8, decoder_width=8), seed=seed)
+    """A small net as drawn, with the channel names and statistics a fit on ``bundle`` sets."""
+    net = CalibNet(bundle.data.features.shape[2], config=CalibConfig(hidden=8, decoder_width=8), seed=seed)
+    window = bundle.data.features[:, : bundle.data.window, :]
+    net.norm_mean, net.norm_std = calib.feature_stats(np.einsum("rp,pwf->rwf", bundle.graph.region_matrix, window))
+    net.feature_names = bundle.data.feature_names
+    return net
 
 
 class TestInferParams:
@@ -53,6 +57,11 @@ class TestInferParams:
         params = infer_params(small_net(bundle), bundle.data, bundle.graph)
         assert params.beta.shape == (bundle.graph.n_regions, bundle.data.window)
 
+    def test_a_net_never_fit_is_refused(self, bundle):
+        net = CalibNet(bundle.data.features.shape[2])
+        with pytest.raises(InvalidOption, match="calibration net was never fit: train_joint sets"):
+            infer_params(net, bundle.data, bundle.graph)
+
     def test_deterministic(self, bundle):
         net = small_net(bundle)
         p1 = infer_params(net, bundle.data, bundle.graph)
@@ -79,7 +88,7 @@ class TestInferParams:
 
         result = train_joint(small_net(bundle), bundle.data, bundle.graph,
                              TrainConfig(epochs=2, seed=0))
-        assert result.net.norm_mean is not None
+        assert result.net.norm_mean is not None and result.net.feature_names == bundle.data.feature_names
         import dataclasses
 
         features = np.array(bundle.data.features)
@@ -297,8 +306,9 @@ class TestCheckpoint:
         net = small_net(bundle)
         result = train_joint(net, bundle.data, bundle.graph, TrainConfig(epochs=5))
         path = calib.save_checkpoint(tmp_path / "ckpt.json", result.net, extra={"note": 1})
-        loaded, extra = calib.load_checkpoint(path)
-        assert extra == {"note": 1}
+        loaded = calib.load_checkpoint(path)
+        assert json.loads(path.read_text())["extra"] == {"note": 1}
+        assert loaded.feature_names == bundle.data.feature_names
         p1 = infer_params(result.net, bundle.data, bundle.graph)
         p2 = infer_params(loaded, bundle.data, bundle.graph)
         assert np.array_equal(p1.beta, p2.beta)
@@ -307,4 +317,12 @@ class TestCheckpoint:
     def test_non_finite_value_is_not_written(self, bundle, tmp_path):
         with pytest.raises(CheckpointError):
             calib.save_checkpoint(tmp_path / "ckpt.json", small_net(bundle), extra={"best_r2": float("nan")})
+        assert not (tmp_path / "ckpt.json").exists()
+
+    @pytest.mark.parametrize("unset", ["feature_names", "norm_mean", "norm_std"])
+    def test_a_net_never_fit_is_not_written(self, bundle, tmp_path, unset):
+        net = small_net(bundle)
+        setattr(net, unset, None)
+        with pytest.raises(InvalidOption, match=f"ckpt.json: the calib net was never fit \\({unset} is not set\\)"):
+            calib.save_checkpoint(tmp_path / "ckpt.json", net)
         assert not (tmp_path / "ckpt.json").exists()

@@ -95,6 +95,7 @@ class TestSimulateCommand:
                      "--steps", "12", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["cumulative_new_infections"]["state"] == 0.0
+        assert json.loads((out / "run_manifest.json").read_text())["seed"] is None  # simulate draws nothing
 
     def test_missing_params_file_is_data_error(self, data_dir, tmp_path):
         code = main(["simulate", "--data", str(data_dir), "--params",
@@ -233,6 +234,7 @@ class TestMetricsCommand:
                      "--truth", str(tmp_path / "truth.csv"), "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert payload["mae"] == pytest.approx(1.0 / 3.0)
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["seed"] is None
         assert "r2" in capsys.readouterr().out
 
     def test_degenerate_truth_is_data_error(self, tmp_path):
@@ -399,7 +401,7 @@ class TestErrorHandling:
         ("calib", _json_edit(lambda p: p["config"].update(hidden=0)), "CheckpointError",
          "hidden must be finite and >= 1"),
         ("adapter", _json_edit(lambda p: p["config"].update(hidden=0)), "CheckpointError",
-         "hidden must be finite and >= 1"),
+         "adapter.json: config hidden is 0, need 12"),
         ("calib", _json_edit(lambda p: p.update(seed=1.5)), "CheckpointError",
          "checkpoint.json: seed is 1.5, need an integer >= 0"),
         ("calib", _json_edit(lambda p: p.update(seed=True)), "CheckpointError",
@@ -411,11 +413,24 @@ class TestErrorHandling:
         ("calib", _json_edit(lambda p: p["bounds"].update(zeta=[0.0, 1.0])), "CheckpointError",
          "checkpoint.json: unknown bounds ['zeta']"),
         ("adapter", _json_edit(lambda p: p.update(t_scale=-5)), "CheckpointError",
-         "adapter.json: t_scale is -5, need an integer >= 1 or null"),
+         "adapter.json: t_scale is -5, need an integer >= 1"),
         ("adapter", _json_edit(lambda p: p.update(t_scale=2.5)), "CheckpointError",
-         "adapter.json: t_scale is 2.5, need an integer >= 1 or null"),
+         "adapter.json: t_scale is 2.5, need an integer >= 1"),
         ("adapter", _json_edit(lambda p: p.update(t_scale=True)), "CheckpointError",
-         "adapter.json: t_scale is true, need an integer >= 1 or null"),
+         "adapter.json: t_scale is true, need an integer >= 1"),
+        ("adapter", _json_edit(lambda p: p.update(t_scale=None)), "CheckpointError",
+         "adapter.json: t_scale is null, need an integer >= 1"),
+        ("adapter", _json_edit(lambda p: p.update(scale=None, t_scale=None)), "CheckpointError",
+         "adapter.json: scale: need finite positive values of shape (n,), got shape ()"),
+        ("adapter", _json_edit(lambda p: p["config"].update(layers=3)), "CheckpointError",
+         "adapter.json: config layers is 3, need 2"),
+        ("calib", _json_edit(lambda p: p.update(norm_mean=None, norm_std=None)), "CheckpointError",
+         "checkpoint.json: norm_mean: need finite values of shape (1, 1, 4), got shape ()"),
+        ("calib", _json_edit(lambda p: p["feature_names"].__setitem__(1, "mrsa")), "CheckpointError",
+         'checkpoint.json: feature_names is ["mrsa", "mrsa", "prescriptions", "norm_incidence"], '
+         "need 4 distinct, non-empty strings"),
+        ("calib", _json_edit(lambda p: p.pop("feature_names")), "CheckpointError",
+         "checkpoint.json: missing keys ['feature_names']"),
         ("adapter", _json_edit(lambda p: p["scale"].pop()), "ShapeMismatch",
          "adapter.json: adapter was fit on a different number of units"),
         ("data", None, "ShapeMismatch", "feature channels"),
@@ -427,11 +442,11 @@ class TestErrorHandling:
         ("calib", _json_edit(lambda p: p["config"].update(time_harmonics=1.5)), "CheckpointError",
          "checkpoint.json: config time_harmonics is 1.5, need an integer"),
         ("adapter", _json_edit(lambda p: p["config"].update(hidden=12.0)), "CheckpointError",
-         "adapter.json: config hidden is 12.0, need an integer"),
+         "adapter.json: config hidden is 12.0, need 12"),
         ("adapter", _json_edit(lambda p: p["config"].update(layers=False)), "CheckpointError",
-         "adapter.json: config layers is false, need an integer"),
+         "adapter.json: config layers is false, need 2"),
         ("adapter", _json_edit(lambda p: p["config"].update(time_harmonics=0.5)), "CheckpointError",
-         "adapter.json: config time_harmonics is 0.5, need an integer"),
+         "adapter.json: config time_harmonics is 0.5, need 3"),
         ("calib", _json_edit(lambda p: p["bounds"].update(beta=[-5, 5])), "CheckpointError",
          "checkpoint.json: bounds beta is [-5, 5], need [0.0, 1.0]"),
         ("calib", _json_edit(lambda p: p["bounds"].update(beta=[0.2, 0.8])), "CheckpointError",
@@ -467,7 +482,8 @@ class TestErrorHandling:
             "adapter-nan-weight", "adapter-missing-t_scale", "calib-zero-hidden", "adapter-zero-hidden",
             "calib-float-seed", "calib-bool-seed", "calib-float-n_features", "calib-extra-not-an-object",
             "calib-sixth-bound", "adapter-negative-t_scale", "adapter-float-t_scale", "adapter-bool-t_scale",
-            "adapter-other-unit-count", "feature-channel-mismatch",
+            "adapter-null-t_scale", "adapter-null-scale", "adapter-three-layers", "calib-null-norm-arrays",
+            "calib-duplicate-feature_names", "calib-missing-feature_names", "adapter-other-unit-count", "feature-channel-mismatch",
             "calibrate-zero-epochs", "calib-float-hidden", "calib-bool-hidden", "calib-float-time_harmonics",
             "adapter-float-hidden", "adapter-bool-layers", "adapter-float-time_harmonics",
             "calib-wide-bound", "calib-narrow-bound", "calib-one-number-bound", "calib-bool-bound",
@@ -500,22 +516,31 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert f"[{error}]" in err and fragment in err, err
 
+    @pytest.mark.parametrize("edit, channels", [
+        (lambda row, i: row + [row[-1] if i else "extra"], ["mrsa", "mssa", "prescriptions", "norm_incidence", "extra"]),
+        (lambda row, i: [row[0], row[1], row[3], row[2], *row[4:]], ["mssa", "mrsa", "prescriptions", "norm_incidence"]),
+        (lambda row, i: row[:2] + [row[2] if i else "mrsa_rate", *row[3:]],
+         ["mrsa_rate", "mssa", "prescriptions", "norm_incidence"]),
+    ], ids=["extra", "swapped", "renamed"])
     @pytest.mark.parametrize("argv", [["forecast"], ["adapter"], ["policy-region", "--region", "R0"],
                                       ["policy-greedy"], ["sensitivity"], ["outbreak"]],
                              ids=lambda argv: argv[0])
-    def test_feature_count_mismatch_names_the_checkpoint_and_features_file(
-            self, data_dir, checkpoint, tmp_path, capsys, argv):
-        data = tmp_path / "data"  # one more feature channel than the net was fit on
+    def test_feature_channel_mismatch_names_the_checkpoint_features_file_and_both_lists(
+            self, data_dir, checkpoint, tmp_path, capsys, argv, edit, channels):
+        """A features.csv whose channels differ from the fit's by count, order
+        (``swapped`` ran to exit 0 while the net read mssa as mrsa) or name."""
+        data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         with open(data_dir / "features.csv", newline="") as fh:
-            rows = [row + [row[-1] if i else "extra"] for i, row in enumerate(csv.reader(fh))]
+            rows = [edit(row, i) for i, row in enumerate(csv.reader(fh))]
         with open(data / "features.csv", "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         capsys.readouterr()
         assert main(argv + ["--data", str(data), "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert (f"[ShapeMismatch] {checkpoint}: net takes 4 feature channels, "
-                f"{data / 'features.csv'} has 5") in err, err
+        assert (f"[ShapeMismatch] {checkpoint}: net was fit on feature channels "
+                f"['mrsa', 'mssa', 'prescriptions', 'norm_incidence'], {data / 'features.csv'} has {channels}") in err, err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, table, value, code, error, fragment", [
         (["calibrate"], "cases.csv", "nan", 3, "InvalidValue", "count is nan"),
@@ -654,7 +679,7 @@ class TestErrorHandling:
          "cfg.json: epochs is '5', need a value of type int"),
         (["eakf"], "cfg.json", '{"seed": "x"}', "InvalidOption",
          "cfg.json: seed is 'x', need a value of type int"),
-        (["simulate"], "cfg.json", '{"seed": -1}', "InvalidOption", "cfg.json: --seed must be finite and >= 0"),
+        (["eakf"], "cfg.json", '{"seed": -1}', "InvalidOption", "cfg.json: --seed must be finite and >= 0"),
         (["simulate", "--steps", "0"], None, None, "InvalidOption", "--steps"),
         (["correct-data", "--epochs", "0"], None, None, "InvalidOption", "--epochs"),
         (["eakf", "--horizon", "50"], None, None, "InvalidOption",

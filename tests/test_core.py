@@ -69,10 +69,10 @@ class TestAggregate:
         series = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert np.allclose(aggregate(series, "region", g), [[5.0, 7.0, 9.0]])
 
-    def test_patch_level_is_identity(self):
-        g = two_patch_graph()
-        series = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(aggregate(series, "patch", g), series)
+    @pytest.mark.parametrize("shape", [(2,), (3,), (2, 3, 1), ()])
+    def test_only_a_patches_x_weeks_matrix_is_aggregated(self, shape):
+        with pytest.raises(ShapeMismatch, match=rf"series must be 2 patches x weeks, got shape {re.escape(str(shape))}"):
+            aggregate(np.ones(shape), "region", two_patch_graph())
 
     def test_region_total_matches_patch_total(self):
         rng = np.random.default_rng(11)
@@ -103,8 +103,9 @@ class TestAggregate:
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
     def test_unknown_level(self):
-        with pytest.raises(InvalidOption, match="level must be patch/region/state, got 'county'"):
-            aggregate(np.zeros((2, 3)), "county", two_patch_graph())
+        for level in ("county", "patch"):
+            with pytest.raises(InvalidOption, match=f"level must be region/state, got '{level}'"):
+                aggregate(np.zeros((2, 3)), level, two_patch_graph())
 
 
 class TestMetrics:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from calypso import eakf, seeding, synth
 from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES
 from calypso.eakf import Ensemble, eakf_step, init_ensemble, run_eakf
 from calypso.errors import InvalidOption, NumericalError, ShapeMismatch
-from calypso.sim import SimConfig, simulate
+from calypso.sim import SimConfig, simulate, sirs_step
 
 
-def scalar_ensemble(values, obs_var=None, inflation=1.0):
+def scalar_ensemble(values):
     """Single-patch ensemble whose observed coordinate is I."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
@@ -20,8 +21,6 @@ def scalar_ensemble(values, obs_var=None, inflation=1.0):
         I=values[:, None],
         R=np.zeros((n, 1)),
         params=np.tile([0.5, 0.3, 0.1, 0.2, 0.5], (n, 1)),
-        inflation=inflation,
-        obs_error_variance=obs_var,
     )
 
 
@@ -29,14 +28,18 @@ def scalar_ensemble(values, obs_var=None, inflation=1.0):
 SCALAR_POPULATION = np.array([100.0])
 
 
-def state_space_step(ens, observation, populations):
+def scalar_step(ens, observation, obs_var=None, inflation=1.0):
+    """``eakf_step`` on a ``scalar_ensemble``."""
+    return eakf_step(ens, np.array([observation]), SCALAR_POPULATION, inflation, obs_var)
+
+
+def state_space_step(ens, observation, populations, inflation, obs_error_variance):
     """Reference serial EAKF: one full-state covariance update per observed patch."""
     obs = np.asarray(observation, dtype=float)
     prior_var = ens.I.var(axis=0, ddof=1)
     if float(prior_var.max(initial=0.0)) < eakf._VAR_FLOOR:
         raise NumericalError("ensemble variance vanished in every observed coordinate")
-    state = np.concatenate([eakf._inflate(a, ens.inflation) for a in (ens.S, ens.I, ens.R, ens.params)],
-                           axis=1)
+    state = np.concatenate([eakf._inflate(a, inflation) for a in (ens.S, ens.I, ens.R, ens.params)], axis=1)
     n, n_patches = ens.size, ens.I.shape[1]
     for i in range(n_patches):
         z = state[:, n_patches + i]
@@ -44,8 +47,8 @@ def state_space_step(ens, observation, populations):
         pr_var = z.var(ddof=1)
         if pr_var < eakf._VAR_FLOOR:
             continue
-        if ens.obs_error_variance is not None:
-            obs_var = float(ens.obs_error_variance)
+        if obs_error_variance is not None:
+            obs_var = float(obs_error_variance)
         else:
             obs_var = max(1.0, 0.1 * obs[i]) ** 2
         po_var = 1.0 / (1.0 / pr_var + 1.0 / obs_var)
@@ -90,11 +93,10 @@ def desk_bundle():
     return synth.generate(synth.SynthSpec(n_patches=24, n_regions=4, weeks=120, horizon=4, seed=1))
 
 
-def propagated_ensemble(bundle, size, weeks=6, obs_error_variance=None):
+def propagated_ensemble(bundle, size, weeks=6):
     """A mid-run ensemble: ``weeks`` cycles of the filter from its initial draw."""
     data = dataclasses.replace(bundle.data, window=weeks)
-    result = run_eakf(bundle.graph, data, size=size, seed=7, obs_error_variance=obs_error_variance)
-    return result.ensemble
+    return run_eakf(bundle.graph, data, size=size, seed=7).ensemble
 
 
 class TestEnsembleSpaceStep:
@@ -104,10 +106,10 @@ class TestEnsembleSpaceStep:
     @pytest.mark.parametrize("size, obs_var", [(100, None), (100, 25.0), (2, None)],
                              ids=["per-obs-variance", "fixed-variance", "two-members"])
     def test_matches_state_space_loop(self, desk_bundle, size, obs_var):
-        ens = propagated_ensemble(desk_bundle, size, obs_error_variance=obs_var)
+        ens = propagated_ensemble(desk_bundle, size)
         obs = desk_bundle.data.observed[:, 6]
         pops = desk_bundle.graph.populations
-        assert_same_ensemble(eakf_step(ens, obs, pops), state_space_step(ens, obs, pops))
+        assert_same_ensemble(eakf_step(ens, obs, pops, 1.02, obs_var), state_space_step(ens, obs, pops, 1.02, obs_var))
 
     def test_matches_with_floored_coordinates(self, desk_bundle):
         ens = propagated_ensemble(desk_bundle, 100)
@@ -115,14 +117,14 @@ class TestEnsembleSpaceStep:
         ens.S = desk_bundle.graph.populations[None, :] - ens.I - ens.R
         assert np.all(ens.I[:, ::3].var(axis=0, ddof=1) < eakf._VAR_FLOOR)
         obs = desk_bundle.data.observed[:, 6]
-        post = eakf_step(ens, obs, desk_bundle.graph.populations)
-        assert_same_ensemble(post, state_space_step(ens, obs, desk_bundle.graph.populations))
+        post = eakf_step(ens, obs, desk_bundle.graph.populations, 1.02, None)
+        assert_same_ensemble(post, state_space_step(ens, obs, desk_bundle.graph.populations, 1.02, None))
 
     def test_full_run_matches_state_space_loop(self, desk_bundle, monkeypatch):
         graph, data = desk_bundle.graph, desk_bundle.data
         assert data.window == 120
         new = run_eakf(graph, data, size=100, seed=0)
-        monkeypatch.setattr(eakf, "eakf_step", state_space_step)
+        monkeypatch.setattr(eakf, "eakf_step", state_space_step)  # called with the same arguments
         ref = run_eakf(graph, data, size=100, seed=0)
         for name in ("S", "I", "R", "new_infections"):
             x, y = getattr(new.trajectory, name), getattr(ref.trajectory, name)
@@ -140,26 +142,24 @@ class TestEakfStep:
         z = rng.normal(size=400)
         z = (z - z.mean()) / z.std(ddof=1)  # exactly mean 0, sd 1
         values = 10.0 + 2.0 * z
-        ens = scalar_ensemble(values, obs_var=4.0)
-        post = eakf_step(ens, np.array([14.0]), SCALAR_POPULATION)
+        post = scalar_step(scalar_ensemble(values), 14.0, obs_var=4.0)
         assert post.I[:, 0].mean() == pytest.approx(12.0, abs=1e-9)
         assert post.I[:, 0].var(ddof=1) == pytest.approx(2.0, rel=1e-9)
 
     def test_infinite_obs_variance_no_update(self):
         rng = np.random.default_rng(1)
         values = 10.0 + rng.normal(size=50)
-        ens = scalar_ensemble(values, obs_var=np.inf)
-        post = eakf_step(ens, np.array([25.0]), SCALAR_POPULATION)
+        post = scalar_step(scalar_ensemble(values), 25.0, obs_var=np.inf)
         assert np.allclose(post.I[:, 0], values)
 
     def test_tiny_prior_variance_leaves_mean(self):
         values = np.full(30, 10.0)
         values[0] += 1e-8  # variance ~ 3e-18, below the update floor
-        ens = scalar_ensemble(values, obs_var=1.0)
+        ens = scalar_ensemble(values)
         ens.S[:, 0] += np.linspace(-5, 5, 30)  # keep the filter alive elsewhere
         with pytest.raises(NumericalError, match="ensemble variance vanished"):
             # observed coordinate variance is the collapse test
-            eakf_step(ens, np.array([14.0]), SCALAR_POPULATION)
+            scalar_step(ens, 14.0, obs_var=1.0)
 
     def test_variance_contraction_per_observed_coordinate(self):
         rng = np.random.default_rng(2)
@@ -167,24 +167,42 @@ class TestEakfStep:
                                                 horizon=2, seed=3))
         ens = init_ensemble(bundle.graph, bundle.data.initial_infections, size=40, seed=0)
         ens.I += rng.uniform(0, 20, size=ens.I.shape)
-        prior_var = (eakf._inflate(ens.I, ens.inflation)).var(axis=0, ddof=1)
-        post = eakf_step(ens, bundle.data.observed[:, 0], bundle.graph.populations)
+        prior_var = (eakf._inflate(ens.I, 1.02)).var(axis=0, ddof=1)
+        post = eakf_step(ens, bundle.data.observed[:, 0], bundle.graph.populations, 1.02, None)
         post_var = post.I.var(axis=0, ddof=1)
         assert np.all(post_var <= prior_var + 1e-9)
 
     def test_collapsed_ensemble_raises(self):
         values = np.full(10, 5.0)
-        ens = scalar_ensemble(values)
         with pytest.raises(NumericalError, match="ensemble variance vanished"):
-            eakf_step(ens, np.array([6.0]), SCALAR_POPULATION)
+            scalar_step(scalar_ensemble(values), 6.0)
 
     def test_mean_preserved_under_zero_information(self):
         rng = np.random.default_rng(3)
         values = 20.0 + rng.normal(size=60)
-        ens = scalar_ensemble(values, obs_var=np.inf)
-        post = eakf_step(ens, np.array([100.0]), SCALAR_POPULATION)
+        ens = scalar_ensemble(values)
+        post = scalar_step(ens, 100.0, obs_var=np.inf)
         assert post.I.mean() == pytest.approx(values.mean())
         assert post.params.mean(axis=0) == pytest.approx(ens.params.mean(axis=0))
+
+    @pytest.mark.parametrize("inflation, obs_var, message", [
+        (0.99, None, "inflation must be finite and >= 1, got 0.99"),
+        (np.nan, None, "inflation must be finite and >= 1, got nan"),
+        (np.inf, None, "inflation must be finite and >= 1, got inf"),
+        (1.0, 0.0, "observation error variance must be > 0, got 0.0"),
+        (1.0, -1.0, "observation error variance must be > 0, got -1.0"),
+        (1.0, np.nan, "observation error variance must be > 0, got nan"),
+    ], ids=["inflation-below-one", "inflation-nan", "inflation-inf", "zero-variance", "negative-variance",
+            "nan-variance"])
+    def test_step_refuses_a_bad_inflation_or_variance(self, inflation, obs_var, message):
+        ens = scalar_ensemble(10.0 + np.arange(5.0))
+        with pytest.raises(InvalidOption, match=f"^{re.escape(message)}$"):
+            scalar_step(ens, 12.0, obs_var=obs_var, inflation=inflation)
+
+    def test_run_refuses_a_bad_inflation_or_variance(self, run_bundle):
+        for kwargs, name in (({"inflation": 0.5}, "inflation"), ({"obs_error_variance": 0.0}, "observation")):
+            with pytest.raises(InvalidOption, match=name):
+                run_eakf(run_bundle.graph, run_bundle.data, size=4, **kwargs)
 
     def test_minimum_ensemble_size_enforced(self):
         with pytest.raises(ShapeMismatch):
@@ -198,10 +216,10 @@ class TestEakfStep:
     def test_parameters_clamped_to_bounds(self):
         rng = np.random.default_rng(4)
         values = 10.0 + 3.0 * rng.normal(size=50)
-        ens = scalar_ensemble(values, obs_var=0.01)
+        ens = scalar_ensemble(values)
         ens.params[:, 0] = 0.99  # near the beta upper bound, correlated update may push out
         ens.params[:, 0] += 0.005 * (values - values.mean())
-        post = eakf_step(ens, np.array([30.0]), SCALAR_POPULATION)
+        post = scalar_step(ens, 30.0, obs_var=0.01)
         lo, hi = DEFAULT_PARAM_BOUNDS["beta"]
         assert np.all(post.params[:, 0] >= lo) and np.all(post.params[:, 0] <= hi)
 
@@ -318,6 +336,21 @@ class TestRunEakf:
         f2 = result.forecast(4)
         assert f1.shape == (bundle.graph.n_patches, 4)
         assert np.array_equal(f1, f2)
+
+    def test_forecast_steps_each_member_and_leaves_the_ensemble(self, run_bundle):
+        """The reference: each member stepped ``h`` weeks on its own, its I added in member order."""
+        result = run_eakf(run_bundle.graph, run_bundle.data, size=10, seed=3)
+        ens, graph = result.ensemble, run_bundle.graph
+        before = [getattr(ens, name).copy() for name in ("S", "I", "R", "params")]
+        want = np.zeros((graph.n_patches, 4))
+        for m, member in enumerate(zip(*eakf._member_coefficients(ens, graph))):
+            s, i, r = ens.S[m], ens.I[m], ens.R[m]
+            for t in range(4):
+                s, i, r, _ = sirs_step(graph.theta, graph.theta_t, graph.n_eff, s, i, r, *member)
+                want[:, t] += i
+        assert result.forecast(4).tobytes() == (want / ens.size).tobytes()
+        for name, value in zip(("S", "I", "R", "params"), before):
+            assert np.array_equal(getattr(ens, name), value), name
 
     def test_constant_beta_recovery(self):
         # a long window with constant known parameters: posterior beta near truth

@@ -4,7 +4,8 @@ Each column of each input CSV of a tiny ``synth`` bundle (plus its
 ``ground_truth.csv`` and a ``metrics`` series pair) gets every fault that
 applies to its kind, and each file gets the row, column and whole-file
 faults; each field of a calib and an adapter checkpoint gets the faults of
-its rule.  A case must exit 3 naming the file and the row (its line or
+its rule (each entry of a fixed object, such as the adapter's ``config``,
+its own).  A case must exit 3 naming the file and the row (its line or
 key), column or checkpoint key, and leave ``--out`` empty, unless
 ``ACCEPTED`` lists it with the reason it is valid input.  Training and
 simulation are stubbed, so every refusal comes before any work.
@@ -134,7 +135,7 @@ def bundle(tmp_path_factory):
                  "--epochs", "1", "--out", str(root / "fit")]) == 0
     graph, _, _ = io.load_graph(data)
     dataset = io.load_dataset(data, graph)
-    net, _ = calib.load_checkpoint(root / "fit" / "checkpoint.json")
+    net = calib.load_checkpoint(root / "fit" / "checkpoint.json")
     return data, root / "fit", calib.forecast(net, dataset, graph, 4)
 
 
@@ -211,7 +212,7 @@ def _set_first_leaf(holder, key, new):
 
 
 def _array_edits(holder_path, key, ndim) -> dict:
-    """nan, one longer and (with an axis) one shorter along the first axis, removed."""
+    """nan, one longer and (with an axis) one shorter along the first axis, null, removed."""
     def at(payload):
         for k in holder_path:
             payload = payload[k]
@@ -222,7 +223,7 @@ def _array_edits(holder_path, key, ndim) -> dict:
         holder[key] = holder[key] + [holder[key][-1]] if isinstance(holder[key], list) else [holder[key]]
 
     edits = {"nan": lambda p: _set_first_leaf(at(p), key, math.nan), "longer": longer,
-             "removed": lambda p: at(p).pop(key)}
+             "null": lambda p: at(p).__setitem__(key, None), "removed": lambda p: at(p).pop(key)}
     if ndim:
         edits["shorter"] = lambda p: at(p)[key].pop()
     return edits
@@ -231,9 +232,9 @@ def _array_edits(holder_path, key, ndim) -> dict:
 def _checkpoint_cases() -> list:
     """(case id, file, edit of the parsed checkpoint, the key the refusal names)."""
     cases = []
-    nets = {"calib": (calib.CalibNet(4), calib.CalibConfig, "checkpoint.json"),
-            "adapter": (adapter_mod.AdapterNet(), adapter_mod.AdapterConfig, "adapter.json")}
-    for kind, (net, config_type, file) in nets.items():
+    nets = {"calib": (calib.CalibNet(4), [f.name for f in dataclasses.fields(calib.CalibConfig)], "checkpoint.json"),
+            "adapter": (adapter_mod.AdapterNet(), [], "adapter.json")}
+    for kind, (net, config_fields, file) in nets.items():
         for key, rule in io.CHECKPOINTS[kind].items():
             edits = {"removed": lambda p, k=key: p.pop(k), "wrong-type": lambda p, k=key: p.__setitem__(k, [5])}
             if rule[0] == "array":
@@ -241,18 +242,33 @@ def _checkpoint_cases() -> list:
             elif rule[0] == "int":
                 edits.update({"float": lambda p, k=key: p.__setitem__(k, 1.5),
                               "below-low": lambda p, k=key, low=rule[1]: p.__setitem__(k, low - 1),
-                              "nan": lambda p, k=key: p.__setitem__(k, math.nan)})
+                              "nan": lambda p, k=key: p.__setitem__(k, math.nan),
+                              "null": lambda p, k=key: p.__setitem__(k, None)})
+            elif rule[0] == "names":
+                edits.update({"not-a-list": lambda p, k=key: p.__setitem__(k, p[k][0]),
+                              "empty-name": lambda p, k=key: p[k].__setitem__(0, ""),
+                              "duplicate": lambda p, k=key: p[k].__setitem__(1, p[k][0]),
+                              "shorter": lambda p, k=key: p[k].pop(),
+                              "longer": lambda p, k=key: p[k].append("extra"),
+                              "null": lambda p, k=key: p.__setitem__(k, None)})
             elif rule[0] == "equal" and isinstance(rule[1], dict):
                 first = next(iter(rule[1]))
                 edits.update({"other-value": lambda p, k=key, f=first: p[k].__setitem__(f, [-5, 5]),
-                              "nan": lambda p, k=key, f=first: p[k][f].__setitem__(0, math.nan)})
+                              "nan": lambda p, k=key, f=first: _set_first_leaf(p[k], f, math.nan)})
+                for name, want in rule[1].items():  # each entry, a fixed adapter shape's too
+                    entry = {"removed": lambda p, k=key, f=name: p[k].pop(f),
+                             "wrong-type": lambda p, k=key, f=name: p[k].__setitem__(f, "x")}
+                    if type(want) is int:
+                        entry.update({"float": lambda p, k=key, f=name, v=float(want): p[k].__setitem__(f, v),
+                                      "other-value": lambda p, k=key, f=name, v=want + 1: p[k].__setitem__(f, v)})
+                    cases += [(f"{kind}-{key}-{name}-{case}", file, edit, name) for case, edit in entry.items()]
             elif rule[0] == "equal":
                 edits["other-value"] = lambda p, k=key: p.__setitem__(k, "x")
             cases += [(f"{kind}-{key}-{name}", file, edit, key) for name, edit in edits.items()]
-        for field in dataclasses.fields(config_type):
+        for field in config_fields:
             for name, value in (("wrong-type", "x"), ("float", 2.5), ("below-low", -1)):
-                cases.append((f"{kind}-config-{field.name}-{name}", file,
-                              lambda p, f=field.name, v=value: p["config"].__setitem__(f, v), field.name))
+                cases.append((f"{kind}-config-{field}-{name}", file,
+                              lambda p, f=field, v=value: p["config"].__setitem__(f, v), field))
         for weight in net.weights:
             cases += [(f"{kind}-weight-{weight}-{name}", file, edit, weight)
                       for name, edit in _array_edits(["weights"], weight, net.weights[weight].ndim).items()]

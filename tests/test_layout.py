@@ -1,11 +1,13 @@
-"""Source layout checks that need no import of the package: stdlib ``ast`` only.
+"""Source layout checks read with stdlib ``ast``.
 
 Every import a module makes is read in it, and every public function,
 class and method under ``src/calypso/`` is named somewhere other than its
 own definition: in the package, a demo or the acceptance gate.  Code that
 only the other tests reach is dead code with a test.  Every class in
 ``errors.py`` is named in a ``raise`` under ``src/calypso/``: a class
-nothing raises is a name no user can see.
+nothing raises is a name no user can see.  Every option of a subcommand
+(the one check that imports the package, for ``cli._build_parser``) is
+read by its handler: an option nothing reads is a setting no run obeys.
 """
 
 import ast
@@ -116,3 +118,54 @@ def test_the_check_finds_an_error_class_nothing_raises():
     errors = "class Base(Exception):\n    pass\n\nclass Named(Base):\n    pass\n\nclass Passed(Base):\n    pass\n"
     sources = ["raise Named('x')\n", "def f(exc):\n    raise fault(Passed, 1) from exc\n\nBase\n"]
     assert unraised_classes(errors, sources) == ["Base"]
+
+
+# cli's shared readers of a handler's ``config``
+CONFIG_HELPERS = ("_load_bundle", "_load_net", "_load_model", "_out_dir")
+# (command, option) pairs no handler reads, each with its reason
+UNREAD_OPTIONS = {(command, "seed"): "perfbench passes --seed to every stage it runs (ROADMAP item 1)"
+                  for command in ("forecast", "outbreak", "policy-greedy", "policy-region", "sensitivity")}
+
+
+def unread_options(cli_source: str, types: dict[str, dict]) -> list[tuple[str, str]]:
+    """(command, option) pairs of ``types`` (``cli._build_parser()[1]``) that
+    the command's handler ``cmd_<command>`` never reads as ``config[key]`` or
+    ``config.get(key)``, neither itself nor through a call to a ``CONFIG_HELPERS`` function."""
+    reads, calls = {}, {}
+    for node in ast.parse(cli_source).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        keys, called = set(), set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == "config":
+                keys.add(getattr(sub.slice, "value", None))
+            elif isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "get" \
+                    and getattr(sub.func.value, "id", None) == "config" and sub.args:
+                keys.add(getattr(sub.args[0], "value", None))
+            elif isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in CONFIG_HELPERS:
+                called.add(sub.func.id)
+        reads[node.name], calls[node.name] = keys, called
+
+    def read(function: str) -> set:
+        return reads[function].union(*map(read, calls[function]))
+
+    return [(command, option) for command, kinds in sorted(types.items())
+            for option in sorted(set(kinds) - read("cmd_" + command.replace("-", "_")))]
+
+
+def test_every_command_option_is_read_by_its_handler():
+    from calypso import cli
+
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert unread_options(source, cli._build_parser()[1]) == sorted(UNREAD_OPTIONS)
+
+
+def test_the_check_finds_an_option_no_handler_reads():
+    source = ("def _out_dir(config):\n    return config['out']\n\n"
+              "def _load_net(config):\n    return config.get('checkpoint')\n\n"
+              "def _load_model(config):\n    return _load_net(config)\n\n"
+              "def _write_manifest(config):\n    return config.get('seed')\n\n"
+              "def cmd_run(config):\n    _load_model(config)\n    return _out_dir(config), config['size']\n\n"
+              "def cmd_idle_run(config):\n    _write_manifest(config)\n    return config\n")
+    types = {"run": {"size": int, "seed": int, "checkpoint": str, "out": str}, "idle-run": {"seed": int}}
+    assert unread_options(source, types) == [("idle-run", "seed"), ("run", "seed")]
