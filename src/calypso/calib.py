@@ -201,8 +201,9 @@ def infer_params(net: CalibNet, data: DataSet, graph: PatchGraph) -> DiseasePara
     """Run a fit network on region-aggregated features; bounded parameters out."""
     if net.norm_mean is None:
         raise InvalidOption("calibration net was never fit: train_joint sets its feature statistics")
-    if data.features.shape[2] != net.n_features:
-        raise ShapeMismatch(f"net takes {net.n_features} feature channels, data has {data.features.shape[2]}")
+    if data.feature_names != net.feature_names:
+        raise ShapeMismatch(f"net was fit on feature channels {list(net.feature_names)}, "
+                            f"data has {list(data.feature_names)}")
     feats = region_features(data, graph, stats=(net.norm_mean, net.norm_std))
     tau = time_features(data.window, net.config.time_harmonics)
     lo, span = net.bound_arrays()

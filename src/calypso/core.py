@@ -352,7 +352,8 @@ class DataSet:
 
     ``observed`` and ``features`` cover ``window + horizon`` weeks (the
     horizon part is held out for evaluation); training code only looks
-    at the first ``window`` columns.
+    at the first ``window`` columns.  ``feature_names`` names each
+    feature channel once, in channel order.
     """
 
     features: np.ndarray          # patches x weeks x channels
@@ -360,14 +361,19 @@ class DataSet:
     initial_infections: np.ndarray
     horizon: int
     window: int
-    feature_names: tuple[str, ...] = ("mrsa", "mssa", "prescriptions", "norm_incidence")
+    feature_names: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "features", _readonly(self.features))
         object.__setattr__(self, "observed", _readonly(self.observed))
         object.__setattr__(self, "initial_infections", _readonly(self.initial_infections))
+        object.__setattr__(self, "feature_names", tuple(self.feature_names))
         if self.features.ndim != 3:
             raise ShapeMismatch("features must be patches x weeks x channels")
+        names, channels = self.feature_names, self.features.shape[2]
+        if len(names) != channels or len(set(names)) != channels:
+            raise ShapeMismatch(f"feature_names {list(names)} must name each of the {channels} "
+                                "feature channels once")
         if self.observed.shape != self.features.shape[:2]:
             raise ShapeMismatch("observed must align with features on patches x weeks")
         if np.any(self.observed < 0):
@@ -378,10 +384,6 @@ class DataSet:
             raise ShapeMismatch("observed is shorter than window + horizon")
         if self.initial_infections.shape != (self.features.shape[0],):
             raise ShapeMismatch("initial_infections must be one value per patch")
-
-    @property
-    def n_patches(self) -> int:
-        return self.observed.shape[0]
 
     def training_observed(self) -> np.ndarray:
         return self.observed[:, : self.window]

@@ -19,13 +19,14 @@ acts on the member axis only.  The week's serial updates are therefore
 composed in ensemble space (Tippett et al. 2003) into one members x
 members transform, built from the observed columns alone, and the
 inflated prior state is mapped through it in one matrix product at the
-end.  Parameters are reflected back inside ``DEFAULT_PARAM_BOUNDS``
-after the update and compartments are repaired so every member keeps
-S + I + R = P and nonnegativity.  Each week's forecast starts with a
-random-walk step of every parameter (``PARAM_WALK``); ``_step_members``
-advances the members a week, for the filter and ``EakfResult.forecast``.
-An ``Ensemble`` holds states and parameters: the inflation and the
-observation error variance are ``eakf_step``'s arguments.
+end.  An ``Ensemble`` is that state, ``Ensemble.state``; its
+compartments and parameters are views of it.  Parameters are reflected
+back inside ``DEFAULT_PARAM_BOUNDS`` after the update and compartments
+are repaired so every member keeps S + I + R = P and nonnegativity.
+Each week's forecast starts with a random-walk step of every parameter
+(``PARAM_WALK``); ``_step_members`` advances the members a week, for the
+filter and ``EakfResult.forecast``.  The inflation and the observation
+error variance are ``eakf_step``'s arguments.
 
 Coordinates whose prior variance is below 1e-12 are left untouched by
 that observation (the zero-gain limit); if *every* observed coordinate
@@ -34,12 +35,12 @@ has collapsed the filter raises ``NumericalError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import seeding
-from .core import DEFAULT_PARAM_BOUNDS, PARAM_HI, PARAM_LO, PARAM_NAMES, DataSet, PatchGraph, Trajectory, check_option
+from .core import PARAM_HI, PARAM_LO, PARAM_NAMES, DataSet, PatchGraph, Trajectory, check_option
 from .errors import NumericalError, ShapeMismatch
 from .sim import sirs_step, week_coefficients
 
@@ -51,29 +52,32 @@ PARAM_WALK = 0.005
 
 @dataclass
 class Ensemble:
-    """Member compartments plus per-region parameter samples.
+    """The augmented state of every member: ``state`` is members x
+    (3 * patches + 5 * regions), with columns S, I, R of each patch, then
+    the parameters inside ``DEFAULT_PARAM_BOUNDS``, parameter-major.
 
-    ``params`` is laid out parameter-major: column ``p * n_regions + r``
-    holds parameter ``PARAM_NAMES[p]`` for region ``r``.
+    ``S``, ``I``, ``R`` (members x patches), ``params`` (members x
+    (5 * regions)) and ``blocks`` (members x 5 x regions, ``PARAM_NAMES``
+    order) are views of ``state``: a write through any of them is a write
+    to it.
     """
 
     region_ids: tuple[str, ...]
-    S: np.ndarray                      # members x patches
-    I: np.ndarray
-    R: np.ndarray
-    params: np.ndarray                 # members x (5 * regions), inside DEFAULT_PARAM_BOUNDS
+    state: np.ndarray
 
     def __post_init__(self):
-        if self.S.shape[0] < 2:
+        if self.state.ndim != 2 or self.state.shape[0] < 2:
             raise ShapeMismatch("ensemble needs at least 2 members")
-        if not (self.S.shape == self.I.shape == self.R.shape):
-            raise ShapeMismatch("member compartments disagree on shape")
-        if self.params.shape != (self.S.shape[0], 5 * len(self.region_ids)):
-            raise ShapeMismatch("params must be members x (5 * regions)")
+        n_patches, rest = divmod(self.state.shape[1] - 5 * self.n_regions, 3)
+        if n_patches < 1 or rest:
+            raise ShapeMismatch(f"ensemble state has {self.state.shape[1]} columns, "
+                                f"not 3 * patches + 5 * {self.n_regions} regions")
+        self.S, self.I, self.R, self.params = np.split(self.state, [n_patches, 2 * n_patches, 3 * n_patches], axis=1)
+        self.blocks = self.params.reshape(self.size, 5, self.n_regions)
 
     @property
     def size(self) -> int:
-        return self.S.shape[0]
+        return self.state.shape[0]
 
     @property
     def n_regions(self) -> int:
@@ -94,50 +98,45 @@ def init_ensemble(
     """
     check_option("ensemble size", size, 2)
     rng = seeding.spawn_rng(seed, seeding.EAKF, 0)
-    n_regions = graph.n_regions
-    params = np.zeros((size, 5 * n_regions))
-    for p, name in enumerate(PARAM_NAMES):
-        lo, hi = DEFAULT_PARAM_BOUNDS[name]
-        params[:, p * n_regions : (p + 1) * n_regions] = rng.uniform(lo, hi, size=(size, n_regions))
-    init = np.asarray(init_infections, dtype=float)
+    ens = Ensemble(graph.region_ids, np.zeros((size, 3 * graph.n_patches + 5 * graph.n_regions)))
+    # drawn parameter by parameter, each members x regions
+    draws = rng.uniform(PARAM_LO.T[:, None], PARAM_HI.T[:, None], size=(5, size, graph.n_regions))
+    ens.blocks[:] = draws.transpose(1, 0, 2)
     spread = rng.uniform(0.5, 1.5, size=(size, graph.n_patches))
-    member_i = np.minimum(init[None, :] * spread, graph.populations[None, :])
-    return Ensemble(
-        region_ids=graph.region_ids,
-        S=graph.populations[None, :] - member_i,
-        I=member_i,
-        R=np.zeros((size, graph.n_patches)),
-        params=params,
-    )
+    np.minimum(np.asarray(init_infections, dtype=float) * spread, graph.populations, out=ens.I)
+    np.subtract(graph.populations, ens.I, out=ens.S)
+    return ens
 
 
-def _clamp_params(params: np.ndarray, n_regions: int) -> None:
-    """Reflect parameter excursions back inside ``DEFAULT_PARAM_BOUNDS``, in
-    place, in one pass over every parameter column.
+def _clamp_params(blocks: np.ndarray) -> None:
+    """Reflect the members x 5 x regions ``blocks`` back inside
+    ``DEFAULT_PARAM_BOUNDS``, in place, in one pass over every parameter.
 
     Reflection (rather than hard clipping) keeps the ensemble spread
     alive when an update pushes many members across a bound; a member
     stuck exactly on a bound would otherwise pin the whole column there.
     """
-    lo, hi = np.repeat(PARAM_LO, n_regions), np.repeat(PARAM_HI, n_regions)
+    lo, hi = PARAM_LO.T, PARAM_HI.T
     width = hi - lo
-    np.copyto(params, hi - np.minimum(params - hi, width), where=params > hi)
-    np.copyto(params, lo + np.minimum(lo - params, width), where=params < lo)
-    np.clip(params, lo, hi, out=params)
+    np.copyto(blocks, hi - np.minimum(blocks - hi, width), where=blocks > hi)
+    np.copyto(blocks, lo + np.minimum(lo - blocks, width), where=blocks < lo)
+    np.clip(blocks, lo, hi, out=blocks)
 
 
 def _repair(ens: Ensemble, populations: np.ndarray) -> None:
-    """Re-bound parameters and restore compartment invariants."""
-    _clamp_params(ens.params, ens.n_regions)
-    np.clip(ens.I, 0.0, None, out=ens.I)
-    np.clip(ens.R, 0.0, None, out=ens.R)
-    total = ens.I + ens.R
+    """Re-bound parameters and restore compartment invariants, in place."""
+    _clamp_params(ens.blocks)
+    S, I, R = ens.S, ens.I, ens.R
+    np.clip(I, 0.0, None, out=I)
+    np.clip(R, 0.0, None, out=R)
+    total = I + R
     over = total > populations[None, :]
     if np.any(over):
         factor = np.where(over, populations[None, :] / np.where(total > 0, total, 1.0), 1.0)
-        ens.I *= factor
-        ens.R *= factor
-    ens.S = populations[None, :] - ens.I - ens.R
+        I *= factor
+        R *= factor
+    np.subtract(populations, I, out=S)
+    S -= R
 
 
 def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray, inflation: float,
@@ -161,7 +160,7 @@ def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray, i
         raise NumericalError("ensemble variance vanished in every observed coordinate")
 
     # multiplicative inflation of all augmented coordinates about the mean
-    prior = _inflate(np.concatenate([ens.S, ens.I, ens.R, ens.params], axis=1), inflation)
+    prior = _inflate(ens.state, inflation)
     observed = prior[:, n_patches : 2 * n_patches].T.copy()  # one contiguous row per patch
     n = ens.size
     if obs_error_variance is not None:
@@ -182,11 +181,7 @@ def eakf_step(ens: Ensemble, observation: np.ndarray, populations: np.ndarray, i
         inc = (np.sqrt(po_var / pr_var) - 1.0) * zc + (po_mean - pr_mean)
         transform += inc[:, None] * ((zc @ transform) / ((n - 1) * pr_var))
 
-    state = transform @ prior
-    out = replace(
-        ens, S=state[:, :n_patches], I=state[:, n_patches : 2 * n_patches],
-        R=state[:, 2 * n_patches : 3 * n_patches], params=state[:, 3 * n_patches :],
-    )
+    out = Ensemble(ens.region_ids, transform @ prior)
     _repair(out, np.asarray(populations, dtype=float))
     return out
 
@@ -197,21 +192,18 @@ def _member_coefficients(ens: Ensemble, graph: PatchGraph) -> tuple:
     Each member's region parameters are gathered onto patches through
     ``graph.patch_region`` (the same values as ``broadcast_matrix @``).
     """
-    r = ens.n_regions
-    return week_coefficients({
-        name: ens.params[:, p * r : (p + 1) * r][:, graph.patch_region]
-        for p, name in enumerate(PARAM_NAMES)
-    })
+    gathered = ens.blocks[:, :, graph.patch_region]  # members x 5 x patches
+    return week_coefficients(dict(zip(PARAM_NAMES, gathered.transpose(1, 0, 2))))
 
 
 def _step_members(ens: Ensemble, graph: PatchGraph, coefficients: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Advance every member one week in place, one ``sirs_step`` each with its
     ``_member_coefficients``; returns the sums, in member order, of I and of the new infections."""
+    S, I, R = ens.S, ens.I, ens.R
     i_sum, new_sum = np.zeros(graph.n_patches), np.zeros(graph.n_patches)
     for m, member in enumerate(zip(*coefficients)):
-        ens.S[m], ens.I[m], ens.R[m], new = sirs_step(graph.theta, graph.theta_t, graph.n_eff,
-                                                      ens.S[m], ens.I[m], ens.R[m], *member)
-        i_sum += ens.I[m]
+        S[m], I[m], R[m], new = sirs_step(graph.theta, graph.theta_t, graph.n_eff, S[m], I[m], R[m], *member)
+        i_sum += I[m]
         new_sum += new
     return i_sum, new_sum
 
@@ -233,7 +225,7 @@ class EakfResult:
 
     def forecast(self, h: int) -> np.ndarray:
         """Ensemble-mean infections over ``h`` further weeks (patches x h)."""
-        ens = replace(self.ensemble, S=self.ensemble.S.copy(), I=self.ensemble.I.copy(), R=self.ensemble.R.copy())
+        ens = Ensemble(self.ensemble.region_ids, self.ensemble.state.copy())
         coefficients = _member_coefficients(ens, self.graph)
         out = np.zeros((self.graph.n_patches, h))
         for t in range(h):
@@ -253,31 +245,27 @@ def run_eakf(
     first walks every parameter by ``PARAM_WALK`` of its bound width."""
     ens = init_ensemble(graph, data.initial_infections, size=size, seed=seed)
     walk_rng = seeding.spawn_rng(seed, seeding.EAKF, 1)
-    widths = np.repeat(PARAM_HI - PARAM_LO, ens.n_regions)
+    walk_sd = PARAM_WALK * (PARAM_HI - PARAM_LO).T
     observed = data.training_observed()
     window = data.window
-    r = ens.n_regions
 
     s_mean = [ens.S.mean(axis=0)]
     i_mean = [ens.I.mean(axis=0)]
     r_mean = [ens.R.mean(axis=0)]
     di_mean = []
-    p_mean = {name: np.zeros((r, window)) for name in PARAM_NAMES}
-    p_sd = {name: np.zeros((r, window)) for name in PARAM_NAMES}
+    p_mean, p_sd = np.zeros((2, 5, ens.n_regions, window))
 
     for w in range(window):
-        ens.params = ens.params + walk_rng.standard_normal(ens.params.shape) * (PARAM_WALK * widths)
-        _clamp_params(ens.params, r)
+        ens.blocks += walk_rng.standard_normal(ens.blocks.shape) * walk_sd
+        _clamp_params(ens.blocks)
         di_mean.append(_step_members(ens, graph, _member_coefficients(ens, graph))[1] / ens.size)
 
         ens = eakf_step(ens, observed[:, w], graph.populations, inflation, obs_error_variance)
         s_mean.append(ens.S.mean(axis=0))
         i_mean.append(ens.I.mean(axis=0))
         r_mean.append(ens.R.mean(axis=0))
-        for p, name in enumerate(PARAM_NAMES):
-            block = ens.params[:, p * r : (p + 1) * r]
-            p_mean[name][:, w] = block.mean(axis=0)
-            p_sd[name][:, w] = block.std(axis=0, ddof=1)
+        p_mean[..., w] = ens.blocks.mean(axis=0)
+        p_sd[..., w] = ens.blocks.std(axis=0, ddof=1)
 
     traj = Trajectory(
         S=np.stack(s_mean, axis=1),
@@ -285,4 +273,5 @@ def run_eakf(
         R=np.stack(r_mean, axis=1),
         new_infections=np.stack(di_mean, axis=1),
     )
-    return EakfResult(trajectory=traj, param_mean=p_mean, param_sd=p_sd, ensemble=ens, graph=graph)
+    return EakfResult(trajectory=traj, param_mean=dict(zip(PARAM_NAMES, p_mean)),
+                      param_sd=dict(zip(PARAM_NAMES, p_sd)), ensemble=ens, graph=graph)

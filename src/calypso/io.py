@@ -239,18 +239,10 @@ def write_trajectory(path, graph: PatchGraph, traj: Trajectory) -> Path:
         traj.check(graph)
     except NumericalError as exc:
         raise NumericalError(f"{path}: {exc}") from None
-    ids, weeks = np.array(graph.patch_ids, dtype=object), traj.S.shape[1]
-    step = max(1, _BLOCK_ROWS // weeks)
-
-    def blocks():
-        for lo in range(0, len(ids), step):
-            S, I, R = (a[lo:lo + step] for a in (traj.S, traj.I, traj.R))
-            new = np.full(S.shape, "", dtype=object)
-            new[:, 1:] = traj.new_infections[lo:lo + step]
-            yield [np.repeat(ids[lo:lo + step], weeks), np.tile(np.arange(weeks), len(S)),
-                   S.ravel(), I.ravel(), R.ravel(), new.ravel()]
-
-    return _write_blocks(path, ["patch_id", "week_index", *_STATE_FIELDS], blocks())
+    new = np.full(traj.S.shape, "", dtype=object)
+    new[:, 1:] = traj.new_infections
+    return _write_blocks(path, ["patch_id", "week_index", *_STATE_FIELDS],
+                         _long_blocks(graph.patch_ids, traj.S, traj.I, traj.R, new))
 
 
 def write_trajectory_summary(path, graph: PatchGraph, traj: Trajectory) -> Path:

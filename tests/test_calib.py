@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from calypso.calib import (
     train_joint,
 )
 from calypso.core import DEFAULT_PARAM_BOUNDS, PARAM_NAMES
-from calypso.errors import CheckpointError, InvalidOption, NonFiniteLoss
+from calypso.errors import CheckpointError, InvalidOption, NonFiniteLoss, ShapeMismatch
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,21 @@ class TestInferParams:
         with pytest.raises(InvalidOption, match="calibration net was never fit: train_joint sets"):
             infer_params(net, bundle.data, bundle.graph)
 
+    @pytest.mark.parametrize("names", [("mssa", "mrsa", "prescriptions", "norm_incidence"),
+                                       ("mrsa", "mssa", "prescriptions", "incidence")], ids=["swapped", "renamed"])
+    def test_data_with_other_channel_names_is_refused(self, bundle, names):
+        net = small_net(bundle)
+        data = dataclasses.replace(bundle.data, feature_names=names)
+        with pytest.raises(ShapeMismatch, match=re.escape(f"net was fit on feature channels "
+                                                          f"{list(bundle.data.feature_names)}, data has {list(names)}")):
+            infer_params(net, data, bundle.graph)
+
+    def test_data_with_fewer_channels_is_refused(self, bundle):
+        data = dataclasses.replace(bundle.data, features=bundle.data.features[:, :, :3],
+                                   feature_names=bundle.data.feature_names[:3])
+        with pytest.raises(ShapeMismatch, match="net was fit on feature channels"):
+            infer_params(small_net(bundle), data, bundle.graph)
+
     def test_deterministic(self, bundle):
         net = small_net(bundle)
         p1 = infer_params(net, bundle.data, bundle.graph)
@@ -74,8 +91,6 @@ class TestInferParams:
         for name in ("enc_wz", "enc_wr", "enc_wh"):
             net.weights[name][1, :] = 0.0
         p1 = infer_params(net, bundle.data, bundle.graph)
-        import dataclasses
-
         features = np.array(bundle.data.features)
         features[:, :, 1] *= 2.0
         data2 = dataclasses.replace(bundle.data, features=features)
@@ -89,8 +104,6 @@ class TestInferParams:
         result = train_joint(small_net(bundle), bundle.data, bundle.graph,
                              TrainConfig(epochs=2, seed=0))
         assert result.net.norm_mean is not None and result.net.feature_names == bundle.data.feature_names
-        import dataclasses
-
         features = np.array(bundle.data.features)
         features[:, :, 0] *= 3.0
         data2 = dataclasses.replace(bundle.data, features=features)
@@ -205,8 +218,6 @@ class TestTrainJoint:
         assert calls == [bundle.data.window] * 2
 
     def test_window_too_short_rejected(self, bundle):
-        import dataclasses
-
         tiny = dataclasses.replace(bundle.data, window=5, horizon=0)
         with pytest.raises(InvalidOption, match="training window must be >= 8 weeks, got 5"):
             train_joint(small_net(bundle), tiny, bundle.graph, TrainConfig(epochs=1))

@@ -194,6 +194,28 @@ class TestDiseaseParams:
         assert np.allclose(ext.gamma, [[0.3, 0.4, 0.4, 0.4]])
 
 
+class TestDataSet:
+    @staticmethod
+    def arrays(channels=2):
+        observed = np.array([[3.0, 4.0, 5.0], [1.0, 1.0, 2.0]])
+        return {"features": np.stack([observed * (c + 1) for c in range(channels)], axis=2), "observed": observed,
+                "initial_infections": observed[:, 0], "horizon": 1, "window": 2}
+
+    def test_feature_names_are_required(self):
+        with pytest.raises(TypeError, match="feature_names"):
+            DataSet(**self.arrays())
+
+    @pytest.mark.parametrize("names", [("a",), ("a", "b", "c"), ("a", "a"), ()],
+                             ids=["too-few", "too-many", "twice", "none"])
+    def test_names_that_do_not_name_each_channel_once_are_refused(self, names):
+        with pytest.raises(ShapeMismatch, match=re.escape(f"feature_names {list(names)} must name each of the 2 "
+                                                          "feature channels once")):
+            DataSet(**self.arrays(), feature_names=names)
+
+    def test_names_are_kept_as_a_tuple_in_channel_order(self):
+        assert DataSet(**self.arrays(), feature_names=["b", "a"]).feature_names == ("b", "a")
+
+
 class TestCsvRoundTrip:
     def test_graph_and_dataset_round_trip(self, tmp_path):
         g = two_patch_graph()
@@ -205,6 +227,7 @@ class TestCsvRoundTrip:
             initial_infections=np.array([3.0, 1.0]),
             horizon=1,
             window=3,
+            feature_names=("mrsa", "mssa", "prescriptions", "norm_incidence"),
         )
         io.write_inputs(tmp_path, g, data, {("a", "b"): 20.0}, {})
         g2, commute, _ = io.load_graph(tmp_path)

@@ -13,15 +13,9 @@ from calypso.sim import SimConfig, simulate, sirs_step
 
 def scalar_ensemble(values):
     """Single-patch ensemble whose observed coordinate is I."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    return Ensemble(
-        region_ids=("r0",),
-        S=np.full((n, 1), 100.0) - values[:, None],
-        I=values[:, None],
-        R=np.zeros((n, 1)),
-        params=np.tile([0.5, 0.3, 0.1, 0.2, 0.5], (n, 1)),
-    )
+    values = np.asarray(values, dtype=float)[:, None]
+    params = np.tile([0.5, 0.3, 0.1, 0.2, 0.5], (len(values), 1))
+    return Ensemble(("r0",), np.concatenate([100.0 - values, values, np.zeros_like(values), params], axis=1))
 
 
 # the population of the one patch of ``scalar_ensemble``
@@ -39,7 +33,7 @@ def state_space_step(ens, observation, populations, inflation, obs_error_varianc
     prior_var = ens.I.var(axis=0, ddof=1)
     if float(prior_var.max(initial=0.0)) < eakf._VAR_FLOOR:
         raise NumericalError("ensemble variance vanished in every observed coordinate")
-    state = np.concatenate([eakf._inflate(a, inflation) for a in (ens.S, ens.I, ens.R, ens.params)], axis=1)
+    state = eakf._inflate(ens.state, inflation)
     n, n_patches = ens.size, ens.I.shape[1]
     for i in range(n_patches):
         z = state[:, n_patches + i]
@@ -57,10 +51,7 @@ def state_space_step(ens, observation, populations, inflation, obs_error_varianc
         centered = state - state.mean(axis=0, keepdims=True)
         cov = centered.T @ (z - pr_mean) / (n - 1)
         state += np.outer(inc, cov / pr_var)
-    out = dataclasses.replace(
-        ens, S=state[:, :n_patches], I=state[:, n_patches : 2 * n_patches],
-        R=state[:, 2 * n_patches : 3 * n_patches], params=state[:, 3 * n_patches :],
-    )
+    out = Ensemble(ens.region_ids, state)
     eakf._repair(out, np.asarray(populations, dtype=float))
     return out
 
@@ -71,10 +62,10 @@ def dict_coefficients(ens, graph):
     Returns the six coefficients of ``sirs_step`` as per-member lists, each
     formed from that member's dict the way the step once formed them itself.
     """
-    bmat, r = graph.broadcast_matrix, ens.n_regions
+    bmat = graph.broadcast_matrix
     members = []
     for m in range(ens.size):
-        pp = {name: bmat @ ens.params[m, p * r : (p + 1) * r] for p, name in enumerate(PARAM_NAMES)}
+        pp = {name: bmat @ ens.blocks[m, p] for p, name in enumerate(PARAM_NAMES)}
         factor = (1.0 - pp["kappa"]) * (1.0 - pp["epsilon"]) + pp["epsilon"]
         members.append((pp["beta"], factor, pp["gamma"], 1.0 - pp["gamma"],
                         pp["delta"], 1.0 - pp["delta"]))
@@ -99,6 +90,38 @@ def propagated_ensemble(bundle, size, weeks=6):
     return run_eakf(bundle.graph, data, size=size, seed=7).ensemble
 
 
+class TestEnsembleLayout:
+    """``Ensemble.state`` is the one members x (3P + 5R) array; its compartments and parameters are views of it."""
+
+    def test_writes_through_the_views_show_in_state(self, desk_bundle):
+        ens = init_ensemble(desk_bundle.graph, desk_bundle.data.initial_infections, size=5)
+        n_patches, n_regions = desk_bundle.graph.n_patches, desk_bundle.graph.n_regions
+        ens.I[2, 3] = -1.0
+        ens.blocks[4, 1, 2] = 0.75  # gamma of region 2
+        assert ens.state[2, n_patches + 3] == -1.0
+        assert ens.state[4, 3 * n_patches + n_regions + 2] == 0.75
+        assert ens.params[4, n_regions + 2] == 0.75
+        for view in (ens.S, ens.I, ens.R, ens.params, ens.blocks):
+            assert np.shares_memory(view, ens.state)
+
+    def test_step_leaves_the_input_state(self, desk_bundle):
+        ens = propagated_ensemble(desk_bundle, 20)
+        before = ens.state.tobytes()
+        eakf_step(ens, desk_bundle.data.observed[:, 6], desk_bundle.graph.populations, 1.02, None)
+        assert ens.state.tobytes() == before
+
+    @pytest.mark.parametrize("width", [10, 11, 12, 14, 17])
+    def test_refuses_a_width_other_than_three_per_patch_and_five_per_region(self, width):
+        Ensemble(("r0", "r1"), np.zeros((4, 3 * 2 + 5 * 2)))  # two patches, two regions
+        with pytest.raises(ShapeMismatch, match=f"^ensemble state has {width} columns, not 3 \\* patches"):
+            Ensemble(("r0", "r1"), np.zeros((4, width)))
+
+    @pytest.mark.parametrize("shape", [(0, 16), (16,)], ids=["no-member", "one-axis"])
+    def test_refuses_a_state_without_two_members(self, shape):
+        with pytest.raises(ShapeMismatch, match="at least 2 members"):
+            Ensemble(("r0", "r1"), np.zeros(shape))
+
+
 class TestEnsembleSpaceStep:
     """``eakf_step`` composes the serial updates in ensemble space; the
     state-space loop above is its reference."""
@@ -114,7 +137,7 @@ class TestEnsembleSpaceStep:
     def test_matches_with_floored_coordinates(self, desk_bundle):
         ens = propagated_ensemble(desk_bundle, 100)
         ens.I[:, ::3] = ens.I[0, ::3]  # every third patch collapsed: the zero-gain skip runs
-        ens.S = desk_bundle.graph.populations[None, :] - ens.I - ens.R
+        ens.S[:] = desk_bundle.graph.populations[None, :] - ens.I - ens.R
         assert np.all(ens.I[:, ::3].var(axis=0, ddof=1) < eakf._VAR_FLOOR)
         obs = desk_bundle.data.observed[:, 6]
         post = eakf_step(ens, obs, desk_bundle.graph.populations, 1.02, None)
@@ -250,7 +273,7 @@ class TestEakfStep:
         assert (draws > hi + width).any() and (draws < lo - width).any()
         state = np.concatenate([rng.normal(size=(60, 7)), draws], axis=1)
         got, want = state.copy(), state.copy()
-        eakf._clamp_params(got[:, 7:], n_regions)
+        eakf._clamp_params(got[:, 7:].reshape(60, 5, n_regions))
         self.clamp_by_blocks(want[:, 7:], n_regions)
         assert got.tobytes() == want.tobytes()
         assert np.all((got[:, 7:] >= lo) & (got[:, 7:] <= hi))
@@ -297,8 +320,7 @@ class TestRunEakf:
         for name in PARAM_NAMES:
             assert np.array_equal(new.param_mean[name], ref.param_mean[name]), name
             assert np.array_equal(new.param_sd[name], ref.param_sd[name]), name
-        for name in ("S", "I", "R", "params"):
-            assert np.array_equal(getattr(new.ensemble, name), getattr(ref.ensemble, name)), name
+        assert new.ensemble.state.tobytes() == ref.ensemble.state.tobytes()
 
     def test_seeded_determinism(self, run_bundle):
         bundle = run_bundle
@@ -341,7 +363,7 @@ class TestRunEakf:
         """The reference: each member stepped ``h`` weeks on its own, its I added in member order."""
         result = run_eakf(run_bundle.graph, run_bundle.data, size=10, seed=3)
         ens, graph = result.ensemble, run_bundle.graph
-        before = [getattr(ens, name).copy() for name in ("S", "I", "R", "params")]
+        before = ens.state.tobytes()
         want = np.zeros((graph.n_patches, 4))
         for m, member in enumerate(zip(*eakf._member_coefficients(ens, graph))):
             s, i, r = ens.S[m], ens.I[m], ens.R[m]
@@ -349,8 +371,7 @@ class TestRunEakf:
                 s, i, r, _ = sirs_step(graph.theta, graph.theta_t, graph.n_eff, s, i, r, *member)
                 want[:, t] += i
         assert result.forecast(4).tobytes() == (want / ens.size).tobytes()
-        for name, value in zip(("S", "I", "R", "params"), before):
-            assert np.array_equal(getattr(ens, name), value), name
+        assert ens.state.tobytes() == before
 
     def test_constant_beta_recovery(self):
         # a long window with constant known parameters: posterior beta near truth

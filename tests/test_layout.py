@@ -8,6 +8,8 @@ only the other tests reach is dead code with a test.  Every class in
 nothing raises is a name no user can see.  Every option of a subcommand
 (the one check that imports the package, for ``cli._build_parser``) is
 read by its handler: an option nothing reads is a setting no run obeys.
+The package's settable values, counted with ``settable_values``, stay at
+or below ``SETTABLE_CEILING``.
 """
 
 import ast
@@ -169,3 +171,52 @@ def test_the_check_finds_an_option_no_handler_reads():
               "def cmd_idle_run(config):\n    _write_manifest(config)\n    return config\n")
     types = {"run": {"size": int, "seed": int, "checkpoint": str, "out": str}, "idle-run": {"seed": int}}
     assert unread_options(source, types) == [("idle-run", "seed"), ("run", "seed")]
+
+
+# The most settable values ``settable_values`` may count across ``MODULES``.  A change that adds one
+# raises this ceiling and gives its reason in CHANGES.md; one that removes some lowers it.
+SETTABLE_CEILING = 127
+
+
+def settable_values(source: str) -> list[str]:
+    """The settable values of a module: the fields of its public dataclasses, and the
+    defaulted parameters (keyword-only ones too) of its public functions and of the
+    public methods and ``__init__`` of its public classes, as ``Class.field`` and
+    ``function(parameter=)``."""
+    def defaulted(qual: str, node: ast.FunctionDef) -> list[str]:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+        names += [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        return [f"{qual}({name}=)" for name in names]
+
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out += defaulted(node.name, node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                out += [f"{node.name}.{s.target.id}" for s in node.body
+                        if isinstance(s, ast.AnnAssign) and not s.target.id.startswith("_")]
+            out += [value for m in node.body if isinstance(m, ast.FunctionDef)
+                    and (m.name == "__init__" or not m.name.startswith("_"))
+                    for value in defaulted(f"{node.name}.{m.name}", m)]
+    return out
+
+
+def test_settable_values_stay_under_the_ceiling():
+    counts = {p.stem: len(settable_values(p.read_text(encoding="utf-8"))) for p in MODULES}
+    assert sum(counts.values()) <= SETTABLE_CEILING, counts
+
+
+def test_the_counter_finds_fields_and_defaulted_parameters():
+    source = ("from dataclasses import dataclass, field\n\n"
+              "@dataclass(frozen=True)\nclass Spec:\n    size: int\n    seed: int = 0\n    _memo: dict = field(default_factory=dict)\n\n"
+              "class Net:\n    depth: int = 2\n    def __init__(self, width, scale=1.0):\n        pass\n\n"
+              "    def fit(self, data, *, epochs=10, lr):\n        pass\n\n"
+              "    def _step(self, rate=0.1):\n        pass\n\n"
+              "def run(graph, /, steps=4, *args, seed=None, **kwargs):\n    pass\n\n"
+              "def _helper(x=1):\n    pass\n\n"
+              "@dataclass\nclass _Hidden:\n    n: int = 1\n")
+    assert settable_values(source) == ["Spec.size", "Spec.seed", "Net.__init__(scale=)", "Net.fit(epochs=)",
+                                       "run(steps=)", "run(seed=)"]
