@@ -3,8 +3,13 @@
 Every operation re-simulates under a perturbed configuration and
 compares cumulative new infections against the unperturbed baseline;
 nothing here mutates the fitted parameters.  A transmission
-counterfactual is one per-patch beta multiplier; an outbreak adds seeds
-to the initial infections.
+counterfactual is one per-patch beta multiplier, built by one helper,
+``_beta_scales``: a factor on a group of patches and 1 elsewhere, one
+column per group.  An outbreak adds seeds to the initial infections;
+``outbreak_ranking`` builds those columns itself and refuses a seed
+above a patch's population.  A ranking is sorted by descending value,
+ties by id (``_ranking``); an allocation, greedy or exhaustive, is one
+``Allocation``.
 
 The regional reduction, the sensitivity scan, outbreak ranking and
 random allocation know all their scenarios up front, so each scores them
@@ -39,8 +44,8 @@ from .core import (
     check_option,
     metrics,
 )
-from .errors import InvalidOption, ShapeMismatch
-from .sim import patch_coefficients, plain_totals, plain_trajectory, seed_outbreak
+from .errors import InvalidOption, InvalidValue, ShapeMismatch
+from .sim import patch_coefficients, plain_totals, plain_trajectory
 
 MULTIPLIER = 0.9  # an allocated patch's transmission multiplier, unless a caller sets one
 
@@ -93,7 +98,6 @@ class FittedModel:
 class ImpactReport:
     """Per-region deltas / impact ratios with a descending ranking."""
 
-    kind: str
     baseline_total: float
     region_ids: tuple[str, ...]
     ranking: tuple[tuple[str, float], ...]
@@ -102,10 +106,34 @@ class ImpactReport:
     impact_ratio: np.ndarray | None = None   # receivers x sources
     details: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        vals = [v for _, v in self.ranking]
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            raise ShapeMismatch("ranking must be sorted descending")
+
+@dataclass(frozen=True)
+class Allocation:
+    """Patches picked for the multiplier and the cumulative reduction after
+    each pick; an exhaustive search has one entry, its best set's."""
+
+    selected: tuple[str, ...]
+    reductions: np.ndarray
+    evaluations: int
+    baseline_total: float
+
+    @property
+    def reduction(self) -> float:
+        return float(self.reductions[-1])
+
+
+def _beta_scales(graph: PatchGraph, groups: Sequence[Sequence[int]], factor: float) -> np.ndarray:
+    """Patches x ``len(groups)`` multipliers: ``factor`` on group j's patch
+    indices in column j, 1 elsewhere (an empty group is the baseline)."""
+    scales = np.ones((graph.n_patches, len(groups)))
+    for j, patches in enumerate(groups):
+        scales[list(patches), j] = factor
+    return scales
+
+
+def _ranking(pairs) -> tuple[tuple[str, float], ...]:
+    """``(id, value)`` pairs by descending value, ties by id."""
+    return tuple(sorted(pairs, key=lambda kv: (-kv[1], kv[0])))
 
 
 def _cum_state(traj, graph: PatchGraph) -> float:
@@ -123,30 +151,17 @@ def regional_beta_reduction(model: FittedModel, graph: PatchGraph, region: str,
     if region not in graph.region_ids:
         raise InvalidOption(f"unknown region {region!r}")
     check_option("factor", factor, 0, strict=True)
-    scale = np.ones((graph.n_patches, 2))
-    scale[graph.patch_region == graph.region_index[region], 1] = factor
-    patch_totals = model.totals(graph, scale)
+    patches = np.flatnonzero(graph.patch_region == graph.region_index[region])
+    patch_totals = model.totals(graph, _beta_scales(graph, [[], patches], factor))
     region_totals = aggregate(patch_totals, "region", graph)
     region_delta = region_totals[:, 1] - region_totals[:, 0]
-    patch_delta = patch_totals[:, 1] - patch_totals[:, 0]
-    baseline_total = float(region_totals[:, 0].sum())
-    ranking = tuple(sorted(
-        ((rid, -float(region_delta[graph.region_index[rid]])) for rid in graph.region_ids),
-        key=lambda kv: (-kv[1], kv[0]),
-    ))
     return ImpactReport(
-        kind="beta-reduction",
-        baseline_total=baseline_total,
+        baseline_total=float(region_totals[:, 0].sum()),
         region_ids=graph.region_ids,
-        ranking=ranking,
+        ranking=_ranking(zip(graph.region_ids, map(float, -region_delta))),
         region_delta=region_delta,
-        patch_delta=patch_delta,
-        details={
-            "target": region,
-            "factor": factor,
-            "state_delta": float(region_delta.sum()),
-            "state_reduction": -float(region_delta.sum()),
-        },
+        patch_delta=patch_totals[:, 1] - patch_totals[:, 0],
+        details={"state_delta": float(region_delta.sum())},
     )
 
 
@@ -159,8 +174,9 @@ def _distinct_patches(graph: PatchGraph, ids: Sequence[str], what: str) -> list[
 
 
 def _allocation_candidates(graph: PatchGraph, candidates: Sequence[str] | None,
-                           budget: int, multiplier: float) -> list[str]:
-    """The distinct candidate patches in graph order; every non-general patch by default.
+                           budget: int, multiplier: float) -> list[int]:
+    """The indices of the distinct candidate patches in graph order; every
+    non-general patch by default.
 
     Refuses, before any simulation, a multiplier that is not finite and
     > 0 and a budget outside 1 .. the number of distinct candidates.
@@ -174,20 +190,12 @@ def _allocation_candidates(graph: PatchGraph, candidates: Sequence[str] | None,
         raise InvalidOption("no candidate patches for allocation")
     if budget > len(candidates):
         raise ShapeMismatch(f"budget {budget} exceeds {len(candidates)} candidates")
-    return candidates
-
-
-@dataclass(frozen=True)
-class GreedyResult:
-    selected: tuple[str, ...]
-    reductions: np.ndarray        # cumulative reduction after each pick
-    evaluations: int
-    baseline_total: float
+    return [graph.patch_index[c] for c in candidates]
 
 
 def unit_greedy(model: FittedModel, graph: PatchGraph, budget: int,
                 multiplier: float = MULTIPLIER,
-                candidates: Sequence[str] | None = None) -> GreedyResult:
+                candidates: Sequence[str] | None = None) -> Allocation:
     """Pick ``budget`` patches one at a time by maximal marginal gain.
 
     The objective is cumulative statewide new infections over the run;
@@ -195,78 +203,50 @@ def unit_greedy(model: FittedModel, graph: PatchGraph, budget: int,
     total evaluation count is sum_b (|candidates| - b + 1).  Ties break
     toward the lowest patch index.
     """
-    cands = _allocation_candidates(graph, candidates, budget, multiplier)
+    index = _allocation_candidates(graph, candidates, budget, multiplier)
     baseline_total = _cum_state(model.run(graph), graph)
-    scale = np.ones(graph.n_patches)
-    selected: list[str] = []
+    selected: list[int] = []
     reductions: list[float] = []
     evaluations = 0
-    remaining = list(cands)
     for _ in range(budget):
-        totals = []
-        for cand in remaining:
-            vec = scale.copy()
-            vec[graph.patch_index[cand]] *= multiplier
-            totals.append(_cum_state(model.run(graph, vec), graph))
+        remaining = [i for i in index if i not in selected]
+        scales = _beta_scales(graph, [selected + [i] for i in remaining], multiplier)
+        totals = [_cum_state(model.run(graph, scales[:, j]), graph) for j in range(len(remaining))]
         evaluations += len(remaining)
         best_pos = min(range(len(remaining)), key=totals.__getitem__)  # earliest wins ties
-        chosen = remaining.pop(best_pos)
-        scale[graph.patch_index[chosen]] *= multiplier
-        selected.append(chosen)
+        selected.append(remaining[best_pos])
         reductions.append(baseline_total - totals[best_pos])
-    return GreedyResult(
-        selected=tuple(selected),
-        reductions=np.array(reductions),
-        evaluations=evaluations,
-        baseline_total=baseline_total,
-    )
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    selected: tuple[str, ...]
-    reduction: float
-    evaluations: int
-    baseline_total: float
+    return Allocation(tuple(graph.patch_ids[i] for i in selected), np.array(reductions),
+                      evaluations, baseline_total)
 
 
 def brute_force_allocation(model: FittedModel, graph: PatchGraph, budget: int,
                            multiplier: float = MULTIPLIER,
-                           candidates: Sequence[str] | None = None) -> BruteForceResult:
+                           candidates: Sequence[str] | None = None) -> Allocation:
     """Exhaustive search over all size-``budget`` candidate subsets."""
-    cands = _allocation_candidates(graph, candidates, budget, multiplier)
+    index = _allocation_candidates(graph, candidates, budget, multiplier)
     baseline_total = _cum_state(model.run(graph), graph)
-    best_set: tuple[str, ...] = ()
+    best_set: tuple[int, ...] = ()
     best_total = np.inf
     evaluations = 0
-    for combo in itertools.combinations(cands, budget):
-        vec = np.ones(graph.n_patches)
-        for c in combo:
-            vec[graph.patch_index[c]] *= multiplier
-        total = _cum_state(model.run(graph, vec), graph)
+    for combo in itertools.combinations(index, budget):
+        total = _cum_state(model.run(graph, _beta_scales(graph, [combo], multiplier)[:, 0]), graph)
         evaluations += 1
         if total < best_total:
             best_total = total
             best_set = combo
-    return BruteForceResult(
-        selected=best_set,
-        reduction=baseline_total - best_total,
-        evaluations=evaluations,
-        baseline_total=baseline_total,
-    )
+    return Allocation(tuple(graph.patch_ids[i] for i in best_set), np.array([baseline_total - best_total]),
+                      evaluations, baseline_total)
 
 
 def random_allocation_reduction(model: FittedModel, graph: PatchGraph, budget: int,
                                 n_draws: int = 20, seed: int = 0) -> np.ndarray:
     """Reductions of ``n_draws`` random size-``budget`` non-general allocations."""
-    cands = _allocation_candidates(graph, None, budget, MULTIPLIER)
+    index = _allocation_candidates(graph, None, budget, MULTIPLIER)
     rng = seeding.spawn_rng(seed, seeding.ANALYSIS, 0)
-    scale = np.ones((graph.n_patches, 1 + n_draws))
-    for d in range(n_draws):
-        picks = rng.choice(len(cands), size=budget, replace=False)
-        for k in picks:
-            scale[graph.patch_index[cands[k]], 1 + d] *= MULTIPLIER
-    state_totals = aggregate(model.totals(graph, scale), "state", graph)[0]
+    draws = [[index[k] for k in rng.choice(len(index), size=budget, replace=False)] for _ in range(n_draws)]
+    scales = _beta_scales(graph, [[], *draws], MULTIPLIER)
+    state_totals = aggregate(model.totals(graph, scales), "state", graph)[0]
     return state_totals[0] - state_totals[1:]
 
 
@@ -278,23 +258,16 @@ def sensitivity_scan(model: FittedModel, graph: PatchGraph, bump: float = 1.1) -
     Receivers are ranked by their total ratio over external sources.
     """
     check_option("bump", bump, 1, strict=True)
-    scale = np.ones((graph.n_patches, 1 + graph.n_regions))
-    scale[:, 1:] = np.where(graph.patch_region[:, None] == np.arange(graph.n_regions), bump, 1.0)
-    region_totals = aggregate(model.totals(graph, scale), "region", graph)
+    groups = [[], *(np.flatnonzero(graph.patch_region == r) for r in range(graph.n_regions))]
+    region_totals = aggregate(model.totals(graph, _beta_scales(graph, groups, bump)), "region", graph)
     base = region_totals[:, 0]
     ratios = (region_totals[:, 1:] - base[:, None]) / graph.region_populations()[:, None]
     received = ratios.sum(axis=1) - np.diag(ratios)
-    ranking = tuple(sorted(
-        ((rid, float(received[graph.region_index[rid]])) for rid in graph.region_ids),
-        key=lambda kv: (-kv[1], kv[0]),
-    ))
     return ImpactReport(
-        kind="sensitivity",
         baseline_total=float(base.sum()),
         region_ids=graph.region_ids,
-        ranking=ranking,
+        ranking=_ranking(zip(graph.region_ids, map(float, received))),
         impact_ratio=ratios,
-        details={"bump": bump},
     )
 
 
@@ -305,7 +278,9 @@ def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
     Without a target every patch is a source and the metric is the
     statewide cumulative-infection rise; with ``target`` set it is the
     rise inside that patch, and every other patch is a source.  All
-    sources are scored in one batched run with the baseline.
+    sources are scored in one batched run with the baseline.  A seed that
+    would lift a source above its population is refused before any run,
+    naming the first such source in graph order.
     """
     check_option("seed count", k, 0)
     cands = list(graph.patch_ids)
@@ -315,10 +290,12 @@ def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
         cands = [c for c in cands if c != target]
     if not cands:
         raise InvalidOption("no candidate outbreak sources")
-    init = np.empty((graph.n_patches, 1 + len(cands)))
-    init[:, 0] = model.init
-    for j, c in enumerate(cands, start=1):
-        init[:, j] = seed_outbreak(model.init, c, k, graph)
+    rows, cols = [graph.patch_index[c] for c in cands], np.arange(1, 1 + len(cands))
+    init = np.repeat(np.asarray(model.init, dtype=float)[:, None], 1 + len(cands), axis=1)
+    init[rows, cols] += k
+    if over := [i for i in rows if init[i, 0] + k > graph.populations[i]]:
+        raise InvalidValue(f"seeding {k} in {graph.patch_ids[over[0]]!r} exceeds its population "
+                           f"{graph.populations[over[0]]:.6g}")
     patch_totals = model.totals(graph, init=init)
     state_totals = aggregate(patch_totals, "state", graph)[0]
     base_state = float(state_totals[0])
@@ -326,22 +303,15 @@ def outbreak_ranking(model: FittedModel, graph: PatchGraph, k: float,
     base_metric = float(metric[0])
     deltas = (metric[1:] - metric[0]).tolist()
 
-    ranking = tuple(sorted(zip(cands, map(float, deltas)), key=lambda kv: (-kv[1], kv[0])))
     pct = {c: (100.0 * d / base_metric if base_metric > 0 else 0.0) for c, d in zip(cands, deltas)}
     attribution: dict[str, float] = {}
     for c, p in pct.items():
         attribution[graph.region_of[c]] = attribution.get(graph.region_of[c], 0.0) + p
     return ImpactReport(
-        kind="outbreak",
         baseline_total=base_state,
         region_ids=graph.region_ids,
-        ranking=ranking,
-        details={
-            "k": k,
-            "target": target,
-            "percent_of_baseline": pct,
-            "region_attribution_percent": attribution,
-        },
+        ranking=_ranking(zip(cands, map(float, deltas))),
+        details={"percent_of_baseline": pct, "region_attribution_percent": attribution},
     )
 
 

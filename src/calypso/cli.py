@@ -76,8 +76,10 @@ def _load_net(config: dict, data) -> calib.CalibNet:
     return net
 
 
-def _load_model(config: dict, graph, data) -> analysis.FittedModel:
-    return analysis.FittedModel.from_calibration(_load_net(config, data), data, graph)
+def _load_model(config: dict) -> tuple:
+    """The bundle's graph and the model the ``--checkpoint`` net fits to it."""
+    graph, data = _load_bundle(config)
+    return graph, analysis.FittedModel.from_calibration(_load_net(config, data), data, graph)
 
 
 # -- subcommand bodies ----------------------------------------------------
@@ -166,7 +168,7 @@ def cmd_forecast(config: dict) -> list:
         written.append(io.write_series(out / "forecast_corrected_state.csv",
                                        corrected[graph.n_patches + graph.n_regions]))
     holdout = data.holdout_observed()
-    if holdout.shape[1] >= 2 and traj.n_steps >= data.window + holdout.shape[1]:
+    if holdout.shape[1] >= 2:
         pred = aggregate(traj.weekly_series[:, data.window : data.window + holdout.shape[1]], "state", graph)[0]
         obs = aggregate(holdout, "state", graph)[0]
         written.append(_write_json(out / "holdout_metrics.json", compute_metrics(pred, obs)))
@@ -184,18 +186,17 @@ def cmd_eakf(config: dict) -> list:
         io.write_eakf_summary(out / "eakf_summary.csv", result, graph),
         io.write_trajectory(out / "eakf_trajectory.csv", graph, result.trajectory),
     ]
-    if data.horizon >= 2:
-        fc = result.forecast(data.horizon)
-        pred = aggregate(fc, "state", graph)[0]
-        obs = aggregate(data.holdout_observed(), "state", graph)[0]
+    if data.horizon >= 1:
+        pred = aggregate(result.forecast(data.horizon), "state", graph)[0]
         written.append(io.write_series(out / "eakf_forecast_state.csv", pred))
+    if data.horizon >= 2:
+        obs = aggregate(data.holdout_observed(), "state", graph)[0]
         written.append(_write_json(out / "eakf_holdout_metrics.json", compute_metrics(pred, obs)))
     return written
 
 
 def cmd_policy_region(config: dict) -> list:
-    graph, data = _load_bundle(config)
-    model = _load_model(config, graph, data)
+    graph, model = _load_model(config)
     report = analysis.regional_beta_reduction(model, graph, config["region"], factor=config["factor"])
     out = _out_dir(config)
     return [
@@ -203,40 +204,38 @@ def cmd_policy_region(config: dict) -> list:
                     ((rid, report.region_delta[graph.region_index[rid]],
                       -report.region_delta[graph.region_index[rid]]) for rid in graph.region_ids)),
         _write_json(out / "policy_region.json", {
-            "kind": report.kind, "baseline_total": report.baseline_total,
+            "kind": "beta-reduction", "baseline_total": report.baseline_total,
             "target": config["region"], "factor": config["factor"],
             "state_delta": report.details["state_delta"],
-            "state_reduction": report.details["state_reduction"],
+            "state_reduction": -report.details["state_delta"],
             "ranking": [[r, v] for r, v in report.ranking],
         }),
     ]
 
 
 def cmd_policy_greedy(config: dict) -> list:
-    graph, data = _load_bundle(config)
-    model = _load_model(config, graph, data)
-    candidates = config["candidates"].split(",") if config.get("candidates") else None
+    graph, model = _load_model(config)
+    candidates = config["candidates"].split(",") if config.get("candidates") is not None else None
     out = _out_dir(config)
-    allocate = analysis.brute_force_allocation if config.get("brute_force") else analysis.unit_greedy
+    brute_force = config.get("brute_force")
+    allocate = analysis.brute_force_allocation if brute_force else analysis.unit_greedy
     res = allocate(model, graph, config["budget"], multiplier=config["multiplier"], candidates=candidates)
-    if config.get("brute_force"):
-        mode, reduction = "brute-force", res.reduction
+    if brute_force:
         curve_rows = [(1, "+".join(res.selected), res.reduction)]
     else:
-        mode, reduction = "greedy", float(res.reductions[-1])
         curve_rows = [(b + 1, res.selected[b], res.reductions[b]) for b in range(len(res.selected))]
     return [
         _write_rows(out / "policy_greedy_curve.csv", ["budget", "patch", "cumulative_reduction"], curve_rows),
         _write_json(out / "policy_greedy.json", {
-            "mode": mode, "selected": list(res.selected), "reduction": reduction,
+            "mode": "brute-force" if brute_force else "greedy", "selected": list(res.selected),
+            "reduction": res.reduction,
             "evaluations": res.evaluations, "baseline_total": res.baseline_total,
         }),
     ]
 
 
 def cmd_sensitivity(config: dict) -> list:
-    graph, data = _load_bundle(config)
-    model = _load_model(config, graph, data)
+    graph, model = _load_model(config)
     report = analysis.sensitivity_scan(model, graph, bump=config["bump"])
     out = _out_dir(config)
     rows = [(recv, src, report.impact_ratio[j, i])
@@ -252,8 +251,7 @@ def cmd_sensitivity(config: dict) -> list:
 
 
 def cmd_outbreak(config: dict) -> list:
-    graph, data = _load_bundle(config)
-    model = _load_model(config, graph, data)
+    graph, model = _load_model(config)
     report = analysis.outbreak_ranking(model, graph, config["k"], target=config.get("target"))
     out = _out_dir(config)
     pct = report.details["percent_of_baseline"]
@@ -271,7 +269,7 @@ def cmd_outbreak(config: dict) -> list:
 
 def cmd_correct_data(config: dict) -> list:
     graph, data = _load_bundle(config)
-    if config.get("noisy_patches"):
+    if config.get("noisy_patches") is not None:
         noisy = config["noisy_patches"].split(",")
     else:
         noisy = graph.patches_of_category(NON_GENERAL)[: config["noisy_count"]]

@@ -49,12 +49,13 @@ A counterfactual that perturbs transmission is a per-patch multiplier,
 ``beta_scale``, applied to every week's patch beta after the gather: a
 vector for ``plain_trajectory``, one column per scenario for
 ``plain_totals``; ``simulate`` takes none.
-A region's intervention is
-``np.where(graph.patch_region == r, factor, 1.0)``: its products equal
-those of scaling the region's beta row, bit for bit.  An outbreak is a
-column of initial infections.  A batched column matches ``simulate`` of
-the same inputs to rounding (a matrix product in place of a
-matrix-vector one), not bit for bit.
+A region's intervention is ``factor`` on the region's patches and 1.0
+elsewhere: its products equal those of scaling the region's beta row,
+bit for bit.  An outbreak is a column of initial infections.
+``calypso.analysis`` builds both kinds of column; this module only
+checks them.  A batched column matches ``simulate`` of the same inputs
+to rounding (a matrix product in place of a matrix-vector one), not bit
+for bit.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import autodiff as ad
-from .core import DiseaseParams, PatchGraph, Trajectory, check_option
-from .errors import InvalidOption, InvalidValue, ShapeMismatch
+from .core import DiseaseParams, PatchGraph, Trajectory
+from .errors import InvalidValue, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -311,17 +312,3 @@ def plain_totals(graph: PatchGraph, coefficients: tuple, init,
         out[:, cols] = total
     return out
 
-
-def seed_outbreak(init: np.ndarray, patch: str, k: float, graph: PatchGraph) -> np.ndarray:
-    """Add ``k`` infections to one patch, respecting its population cap."""
-    if patch not in graph.patch_index:
-        raise InvalidOption(f"unknown patch {patch!r}")
-    check_option("seed count", k, 0)
-    idx = graph.patch_index[patch]
-    out = np.array(init, dtype=float)
-    if out[idx] + k > graph.populations[idx]:
-        raise InvalidValue(
-            f"seeding {k} in {patch!r} exceeds its population {graph.populations[idx]:.6g}"
-        )
-    out[idx] += k
-    return out

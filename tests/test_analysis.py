@@ -195,8 +195,8 @@ class TestRegionalBetaReduction:
 
     def test_high_force_region_dominates(self):
         graph, model = two_region_model()
-        red_a = regional_beta_reduction(model, graph, "A").details["state_reduction"]
-        red_b = regional_beta_reduction(model, graph, "B").details["state_reduction"]
+        red_a = -regional_beta_reduction(model, graph, "A").details["state_delta"]
+        red_b = -regional_beta_reduction(model, graph, "B").details["state_delta"]
         assert red_a > red_b > 0
 
     def test_spillover_not_clamped(self):
@@ -243,6 +243,13 @@ class TestUnitGreedy:
         brute = brute_force_allocation(model, bundle.graph, budget=1)
         assert greedy.selected[0] == brute.selected[0]
         assert greedy.reductions[-1] == pytest.approx(brute.reduction)
+
+    def test_brute_force_reports_one_reduction(self, bundle, model):
+        """An exhaustive search is an ``Allocation`` with one entry, its best set's."""
+        brute = brute_force_allocation(model, bundle.graph, budget=2, candidates=bundle.graph.patch_ids[:4])
+        assert isinstance(brute, analysis.Allocation) and len(brute.selected) == 2
+        assert brute.reductions.shape == (1,)
+        assert brute.reduction == float(brute.reductions[0])
 
     def test_evaluation_count_formula(self, bundle, model):
         candidates = bundle.graph.patches_of_category("non-general")
@@ -374,16 +381,28 @@ class TestSensitivity:
             np.testing.assert_allclose(report.impact_ratio[:, i], (alt - base) / graph.region_populations(),
                                        rtol=1e-9)
 
-    def test_ranking_sorted_descending(self, bundle, model):
-        report = sensitivity_scan(model, bundle.graph, bump=1.1)
+    @pytest.mark.parametrize("analyse", [
+        lambda model, graph: sensitivity_scan(model, graph, bump=1.1),
+        lambda model, graph: regional_beta_reduction(model, graph, graph.region_ids[0]),
+        lambda model, graph: outbreak_ranking(model, graph, k=10.0),
+    ], ids=["sensitivity", "region", "outbreak"])
+    def test_ranking_sorted_descending(self, bundle, model, analyse):
+        report = analyse(model, bundle.graph)
         vals = [v for _, v in report.ranking]
         assert vals == sorted(vals, reverse=True)
 
+    def test_ranking_breaks_ties_by_id(self):
+        pairs = [("b", 1.0), ("c", 2.0), ("a", 1.0), ("d", -0.5)]
+        assert analysis._ranking(pairs) == (("c", 2.0), ("a", 1.0), ("b", 1.0), ("d", -0.5))
+
 
 class TestOutbreakRanking:
-    def test_zero_seed_gives_zero_deltas(self, bundle, model):
-        report = outbreak_ranking(model, bundle.graph, k=0.0)
+    @pytest.mark.parametrize("target", [None, "R1-N00"])
+    def test_zero_seed_gives_zero_deltas(self, bundle, model, target):
+        report = outbreak_ranking(model, bundle.graph, k=0.0, target=target)
+        assert len(report.ranking) == bundle.graph.n_patches - (target is not None)
         assert all(v == pytest.approx(0.0) for _, v in report.ranking)
+        assert all(v == pytest.approx(0.0) for v in report.details["percent_of_baseline"].values())
 
     def test_largest_population_outflow_source_ranks_first(self):
         # sources feeding a shared hub: a has the larger population and outflow,
@@ -404,13 +423,29 @@ class TestOutbreakRanking:
         target = bundle.graph.patch_ids[0]
         report = outbreak_ranking(model, bundle.graph, k=10.0, target=target)
         assert all(pid != target for pid, _ in report.ranking)
-        assert report.details["target"] == target
 
     def test_seed_exceeding_population_rejected(self, bundle, model):
         smallest = bundle.graph.patch_ids[int(np.argmin(bundle.graph.populations))]
         too_many = float(bundle.graph.populations.min()) + 1.0
         with pytest.raises(InvalidValue, match=f"in {smallest!r} exceeds its population"):
             outbreak_ranking(model, bundle.graph, k=too_many)
+
+    @pytest.mark.parametrize("target", [None, "first"], ids=["all-sources", "first-is-target"])
+    def test_population_cap_refused_before_simulating(self, bundle, model, no_simulation, target):
+        """The refusal names the first source in graph order that the seed lifts
+        above its population; with that patch the target, the next one."""
+        graph = bundle.graph
+        room = graph.populations - model.init
+        k = float(np.sort(room)[graph.n_patches // 2]) + 1.0  # overflows about half the patches
+        over = [pid for pid, r in zip(graph.patch_ids, room) if k > r]
+        assert 2 <= len(over) < graph.n_patches
+        if target == "first":
+            target = over.pop(0)
+        first = over[0]
+        message = f"seeding {k} in {first!r} exceeds its population {graph.populations[graph.patch_index[first]]:.6g}"
+        with pytest.raises(InvalidValue) as info:
+            outbreak_ranking(model, graph, k, target=target)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("k", [np.nan, np.inf])
     def test_non_finite_seed_refused_before_simulating(self, bundle, model, no_simulation, k):
@@ -441,8 +476,9 @@ class TestOutbreakRanking:
         for target in (None, graph.patch_ids[3]):
             report = outbreak_ranking(model, graph, k=25.0, target=target)
             for pid, delta in report.ranking:
-                seeded = dataclasses.replace(model, init=analysis.seed_outbreak(model.init, pid, 25.0, graph))
-                traj = seeded.run(graph)
+                init = np.array(model.init, dtype=float)
+                init[graph.patch_index[pid]] += 25.0
+                traj = dataclasses.replace(model, init=init).run(graph)
                 if target is None:
                     oracle = traj.new_infections.sum() - base
                 else:

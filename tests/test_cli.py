@@ -164,6 +164,18 @@ class TestEakfCommand:
         assert (out / "eakf_trajectory.csv").exists()
         assert (out / "eakf_holdout_metrics.json").exists()
 
+    @pytest.mark.parametrize("horizon, written", [
+        (0, []), (1, ["eakf_forecast_state.csv"]), (2, ["eakf_forecast_state.csv", "eakf_holdout_metrics.json"])])
+    def test_forecast_files_follow_the_horizon(self, data_dir, tmp_path, horizon, written):
+        """As ``forecast`` does: the state series from horizon 1 on, holdout metrics from 2 on."""
+        out = tmp_path / "e"
+        assert main(["eakf", "--data", str(data_dir), "--size", "4", "--horizon", str(horizon),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["eakf_summary.csv", "eakf_trajectory.csv", "run_manifest.json", *written])
+        if horizon:
+            assert io.read_series(out / "eakf_forecast_state.csv").shape == (horizon,)
+
 
 class TestPolicyCommands:
     def test_policy_region(self, data_dir, checkpoint, tmp_path):
@@ -556,15 +568,17 @@ class TestErrorHandling:
          "budget 2 exceeds 1 candidates"),
         (["policy-greedy", "--candidates", "R0-N00,R0-N00", "--brute-force"], None, None, 3, "ShapeMismatch",
          "budget 2 exceeds 1 candidates"),
+        (["policy-greedy", "--candidates", ""], None, None, 3, "InvalidOption", "unknown candidate patch ''"),
         (["correct-data", "--noisy-patches", "nope"], None, None, 3, "InvalidOption", "unknown noisy patch 'nope'"),
+        (["correct-data", "--noisy-patches", ""], None, None, 3, "InvalidOption", "unknown noisy patch ''"),
         (["correct-data", "--noisy-count", "2", "--k", "5"], None, None, 3, "InvalidOption",
          "k=5 exceeds 2 noisy patches"),
         (["forecast", "--horizon", "0"], None, None, 3, "InvalidOption", "forecast needs --horizon >= 1, got 0"),
     ] + _SWEEP_ROWS, ids=["calibrate-nan-count", "eakf-nan-count", "eakf-negative-count",
             "eakf-non-numeric-count", "eakf-infinite-feature", "metrics-nan-pred",
             "brute-force-budget-above-candidates", "greedy-budget-above-candidates",
-            "greedy-duplicated-candidate", "brute-force-duplicated-candidate",
-            "correct-data-unknown-noisy-patch", "correct-data-k-above-noisy-set",
+            "greedy-duplicated-candidate", "brute-force-duplicated-candidate", "greedy-empty-candidates",
+            "correct-data-unknown-noisy-patch", "correct-data-empty-noisy-patches", "correct-data-k-above-noisy-set",
             "forecast-zero-horizon"] + _SWEEP_IDS)
     def test_bad_option_or_value_is_refused(self, data_dir, checkpoint, tmp_path, capsys, monkeypatch,
                                             argv, table, value, code, error, fragment):
@@ -606,6 +620,27 @@ class TestErrorHandling:
         assert f"[{error}]" in err and fragment in err, err
         if table is not None:
             assert f"{table}: patch {rows[4][0]!r}, week 3: " in err, err
+
+    @pytest.mark.parametrize("argv, key, fragment", [
+        (["policy-greedy", "--budget", "2"], "candidates", "unknown candidate patch ''"),
+        (["correct-data", "--epochs", "1"], "noisy_patches", "unknown noisy patch ''"),
+    ], ids=["greedy-candidates", "correct-data-noisy-patches"])
+    def test_empty_patch_list_in_config_is_refused(self, data_dir, checkpoint, tmp_path, capsys, monkeypatch,
+                                                    argv, key, fragment):
+        """An empty list is a list of one unknown patch, not the default list."""
+        def too_late(*args, **kwargs):
+            raise AssertionError("trained or simulated before refusing the input")
+
+        for module, name in [(calib, "train_joint"), (analysis, "plain_trajectory")]:
+            monkeypatch.setattr(module, name, too_late)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: ""}))
+        extra = ["--checkpoint", str(checkpoint)] if argv[0] == "policy-greedy" else []
+        capsys.readouterr()
+        assert main(argv + extra + ["--data", str(data_dir), "--config", str(config),
+                                    "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"[InvalidOption] {fragment}" in err, err
 
     def test_every_numeric_option_has_a_bound(self):
         """A new int or float option needs a ``_BOUNDS`` entry, and each valid

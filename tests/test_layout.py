@@ -175,7 +175,7 @@ def test_the_check_finds_an_option_no_handler_reads():
 
 # The most settable values ``settable_values`` may count across ``MODULES``.  A change that adds one
 # raises this ceiling and gives its reason in CHANGES.md; one that removes some lowers it.
-SETTABLE_CEILING = 127
+SETTABLE_CEILING = 122
 
 
 def settable_values(source: str) -> list[str]:

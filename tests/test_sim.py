@@ -4,14 +4,13 @@ import pytest
 from calypso import autodiff as ad
 from calypso import sim
 from calypso.core import PARAM_NAMES, DiseaseParams, PatchGraph, build_travel_matrix
-from calypso.errors import InvalidOption, InvalidValue, ShapeMismatch
+from calypso.errors import InvalidValue, ShapeMismatch
 from calypso.sim import (
     SimConfig,
     iterate_sirs,
     patch_coefficients,
     plain_totals,
     plain_trajectory,
-    seed_outbreak,
     simulate,
     week_coefficients,
 )
@@ -445,35 +444,3 @@ class TestPatchCoefficients:
         assert np.array_equal(graph.n_eff, graph.theta.T.copy() @ graph.populations)
         for name in ("patch_region", "theta_t", "n_eff"):
             assert not getattr(graph, name).flags.writeable, name
-
-
-class TestSeedOutbreak:
-    def test_zero_is_identity(self):
-        g = single_patch_graph()
-        init = np.array([3.0])
-        assert np.array_equal(seed_outbreak(init, "a", 0.0, g), init)
-
-    def test_adds_to_named_patch_only(self):
-        theta = np.eye(2)
-        g = PatchGraph({"a": 100.0, "b": 100.0}, {"a": "r", "b": "r"},
-                       {"a": "general", "b": "general"}, theta)
-        init = np.array([3.0, 4.0])
-        out = seed_outbreak(init, "b", 50.0, g)
-        assert out[1] == pytest.approx(54.0)
-        assert out[0] == pytest.approx(3.0)
-        assert out.sum() == pytest.approx(init.sum() + 50.0)
-
-    def test_population_cap(self):
-        g = single_patch_graph()
-        with pytest.raises(InvalidValue, match="seeding 50.0 in 'a' exceeds its population 100"):
-            seed_outbreak(np.array([60.0]), "a", 50.0, g)
-
-    def test_unknown_patch(self):
-        g = single_patch_graph()
-        with pytest.raises(InvalidOption, match="unknown patch 'zz'"):
-            seed_outbreak(np.array([1.0]), "zz", 1.0, g)
-
-    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
-    def test_non_finite_count(self, k):
-        with pytest.raises(InvalidOption, match="finite"):
-            seed_outbreak(np.array([1.0]), "a", k, single_patch_graph())
