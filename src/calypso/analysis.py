@@ -211,7 +211,7 @@ def unit_greedy(model: FittedModel, graph: PatchGraph, budget: int,
     for _ in range(budget):
         remaining = [i for i in index if i not in selected]
         scales = _beta_scales(graph, [selected + [i] for i in remaining], multiplier)
-        totals = [_cum_state(model.run(graph, scales[:, j]), graph) for j in range(len(remaining))]
+        totals = [_cum_state(model.run(graph, column), graph) for column in scales.T]
         evaluations += len(remaining)
         best_pos = min(range(len(remaining)), key=totals.__getitem__)  # earliest wins ties
         selected.append(remaining[best_pos])

@@ -311,4 +311,3 @@ def plain_totals(graph: PatchGraph, coefficients: tuple, init,
                np.empty((1, *shape)), None if beta_scale is None else beta_scale[:, cols], total)
         out[:, cols] = total
     return out
-
