@@ -2,12 +2,15 @@
 
 Subcommands: synth, simulate, calibrate, adapter, forecast, eakf,
 policy-region, policy-greedy, sensitivity, outbreak, correct-data,
-metrics.  Every run writes its results plus a ``run_manifest.json``
-(effective config, seed, git-describe string, wall time).  A JSON config
-file may supply defaults via ``--config``; explicit flags override it.
-Every numeric option has a bound in ``_BOUNDS``, checked before any work
-(from a flag or ``--config``); a refusal names the flag.  Every command
-that reads ``--checkpoint`` loads it through ``_load_net``.
+metrics.  A command writes its results into a staging directory inside
+``--out`` (``_out_dir``); when it succeeds, ``main`` moves them, then a
+``run_manifest.json`` (effective config, seed, git-describe string, wall
+time, files written), into ``--out``.  A non-zero exit leaves ``--out`` as
+it was: a file from an earlier run stays until a run succeeds.  A JSON
+config file may supply defaults via ``--config``; explicit flags override
+it.  Every numeric option has a bound in ``_BOUNDS``, and ``--out`` must be
+a directory, checked before any work; a refusal names the flag.  Every
+command that reads ``--checkpoint`` loads it through ``_load_net``.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical abort.
 """
@@ -17,6 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
 import time
@@ -25,7 +30,7 @@ from pathlib import Path
 from . import adapter as adapter_mod
 from . import analysis, calib, eakf, io, synth
 from .core import NON_GENERAL, aggregate, check_option, metrics as compute_metrics
-from .errors import DataError, InvalidOption, NumericalError, ShapeMismatch
+from .errors import DataError, DegenerateTruth, InvalidOption, NumericalError, ShapeMismatch
 from .io import write_json as _write_json, write_rows as _write_rows
 from .sim import SimConfig, simulate
 
@@ -43,7 +48,7 @@ def _git_describe() -> str:
         return "unknown"
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, written: list, started: float) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, written: list[Path], started: float) -> None:
     _write_json(out_dir / "run_manifest.json", {
         "command": command,
         # an infinite option (e.g. --obs-var inf) is valid; JSON has no number for it
@@ -52,19 +57,34 @@ def _write_manifest(out_dir: Path, command: str, config: dict, written: list, st
         "seed": config.get("seed"),
         "git_describe": _git_describe(),
         "wall_time_s": round(time.time() - started, 3),
-        "written": [str(Path(p)) for p in written],
+        "written": [str(p) for p in written],
     })
 
 
+def _staging(out: Path) -> Path:
+    return out / f".calypso-{os.getpid()}"
+
+
 def _out_dir(config: dict) -> Path:
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The run's staging directory inside ``--out``, made on first use."""
+    stage = _staging(Path(config["out"]))
+    stage.mkdir(parents=True, exist_ok=True)
+    return stage
+
+
+def _refuse_constant(config: dict, observed, first: int) -> None:
+    """Refuse ``observed``, patches x weeks of ``cases.csv`` from week ``first``, if its state series is constant."""
+    state = observed.sum(axis=0)
+    if state.min() == state.max():
+        raise DegenerateTruth(f"{Path(config['data']) / 'cases.csv'}: the state count is {state[0]:g} in every "
+                              f"week {first}-{first + len(state) - 1}, so R^2 is undefined")
 
 
 def _load_bundle(config: dict):
     graph, _, _ = io.load_graph(config["data"])
-    return graph, io.load_dataset(config["data"], graph, window=config.get("window"), horizon=config["horizon"])
+    data = io.load_dataset(config["data"], graph, window=config.get("window"), horizon=config["horizon"])
+    _refuse_constant(config, data.training_observed(), 0)
+    return graph, data
 
 
 def _load_net(config: dict, data) -> calib.CalibNet:
@@ -84,27 +104,24 @@ def _load_model(config: dict) -> tuple:
 
 # -- subcommand bodies ----------------------------------------------------
 
-def cmd_synth(config: dict) -> list:
+def cmd_synth(config: dict) -> None:
     spec = synth.SynthSpec(
         n_patches=config["patches"], n_regions=config["regions"],
         weeks=config["weeks"], horizon=config["horizon"], seed=config["seed"],
     )
-    bundle = synth.generate(spec)
-    return bundle.write(_out_dir(config))
+    synth.generate(spec).write(_out_dir(config))
 
 
-def cmd_simulate(config: dict) -> list:
+def cmd_simulate(config: dict) -> None:
     graph, data = _load_bundle(config)
     params = io.load_ground_truth_params(config.get("params") or Path(config["data"]) / "ground_truth.csv", graph)
     traj = simulate(graph, params, data.initial_infections, SimConfig(steps=config.get("steps") or params.n_steps))
     out = _out_dir(config)
-    return [
-        io.write_trajectory(out / "trajectory.csv", graph, traj),
-        io.write_trajectory_summary(out / "summary.json", graph, traj),
-    ]
+    io.write_trajectory(out / "trajectory.csv", graph, traj)
+    io.write_trajectory_summary(out / "summary.json", graph, traj)
 
 
-def cmd_calibrate(config: dict) -> list:
+def cmd_calibrate(config: dict) -> None:
     net_config = calib.CalibConfig(hidden=config["hidden"], decoder_width=config["decoder_width"])
     hyper = calib.TrainConfig(
         epochs=config["epochs"], learning_rate=config["lr"],
@@ -116,22 +133,17 @@ def cmd_calibrate(config: dict) -> list:
     net = calib.CalibNet(data.features.shape[2], config=net_config, seed=config["seed"])
     result = calib.train_joint(net, data, graph, hyper)
     out = _out_dir(config)
-    written = [
-        calib.save_checkpoint(out / "checkpoint.json", result.net, extra={
-            "best_loss": result.best_loss, "best_loss_epoch": result.best_loss_epoch,
-            "best_r2": result.best_r2, "best_r2_epoch": result.best_r2_epoch,
-        }),
-        calib.save_checkpoint(out / "checkpoint_best_r2.json", result.best_r2_net),
-        _write_rows(out / "loss_history.csv", ["epoch", "loss", "state_r2", "lr"],
-                    ((e, *row) for e, row in enumerate(
-                        zip(result.history["loss"], result.history["state_r2"], result.history["lr"])))),
-    ]
-    params = calib.infer_params(result.net, data, graph)
-    written.append(io.write_params(out / "params.csv", params))
-    return written
+    calib.save_checkpoint(out / "checkpoint.json", result.net, extra={
+        "best_loss": result.best_loss, "best_loss_epoch": result.best_loss_epoch,
+        "best_r2": result.best_r2, "best_r2_epoch": result.best_r2_epoch,
+    })
+    calib.save_checkpoint(out / "checkpoint_best_r2.json", result.best_r2_net)
+    history = enumerate(zip(result.history["loss"], result.history["state_r2"], result.history["lr"]))
+    _write_rows(out / "loss_history.csv", ["epoch", "loss", "state_r2", "lr"], ((e, *row) for e, row in history))
+    io.write_params(out / "params.csv", calib.infer_params(result.net, data, graph))
 
 
-def cmd_adapter(config: dict) -> list:
+def cmd_adapter(config: dict) -> None:
     hyper = adapter_mod.AdapterTrainConfig(
         epochs=config["epochs"], learning_rate=config["lr"],
         teacher_ratio=config["teacher_ratio"], seed=config["seed"],
@@ -143,136 +155,118 @@ def cmd_adapter(config: dict) -> list:
     ad_net = adapter_mod.AdapterNet(seed=config["seed"])
     trained, history = adapter_mod.train_adapter(ad_net, raw, truth, hyper)
     out = _out_dir(config)
-    return [
-        adapter_mod.save_checkpoint(out / "adapter.json", trained),
-        _write_rows(out / "adapter_history.csv", ["epoch", "loss"], enumerate(history["loss"])),
-    ]
+    adapter_mod.save_checkpoint(out / "adapter.json", trained)
+    _write_rows(out / "adapter_history.csv", ["epoch", "loss"], enumerate(history["loss"]))
 
 
-def cmd_forecast(config: dict) -> list:
+def cmd_forecast(config: dict) -> None:
     if config["horizon"] < 1:
         raise InvalidOption(f"forecast needs --horizon >= 1, got {config['horizon']}")
     graph, data = _load_bundle(config)
-    net = _load_net(config, data)
-    ad_net = adapter_mod.load_checkpoint(config["adapter"]) if config.get("adapter") else None
-    traj = calib.forecast(net, data, graph, config["horizon"])
-    if ad_net is not None:  # refined before the first write, so a refusal leaves no file
+    if data.horizon >= 2:  # the holdout is scored
+        _refuse_constant(config, data.holdout_observed(), data.window)
+    traj = calib.forecast(_load_net(config, data), data, graph, config["horizon"])
+    out = _out_dir(config)
+    io.write_trajectory(out / "forecast_trajectory.csv", graph, traj)
+    io.write_level_series(out, graph, traj.weekly_series, "forecast")
+    if config.get("adapter"):
+        ad_net = adapter_mod.load_checkpoint(config["adapter"])
         try:
             corrected = adapter_mod.refine(ad_net, adapter_mod.stack_levels(traj.weekly_series, graph))
         except ShapeMismatch as exc:
             raise ShapeMismatch(f"{config['adapter']}: {exc}") from None
-    out = _out_dir(config)
-    written = [io.write_trajectory(out / "forecast_trajectory.csv", graph, traj)]
-    written += io.write_level_series(out, graph, traj.weekly_series, "forecast")
-    if ad_net is not None:
-        written.append(io.write_series(out / "forecast_corrected_state.csv",
-                                       corrected[graph.n_patches + graph.n_regions]))
-    holdout = data.holdout_observed()
-    if holdout.shape[1] >= 2:
-        pred = aggregate(traj.weekly_series[:, data.window : data.window + holdout.shape[1]], "state", graph)[0]
-        obs = aggregate(holdout, "state", graph)[0]
-        written.append(_write_json(out / "holdout_metrics.json", compute_metrics(pred, obs)))
-    return written
+        io.write_series(out / "forecast_corrected_state.csv", corrected[graph.n_patches + graph.n_regions])
+    if data.horizon >= 2:
+        pred = aggregate(traj.weekly_series[:, data.window : data.window + data.horizon], "state", graph)[0]
+        _write_json(out / "holdout_metrics.json",
+                    compute_metrics(pred, aggregate(data.holdout_observed(), "state", graph)[0]))
 
 
-def cmd_eakf(config: dict) -> list:
+def cmd_eakf(config: dict) -> None:
     graph, data = _load_bundle(config)
+    if data.horizon >= 2:  # the holdout is scored
+        _refuse_constant(config, data.holdout_observed(), data.window)
     result = eakf.run_eakf(
         graph, data, size=config["size"], inflation=config["inflation"],
         obs_error_variance=config.get("obs_var"), seed=config["seed"],
     )
     out = _out_dir(config)
-    written = [
-        io.write_eakf_summary(out / "eakf_summary.csv", result, graph),
-        io.write_trajectory(out / "eakf_trajectory.csv", graph, result.trajectory),
-    ]
+    io.write_eakf_summary(out / "eakf_summary.csv", result, graph)
+    io.write_trajectory(out / "eakf_trajectory.csv", graph, result.trajectory)
     if data.horizon >= 1:
         pred = aggregate(result.forecast(data.horizon), "state", graph)[0]
-        written.append(io.write_series(out / "eakf_forecast_state.csv", pred))
+        io.write_series(out / "eakf_forecast_state.csv", pred)
     if data.horizon >= 2:
-        obs = aggregate(data.holdout_observed(), "state", graph)[0]
-        written.append(_write_json(out / "eakf_holdout_metrics.json", compute_metrics(pred, obs)))
-    return written
+        _write_json(out / "eakf_holdout_metrics.json",
+                    compute_metrics(pred, aggregate(data.holdout_observed(), "state", graph)[0]))
 
 
-def cmd_policy_region(config: dict) -> list:
+def cmd_policy_region(config: dict) -> None:
     graph, model = _load_model(config)
     report = analysis.regional_beta_reduction(model, graph, config["region"], factor=config["factor"])
     out = _out_dir(config)
-    return [
-        _write_rows(out / "policy_region.csv", ["region", "delta", "reduction"],
-                    ((rid, report.region_delta[graph.region_index[rid]],
-                      -report.region_delta[graph.region_index[rid]]) for rid in graph.region_ids)),
-        _write_json(out / "policy_region.json", {
-            "kind": "beta-reduction", "baseline_total": report.baseline_total,
-            "target": config["region"], "factor": config["factor"],
-            "state_delta": report.details["state_delta"],
-            "state_reduction": -report.details["state_delta"],
-            "ranking": [[r, v] for r, v in report.ranking],
-        }),
-    ]
+    _write_rows(out / "policy_region.csv", ["region", "delta", "reduction"],
+                ((rid, report.region_delta[graph.region_index[rid]],
+                  -report.region_delta[graph.region_index[rid]]) for rid in graph.region_ids))
+    _write_json(out / "policy_region.json", {
+        "kind": "beta-reduction", "baseline_total": report.baseline_total,
+        "target": config["region"], "factor": config["factor"],
+        "state_delta": report.details["state_delta"],
+        "state_reduction": -report.details["state_delta"],
+        "ranking": [[r, v] for r, v in report.ranking],
+    })
 
 
-def cmd_policy_greedy(config: dict) -> list:
+def cmd_policy_greedy(config: dict) -> None:
     graph, model = _load_model(config)
     candidates = config["candidates"].split(",") if config.get("candidates") is not None else None
     out = _out_dir(config)
     brute_force = config.get("brute_force")
     allocate = analysis.brute_force_allocation if brute_force else analysis.unit_greedy
     res = allocate(model, graph, config["budget"], multiplier=config["multiplier"], candidates=candidates)
-    if brute_force:
-        curve_rows = [(1, "+".join(res.selected), res.reduction)]
-    else:
-        curve_rows = [(b + 1, res.selected[b], res.reductions[b]) for b in range(len(res.selected))]
-    return [
-        _write_rows(out / "policy_greedy_curve.csv", ["budget", "patch", "cumulative_reduction"], curve_rows),
-        _write_json(out / "policy_greedy.json", {
-            "mode": "brute-force" if brute_force else "greedy", "selected": list(res.selected),
-            "reduction": res.reduction,
-            "evaluations": res.evaluations, "baseline_total": res.baseline_total,
-        }),
-    ]
+    curve_rows = ([(1, "+".join(res.selected), res.reduction)] if brute_force
+                  else [(b + 1, res.selected[b], res.reductions[b]) for b in range(len(res.selected))])
+    _write_rows(out / "policy_greedy_curve.csv", ["budget", "patch", "cumulative_reduction"], curve_rows)
+    _write_json(out / "policy_greedy.json", {
+        "mode": "brute-force" if brute_force else "greedy", "selected": list(res.selected),
+        "reduction": res.reduction,
+        "evaluations": res.evaluations, "baseline_total": res.baseline_total,
+    })
 
 
-def cmd_sensitivity(config: dict) -> list:
+def cmd_sensitivity(config: dict) -> None:
     graph, model = _load_model(config)
     report = analysis.sensitivity_scan(model, graph, bump=config["bump"])
     out = _out_dir(config)
     rows = [(recv, src, report.impact_ratio[j, i])
             for j, recv in enumerate(graph.region_ids) for i, src in enumerate(graph.region_ids)]
-    return [
-        _write_rows(out / "sensitivity_matrix.csv", ["receiver", "source", "impact_ratio"], rows),
-        _write_json(out / "sensitivity.json", {
-            "bump": config["bump"],
-            "ranking": [[r, v] for r, v in report.ranking],
-            "baseline_total": report.baseline_total,
-        }),
-    ]
+    _write_rows(out / "sensitivity_matrix.csv", ["receiver", "source", "impact_ratio"], rows)
+    _write_json(out / "sensitivity.json", {
+        "bump": config["bump"],
+        "ranking": [[r, v] for r, v in report.ranking],
+        "baseline_total": report.baseline_total,
+    })
 
 
-def cmd_outbreak(config: dict) -> list:
+def cmd_outbreak(config: dict) -> None:
     graph, model = _load_model(config)
     report = analysis.outbreak_ranking(model, graph, config["k"], target=config.get("target"))
     out = _out_dir(config)
     pct = report.details["percent_of_baseline"]
-    return [
-        _write_rows(out / "outbreak_ranking.csv", ["patch", "delta", "percent_of_baseline"],
-                    ((pid, d, pct[pid]) for pid, d in report.ranking)),
-        _write_json(out / "outbreak.json", {
-            "k": config["k"], "target": config.get("target"),
-            "baseline_total": report.baseline_total,
-            "ranking": [[p, v] for p, v in report.ranking],
-            "region_attribution_percent": report.details["region_attribution_percent"],
-        }),
-    ]
+    _write_rows(out / "outbreak_ranking.csv", ["patch", "delta", "percent_of_baseline"],
+                ((pid, d, pct[pid]) for pid, d in report.ranking))
+    _write_json(out / "outbreak.json", {
+        "k": config["k"], "target": config.get("target"),
+        "baseline_total": report.baseline_total,
+        "ranking": [[p, v] for p, v in report.ranking],
+        "region_attribution_percent": report.details["region_attribution_percent"],
+    })
 
 
-def cmd_correct_data(config: dict) -> list:
+def cmd_correct_data(config: dict) -> None:
     graph, data = _load_bundle(config)
-    if config.get("noisy_patches") is not None:
-        noisy = config["noisy_patches"].split(",")
-    else:
-        noisy = graph.patches_of_category(NON_GENERAL)[: config["noisy_count"]]
+    noisy = (config["noisy_patches"].split(",") if config.get("noisy_patches") is not None
+             else graph.patches_of_category(NON_GENERAL)[: config["noisy_count"]])
     noisy = analysis.check_noisy_patches(graph, noisy, config["k"])
     net = calib.CalibNet(data.features.shape[2], seed=config["seed"])
     hyper = calib.TrainConfig(epochs=config["epochs"], seed=config["seed"])
@@ -285,23 +279,20 @@ def cmd_correct_data(config: dict) -> list:
     out = _out_dir(config)
     rows = [(0, "", result.r2_curve[0])]
     rows += [(i + 1, result.order[i], result.r2_curve[i + 1]) for i in range(len(result.order))]
-    return [
-        _write_rows(out / "correction_curve.csv", ["step", "patch", "state_r2"], rows),
-        _write_json(out / "correction.json", {
-            "order": list(result.order),
-            "baseline_r2": result.baseline_r2,
-            "clean_r2": result.clean_r2,
-            "noisy_patches": noisy,
-            "noise_sd": config["noise_sd"],
-        }),
-    ]
+    _write_rows(out / "correction_curve.csv", ["step", "patch", "state_r2"], rows)
+    _write_json(out / "correction.json", {
+        "order": list(result.order),
+        "baseline_r2": result.baseline_r2,
+        "clean_r2": result.clean_r2,
+        "noisy_patches": noisy,
+        "noise_sd": config["noise_sd"],
+    })
 
 
-def cmd_metrics(config: dict) -> list:
+def cmd_metrics(config: dict) -> None:
     result = compute_metrics(io.read_series(config["pred"]), io.read_series(config["truth"]))
-    path = _write_json(_out_dir(config) / "metrics.json", result)
+    _write_json(_out_dir(config) / "metrics.json", result)
     print(json.dumps(result, sort_keys=True))
-    return [path]
 
 
 # -- argument plumbing ----------------------------------------------------
@@ -438,14 +429,26 @@ def main(argv: list[str] | None = None) -> int:
     parser, types = _build_parser()
     args = parser.parse_args(argv)
     started = time.time()
+    out = Path(args.out)
+    stage, paths = _staging(out), (out, *out.parents)
+    made = paths[:next(i for i, path in enumerate(paths) if path.exists())]  # deepest first
     try:
         config = _effective_config(args, types[args.command])
-        written = _HANDLERS[args.command](config)
-        if config.get("out"):
-            _write_manifest(Path(config["out"]), args.command, config, written, started)
+        if not paths[len(made)].is_dir():
+            raise InvalidOption(f"--out {out}: {paths[len(made)]} is not a directory")
+        _HANDLERS[args.command](config)
+        names = sorted(os.listdir(stage))
+        _write_manifest(stage, args.command, config, [out / name for name in names], started)
+        for name in [*names, "run_manifest.json"]:
+            os.replace(stage / name, out / name)
     except (DataError, NumericalError) as exc:
-        print(f"calypso: error [{type(exc).__name__}] {exc}", file=sys.stderr)
+        print(f"calypso: error [{type(exc).__name__}] {str(exc).replace(str(stage), str(out))}", file=sys.stderr)
         return 3 if isinstance(exc, DataError) else 4
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+        for path in made:  # what this run made and left empty
+            if path.is_dir() and not any(path.iterdir()):
+                path.rmdir()
     return 0
 
 

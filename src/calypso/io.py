@@ -25,7 +25,8 @@ one seed give byte-identical files, and a NaN or inf raises
 ``write_trajectory`` first runs ``Trajectory.check`` and ``write_params``
 and ``write_eakf_summary`` check ``PARAM_LO``/``PARAM_HI`` (widened by
 1e-9), raising ``NumericalError`` naming the file, patch or parameter,
-region and week.  ``write_json`` writes every JSON result.
+region and week.  ``write_json`` writes every JSON result.  A writer that
+raises may leave a partial file, in the CLI's staging directory.
 
 ``CHECKPOINTS`` states each checkpoint kind's fields (all: kind, config,
 seed, weights, extra; calib: n_features, feature_names, bounds, norm_mean,
@@ -124,7 +125,7 @@ def _write_blocks(path, header: Iterable[str], blocks: Iterable[Sequence]) -> Pa
 
     Rows end in ``\\r\\n`` and a row of one empty cell is written ``""``, as
     ``csv.writer`` writes them.  A NaN or inf raises ``NonFiniteOutput``
-    naming the file and line, and the partly written file is removed.
+    naming the file and line.
     """
     path = Path(path)
     line = 1
@@ -138,11 +139,8 @@ def _write_blocks(path, header: Iterable[str], blocks: Iterable[Sequence]) -> Pa
                     fh.write("\r\n".join(rows) + "\r\n")
                     line += len(rows)
         except NonFiniteOutput as exc:
-            fault = NonFiniteOutput(f"{path}: {exc}")
-        else:
-            return path
-    path.unlink()
-    raise fault
+            raise NonFiniteOutput(f"{path}: {exc}") from None
+    return path
 
 
 def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
@@ -234,7 +232,7 @@ def write_inputs(
 def write_trajectory(path, graph: PatchGraph, traj: Trajectory) -> Path:
     """Trajectory CSV: patch_id, week_index, S, I, R, new_infections (empty in
     week 0).  A trajectory that fails ``Trajectory.check`` raises
-    ``NumericalError`` naming the file, patch and week, and nothing is written."""
+    ``NumericalError`` naming the file, patch and week."""
     try:
         traj.check(graph)
     except NumericalError as exc:
@@ -305,16 +303,14 @@ def write_series(path, values: np.ndarray) -> Path:
     return _write_blocks(path, INPUTS["series"].columns, _row_blocks(np.arange(len(values)), values))
 
 
-def write_level_series(out_dir, graph: PatchGraph, series: np.ndarray, stem: str) -> list[Path]:
+def write_level_series(out_dir, graph: PatchGraph, series: np.ndarray, stem: str) -> None:
     """Write patch/region/state series CSVs for a patches x weeks matrix."""
     out_dir = Path(out_dir)
-    return [
-        _write_blocks(out_dir / f"{stem}_patch.csv", ["patch_id", "week_index", "value"],
-                      _long_blocks(graph.patch_ids, series)),
-        _write_blocks(out_dir / f"{stem}_region.csv", ["region", "week_index", "value"],
-                      _long_blocks(graph.region_ids, aggregate(series, "region", graph))),
-        write_series(out_dir / f"{stem}_state.csv", aggregate(series, "state", graph)[0]),
-    ]
+    _write_blocks(out_dir / f"{stem}_patch.csv", ["patch_id", "week_index", "value"],
+                  _long_blocks(graph.patch_ids, series))
+    _write_blocks(out_dir / f"{stem}_region.csv", ["region", "week_index", "value"],
+                  _long_blocks(graph.region_ids, aggregate(series, "region", graph)))
+    write_series(out_dir / f"{stem}_state.csv", aggregate(series, "state", graph)[0])
 
 
 # -- the input schema -------------------------------------------------------

@@ -8,6 +8,8 @@ only the other tests reach is dead code with a test.  Every class in
 nothing raises is a name no user can see.  Every option of a subcommand
 (the one check that imports the package, for ``cli._build_parser``) is
 read by its handler: an option nothing reads is a setting no run obeys.
+Only ``OUT_READERS`` in ``cli.py`` read ``--out``: every other write goes
+to the run's staging directory, which ``cli.main`` commits on success.
 The package's settable values, counted with ``settable_values``, stay at
 or below ``SETTABLE_CEILING``.
 """
@@ -129,24 +131,28 @@ UNREAD_OPTIONS = {(command, "seed"): "perfbench passes --seed to every stage it 
                   for command in ("forecast", "outbreak", "policy-greedy", "policy-region", "sensitivity")}
 
 
+def config_reads(function: ast.FunctionDef) -> set:
+    """The keys ``function`` reads as ``config[key]`` or ``config.get(key)``."""
+    keys = set()
+    for sub in ast.walk(function):
+        if isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == "config":
+            keys.add(getattr(sub.slice, "value", None))
+        elif isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "get" \
+                and getattr(sub.func.value, "id", None) == "config" and sub.args:
+            keys.add(getattr(sub.args[0], "value", None))
+    return keys
+
+
 def unread_options(cli_source: str, types: dict[str, dict]) -> list[tuple[str, str]]:
     """(command, option) pairs of ``types`` (``cli._build_parser()[1]``) that
     the command's handler ``cmd_<command>`` never reads as ``config[key]`` or
     ``config.get(key)``, neither itself nor through a call to a ``CONFIG_HELPERS`` function."""
     reads, calls = {}, {}
     for node in ast.parse(cli_source).body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        keys, called = set(), set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == "config":
-                keys.add(getattr(sub.slice, "value", None))
-            elif isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "get" \
-                    and getattr(sub.func.value, "id", None) == "config" and sub.args:
-                keys.add(getattr(sub.args[0], "value", None))
-            elif isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in CONFIG_HELPERS:
-                called.add(sub.func.id)
-        reads[node.name], calls[node.name] = keys, called
+        if isinstance(node, ast.FunctionDef):
+            reads[node.name] = config_reads(node)
+            calls[node.name] = {sub.func.id for sub in ast.walk(node)
+                                if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in CONFIG_HELPERS}
 
     def read(function: str) -> set:
         return reads[function].union(*map(read, calls[function]))
@@ -171,6 +177,29 @@ def test_the_check_finds_an_option_no_handler_reads():
               "def cmd_idle_run(config):\n    _write_manifest(config)\n    return config\n")
     types = {"run": {"size": int, "seed": int, "checkpoint": str, "out": str}, "idle-run": {"seed": int}}
     assert unread_options(source, types) == [("idle-run", "seed"), ("run", "seed")]
+
+
+# the functions of cli.py that read ``--out``: ``_out_dir`` stages, ``main`` commits
+OUT_READERS = ("_out_dir", "main")
+
+
+def out_readers(cli_source: str) -> list[str]:
+    """Functions of ``cli_source``, besides ``OUT_READERS``, that read ``config["out"]`` or ``config.get("out")``."""
+    return [node.name for node in ast.parse(cli_source).body
+            if isinstance(node, ast.FunctionDef) and node.name not in OUT_READERS and "out" in config_reads(node)]
+
+
+def test_every_write_goes_through_the_staging_directory():
+    assert out_readers((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_function_that_reads_out():
+    source = ("def _out_dir(config):\n    return config['out']\n\n"
+              "def main(argv):\n    return config.get('out')\n\n"
+              "def cmd_direct(config):\n    open(config['out'] + '/x.csv', 'w')\n\n"
+              "def cmd_nested(config):\n    def path():\n        return config.get('out')\n    return path\n\n"
+              "def cmd_staged(config):\n    return _out_dir(config) / 'x.csv'\n")
+    assert out_readers(source) == ["cmd_direct", "cmd_nested"]
 
 
 # The most settable values ``settable_values`` may count across ``MODULES``.  A change that adds one
