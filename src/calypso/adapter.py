@@ -138,11 +138,15 @@ def refine(net: AdapterNet, raw_forecast: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"raw forecast must be units x weeks, got shape {raw.shape}")
     if not np.all(np.isfinite(raw)):
         raise NumericalError("raw forecast contains non-finite values")
-    scale = net.scale
-    if scale.shape[0] != raw.shape[0]:
-        raise ShapeMismatch(f"adapter was fit on a different number of units (scale has {scale.shape[0]}, "
-                            f"the series has {raw.shape[0]})")
-    return np.stack(_forward(net.weights, raw / scale[:, None], scale, net.t_scale), axis=1)
+    check_units(net, raw.shape[0])
+    return np.stack(_forward(net.weights, raw / net.scale[:, None], net.scale, net.t_scale), axis=1)
+
+
+def check_units(net: AdapterNet, n_units: int) -> None:
+    """Refuse a fit net for a series of ``n_units`` rows when its scale has another length."""
+    if net.scale.shape[0] != n_units:
+        raise ShapeMismatch(f"adapter was fit on a different number of units (scale has {net.scale.shape[0]}, "
+                            f"the series has {n_units})")
 
 
 def train_adapter(

@@ -261,7 +261,7 @@ def sensitivity_scan(model: FittedModel, graph: PatchGraph, bump: float = 1.1) -
     groups = [[], *(np.flatnonzero(graph.patch_region == r) for r in range(graph.n_regions))]
     region_totals = aggregate(model.totals(graph, _beta_scales(graph, groups, bump)), "region", graph)
     base = region_totals[:, 0]
-    ratios = (region_totals[:, 1:] - base[:, None]) / graph.region_populations()[:, None]
+    ratios = (region_totals[:, 1:] - base[:, None]) / aggregate(graph.populations[:, None], "region", graph)
     received = ratios.sum(axis=1) - np.diag(ratios)
     return ImpactReport(
         baseline_total=float(base.sum()),

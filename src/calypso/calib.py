@@ -153,17 +153,13 @@ def region_features(data: DataSet, graph: PatchGraph,
                     stats: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Region-aggregated, per-channel z-scored features over the window.
 
-    Channel statistics come from the aggregated training window; pass
-    the fit-time ``stats`` (mean, std) to normalize new inputs on the
-    training scale, or leave None to compute them from this dataset.
+    Pass the fit-time ``stats`` (mean, std) to normalize new inputs on the
+    training scale, ``(0.0, 1.0)`` for the region sums themselves, or None
+    for the statistics of this dataset's aggregated training window.
     """
     x = data.features[:, : data.window, :]
-    if x.shape[0] != graph.n_patches:
-        raise ShapeMismatch("features and graph disagree on patch count")
-    reg = np.einsum("rp,pwf->rwf", graph.region_matrix, x)
-    if stats is None:
-        stats = feature_stats(reg)
-    mean, sd = stats
+    reg = aggregate(x.reshape(x.shape[0], -1), "region", graph).reshape(-1, *x.shape[1:])
+    mean, sd = feature_stats(reg) if stats is None else stats
     return (reg - mean) / sd
 
 
@@ -215,8 +211,7 @@ def infer_params(net: CalibNet, data: DataSet, graph: PatchGraph) -> DiseasePara
 
 def _mr_loss(i_steps, observed: np.ndarray, graph: PatchGraph, lw: LossWeights):
     """Multi-resolution SSE -> weighted mean; generic over value kinds."""
-    rmat = graph.region_matrix
-    obs_region = rmat @ observed
+    obs_region = aggregate(observed, "region", graph)
     obs_state = obs_region.sum(axis=0)
     n_patches, window = observed.shape
     patch_sse = 0.0
@@ -225,7 +220,7 @@ def _mr_loss(i_steps, observed: np.ndarray, graph: PatchGraph, lw: LossWeights):
     for t in range(window):
         d = i_steps[t] - observed[:, t]
         patch_sse = patch_sse + ad.vsum(d * d)
-        rpred = ad.matmul(rmat, i_steps[t])
+        rpred = ad.matmul(graph.region_matrix, i_steps[t])
         rd = rpred - obs_region[:, t]
         region_sse = region_sse + ad.vsum(rd * rd)
         sd = ad.vsum(rpred) - obs_state[t]
@@ -239,10 +234,8 @@ def _mr_loss(i_steps, observed: np.ndarray, graph: PatchGraph, lw: LossWeights):
 
 def _state_r2(i_steps_values, observed: np.ndarray, graph: PatchGraph) -> float:
     pred = np.stack([np.asarray(v) for v in i_steps_values], axis=1)
-    pred_state = aggregate(pred, "state", graph)[0]
-    obs_state = aggregate(observed, "state", graph)[0]
     try:
-        return metrics(pred_state, obs_state)["r2"]
+        return metrics(aggregate(pred, "state", graph)[0], aggregate(observed, "state", graph)[0])["r2"]
     except DegenerateTruth:
         return float("nan")
 
@@ -266,9 +259,8 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
     if data.window < 8:
         raise InvalidOption(f"training window must be >= 8 weeks, got {data.window}")
     window = data.window
-    raw_region = np.einsum("rp,pwf->rwf", graph.region_matrix, data.features[:, :window, :])
-    norm_mean, norm_std = feature_stats(raw_region)
-    feats = (raw_region - norm_mean) / norm_std
+    stats = feature_stats(region_features(data, graph, (0.0, 1.0)))
+    feats = region_features(data, graph, stats)
     tau = time_features(window, net.config.time_harmonics)
     lo, span = net.bound_arrays()
     lo_tol, hi_tol = PARAM_LO.ravel() - 1e-9, PARAM_HI.ravel() + 1e-9
@@ -277,7 +269,7 @@ def train_joint(net: CalibNet, data: DataSet, graph: PatchGraph, hyper: TrainCon
     bmat = graph.broadcast_matrix
 
     work = net.copy()
-    work.feature_names, work.norm_mean, work.norm_std = tuple(data.feature_names), norm_mean, norm_std
+    work.feature_names, (work.norm_mean, work.norm_std) = tuple(data.feature_names), stats
     opt = ad.Adam(work.weights, hyper.weight_decay, hyper.clip_norm)
 
     history_loss, history_r2, history_lr = [], [], []

@@ -114,8 +114,11 @@ def cmd_synth(config: dict) -> None:
 
 def cmd_simulate(config: dict) -> None:
     graph, data = _load_bundle(config)
-    params = io.load_ground_truth_params(config.get("params") or Path(config["data"]) / "ground_truth.csv", graph)
-    traj = simulate(graph, params, data.initial_infections, SimConfig(steps=config.get("steps") or params.n_steps))
+    path = config.get("params") or Path(config["data"]) / "ground_truth.csv"
+    params = io.load_ground_truth_params(path, graph)
+    if (steps := config.get("steps") or params.n_steps) > params.n_steps:
+        raise ShapeMismatch(f"--steps {steps} exceeds the {params.n_steps} weeks of parameters in {path}")
+    traj = simulate(graph, params, data.initial_infections, SimConfig(steps=steps))
     out = _out_dir(config)
     io.write_trajectory(out / "trajectory.csv", graph, traj)
     io.write_trajectory_summary(out / "summary.json", graph, traj)
@@ -165,16 +168,18 @@ def cmd_forecast(config: dict) -> None:
     graph, data = _load_bundle(config)
     if data.horizon >= 2:  # the holdout is scored
         _refuse_constant(config, data.holdout_observed(), data.window)
-    traj = calib.forecast(_load_net(config, data), data, graph, config["horizon"])
+    net = _load_net(config, data)
+    if ad_net := config.get("adapter") and adapter_mod.load_checkpoint(config["adapter"]):
+        try:
+            adapter_mod.check_units(ad_net, graph.n_patches + graph.n_regions + 1)
+        except ShapeMismatch as exc:
+            raise ShapeMismatch(f"{config['adapter']}: {exc}") from None
+    traj = calib.forecast(net, data, graph, config["horizon"])
     out = _out_dir(config)
     io.write_trajectory(out / "forecast_trajectory.csv", graph, traj)
     io.write_level_series(out, graph, traj.weekly_series, "forecast")
-    if config.get("adapter"):
-        ad_net = adapter_mod.load_checkpoint(config["adapter"])
-        try:
-            corrected = adapter_mod.refine(ad_net, adapter_mod.stack_levels(traj.weekly_series, graph))
-        except ShapeMismatch as exc:
-            raise ShapeMismatch(f"{config['adapter']}: {exc}") from None
+    if ad_net:
+        corrected = adapter_mod.refine(ad_net, adapter_mod.stack_levels(traj.weekly_series, graph))
         io.write_series(out / "forecast_corrected_state.csv", corrected[graph.n_patches + graph.n_regions])
     if data.horizon >= 2:
         pred = aggregate(traj.weekly_series[:, data.window : data.window + data.horizon], "state", graph)[0]
@@ -220,10 +225,10 @@ def cmd_policy_region(config: dict) -> None:
 def cmd_policy_greedy(config: dict) -> None:
     graph, model = _load_model(config)
     candidates = config["candidates"].split(",") if config.get("candidates") is not None else None
-    out = _out_dir(config)
     brute_force = config.get("brute_force")
     allocate = analysis.brute_force_allocation if brute_force else analysis.unit_greedy
     res = allocate(model, graph, config["budget"], multiplier=config["multiplier"], candidates=candidates)
+    out = _out_dir(config)
     curve_rows = ([(1, "+".join(res.selected), res.reduction)] if brute_force
                   else [(b + 1, res.selected[b], res.reductions[b]) for b in range(len(res.selected))])
     _write_rows(out / "policy_greedy_curve.csv", ["budget", "patch", "cumulative_reduction"], curve_rows)

@@ -8,8 +8,8 @@ of patch i's population present at patch j in a typical week; the
 diagonal absorbs the stay-home residual.
 
 Patch ordering is the lexicographic order of patch ids, fixed at graph
-construction.  Every matrix in the package uses that ordering, which
-makes floating-point reductions reproducible.
+construction.  Every matrix in the package uses that ordering, and
+``aggregate`` sums every plain-array region total in it, with no BLAS call.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ class PatchGraph:
     - ``patch_region``: (P,) int index of each patch's region, so
       ``region_values[patch_region]`` broadcasts regions to patches (the
       same as ``broadcast_matrix @ region_values``, exactly);
+    - ``member_ranks``: per k, (each region's k-th patch, those regions);
     - ``theta_t``: contiguous transpose of ``theta``;
     - ``n_eff``: mobility-weighted populations ``theta_t @ populations``.
       A zero entry is refused when a simulation starts, not here.
@@ -112,15 +113,14 @@ class PatchGraph:
 
         self.patch_index = {p: i for i, p in enumerate(self.patch_ids)}
         self.region_index = {r: i for i, r in enumerate(self.region_ids)}
-        # 0/1 membership matrix, regions x patches, in the fixed orderings.
-        member = np.zeros((len(self.region_ids), n))
-        for p, r in self.region_of.items():
-            member[self.region_index[r], self.patch_index[p]] = 1.0
-        self.region_matrix = _readonly(member)
-        # patches x regions broadcast matrix (transpose of membership).
-        self.broadcast_matrix = _readonly(member.T.copy())
         self.patch_region = np.array([self.region_index[self.region_of[p]] for p in self.patch_ids])
         self.patch_region.setflags(write=False)
+        # 0/1 membership, regions x patches, and its transpose, patches x regions
+        self.region_matrix = _readonly(self.patch_region == np.arange(len(self.region_ids))[:, None])
+        self.broadcast_matrix = _readonly(self.region_matrix.T.copy())
+        order = np.argsort(self.patch_region, kind="stable")  # by region, then by patch
+        rank = np.arange(n) - np.searchsorted(self.patch_region[order], self.patch_region[order])
+        self.member_ranks = tuple((order[rank == k], self.patch_region[order[rank == k]]) for k in range(rank.max() + 1))
         self.theta_t = _readonly(self.theta.T.copy())
         self.n_eff = _readonly(self.theta_t @ self.populations)
 
@@ -131,9 +131,6 @@ class PatchGraph:
     @property
     def n_regions(self) -> int:
         return len(self.region_ids)
-
-    def region_populations(self) -> np.ndarray:
-        return self.region_matrix @ self.populations
 
     def patches_of_category(self, category: str) -> list[str]:
         return [p for p in self.patch_ids if self.category_of[p] == category]
@@ -195,14 +192,16 @@ def build_travel_matrix(commute_flows, facility_flows, populations) -> np.ndarra
 def aggregate(series: np.ndarray, level: str, graph: PatchGraph) -> np.ndarray:
     """Aggregate a patches x time matrix additively to "region" or "state".
 
-    Region rows sum their member patches; the state row is the sum of
-    the region rows (computed from them, so the two levels agree
-    exactly, not just to rounding).
+    A region row adds its patches' rows in patch order, ``(a + b) + c ...``
+    (``graph.member_ranks``, no BLAS call).  The state row is the sum of the
+    region rows (computed from them, so the two levels agree exactly).
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2 or series.shape[0] != graph.n_patches:
         raise ShapeMismatch(f"series must be {graph.n_patches} patches x weeks, got shape {series.shape}")
-    region = graph.region_matrix @ series
+    region = series[graph.member_ranks[0][0]]  # rank 0 holds every region, in order
+    for patches, regions in graph.member_ranks[1:]:
+        region[regions] += series[patches]
     if level == "region":
         return region
     if level == "state":

@@ -524,7 +524,7 @@ def load_dataset(in_dir, graph: PatchGraph, window: int | None = None, horizon: 
     observed = _weekly_table(in_dir, "cases", graph)[0][:, :, 0]
     features, names = _weekly_table(in_dir, "features", graph)
     if features.shape[1] != observed.shape[1]:
-        raise ShapeMismatch("cases.csv and features.csv disagree on week count")
+        raise ShapeMismatch(f"{cases} has {observed.shape[1]} weeks, {in_dir / 'features.csv'} {features.shape[1]}")
     total = observed.shape[1]
     if window is None:
         if horizon >= total:

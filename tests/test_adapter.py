@@ -231,6 +231,58 @@ class TestTrainAdapter:
         assert peak < 6 * 2**20
 
 
+class TestTrainingGradient:
+    """The epoch-loss gradient ``train_adapter`` steps on, through both cells,
+    teacher forcing, the ReLU clamp, the unit scale and ``out_b``, checked
+    against central differences as criterion 2 checks calibration's."""
+
+    @pytest.mark.parametrize("teacher", ["all", "none", "mixed"])
+    def test_tape_gradient_matches_central_differences(self, teacher):
+        units, weeks = 3, 10
+        rng = np.random.default_rng(11)
+        t = np.arange(weeks)
+        truth = 30.0 + 10.0 * np.sin(2 * np.pi * t / 7 + np.arange(units)[:, None])
+        raw = truth * rng.uniform(0.8, 1.2, size=truth.shape)
+        scale = np.maximum(1.0, truth.std(axis=1))
+        raw_norm, truth_norm = raw / scale[:, None], truth / scale[:, None]
+        mask = {"all": np.ones(weeks, bool), "none": np.zeros(weeks, bool), "mixed": t % 3 == 0}[teacher]
+        net = AdapterNet(seed=4)
+        net.weights["out_w"] *= 0.25  # residuals well under the raw series, so no step crosses the clamp
+
+        def loss_for(weights):
+            """``train_adapter``'s epoch loss, and the corrected series it scores."""
+            corrected = adapter._forward(weights, raw_norm, scale, weeks, truth_norm=truth_norm, teacher_mask=mask)
+            sse = 0.0
+            for week in range(weeks):
+                d = corrected[week] / scale - truth_norm[:, week]
+                sse = sse + ad.vsum(d * d)
+            return sse / (units * weeks), corrected
+
+        tape = ad.Tape()
+        duals = {n: tape.variable(w) for n, w in net.weights.items()}
+        adjoints = tape.backward(loss_for(duals)[0])
+        grads = {n: adjoints[duals[n].index] for n in duals}
+        gmax = max(np.abs(g).max() for g in grads.values())
+        corrected = np.stack(loss_for(net.weights)[1], axis=1)
+        assert (corrected / scale[:, None]).min() > 1.0  # away from the ReLU kink
+
+        worst = 0.0
+        for name, w in net.weights.items():
+            for flat in rng.choice(w.size, size=min(w.size, 5), replace=False):
+                idx = np.unravel_index(flat, w.shape)
+                h = 1e-5 * max(1.0, abs(w[idx]))
+                orig = w[idx]
+                w[idx] = orig + h
+                fp = float(ad.value_of(loss_for(net.weights)[0]))
+                w[idx] = orig - h
+                fm = float(ad.value_of(loss_for(net.weights)[0]))
+                w[idx] = orig
+                fd = (fp - fm) / (2 * h)
+                denom = max(abs(fd), abs(grads[name][idx]), 1e-6 * gmax)
+                worst = max(worst, abs(fd - grads[name][idx]) / denom)
+        assert worst < 1e-3
+
+
 class TestModularity:
     def test_adapter_training_leaves_calibration_untouched(self):
         bundle = synth.generate(synth.SynthSpec(n_patches=6, n_regions=2, weeks=20,

@@ -181,3 +181,21 @@ def test_an_out_that_is_not_a_directory_is_refused_before_any_work(tmp_path, cap
     assert main(_argv("synth", {}, out)) == 3
     assert f"[InvalidOption] --out {out}: {afile} is not a directory" in capsys.readouterr().err
     assert afile.read_text() == "a user's file\n" and sorted(tmp_path.iterdir()) == [afile]
+
+
+@pytest.mark.parametrize("flags, fragment", [
+    ("--budget 100", "[ShapeMismatch] budget 100 exceeds 4 candidates"),
+    ("--budget 100 --brute-force", "[ShapeMismatch] budget 100 exceeds 4 candidates"),
+    ("--candidates nope", "[InvalidOption] unknown candidate patch 'nope'"),
+], ids=["budget", "brute-force-budget", "candidate"])
+def test_an_allocation_refusal_comes_before_the_staging_directory(paths, tmp_path, monkeypatch, capsys, flags,
+                                                                  fragment):
+    def no_stage(config):
+        raise AssertionError("the staging directory was made")
+
+    monkeypatch.setattr(cli, "_out_dir", no_stage)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([*_argv("policy-greedy", paths, out), *flags.split()]) == 3
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()

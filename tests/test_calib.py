@@ -27,8 +27,7 @@ def bundle():
 def small_net(bundle, seed=0):
     """A small net as drawn, with the channel names and statistics a fit on ``bundle`` sets."""
     net = CalibNet(bundle.data.features.shape[2], config=CalibConfig(hidden=8, decoder_width=8), seed=seed)
-    window = bundle.data.features[:, : bundle.data.window, :]
-    net.norm_mean, net.norm_std = calib.feature_stats(np.einsum("rp,pwf->rwf", bundle.graph.region_matrix, window))
+    net.norm_mean, net.norm_std = calib.feature_stats(calib.region_features(bundle.data, bundle.graph, (0.0, 1.0)))
     net.feature_names = bundle.data.feature_names
     return net
 

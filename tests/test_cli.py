@@ -97,6 +97,14 @@ class TestSimulateCommand:
         assert summary["cumulative_new_infections"]["state"] == 0.0
         assert json.loads((out / "run_manifest.json").read_text())["seed"] is None  # simulate draws nothing
 
+    def test_steps_past_the_parameters_name_the_flag_and_the_file(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["simulate", "--data", str(data_dir), "--steps", "500", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"--steps 500 exceeds the 24 weeks of parameters in {data_dir / 'ground_truth.csv'}" in err, err
+        assert not out.exists()
+
     def test_missing_params_file_is_data_error(self, data_dir, tmp_path):
         code = main(["simulate", "--data", str(data_dir), "--params",
                      str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
@@ -369,17 +377,25 @@ class TestErrorHandling:
         (lambda p: p["scale"].pop(), "adapter.json: adapter was fit on a different number of units (scale has 10"),
     ], ids=["string-in-scale", "unit-fewer"])
     def test_bad_adapter_leaves_no_forecast_file(self, data_dir, checkpoint, adapter_checkpoint, tmp_path, capsys,
-                                                 edit, fragment):
+                                                 monkeypatch, edit, fragment):
         payload = json.loads(adapter_checkpoint.read_text())
         edit(payload)
         bad = tmp_path / "adapter.json"
         bad.write_text(json.dumps(payload))
         out = tmp_path / "o"
+        out.mkdir()
+        (out / "earlier.csv").write_text("kept\n")
+
+        def no_forecast(*args):  # the adapter is refused before any forecast work
+            raise AssertionError("calib.forecast ran")
+
+        monkeypatch.setattr(calib, "forecast", no_forecast)
         capsys.readouterr()
         assert main(["forecast", "--data", str(data_dir), "--checkpoint", str(checkpoint), "--adapter", str(bad),
                      "--out", str(out)]) == 3
         assert fragment in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert [p.name for p in out.iterdir()] == ["earlier.csv"]
+        assert (out / "earlier.csv").read_text() == "kept\n"
 
     def test_config_file_supplies_defaults(self, data_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -552,6 +568,19 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert (f"[ShapeMismatch] {checkpoint}: net was fit on feature channels "
                 f"['mrsa', 'mssa', 'prescriptions', 'norm_incidence'], {data / 'features.csv'} has {channels}") in err, err
+        assert not (tmp_path / "o").exists()
+
+    def test_week_count_mismatch_names_both_files_and_both_counts(self, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        with open(data_dir / "features.csv", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row[1] != "23"]  # drop the last week
+        with open(data / "features.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert main(["calibrate", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"[ShapeMismatch] {data / 'cases.csv'} has 24 weeks, {data / 'features.csv'} 23" in err, err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, table, value, code, error, fragment", [

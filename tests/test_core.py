@@ -94,6 +94,24 @@ class TestAggregate:
         state = aggregate(series, "state", g)
         assert np.array_equal(state, aggregate(series, "region", g).sum(axis=0, keepdims=True))
 
+    def test_interleaved_regions_sum_their_rows_in_patch_order(self):
+        # p00 -> r1, p01 -> r0, p02 -> r1, ...: the regions are not contiguous in patch order
+        ids = [f"p{i:02d}" for i in range(13)]
+        g = PatchGraph(dict.fromkeys(ids, 10.0), {p: f"r{(i + 1) % 2}" for i, p in enumerate(ids)},
+                       dict.fromkeys(ids, "general"), np.eye(len(ids)))
+        rng = np.random.default_rng(17)
+        series = rng.normal(size=(13, 40)) * 10.0 ** rng.uniform(0, 12, size=(13, 40))
+        want, backward = [], []
+        for r in range(2):
+            rows = [series[p] for p in range(13) if g.patch_region[p] == r]
+            total, reverse = rows[0], rows[-1]
+            for a, b in zip(rows[1:], rows[-2::-1]):
+                total, reverse = total + a, reverse + b
+            want.append(total)
+            backward.append(reverse)
+        assert aggregate(series, "region", g).tobytes() == np.array(want).tobytes()
+        assert np.array(backward).tobytes() != np.array(want).tobytes()  # the order shows in the bytes
+
     def test_linearity(self):
         g = two_patch_graph()
         rng = np.random.default_rng(5)
